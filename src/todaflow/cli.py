@@ -1,10 +1,12 @@
 """Scenario runner: JSON config in, CSV/JSON/SVG artifacts plus manifest out.
 
-Configs use a strict schema: unknown keys are errors, every validation
-problem is reported with its JSON pointer, and numeric preconditions are
-checked before any computation starts.  Exit codes: 0 success, 1 config
-error, 2 numerical breakdown (cusp, shock, absorption); partial outputs are
-kept, with the manifest marking the run incomplete.
+Configs follow a strict schema, declared as one table of schema nodes and
+checked by walking it generically: unknown keys are errors, every number
+must be finite, every validation problem is reported with its JSON pointer,
+and numeric preconditions are checked before any computation starts.  Exit
+codes: 0 success, 1 config error, 2 numerical breakdown (cusp, shock,
+absorption); partial outputs are kept, with the manifest marking the run
+incomplete.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -70,446 +73,324 @@ class ExitReport:
 
 # ---------------------------------------------------------------------------
 # validation
+#
+# A schema node parses one JSON value: ``node(value, ptr, problems)`` returns
+# the value in the form the scenario runners read, or None after appending
+# (JSON pointer, message) pairs to ``problems``.  Objects parse every field
+# even after a problem, so one pass reports them all.
+
+_REQUIRED = object()
 
 
-class _Ctx:
-    def __init__(self):
-        self.problems = []
+class _Node:
+    def __init__(self, parse, default=_REQUIRED, checks=()):
+        self._parse = parse
+        self.default = default
+        self._checks = checks
 
-    def err(self, ptr, msg):
-        self.problems.append((ptr, msg))
+    def opt(self, default=None):
+        """Make the key optional; when absent it parses ``default`` (None stays None)."""
+        return _Node(self._parse, default, self._checks)
 
+    def where(self, ok, message):
+        """Also require ``ok(parsed value)``, reporting ``message`` otherwise."""
+        return _Node(self._parse, self.default, self._checks + ((ok, message),))
 
-def _check_keys(ctx, obj, ptr, allowed):
-    for key in obj:
-        if key not in allowed:
-            ctx.err(f"{ptr}/{key}", "unknown key")
-
-
-def _field(ctx, obj, ptr, key, kinds, required=True, default=None):
-    if key not in obj:
-        if required:
-            ctx.err(f"{ptr}/{key}", "missing required key")
-        return default
-    value = obj[key]
-    if kinds == "number":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            ctx.err(f"{ptr}/{key}", "must be a number")
-            return default
-        return float(value)
-    if kinds == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            ctx.err(f"{ptr}/{key}", "must be an integer")
-            return default
+    def __call__(self, value, ptr, problems):
+        before = len(problems)
+        value = self._parse(value, ptr, problems)
+        if len(problems) > before:
+            return None
+        for ok, message in self._checks:
+            if not ok(value):
+                problems.append((ptr, message))
+                return None
         return value
-    if kinds == "str":
-        if not isinstance(value, str):
-            ctx.err(f"{ptr}/{key}", "must be a string")
-            return default
-        return value
-    if kinds == "object":
-        if not isinstance(value, dict):
-            ctx.err(f"{ptr}/{key}", "must be an object")
-            return default
-        return value
-    if kinds == "array":
+
+
+def _leaf(accepts, message, convert=None):
+    def parse(value, ptr, problems):
+        if accepts(value):
+            return convert(value) if convert else value
+        problems.append((ptr, message))
+    return _Node(parse)
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value):
+    try:
+        return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+    except OverflowError:  # an integer literal beyond the float range
+        return False
+
+
+def _number():
+    return _leaf(_is_finite, "must be a finite number", float)
+
+
+def _integer():
+    return _leaf(_is_int, "must be an integer")
+
+
+def _string():
+    return _leaf(lambda v: isinstance(v, str), "must be a string")
+
+
+def _pair(label="re, im", build=complex):
+    """A two-element number array, combined by ``build``."""
+    number = _number()
+
+    def parse(value, ptr, problems):
+        if not isinstance(value, list) or len(value) != 2:
+            problems.append((ptr, f"must be a [{label}] number pair"))
+            return None
+        parts = [number(v, f"{ptr}/{i}", problems) for i, v in enumerate(value)]
+        return None if None in parts else build(*parts)
+    return _Node(parse)
+
+
+def _array(item):
+    def parse(value, ptr, problems):
         if not isinstance(value, list):
-            ctx.err(f"{ptr}/{key}", "must be an array")
-            return default
-        return value
-    raise AssertionError(kinds)
+            problems.append((ptr, "must be an array"))
+            return None
+        return [item(v, f"{ptr}/{i}", problems) for i, v in enumerate(value)]
+    return _Node(parse)
 
 
-def _complex_pair(ctx, value, ptr):
-    if (
-        not isinstance(value, list)
-        or len(value) != 2
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
-    ):
-        ctx.err(ptr, "must be a [re, im] number pair")
-        return 0j
-    return complex(value[0], value[1])
+def _object(fields, *checks):
+    """An object with exactly the named fields.
 
-
-def _validate_map(ctx, obj, ptr):
-    if not isinstance(obj, dict):
-        ctx.err(ptr, "must be an object")
-        return None
-    _check_keys(ctx, obj, ptr, {"r", "coeffs"})
-    r = _field(ctx, obj, ptr, "r", "number")
-    coeffs = _field(ctx, obj, ptr, "coeffs", "array", required=False, default=[])
-    if r is not None and r <= 0:
-        ctx.err(f"{ptr}/r", "must be positive")
-    parsed = []
-    for i, c in enumerate(coeffs or []):
-        parsed.append(_complex_pair(ctx, c, f"{ptr}/coeffs/{i}"))
-    return {"r": r, "coeffs": parsed}
-
-
-def _validate_potential(ctx, obj, ptr):
-    if obj is None:
-        return {"kind": "quadratic"}
-    if not isinstance(obj, dict):
-        ctx.err(ptr, "must be an object")
-        return {"kind": "quadratic"}
-    _check_keys(ctx, obj, ptr, {"kind"})
-    kind = _field(ctx, obj, ptr, "kind", "str")
-    if kind not in (None, "quadratic"):
-        ctx.err(f"{ptr}/kind", "only the quadratic potential is available via config")
-    return {"kind": "quadratic"}
-
-
-def _validate_flow(ctx, obj, ptr):
-    if not isinstance(obj, dict):
-        ctx.err(ptr, "must be an object")
-        return None
-    _check_keys(ctx, obj, ptr, {"kind", "k", "z0", "sign", "duration", "steps"})
-    kind = _field(ctx, obj, ptr, "kind", "str")
-    if kind not in growth.FlowSpec._KINDS:
-        ctx.err(f"{ptr}/kind", f"must be one of {growth.FlowSpec._KINDS}")
-    out = {"kind": kind}
-    if kind in ("tk_real", "tk_imag"):
-        k = _field(ctx, obj, ptr, "k", "int")
-        if k is not None and k < 1:
-            ctx.err(f"{ptr}/k", "must be >= 1")
-        out["k"] = k
-    elif "k" in obj:
-        ctx.err(f"{ptr}/k", "only harmonic flows take k")
-    if kind == "t0_source":
-        if "z0" not in obj:
-            ctx.err(f"{ptr}/z0", "missing required key")
-        else:
-            out["z0"] = _complex_pair(ctx, obj["z0"], f"{ptr}/z0")
-    elif "z0" in obj:
-        ctx.err(f"{ptr}/z0", "only the source flow takes z0")
-    sign = _field(ctx, obj, ptr, "sign", "int", required=False, default=1)
-    if sign not in (1, -1):
-        ctx.err(f"{ptr}/sign", "must be +1 or -1")
-    out["sign"] = sign
-    duration = _field(ctx, obj, ptr, "duration", "number")
-    steps = _field(ctx, obj, ptr, "steps", "int")
-    if steps is not None and steps < 1:
-        ctx.err(f"{ptr}/steps", "must be >= 1")
-    out["duration"] = duration
-    out["steps"] = steps
-    return out
-
-
-def _validate_driving(ctx, obj, ptr):
-    if not isinstance(obj, dict):
-        ctx.err(ptr, "must be an object")
-        return None
-    kind = _field(ctx, obj, ptr, "kind", "str")
-    if kind == "constant":
-        _check_keys(ctx, obj, ptr, {"kind", "theta0"})
-        return {"kind": kind, "theta0": _field(ctx, obj, ptr, "theta0", "number",
-                                               required=False, default=0.0)}
-    if kind == "piecewise_linear":
-        _check_keys(ctx, obj, ptr, {"kind", "knots"})
-        knots = _field(ctx, obj, ptr, "knots", "array", default=[])
-        parsed = []
-        for i, kn in enumerate(knots or []):
-            if (not isinstance(kn, list) or len(kn) != 2
-                    or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in kn)):
-                ctx.err(f"{ptr}/knots/{i}", "must be a [q, theta] number pair")
+    Each check is a cross-field rule: once every field is valid it gets the
+    parsed object and yields (pointer relative to the object, message) pairs.
+    """
+    def parse(value, ptr, problems):
+        if not isinstance(value, dict):
+            problems.append((ptr, "must be an object"))
+            return None
+        problems.extend((f"{ptr}/{key}", "unknown key") for key in value if key not in fields)
+        before = len(problems)
+        out = {}
+        for key, node in fields.items():
+            if key in value:
+                out[key] = node(value[key], f"{ptr}/{key}", problems)
+            elif node.default is _REQUIRED:
+                problems.append((f"{ptr}/{key}", "missing required key"))
+            elif node.default is not None:
+                out[key] = node(node.default, f"{ptr}/{key}", problems)  # a fresh copy
             else:
-                parsed.append((float(kn[0]), float(kn[1])))
-        if len(parsed) < 2:
-            ctx.err(f"{ptr}/knots", "needs at least two knots")
-        return {"kind": kind, "knots": parsed}
-    if kind == "brownian":
-        _check_keys(ctx, obj, ptr, {"kind", "kappa", "dq_grid"})
-        kappa = _field(ctx, obj, ptr, "kappa", "number")
-        if kappa is not None and kappa < 0:
-            ctx.err(f"{ptr}/kappa", "must be non-negative")
-        dq = _field(ctx, obj, ptr, "dq_grid", "number", required=False, default=1e-3)
-        if dq is not None and dq <= 0:
-            ctx.err(f"{ptr}/dq_grid", "must be positive")
-        return {"kind": kind, "kappa": kappa, "dq_grid": dq}
-    ctx.err(f"{ptr}/kind", "must be one of ('constant', 'piecewise_linear', 'brownian')")
-    return None
+                out[key] = None
+        if len(problems) == before:
+            for check in checks:
+                problems.extend((f"{ptr}/{sub}" if sub else ptr, message)
+                                for sub, message in check(out))
+        return out
+    return _Node(parse)
 
 
-def _validate_grow(ctx, obj, ptr):
-    _check_keys(ctx, obj, ptr, {"map", "potential", "flows", "moment_order", "snapshots"})
-    out = {}
-    out["map"] = _validate_map(ctx, obj.get("map"), f"{ptr}/map") if "map" in obj else (
-        ctx.err(f"{ptr}/map", "missing required key") or None)
-    out["potential"] = _validate_potential(ctx, obj.get("potential"), f"{ptr}/potential")
-    flows = _field(ctx, obj, ptr, "flows", "array")
-    out["flows"] = [
-        _validate_flow(ctx, f, f"{ptr}/flows/{i}") for i, f in enumerate(flows or [])
-    ]
-    if flows is not None and not flows:
-        ctx.err(f"{ptr}/flows", "needs at least one leg")
-    out["moment_order"] = _field(ctx, obj, ptr, "moment_order", "int", required=False)
-    if out["moment_order"] is not None and out["moment_order"] < 1:
-        ctx.err(f"{ptr}/moment_order", "must be >= 1")
-    out["snapshots"] = _field(ctx, obj, ptr, "snapshots", "int", required=False, default=5)
-    if out["snapshots"] is not None and out["snapshots"] < 1:
-        ctx.err(f"{ptr}/snapshots", "must be >= 1")
-    return out
-
-
-def _validate_loewner(ctx, obj, ptr):
-    _check_keys(ctx, obj, ptr, {"driving", "q0", "q_max", "trace_points", "tracked"})
-    out = {}
-    out["driving"] = (_validate_driving(ctx, obj.get("driving"), f"{ptr}/driving")
-                      if "driving" in obj else ctx.err(f"{ptr}/driving", "missing required key"))
-    q0 = _field(ctx, obj, ptr, "q0", "number", required=False, default=0.0)
-    q_max = _field(ctx, obj, ptr, "q_max", "number")
-    if q0 is not None and q_max is not None and q_max <= q0:
-        ctx.err(f"{ptr}/q_max", "must exceed q0")
-    out["q0"], out["q_max"] = q0, q_max
-    out["trace_points"] = _field(ctx, obj, ptr, "trace_points", "int", required=False, default=64)
-    if out["trace_points"] is not None and out["trace_points"] < 2:
-        ctx.err(f"{ptr}/trace_points", "must be >= 2")
-    tracked = _field(ctx, obj, ptr, "tracked", "array", required=False)
-    if tracked is not None:
-        pts = [_complex_pair(ctx, p, f"{ptr}/tracked/{i}") for i, p in enumerate(tracked)]
-        r0 = np.exp(q0 if q0 is not None else 0.0)
-        for i, p in enumerate(pts):
-            if abs(p) <= r0:
-                ctx.err(f"{ptr}/tracked/{i}", f"must start outside radius {r0:g}")
-        out["tracked"] = pts
-    else:
-        out["tracked"] = None
-    return out
-
-
-def _validate_hydro(ctx, obj, ptr):
-    _check_keys(ctx, obj, ptr, {"profile", "speed", "s"})
-    out = {}
-    prof = _field(ctx, obj, ptr, "profile", "object")
-    if prof is not None:
-        if "csv" in prof:
-            _check_keys(ctx, prof, f"{ptr}/profile", {"csv"})
-            out["profile"] = {"csv": _field(ctx, prof, f"{ptr}/profile", "csv", "str")}
+def _kinded(variants):
+    """An object whose ``kind`` string picks the object schema it follows."""
+    def parse(value, ptr, problems):
+        if not isinstance(value, dict):
+            problems.append((ptr, "must be an object"))
+        elif "kind" not in value:
+            problems.append((f"{ptr}/kind", "missing required key"))
+        elif not isinstance(value["kind"], str) or value["kind"] not in variants:
+            problems.append((f"{ptr}/kind", f"must be one of {tuple(variants)}"))
         else:
-            _check_keys(ctx, prof, f"{ptr}/profile", {"grid", "q_values"})
-            grid = _field(ctx, prof, f"{ptr}/profile", "grid", "array")
-            qv = _field(ctx, prof, f"{ptr}/profile", "q_values", "array")
-            if grid is not None and qv is not None:
-                if len(grid) != len(qv) or len(grid) < 2:
-                    ctx.err(f"{ptr}/profile", "grid and q_values must match and have >= 2 nodes")
-                elif any(b <= a for a, b in zip(grid, grid[1:])):
-                    ctx.err(f"{ptr}/profile/grid", "must be strictly increasing")
-            out["profile"] = {"grid": grid, "q_values": qv}
-    speed = _field(ctx, obj, ptr, "speed", "object")
-    if speed is not None:
-        kind = _field(ctx, speed, f"{ptr}/speed", "kind", "str")
-        if kind == "identity":
-            _check_keys(ctx, speed, f"{ptr}/speed", {"kind"})
-            out["speed"] = {"kind": kind}
-        elif kind == "constant":
-            _check_keys(ctx, speed, f"{ptr}/speed", {"kind", "value"})
-            out["speed"] = {"kind": kind,
-                            "value": _field(ctx, speed, f"{ptr}/speed", "value", "number")}
-        elif kind == "table":
-            _check_keys(ctx, speed, f"{ptr}/speed", {"kind", "q", "c"})
-            qs = _field(ctx, speed, f"{ptr}/speed", "q", "array")
-            cs = _field(ctx, speed, f"{ptr}/speed", "c", "array")
-            if qs is not None and cs is not None and (len(qs) != len(cs) or len(qs) < 2):
-                ctx.err(f"{ptr}/speed", "q and c tables must match and have >= 2 nodes")
-            out["speed"] = {"kind": kind, "q": qs, "c": cs}
-        elif kind == "table_csv":
-            _check_keys(ctx, speed, f"{ptr}/speed", {"kind", "path"})
-            out["speed"] = {"kind": kind,
-                            "path": _field(ctx, speed, f"{ptr}/speed", "path", "str")}
-        elif kind == "family":
-            _check_keys(ctx, speed, f"{ptr}/speed", {"kind", "k", "driving", "q0", "q_max"})
-            k = _field(ctx, speed, f"{ptr}/speed", "k", "int")
-            if k is not None and k < 1:
-                ctx.err(f"{ptr}/speed/k", "must be >= 1")
-            drv = (_validate_driving(ctx, speed.get("driving"), f"{ptr}/speed/driving")
-                   if "driving" in speed else ctx.err(f"{ptr}/speed/driving", "missing required key"))
-            out["speed"] = {
-                "kind": kind, "k": k, "driving": drv,
-                "q0": _field(ctx, speed, f"{ptr}/speed", "q0", "number", required=False, default=0.0),
-                "q_max": _field(ctx, speed, f"{ptr}/speed", "q_max", "number"),
-            }
-        else:
-            ctx.err(f"{ptr}/speed/kind",
-                    "must be one of ('identity', 'constant', 'table', 'table_csv', 'family')")
-    s = _field(ctx, obj, ptr, "s", "number")
-    out["s"] = s
-    return out
+            kind = value["kind"]
+            out = variants[kind]({k: v for k, v in value.items() if k != "kind"}, ptr, problems)
+            return None if out is None else {"kind": kind, **out}
+    return _Node(parse)
 
 
-def _validate_dyson(ctx, obj, ptr):
-    _check_keys(ctx, obj, ptr, {"N", "hbar", "times", "measure", "mode", "sweeps",
-                                "bins", "schedule"})
-    out = {}
-    n_particles = _field(ctx, obj, ptr, "N", "int")
-    if n_particles is not None and n_particles < 1:
-        ctx.err(f"{ptr}/N", "must be >= 1")
-    hbar = _field(ctx, obj, ptr, "hbar", "number")
-    if hbar is not None and hbar <= 0:
-        ctx.err(f"{ptr}/hbar", "must be positive")
-    out["N"], out["hbar"] = n_particles, hbar
-    times = _field(ctx, obj, ptr, "times", "array", required=False, default=[])
-    out["times"] = [_complex_pair(ctx, t, f"{ptr}/times/{i}") for i, t in enumerate(times or [])]
-    measure = _field(ctx, obj, ptr, "measure", "object", required=False,
-                     default={"kind": "plane"})
-    if measure is not None:
-        kind = _field(ctx, measure, f"{ptr}/measure", "kind", "str")
-        if kind == "plane":
-            _check_keys(ctx, measure, f"{ptr}/measure", {"kind", "potential"})
-            out["measure"] = {
-                "kind": "plane",
-                "potential": _validate_potential(ctx, measure.get("potential"),
-                                                 f"{ptr}/measure/potential"),
-            }
-        elif kind == "curve":
-            _check_keys(ctx, measure, f"{ptr}/measure", {"kind", "curve", "confine"})
-            curve = _field(ctx, measure, f"{ptr}/measure", "curve", "object")
-            parsed_curve = None
-            if curve is not None:
-                ckind = _field(ctx, curve, f"{ptr}/measure/curve", "kind", "str")
-                if ckind == "real_line":
-                    _check_keys(ctx, curve, f"{ptr}/measure/curve", {"kind"})
-                    parsed_curve = {"kind": "real_line"}
-                elif ckind == "ray":
-                    _check_keys(ctx, curve, f"{ptr}/measure/curve", {"kind", "z0", "direction"})
-                    parsed_curve = {"kind": "ray"}
-                    if "z0" in curve:
-                        parsed_curve["z0"] = _complex_pair(ctx, curve["z0"],
-                                                           f"{ptr}/measure/curve/z0")
-                    else:
-                        ctx.err(f"{ptr}/measure/curve/z0", "missing required key")
-                    if "direction" in curve:
-                        parsed_curve["direction"] = _complex_pair(
-                            ctx, curve["direction"], f"{ptr}/measure/curve/direction")
-                    else:
-                        ctx.err(f"{ptr}/measure/curve/direction", "missing required key")
-                else:
-                    ctx.err(f"{ptr}/measure/curve/kind",
-                            "must be one of ('real_line', 'ray') via config")
-            confine = _field(ctx, measure, f"{ptr}/measure", "confine", "object",
-                             required=False, default={"kind": "quadratic_hbar"})
-            if confine is not None:
-                _check_keys(ctx, confine, f"{ptr}/measure/confine", {"kind", "coefficient"})
-                ckind = _field(ctx, confine, f"{ptr}/measure/confine", "kind", "str")
-                if ckind != "quadratic_hbar":
-                    ctx.err(f"{ptr}/measure/confine/kind",
-                            "only 'quadratic_hbar' (s^2 / (2 hbar)) is available via config")
-                coeff = _field(ctx, confine, f"{ptr}/measure/confine", "coefficient",
-                               "number", required=False, default=1.0)
-            out["measure"] = {"kind": "curve", "curve": parsed_curve,
-                              "confine": {"kind": "quadratic_hbar", "coefficient": coeff}}
-        else:
-            ctx.err(f"{ptr}/measure/kind", "must be 'plane' or 'curve'")
-    mode = _field(ctx, obj, ptr, "mode", "str", required=False, default="minimize")
-    if mode not in ("minimize", "metropolis"):
-        ctx.err(f"{ptr}/mode", "must be 'minimize' or 'metropolis'")
-    out["mode"] = mode
-    sweeps = _field(ctx, obj, ptr, "sweeps", "int", required=False, default=200)
-    if sweeps is not None and sweeps < 1:
-        ctx.err(f"{ptr}/sweeps", "must be >= 1")
-    out["sweeps"] = sweeps
-    out["bins"] = _field(ctx, obj, ptr, "bins", "int", required=False, default=32)
-    sched = _field(ctx, obj, ptr, "schedule", "object", required=False, default={})
-    if sched is not None:
-        _check_keys(ctx, sched, f"{ptr}/schedule",
-                    {"max_iterations", "tolerance", "step0", "proposal_scale", "burn_in"})
-        out["schedule"] = {
-            "max_iterations": _field(ctx, sched, f"{ptr}/schedule", "max_iterations",
-                                     "int", required=False),
-            "tolerance": _field(ctx, sched, f"{ptr}/schedule", "tolerance", "number",
-                                required=False),
-            "step0": _field(ctx, sched, f"{ptr}/schedule", "step0", "number", required=False),
-            "proposal_scale": _field(ctx, sched, f"{ptr}/schedule", "proposal_scale",
-                                     "number", required=False),
-            "burn_in": _field(ctx, sched, f"{ptr}/schedule", "burn_in", "int", required=False),
-        }
-    return out
+def _count():
+    return _integer().where(lambda v: v >= 1, "must be >= 1")
 
 
-def _validate_moments(ctx, obj, ptr):
-    _check_keys(ctx, obj, ptr, {"map", "order"})
-    out = {}
-    out["map"] = (_validate_map(ctx, obj.get("map"), f"{ptr}/map")
-                  if "map" in obj else ctx.err(f"{ptr}/map", "missing required key"))
-    order = _field(ctx, obj, ptr, "order", "int", required=False, default=16)
-    if order is not None and order < 1:
-        ctx.err(f"{ptr}/order", "must be >= 1")
-    out["order"] = order
-    return out
+def _positive():
+    return _number().where(lambda v: v > 0, "must be positive")
 
 
-_SECTION_VALIDATORS = {
-    "grow": _validate_grow,
-    "loewner": _validate_loewner,
-    "hydro": _validate_hydro,
-    "dyson": _validate_dyson,
-    "moments": _validate_moments,
+def _q_max_above_q0(v):
+    if v["q_max"] <= v["q0"]:
+        yield "q_max", "must exceed q0"
+
+
+def _tracked_outside_r0(v):
+    r0 = np.exp(v["q0"])
+    for i, p in enumerate(v["tracked"] or ()):
+        if abs(p) <= r0:
+            yield f"tracked/{i}", f"must start outside radius {r0:g}"
+
+
+def _same_length(a, b):
+    def check(v):
+        if len(v[a]) != len(v[b]) or len(v[a]) < 2:
+            yield "", f"{a} and {b} must match and have >= 2 nodes"
+    return check
+
+
+def _increasing_grid(v):
+    if any(b <= a for a, b in zip(v["grid"], v["grid"][1:])):
+        yield "grid", "must be strictly increasing"
+
+
+def _grid_resolves_order(v):
+    if v["M"] is not None and v["n"] is not None and v["n"] < 4 * (v["M"] + 1):
+        yield "n", "must be at least 4*(M+1)"
+
+
+def _burn_in_below_sweeps(v):
+    burn_in = v["schedule"]["burn_in"]
+    if burn_in is not None and burn_in >= v["sweeps"]:
+        yield "schedule/burn_in", "must be less than sweeps"
+
+
+_MAP = _object({"r": _positive(), "coeffs": _array(_pair()).opt([])})
+_POTENTIAL = _object({
+    "kind": _string().where(lambda k: k == "quadratic",
+                            "only the quadratic potential is available via config"),
+}).opt({"kind": "quadratic"})
+_DRIVING = _kinded({
+    "constant": _object({"theta0": _number().opt(0.0)}),
+    "piecewise_linear": _object({
+        "knots": _array(_pair("q, theta", lambda q, theta: (q, theta))).where(
+            lambda knots: len(knots) >= 2, "needs at least two knots"),
+    }),
+    "brownian": _object({
+        "kappa": _number().where(lambda k: k >= 0, "must be non-negative"),
+        "dq_grid": _positive().opt(1e-3),
+    }),
+})
+_LEG = {
+    "sign": _integer().opt(1).where(lambda s: s in (1, -1), "must be +1 or -1"),
+    "duration": _number(),
+    "steps": _count(),
 }
+_FLOW = _kinded({
+    "t0_infinity": _object(_LEG),
+    "t0_source": _object({"z0": _pair(), **_LEG}),
+    "tk_real": _object({"k": _count(), **_LEG}),
+    "tk_imag": _object({"k": _count(), **_LEG}),
+})
+_PROFILE_CSV = _object({"csv": _string()})
+_PROFILE_INLINE = _object({"grid": _array(_number()), "q_values": _array(_number())},
+                          _same_length("grid", "q_values"), _increasing_grid)
+_SPEED = _kinded({
+    "identity": _object({}),
+    "constant": _object({"value": _number()}),
+    "table": _object({"q": _array(_number()), "c": _array(_number())}, _same_length("q", "c")),
+    "table_csv": _object({"path": _string()}),
+    "family": _object({"k": _count(), "driving": _DRIVING, "q0": _number().opt(0.0),
+                       "q_max": _number()}, _q_max_above_q0),
+})
+_MEASURE = _kinded({
+    "plane": _object({"potential": _POTENTIAL}),
+    "curve": _object({
+        "curve": _kinded({
+            "real_line": _object({}),
+            "ray": _object({"z0": _pair(), "direction": _pair()}),
+        }),
+        "confine": _object({
+            "kind": _string().where(
+                lambda k: k == "quadratic_hbar",
+                "only 'quadratic_hbar' (s^2 / (2 hbar)) is available via config"),
+            "coefficient": _number().opt(1.0),
+        }).opt({"kind": "quadratic_hbar"}),
+    }),
+})
+_SECTIONS = {
+    "grow": _object({
+        "map": _MAP,
+        "potential": _POTENTIAL,
+        "flows": _array(_FLOW).where(bool, "needs at least one leg"),
+        "moment_order": _count().opt(),
+        "snapshots": _count().opt(5),
+    }),
+    "loewner": _object({
+        "driving": _DRIVING,
+        "q0": _number().opt(0.0),
+        "q_max": _number(),
+        "trace_points": _integer().opt(64).where(lambda n: n >= 2, "must be >= 2"),
+        "tracked": _array(_pair()).opt(),
+    }, _q_max_above_q0, _tracked_outside_r0),
+    "hydro": _object({
+        # a profile is read from CSV when it names one, else given inline
+        "profile": _Node(lambda v, ptr, problems: (
+            _PROFILE_CSV if isinstance(v, dict) and "csv" in v else _PROFILE_INLINE
+        )(v, ptr, problems)),
+        "speed": _SPEED,
+        "s": _number(),
+    }),
+    "dyson": _object({
+        "N": _count(),
+        "hbar": _positive(),
+        "times": _array(_pair()).opt([]),
+        "measure": _MEASURE.opt({"kind": "plane"}),
+        "mode": _string().opt("minimize").where(lambda m: m in ("minimize", "metropolis"),
+                                                "must be 'minimize' or 'metropolis'"),
+        "sweeps": _count().opt(200),
+        "bins": _count().opt(32),
+        "schedule": _object({
+            "max_iterations": _integer().opt(),
+            "tolerance": _number().opt(),
+            "step0": _number().opt(),
+            "proposal_scale": _number().opt(),
+            "burn_in": _integer().opt(),
+        }).opt({}),
+    }, _burn_in_below_sweeps),
+    "moments": _object({"map": _MAP, "order": _count().opt(16)}),
+}
+_CONFIG = _object({
+    "scenario": _string().where(lambda s: s in SCENARIOS, f"must be one of {SCENARIOS}"),
+    "seed": _integer().opt(0),
+    "output": _object({
+        "directory": _string().opt("out"),
+        "formats": _array(_string().where(lambda f: f in FORMATS, f"must be one of {FORMATS}"))
+        .opt(list(FORMATS)),
+    }).opt({}),
+    "resolution": _object({
+        "M": _integer().opt().where(lambda m: m >= 0, "must be >= 0"),
+        "n": _integer().opt().where(lambda n: n >= 8 and not n & (n - 1),
+                                    "must be a power of two >= 8"),
+    }, _grid_resolves_order).opt({}),
+    **{name: section.opt() for name, section in _SECTIONS.items()},
+})
 
 
 def parse_config(text: str) -> ScenarioConfig:
     """Validate UTF-8 JSON scenario text; raises ConfigError listing every problem."""
-    ctx = _Ctx()
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # includes json.JSONDecodeError
         raise ConfigError([("", f"invalid JSON: {exc}")])
     if not isinstance(raw, dict):
         raise ConfigError([("", "top level must be an object")])
-    allowed = {"scenario", "seed", "output", "resolution"} | set(SCENARIOS)
-    _check_keys(ctx, raw, "", allowed)
-    scenario = _field(ctx, raw, "", "scenario", "str")
-    if scenario is not None and scenario not in SCENARIOS:
-        ctx.err("/scenario", f"must be one of {SCENARIOS}")
+    problems = []
+    cfg = _CONFIG(raw, "", problems)
     present = [s for s in SCENARIOS if s in raw]
     if len(present) > 1:
-        ctx.err("", f"exactly one scenario section allowed, found {present}")
+        problems.append(("", f"exactly one scenario section allowed, found {present}"))
+    scenario = raw.get("scenario")
     if scenario in SCENARIOS:
         if scenario not in raw:
-            ctx.err(f"/{scenario}", "missing scenario section")
-        elif not isinstance(raw[scenario], dict):
-            ctx.err(f"/{scenario}", "must be an object")
-    for s in present:
-        if scenario in SCENARIOS and s != scenario:
-            ctx.err(f"/{s}", f"section does not match scenario {scenario!r}")
-    seed = _field(ctx, raw, "", "seed", "int", required=False, default=0)
-    out_dir = "out"
-    formats = FORMATS
-    output = _field(ctx, raw, "", "output", "object", required=False)
-    if output is not None:
-        _check_keys(ctx, output, "/output", {"directory", "formats"})
-        out_dir = _field(ctx, output, "/output", "directory", "str", required=False,
-                         default="out")
-        fmts = _field(ctx, output, "/output", "formats", "array", required=False)
-        if fmts is not None:
-            for i, f in enumerate(fmts):
-                if f not in FORMATS:
-                    ctx.err(f"/output/formats/{i}", f"must be one of {FORMATS}")
-            formats = tuple(f for f in fmts if f in FORMATS)
-    m_order = grid_n = None
-    res = _field(ctx, raw, "", "resolution", "object", required=False)
-    if res is not None:
-        _check_keys(ctx, res, "/resolution", {"M", "n"})
-        m_order = _field(ctx, res, "/resolution", "M", "int", required=False)
-        grid_n = _field(ctx, res, "/resolution", "n", "int", required=False)
-        if m_order is not None and m_order < 0:
-            ctx.err("/resolution/M", "must be >= 0")
-        if grid_n is not None and (grid_n < 8 or grid_n & (grid_n - 1)):
-            ctx.err("/resolution/n", "must be a power of two >= 8")
-        if m_order is not None and grid_n is not None and grid_n < 4 * (m_order + 1):
-            ctx.err("/resolution/n", "must be at least 4*(M+1)")
-    params = {}
-    if scenario in SCENARIOS and isinstance(raw.get(scenario), dict):
-        params = _SECTION_VALIDATORS[scenario](ctx, raw[scenario], f"/{scenario}")
-    if ctx.problems:
-        raise ConfigError(ctx.problems)
+            problems.append((f"/{scenario}", "missing scenario section"))
+        problems.extend((f"/{s}", f"section does not match scenario {scenario!r}")
+                        for s in present if s != scenario)
+    if problems:
+        raise ConfigError(problems)
     return ScenarioConfig(
         scenario=scenario,
-        seed=seed,
-        out_dir=out_dir,
-        formats=tuple(formats),
-        m_order=m_order,
-        grid_n=grid_n,
-        params=params,
+        seed=cfg["seed"],
+        out_dir=cfg["output"]["directory"],
+        formats=tuple(cfg["output"]["formats"]),
+        m_order=cfg["resolution"]["M"],
+        grid_n=cfg["resolution"]["n"],
+        params=cfg[scenario],
         sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
     )
 
@@ -851,7 +732,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     try:
         text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 1
     try:

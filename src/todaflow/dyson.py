@@ -423,7 +423,8 @@ def metropolis(config: GasConfig, sweeps: int) -> MetropolisRun:
     scale = config.schedule.proposal_scale
     burn_in = config.schedule.burn_in
     if burn_in is None:
-        burn_in = min(max(20, sweeps // 5), sweeps)
+        # at least the final sweep is kept
+        burn_in = min(max(20, sweeps // 5), sweeps - 1)
     thin = max(1, config.schedule.thin)
     N = config.N
 

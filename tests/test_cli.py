@@ -240,3 +240,58 @@ def test_render_svg_points_and_empty():
     empty = svgout.render_svg([])
     assert "warning: empty input" in empty
     assert empty.startswith("<svg")
+
+
+@pytest.mark.parametrize("raw, pointer", [
+    ({"scenario": "hydro",
+      "hydro": {"profile": {"grid": [0, 1], "q_values": [0, 1]},
+                "speed": {"kind": "identity"}, "s": float("nan")}}, "/hydro/s"),
+    ({"scenario": "dyson", "dyson": {"N": 8, "hbar": float("inf")}}, "/dyson/hbar"),
+    ({"scenario": "loewner",
+      "loewner": {"driving": {"kind": "brownian", "kappa": 0.5}, "q_max": float("inf")}},
+     "/loewner/q_max"),
+    ({"scenario": "grow",
+      "grow": {"map": {"r": 1.0},
+               "flows": [{"kind": "t0_infinity", "duration": float("nan"), "steps": 5}]}},
+     "/grow/flows/0/duration"),
+    ({"scenario": "hydro",
+      "hydro": {"profile": {"grid": [0, "a", 1], "q_values": [0, 0.5, 1]},
+                "speed": {"kind": "identity"}, "s": 0.1}}, "/hydro/profile/grid/1"),
+])
+def test_parse_rejects_non_finite_or_mistyped_number(raw, pointer):
+    with pytest.raises(ConfigError) as err:
+        cli.parse_config(json.dumps(raw))
+    assert [ptr for ptr, _ in err.value.problems] == [pointer]
+
+
+@pytest.mark.parametrize("text", ["1" * 5000, "[" * 100000], ids=["long-integer", "deep-nesting"])
+def test_parse_rejects_unreadable_json(text):
+    with pytest.raises(ConfigError) as err:
+        cli.parse_config(text)
+    assert err.value.problems[0][0] == ""
+
+
+def test_main_rejects_non_utf8_config(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{")
+    assert cli.main([str(path)]) == 1
+
+
+def test_metropolis_with_few_sweeps_keeps_the_final_state(tmp_path):
+    raw = {
+        "scenario": "dyson",
+        "output": {"directory": str(tmp_path / "out")},
+        "dyson": {"N": 8, "hbar": 0.125, "mode": "metropolis", "sweeps": 10},
+    }
+    report = cli.run_scenario(cli.parse_config(json.dumps(raw)))
+    assert report.exit_code == 0
+    assert len((tmp_path / "out" / "state.csv").read_text().splitlines()) == 9
+
+
+def test_parse_rejects_burn_in_not_below_sweeps():
+    raw = {"scenario": "dyson",
+           "dyson": {"N": 8, "hbar": 0.125, "mode": "metropolis", "sweeps": 40,
+                     "schedule": {"burn_in": 40}}}
+    with pytest.raises(ConfigError) as err:
+        cli.parse_config(json.dumps(raw))
+    assert [ptr for ptr, _ in err.value.problems] == ["/dyson/schedule/burn_in"]
