@@ -293,7 +293,8 @@ _MEASURE = _kinded({
     "curve": _object({
         "curve": _kinded({
             "real_line": _object({}),
-            "ray": _object({"z0": _pair(), "direction": _pair()}),
+            "ray": _object({"z0": _pair(),
+                            "direction": _pair().where(lambda d: d != 0, "must be nonzero")}),
         }),
         "confine": _object({
             "kind": _string().where(
@@ -345,9 +346,10 @@ _SECTIONS = {
     }, _burn_in_below_sweeps),
     "moments": _object({"map": _MAP, "order": _count().opt(16)}),
 }
+_SEED = _integer().opt(0).where(lambda s: s >= 0, "must be >= 0")
 _CONFIG = _object({
     "scenario": _string().where(lambda s: s in SCENARIOS, f"must be one of {SCENARIOS}"),
-    "seed": _integer().opt(0),
+    "seed": _SEED,
     "output": _object({
         "directory": _string().opt("out"),
         "formats": _array(_string().where(lambda f: f in FORMATS, f"must be one of {FORMATS}"))
@@ -510,14 +512,15 @@ def _run_loewner(cfg: ScenarioConfig, out: Path, files: dict):
                    [[float(q), float(t.real), float(t.imag)] for q, t in zip(q_grid, tips)])
         files["trace.csv"] = True
     if "json" in cfg.formats:
+        snap_q = (p["q0"], 0.5 * (p["q0"] + p["q_max"]), p["q_max"])
+        z0 = np.asarray(family.z_samples, dtype=complex)
+        res = loewner.advance_many(np.tile(z0 / family.r0, 3), family.q0,
+                                   np.repeat(snap_q, len(z0)), driving, family.base_step)
         snaps = []
-        for q in (p["q0"], 0.5 * (p["q0"] + p["q_max"]), p["q_max"]):
-            z0 = np.asarray(family.z_samples, dtype=complex)
-            res = loewner.advance_many(z0 / family.r0, family.q0, q, driving,
-                                       family.base_step)
+        for q, ws, dead_at in zip(snap_q, res.w.reshape(3, -1), res.absorbed.reshape(3, -1)):
             pairs = [
                 [[float(z.real), float(z.imag)], [float(w.real), float(w.imag)]]
-                for z, w, dead in zip(z0, res.w, res.absorbed) if not dead
+                for z, w, dead in zip(z0, ws, dead_at) if not dead
             ]
             snaps.append({"q": float(q), "pairs": pairs})
         _write_json(out / "family.json", snaps)
@@ -737,20 +740,18 @@ def main(argv=None) -> int:
         return 1
     try:
         cfg = parse_config(text)
-    except ConfigError as exc:
-        for ptr, msg in exc.problems:
-            print(f"config error at {ptr or '/'}: {msg}", file=sys.stderr)
-        return 1
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.format:
-        fmts = tuple(f.strip() for f in args.format.split(","))
-        bad = [f for f in fmts if f not in FORMATS]
-        if bad:
-            print(f"unknown formats: {bad}", file=sys.stderr)
-            return 1
-        cfg.formats = fmts
-    try:
+        if args.seed is not None:
+            problems = []
+            cfg.seed = _SEED(args.seed, "/seed", problems)
+            if problems:
+                raise ConfigError(problems)
+        if args.format:
+            fmts = tuple(f.strip() for f in args.format.split(","))
+            bad = [f for f in fmts if f not in FORMATS]
+            if bad:
+                print(f"unknown formats: {bad}", file=sys.stderr)
+                return 1
+            cfg.formats = fmts
         report = run_scenario(cfg, out_dir=args.out)
     except ConfigError as exc:
         for ptr, msg in exc.problems:

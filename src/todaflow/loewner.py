@@ -11,9 +11,12 @@ recovered by integrating the same ODE backward along characteristics.
 
 Integration is RK4 with substeps shrunk in proportion to the distance from
 the driving singularity; a tracked point that comes within ``ABSORB_TOL`` of
-``eta`` has been swallowed by the slit.  Points are integrated independently
-(vectorized, no cross-point state), so results do not depend on evaluation
-order.
+``eta`` has been swallowed by the slit.  Every point carries its own capacity
+range (start and end ``q``, either direction, possibly empty), so each query
+-- a slit trace, the far-field radius, a Poisson-bracket stencil, the driving
+estimate from tracked points, a batch of snapshots -- is one vectorized
+integration call.  Points are integrated independently (no cross-point
+state), so results do not depend on how they are batched.
 """
 
 from __future__ import annotations
@@ -148,23 +151,29 @@ def _loewner_rhs(w, eta):
 
 
 def _integrate(w0, q_from, q_to, driving, base_step=DEFAULT_BASE_STEP,
-               absorb_tol=ABSORB_TOL, max_steps=5_000_000) -> AdvanceResult:
+               absorb_tol=ABSORB_TOL, max_steps=5_000_000, stops=()) -> AdvanceResult:
     """March every point independently, with per-point adaptive substeps.
 
-    Absorption fires when a point enters the ``absorb_tol`` ball around the
-    driving point, or when a step carries it inside the unit disk (the step
-    law ``h ~ |eta - w|`` decrements the distance by a fixed amount per step
-    near the singularity, so a swallowed trajectory crosses rather than
-    converges); in the first case the reported absorption ``q`` includes the
-    asymptotic time-to-contact ``|eta - w|^2 / 4``.
+    ``q_from`` and ``q_to`` are scalars or per-point arrays, so one call
+    can carry each point over its own capacity range, forward, backward or
+    of zero length.  Absorption fires when a point enters the ``absorb_tol``
+    ball around the driving point, or when a step carries it inside the unit
+    disk (the step law ``h ~ |eta - w|`` decrements the distance by a fixed
+    amount per step near the singularity, so a swallowed trajectory crosses
+    rather than converges); in the first case the reported absorption ``q``
+    includes the asymptotic time-to-contact ``|eta - w|^2 / 4``.
+
+    No substep crosses a capacity in ``stops``: a point lands on it and
+    goes on, exactly as if a second call had restarted it there.
     """
     w = np.atleast_1d(np.asarray(w0, dtype=complex)).copy()
     npts = len(w)
-    q = np.full(npts, float(q_from))
+    q = np.broadcast_to(np.asarray(q_from, dtype=float), (npts,)).copy()
+    q_to = np.broadcast_to(np.asarray(q_to, dtype=float), (npts,))
+    direction = np.where(q_to >= q, 1.0, -1.0)
     absorbed = np.zeros(npts, dtype=bool)
     q_abs = np.full(npts, np.nan)
     min_dist = np.full(npts, np.inf)
-    direction = 1.0 if q_to >= q_from else -1.0
     steps = 0
     while True:
         idx = np.flatnonzero((np.abs(q_to - q) > 1e-15) & ~absorbed)
@@ -177,16 +186,21 @@ def _integrate(w0, q_from, q_to, driving, base_step=DEFAULT_BASE_STEP,
         hit = dist < absorb_tol
         if np.any(hit):
             absorbed[idx[hit]] = True
-            q_abs[idx[hit]] = qi[hit] + direction * dist[hit] ** 2 / 4.0
+            q_abs[idx[hit]] = qi[hit] + direction[idx[hit]] * dist[hit] ** 2 / 4.0
             keep = ~hit
-            idx, wi, qi, dist = idx[keep], wi[keep], qi[keep], dist[keep]
+            idx, wi, qi, eta_i, dist = idx[keep], wi[keep], qi[keep], eta_i[keep], dist[keep]
             if len(idx) == 0:
                 continue
         h = base_step * np.minimum(1.0, dist / 4.0)
-        h = np.minimum(h, np.abs(q_to - qi)) * direction
-        k1 = _loewner_rhs(wi, driving.eta(qi))
-        k2 = _loewner_rhs(wi + 0.5 * h * k1, driving.eta(qi + 0.5 * h))
-        k3 = _loewner_rhs(wi + 0.5 * h * k2, driving.eta(qi + 0.5 * h))
+        h = np.minimum(h, np.abs(q_to[idx] - qi))
+        for stop in stops:
+            ahead = (stop - qi) * direction[idx]
+            h = np.where(ahead > 1e-15, np.minimum(h, ahead), h)
+        h = h * direction[idx]
+        eta_mid = driving.eta(qi + 0.5 * h)
+        k1 = _loewner_rhs(wi, eta_i)
+        k2 = _loewner_rhs(wi + 0.5 * h * k1, eta_mid)
+        k3 = _loewner_rhs(wi + 0.5 * h * k2, eta_mid)
         k4 = _loewner_rhs(wi + h * k3, driving.eta(qi + h))
         w_new = wi + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
         dead = ~np.isfinite(w_new) | (np.abs(w_new) < 1.0 - 1e-6)
@@ -220,10 +234,31 @@ def advance_inverse(w, q_from: float, q_to: float, driving: DrivingFunction,
     return complex(res.w[0]) if scalar else res.w
 
 
-def advance_many(w, q_from: float, q_to: float, driving: DrivingFunction,
+def advance_many(w, q_from: float, q_to, driving: DrivingFunction,
                  base_step: float = DEFAULT_BASE_STEP) -> AdvanceResult:
-    """Batch variant of :func:`advance_inverse` reporting per-point absorption."""
+    """Batch variant of :func:`advance_inverse` reporting per-point absorption.
+
+    ``q_to`` may be a per-point array, to advance each point to its own ``q``.
+    """
     return _integrate(w, q_from, q_to, driving, base_step)
+
+
+def _pull_back(w, q, family: LoewnerFamily) -> np.ndarray:
+    """``z(w, q)`` for scalar or per-point ``q``, in one integration call.
+
+    Each point is carried backward along its characteristic from its own
+    ``q`` down to ``q0`` (zero length at ``q = q0``) and then pushed through
+    the initial map ``z = exp(q0) * w``.
+    """
+    q = np.asarray(q, dtype=float)
+    outside = ~((family.q0 <= q) & (q <= family.q_max + 1e-12))
+    if np.any(outside):
+        raise ValueError(f"q = {float(q[outside].flat[0])} outside family range "
+                         f"[{family.q0}, {family.q_max}]")
+    res = _integrate(w, q, family.q0, family.driving, family.base_step)
+    if np.any(res.absorbed):
+        raise IntegrationBreakdownError("backward characteristic hit the driving point")
+    return family.r0 * res.w
 
 
 def forward_map(w, q: float, family: LoewnerFamily):
@@ -232,16 +267,8 @@ def forward_map(w, q: float, family: LoewnerFamily):
     ``z(w, q0) = exp(q0) * w``; for ``q > q0`` the point is carried backward
     by the inverse ODE and then pushed through the initial map.
     """
-    if not (family.q0 <= q <= family.q_max + 1e-12):
-        raise ValueError(f"q = {q} outside family range [{family.q0}, {family.q_max}]")
     scalar = np.isscalar(w) or np.asarray(w).ndim == 0
-    if q == family.q0:
-        z = family.r0 * np.asarray(w, dtype=complex)
-        return complex(z) if scalar else z
-    res = _integrate(w, q, family.q0, family.driving, family.base_step)
-    if np.any(res.absorbed):
-        raise IntegrationBreakdownError("backward characteristic hit the driving point")
-    z = family.r0 * res.w
+    z = _pull_back(w, q, family)
     return complex(z[0]) if scalar else z
 
 
@@ -250,16 +277,16 @@ def slit_trace(family: LoewnerFamily, q_grid) -> np.ndarray:
 
     The tip at each ``q`` is evaluated at two small radial offsets from
     ``eta(q)`` and Richardson-extrapolated (the offset enters quadratically
-    at a simple critical point).
+    at a simple critical point).  Both offsets at every grid ``q`` go
+    through one integration call.
     """
     q_grid = np.atleast_1d(np.asarray(q_grid, dtype=float))
-    tips = np.empty(len(q_grid), dtype=complex)
-    for i, q in enumerate(q_grid):
-        eta = family.driving.eta(q)
-        t1 = forward_map(eta * (1.0 + TIP_OFFSET), q, family)
-        t2 = forward_map(eta * (1.0 + 0.5 * TIP_OFFSET), q, family)
-        tips[i] = (4.0 * t2 - t1) / 3.0
-    return tips
+    eta = family.driving.eta(q_grid)
+    starts = np.concatenate([eta * (1.0 + TIP_OFFSET), eta * (1.0 + 0.5 * TIP_OFFSET)])
+    t1, t2 = np.split(_pull_back(starts, np.tile(q_grid, 2), family), 2)
+    # divide the real and imaginary parts by 3: numpy's complex division
+    # multiplies by 1/3 instead, which rounds differently from a scalar tip
+    return ((4.0 * t2 - t1).view(float) / 3.0).view(complex)
 
 
 @dataclass(frozen=True)
@@ -285,16 +312,19 @@ def extract_eta(family: LoewnerFamily, q: float, dq: float = 1e-3) -> EtaEstimat
     if not (family.q0 < q - dq and q + dq <= family.q_max + 1e-12):
         raise ValueError("q +/- dq must lie inside the family range")
     w0 = np.asarray(family.z_samples, dtype=complex) / family.r0
-    lo = _integrate(w0, family.q0, q - dq, family.driving, family.base_step)
-    mid = _integrate(lo.w, q - dq, q, family.driving, family.base_step)
-    hi = _integrate(mid.w, q, q + dq, family.driving, family.base_step)
-    alive = ~(lo.absorbed | mid.absorbed | hi.absorbed)
+    # three copies of the tracked points, carried to q - dq, q and q + dq; the
+    # stops keep the copies on one step sequence, so the difference quotient
+    # compares points that share their whole history up to q - dq
+    res = _integrate(np.tile(w0, 3), family.q0, np.repeat([q - dq, q, q + dq], len(w0)),
+                     family.driving, family.base_step, stops=(q - dq, q))
+    lo, mid, hi = res.w.reshape(3, -1)
+    alive = ~res.absorbed.reshape(3, -1).any(axis=0)
     if np.count_nonzero(alive) < 2:
         raise InsufficientSamplesError(
             f"only {np.count_nonzero(alive)} tracked points survive at q = {q}"
         )
-    dlogw = np.log(hi.w[alive] / lo.w[alive]) / (2.0 * dq)
-    eta_pts = -mid.w[alive] * (1.0 + dlogw) / (1.0 - dlogw)
+    dlogw = np.log(hi[alive] / lo[alive]) / (2.0 * dq)
+    eta_pts = -mid[alive] * (1.0 + dlogw) / (1.0 - dlogw)
     eta_hat = complex(np.mean(eta_pts))
     spread = float(np.max(np.abs(eta_pts - eta_hat)))
     return EtaEstimate(eta=eta_hat, spread=spread, n_alive=int(np.count_nonzero(alive)))
@@ -302,8 +332,7 @@ def extract_eta(family: LoewnerFamily, q: float, dq: float = 1e-3) -> EtaEstimat
 
 def fitted_radius(family: LoewnerFamily, q: float, w_small=1e2, w_large=1e3) -> float:
     """Leading coefficient of ``z(., q)`` from two far-field evaluations."""
-    v1 = forward_map(complex(w_small), q, family)
-    v2 = forward_map(complex(w_large), q, family)
+    v1, v2 = forward_map(np.array([w_small, w_large], dtype=complex), q, family)
     r = (v2 - v1) / (w_large - w_small)
     return float(r.real)
 
@@ -337,19 +366,12 @@ def boundary_bracket(family: LoewnerFamily, q: float, dt0: float = 1e-3,
     if not (family.q0 < q - dt0 and q + dt0 <= family.q_max + 1e-12):
         raise ValueError("q +/- dt0 must lie inside the family range")
     theta = 2.0 * np.pi * np.arange(n) / n
-
-    def z_batch(offsets_theta, q_target):
-        starts = np.exp(1j * (theta + offsets_theta))
-        res = _integrate(starts, q_target, family.q0, family.driving, family.base_step)
-        z = family.r0 * res.w
-        bad = res.absorbed | (res.min_eta_distance < safety)
-        return z, bad
-
-    z_tp, bad1 = z_batch(+dtheta, q)
-    z_tm, bad2 = z_batch(-dtheta, q)
-    z_qp, bad3 = z_batch(0.0, q + dt0)
-    z_qm, bad4 = z_batch(0.0, q - dt0)
-    valid = ~(bad1 | bad2 | bad3 | bad4)
+    # the four stencils (theta +/- dtheta at q, theta at q +/- dt0) as 4n points
+    starts = np.exp(1j * np.concatenate([theta + dtheta, theta - dtheta, theta, theta]))
+    res = _integrate(starts, np.repeat([q, q, q + dt0, q - dt0], n), family.q0,
+                     family.driving, family.base_step)
+    z_tp, z_tm, z_qp, z_qm = (family.r0 * res.w).reshape(4, n)
+    valid = ~(res.absorbed | (res.min_eta_distance < safety)).reshape(4, n).any(axis=0)
     for _ in range(max(erode, 0)):
         valid = valid & np.roll(valid, 1) & np.roll(valid, -1)
     dz_dlogw = -1j * (z_tp - z_tm) / (2.0 * dtheta)

@@ -295,3 +295,30 @@ def test_parse_rejects_burn_in_not_below_sweeps():
     with pytest.raises(ConfigError) as err:
         cli.parse_config(json.dumps(raw))
     assert [ptr for ptr, _ in err.value.problems] == ["/dyson/schedule/burn_in"]
+
+
+def test_parse_rejects_negative_seed():
+    raw = {"scenario": "dyson", "seed": -1, "dyson": {"N": 6, "hbar": 0.2}}
+    with pytest.raises(ConfigError) as err:
+        cli.parse_config(json.dumps(raw))
+    assert [ptr for ptr, _ in err.value.problems] == ["/seed"]
+
+
+def test_main_rejects_negative_seed_override(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"scenario": "dyson", "seed": 1,
+                                    "dyson": {"N": 6, "hbar": 0.2}}))
+    assert cli.main([str(cfg_path), "--seed", "-1", "--out", str(tmp_path / "o")]) == 1
+    assert "config error at /seed:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_parse_rejects_zero_ray_direction():
+    raw = {"scenario": "dyson",
+           "dyson": {"N": 6, "hbar": 0.2,
+                     "measure": {"kind": "curve",
+                                 "curve": {"kind": "ray", "z0": [0.0, 0.0],
+                                           "direction": [0.0, 0.0]}}}}
+    with pytest.raises(ConfigError) as err:
+        cli.parse_config(json.dumps(raw))
+    assert [ptr for ptr, _ in err.value.problems] == ["/dyson/measure/curve/direction"]

@@ -67,11 +67,6 @@ BASES = {
 # Never a large finite number: that would request unbounded work or memory.
 BAD_VALUES = (math.nan, math.inf, -math.inf, "x", True, None, [1.0, 2.0])
 
-# Deleting this key restores a default that costs about 10 s per run (a
-# 64-point slit trace), so it is never deleted.
-KEEP = {("loewner", "trace_points")}
-
-
 def _walk(node, path=()):
     """Yield (path, value) for every node below the root."""
     items = node.items() if isinstance(node, dict) else enumerate(node)
@@ -96,8 +91,7 @@ def mutated_configs(draw):
         path = draw(st.sampled_from([p for p, v in nodes if not isinstance(v, (dict, list))]))
         _at(raw, path[:-1])[path[-1]] = draw(st.sampled_from(BAD_VALUES))
     elif how == "delete":
-        path = draw(st.sampled_from([p for p, _ in nodes if isinstance(_at(raw, p[:-1]), dict)
-                                     and p[-2:] not in KEEP]))
+        path = draw(st.sampled_from([p for p, _ in nodes if isinstance(_at(raw, p[:-1]), dict)]))
         del _at(raw, path[:-1])[path[-1]]
     else:
         path = draw(st.sampled_from([()] + [p for p, v in nodes if isinstance(v, dict)]))

@@ -159,3 +159,78 @@ def test_family_validation():
         loewner.LoewnerFamily(0.5, 0.2, CONST)
     with pytest.raises(ValueError):
         loewner.LoewnerFamily(0.0, 0.5, CONST, z_samples=(0.5 + 0j,))
+
+
+def _one_point(w, q_from, q_to, driving):
+    res = loewner._integrate(w, q_from, q_to, driving)
+    return res.w[0], res.absorbed[0], res.q_absorbed[0], res.min_eta_distance[0]
+
+
+def test_per_point_ranges_match_single_point_calls():
+    # forward, backward and zero-length intervals in one batch, plus a point
+    # swallowed on its way forward
+    drv = loewner.DrivingFunction.piecewise_linear([(0.0, 0.0), (0.2, 0.0), (1.0, 1.0)])
+    w0 = np.array([2.0 + 1.0j, -1.5 + 0.5j, 3.0j, 1.8 - 1.8j, 2.5 + 0j, 1.5 + 0j])
+    q_from = np.array([0.0, 0.3, 0.1, 0.2, 0.25, 0.0])
+    q_to = np.array([0.3, 0.0, 0.1, 0.45, 0.25, 0.4])
+    batch = loewner._integrate(w0, q_from, q_to, drv)
+    assert batch.absorbed.tolist() == [False] * 5 + [True]
+    assert batch.w[2] == w0[2] and batch.w[4] == w0[4]
+    for i in range(len(w0)):
+        w, absorbed, q_abs, min_dist = _one_point(w0[i], q_from[i], q_to[i], drv)
+        assert abs(batch.w[i] - w) <= 1e-15
+        assert batch.absorbed[i] == absorbed
+        assert_allclose(batch.q_absorbed[i], q_abs, rtol=0, atol=1e-15)
+        assert_allclose(batch.min_eta_distance[i], min_dist, rtol=0, atol=1e-15)
+
+
+def test_absorbed_point_leaves_its_neighbours_alone():
+    others = np.array([2.0 + 2.0j, -1.7 + 0.8j, 0.5 - 3.0j])
+    alone = loewner.advance_many(others, 0.0, 0.3, CONST)
+    mixed = loewner.advance_many(np.insert(others, 1, 1.5 + 0j), 0.0, 0.3, CONST)
+    assert mixed.absorbed.tolist() == [False, True, False, False]
+    keep = [0, 2, 3]
+    assert np.array_equal(mixed.w[keep], alone.w)
+    assert np.array_equal(mixed.min_eta_distance[keep], alone.min_eta_distance)
+
+
+def test_advance_many_takes_per_point_end_capacities():
+    w0 = np.array([2.0 + 2.0j, -1.7 + 0.8j])
+    res = loewner.advance_many(np.tile(w0, 2), 0.0, np.repeat([0.1, 0.3], 2), CONST)
+    assert np.array_equal(res.w[:2], loewner.advance_many(w0, 0.0, 0.1, CONST).w)
+    assert np.array_equal(res.w[2:], loewner.advance_many(w0, 0.0, 0.3, CONST).w)
+
+
+@pytest.mark.parametrize("driving", [
+    CONST,
+    loewner.DrivingFunction.piecewise_linear([(0.0, 0.3), (0.15, -0.2), (0.3, 0.4)]),
+    loewner.DrivingFunction.brownian(0.5, seed=3, dq_grid=1e-3, q_range=(0.0, 0.3)),
+], ids=["constant", "piecewise_linear", "brownian"])
+def test_slit_trace_matches_per_point_forward_map(driving):
+    # a coarse base step keeps the 128 one-point reference integrations cheap
+    fam = loewner.LoewnerFamily(0.0, 0.3, driving, base_step=2e-2)
+    qs = np.linspace(0.0, 0.3, 64)
+    ref = []
+    for q in qs:
+        eta = driving.eta(q)
+        t1 = loewner.forward_map(eta * (1.0 + loewner.TIP_OFFSET), q, fam)
+        t2 = loewner.forward_map(eta * (1.0 + 0.5 * loewner.TIP_OFFSET), q, fam)
+        ref.append((4.0 * t2 - t1) / 3.0)
+    assert np.max(np.abs(loewner.slit_trace(fam, qs) - np.array(ref))) <= 1e-14
+
+
+def test_extract_eta_matches_chained_integrations():
+    # on a rough driving the three copies must follow one step sequence, as
+    # three chained integrations q0 -> q - dq -> q -> q + dq do
+    drv = loewner.DrivingFunction.brownian(0.5, seed=1, dq_grid=1e-3, q_range=(0.0, 0.5))
+    fam = loewner.default_family(0.0, 0.5, drv)
+    q, dq = 0.25, 1e-3
+    w0 = np.asarray(fam.z_samples, dtype=complex) / fam.r0
+    lo = loewner._integrate(w0, 0.0, q - dq, drv).w
+    mid = loewner._integrate(lo, q - dq, q, drv).w
+    hi = loewner._integrate(mid, q, q + dq, drv).w
+    dlogw = np.log(hi / lo) / (2.0 * dq)
+    eta_pts = -mid * (1.0 + dlogw) / (1.0 - dlogw)
+    est = loewner.extract_eta(fam, q, dq)
+    assert abs(est.eta - np.mean(eta_pts)) <= 1e-15
+    assert est.spread == pytest.approx(np.max(np.abs(eta_pts - est.eta)), rel=1e-12, abs=1e-15)
