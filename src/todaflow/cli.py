@@ -337,10 +337,10 @@ _SECTIONS = {
         "sweeps": _count().opt(200),
         "bins": _count().opt(32),
         "schedule": _object({
-            "max_iterations": _integer().opt(),
-            "tolerance": _number().opt(),
-            "step0": _number().opt(),
-            "proposal_scale": _number().opt(),
+            "max_iterations": _count().opt(),
+            "tolerance": _positive().opt(),
+            "step0": _positive().opt(),
+            "proposal_scale": _positive().opt(),
             "burn_in": _integer().opt(),
         }).opt({}),
     }, _burn_in_below_sweeps),
@@ -601,7 +601,8 @@ def _run_dyson(cfg: ScenarioConfig, out: Path, files: dict):
     if p["mode"] == "minimize":
         state = dyson.minimize(config)
         extra = {"converged": bool(state.converged), "iterations": int(state.iterations),
-                 "energy": float(state.energy)}
+                 "evaluations": int(state.evaluations),
+                 "residual_force": float(state.trace[-1][2]), "energy": float(state.energy)}
         trace = state.trace
     else:
         run_result = dyson.metropolis(config, p["sweeps"])

@@ -9,10 +9,11 @@ The eigenvalue integrand is carried around as an energy
         + sum_j [ confine(s_j) - (2/hbar) Re sum_k t_k z(s_j)^k ]    (curve)
 
 with ``t0 = hbar * N`` held finite.  The equilibrium configuration is found
-by deterministic gradient descent with backtracking (reproducible), and a
-seeded Metropolis sampler provides the finite-hbar companion.  The support
-of the minimizer reproduces the growing domains of the contour-dynamics
-module; its boundary is extracted by angular binning.
+deterministically: by steepest descent with backtracking in the plane, and
+by L-BFGS-B over the curve parameters on a curve, with the curve's ends as
+box bounds.  A seeded Metropolis sampler provides the finite-hbar
+companion.  The support of the minimizer reproduces the growing domains of
+the contour-dynamics module; its boundary is extracted by angular binning.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy import optimize
 
 from .growth import PotentialSpec
 from .laurent import LaurentMap
@@ -89,7 +91,8 @@ class CurveSpec:
             )
         return out if out.ndim else complex(out)
 
-    def tangent(self, s):
+    def velocity(self, s):
+        """dz/ds: the unit tangent on a line or ray, a central difference on a table."""
         s = np.asarray(s, dtype=float)
         if self.kind == "real_line":
             out = np.ones(s.shape, dtype=complex)
@@ -98,13 +101,26 @@ class CurveSpec:
         else:
             h = 1e-6 * max(1.0, float(self.s_table[-1] - self.s_table[0]))
             out = (np.asarray(self.point(s + h)) - np.asarray(self.point(s - h))) / (2.0 * h)
+        return out if out.ndim else complex(out)
+
+    def tangent(self, s):
+        out = np.asarray(self.velocity(s))
+        if self.kind == "parametric":
             out = out / np.abs(out)
         return out if out.ndim else complex(out)
 
 
 @dataclass(frozen=True)
 class Schedule:
-    """Minimizer and sampler settings."""
+    """Minimizer and sampler settings.
+
+    ``max_iterations`` and ``tolerance`` (on the largest force; default
+    ``1e-8 * N / hbar``) bound either minimizer.  ``step0`` is the first step
+    of the plane's steepest descent (default ``hbar``); L-BFGS-B on a curve
+    chooses its own steps and ignores it.  ``init_radius``/``init_span`` size
+    the seeded start, and ``burn_in``, ``proposal_scale`` and ``thin`` drive
+    the Metropolis sampler.
+    """
 
     max_iterations: int = 20000
     tolerance: float | None = None
@@ -114,6 +130,10 @@ class Schedule:
     burn_in: int | None = None
     proposal_scale: float = 0.1
     thin: int = 1
+
+    def __post_init__(self):
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -190,7 +210,8 @@ class GasState:
     """Particle configuration plus the outcome of the run that produced it.
 
     ``trace`` is the per-iteration (iteration, energy, max force) record of
-    the descent that produced the state, when one ran.
+    the minimizer that produced the state, when one ran, and ``evaluations``
+    counts its energy evaluations plus its force evaluations.
     """
 
     positions: np.ndarray
@@ -199,6 +220,7 @@ class GasState:
     converged: bool = False
     iterations: int = 0
     trace: tuple | None = None
+    evaluations: int = 0
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=complex).reshape(-1).copy()
@@ -288,9 +310,9 @@ def _confine_derivative(confine, s: np.ndarray) -> np.ndarray:
 def _curve_param_forces(s: np.ndarray, config: GasConfig) -> np.ndarray:
     """Descent direction in the curve parameter (force = -dE/ds)."""
     z = config.curve.point(s)
-    tangent = config.curve.tangent(s)
     complex_part = _repulsion(z) + np.conj(_times_polynomial_derivative(config.times, z)) / config.hbar
-    return 2.0 * np.real(complex_part * np.conj(tangent)) - _confine_derivative(config.confine, s)
+    return (2.0 * np.real(complex_part * np.conj(config.curve.velocity(s)))
+            - _confine_derivative(config.confine, s))
 
 
 def forces(state, config: GasConfig) -> np.ndarray:
@@ -307,12 +329,15 @@ def forces(state, config: GasConfig) -> np.ndarray:
         return _plane_forces(z, config)
     if s is None:
         raise ValueError("curve-measure forces need the parameter vector")
-    f_s = _curve_param_forces(s, config)
-    lo, hi = config.curve.bounds
+    return _wall_clamped(s, _curve_param_forces(s, config), config.curve) * config.curve.tangent(s)
+
+
+def _wall_clamped(s: np.ndarray, f_s: np.ndarray, curve: CurveSpec) -> np.ndarray:
+    """Parameter forces with every push into a curve wall set to zero."""
+    lo, hi = curve.bounds
     at_low_wall = (s <= lo + 1e-12) & (f_s < 0) if np.isfinite(lo) else np.zeros(len(s), bool)
     at_high_wall = (s >= hi - 1e-12) & (f_s > 0) if np.isfinite(hi) else np.zeros(len(s), bool)
-    f_s = np.where(at_low_wall | at_high_wall, 0.0, f_s)
-    return f_s * config.curve.tangent(s)
+    return np.where(at_low_wall | at_high_wall, 0.0, f_s)
 
 
 def _initial_configuration(config: GasConfig, rng: np.random.Generator):
@@ -329,62 +354,56 @@ def _initial_configuration(config: GasConfig, rng: np.random.Generator):
     return config.curve.point(s), s
 
 
-def _clip_params(s: np.ndarray, curve: CurveSpec) -> np.ndarray:
-    lo, hi = curve.bounds
-    return np.clip(s, lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
-
-
 def minimize(config: GasConfig) -> GasState:
-    """Equilibrium by deterministic gradient descent with backtracking.
+    """Equilibrium configuration, deterministic for a given config and seed.
 
-    Converged means ``max |force| < tol`` with the default tolerance
-    ``1e-8 * N / hbar``; non-convergence is reported through the state's
-    ``converged`` flag, not an exception.  The energy decreases monotonically
-    along the iteration (Armijo backtracking).
+    The plane measure runs steepest descent with Armijo backtracking, whose
+    energy decreases monotonically along the iteration; a curve measure runs
+    L-BFGS-B over the curve parameters (see ``_minimize_curve``).  Converged
+    means ``max |force| < tol`` with the default tolerance
+    ``1e-8 * N / hbar``, where a force pushing a particle into a curve wall
+    counts as zero; non-convergence is reported through the state's
+    ``converged`` flag and a warning log line, not an exception.
     """
     rng = np.random.default_rng(config.seed)
     z, s = _initial_configuration(config, rng)
     sched = config.schedule
     tol = sched.tolerance if sched.tolerance is not None else 1e-8 * config.N / config.hbar
+    if config.measure == "curve":
+        state = _minimize_curve(config, s, tol)
+    else:
+        state = _minimize_plane(config, z, tol)
+    if not state.converged:
+        log.warning("minimize did not converge: residual force %.3e after %d iterations",
+                    state.trace[-1][2], state.iterations)
+    return state
+
+
+def _minimize_plane(config: GasConfig, z: np.ndarray, tol: float) -> GasState:
+    """Steepest descent; one trace row per iteration, taken before its step."""
+    sched = config.schedule
     gamma = sched.step0 if sched.step0 is not None else config.hbar
     gamma_max = 100.0 * gamma
-    on_curve = config.measure == "curve"
-
-    def total_energy(zv, sv):
-        return _energy_raw(zv, sv, config)
-
-    e_now = total_energy(z, s)
+    e_now = _energy_raw(z, None, config)
+    evaluations = 1
     iterations = 0
     converged = False
-    grad_norm = np.inf
     trace = []
     for iterations in range(1, sched.max_iterations + 1):
-        if on_curve:
-            f_s = _curve_param_forces(s, config)
-            lo, hi = config.curve.bounds
-            if np.isfinite(lo):
-                f_s = np.where((s <= lo + 1e-12) & (f_s < 0), 0.0, f_s)
-            if np.isfinite(hi):
-                f_s = np.where((s >= hi - 1e-12) & (f_s > 0), 0.0, f_s)
-            grad_norm = float(np.max(np.abs(f_s)))
-        else:
-            f = _plane_forces(z, config)
-            grad_norm = float(np.max(np.abs(f)))
+        f = _plane_forces(z, config)
+        evaluations += 1
+        grad_norm = float(np.max(np.abs(f)))
         trace.append((iterations, e_now, grad_norm))
         if grad_norm < tol:
             converged = True
             break
-        decrease = float(np.sum(np.abs(f_s if on_curve else f) ** 2))
+        decrease = float(np.sum(np.abs(f) ** 2))
         accepted = False
         backtracked = False
         while gamma > 1e-18:
-            if on_curve:
-                s_try = _clip_params(s + gamma * f_s, config.curve)
-                z_try = config.curve.point(s_try)
-            else:
-                s_try = None
-                z_try = z + gamma * f
-            e_try = total_energy(z_try, s_try)
+            z_try = z + gamma * f
+            e_try = _energy_raw(z_try, None, config)
+            evaluations += 1
             if e_try <= e_now - 1e-4 * gamma * decrease:
                 accepted = True
                 break
@@ -392,14 +411,85 @@ def minimize(config: GasConfig) -> GasState:
             backtracked = True
         if not accepted:
             break
-        z, s, e_now = z_try, s_try, e_try
+        z, e_now = z_try, e_try
         if not backtracked:
             gamma = min(gamma * 1.3, gamma_max)
-    if not converged:
-        log.warning("minimize did not converge: residual force %.3e after %d iterations",
-                    grad_norm, iterations)
-    return GasState(z, s, energy=e_now, converged=converged, iterations=iterations,
-                    trace=tuple(trace))
+    return GasState(z, None, energy=e_now, converged=converged, iterations=iterations,
+                    trace=tuple(trace), evaluations=evaluations)
+
+
+def _minimize_curve(config: GasConfig, s0: np.ndarray, tol: float) -> GasState:
+    """L-BFGS-B over the N curve parameters, with the curve's bounds as box bounds.
+
+    Trace row 0 is the start and row ``i`` the iterate after ``i``
+    quasi-Newton iterations, so ``iterations`` counts those iterations.
+    scipy's own stopping tests are off: the run stops once the wall-clamped
+    residual force is below ``tol``, after ``max_iterations`` iterations, or
+    when the line search can make no more progress.
+    """
+    last = {"s": None}
+    evaluations = 0
+
+    def evaluate(s):
+        """Energy and parameter forces at ``s``, computed once per distinct ``s``."""
+        nonlocal evaluations
+        if not np.array_equal(s, last["s"]):
+            e = _energy_raw(config.curve.point(s), s, config)
+            evaluations += 1
+            f_s = None
+            if e < np.inf:
+                f_s = _curve_param_forces(s, config)
+                evaluations += 1
+            last.update(s=s.copy(), e=e, f=f_s)
+        return last["e"], last["f"]
+
+    def energy_and_gradient(s):
+        e, f_s = evaluate(s)
+        if f_s is None:
+            # Coincident particles, which a projected step can put on a wall
+            # at once, give the +inf sentinel and no forces.  The line search
+            # interpolates and cannot bracket +inf (it stops at a zero step),
+            # so it gets the energy of the iterate it started from plus one
+            # ulp: never an acceptable step, and its interpolation shrinks it.
+            return np.nextafter(trace[-1][1], np.inf), np.zeros_like(s)
+        return e, -f_s
+
+    trace = []
+    iterate = [s0]
+
+    def record(s):
+        """Append the trace row of iterate ``s``; True once it has converged."""
+        e, f_s = evaluate(s)
+        iterate[0] = s.copy()
+        trace.append((len(trace), e, float(np.max(np.abs(_wall_clamped(s, f_s, config.curve))))))
+        return trace[-1][2] < tol
+
+    def callback(intermediate_result):
+        if record(intermediate_result.x):
+            raise StopIteration
+
+    lo, hi = config.curve.bounds
+    bounds = [(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)] * len(s0)
+    max_iterations = config.schedule.max_iterations
+    converged = record(s0)
+    # A line search that cannot lower the energy ends a scipy run early, as
+    # next to walls that several particles press against.  A fresh run from
+    # the last iterate drops the curvature memory that led there; a run that
+    # lowers the energy no further ends the minimization.
+    while not converged and len(trace) <= max_iterations:
+        start_energy = trace[-1][1]
+        remaining = max_iterations + 1 - len(trace)
+        optimize.minimize(energy_and_gradient, iterate[0], jac=True, method="L-BFGS-B",
+                          bounds=bounds, callback=callback,
+                          # at most 20 line-search evaluations per iteration
+                          options={"maxiter": remaining, "maxfun": 25 * remaining,
+                                   "ftol": 0.0, "gtol": 0.0})
+        converged = trace[-1][2] < tol
+        if not trace[-1][1] < start_energy:
+            break
+    s = iterate[0]
+    return GasState(config.curve.point(s), s, energy=trace[-1][1], converged=converged,
+                    iterations=len(trace) - 1, trace=tuple(trace), evaluations=evaluations)
 
 
 @dataclass(frozen=True)

@@ -257,6 +257,10 @@ def test_render_svg_points_and_empty():
     ({"scenario": "hydro",
       "hydro": {"profile": {"grid": [0, "a", 1], "q_values": [0, 0.5, 1]},
                 "speed": {"kind": "identity"}, "s": 0.1}}, "/hydro/profile/grid/1"),
+    *[({"scenario": "dyson", "dyson": {"N": 8, "hbar": 0.1, "schedule": {key: value}}},
+       f"/dyson/schedule/{key}")
+      for key, value in [("max_iterations", -1), ("max_iterations", 0), ("tolerance", -1.0),
+                         ("tolerance", 0.0), ("step0", -0.5), ("proposal_scale", -0.1)]],
 ])
 def test_parse_rejects_non_finite_or_mistyped_number(raw, pointer):
     with pytest.raises(ConfigError) as err:

@@ -85,6 +85,27 @@ def test_forces_match_energy_finite_difference():
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.3)  # O(eps^2) remainder
 
 
+def test_curve_forces_match_energy_finite_difference():
+    # a table that is not parametrized by arc length: the force must use
+    # dz/ds, not the unit tangent
+    table_s = np.linspace(-2.0, 2.0, 81)
+    curve = dyson.CurveSpec(kind="parametric", s_table=table_s,
+                            z_table=table_s + 0.3j * table_s ** 2)
+    hbar = 0.2
+    cfg = dyson.GasConfig(N=4, hbar=hbar, times=[0.1j], measure="curve", curve=curve,
+                          confine=lambda s: np.asarray(s) ** 2 / (2 * hbar), seed=0)
+    s = np.array([-1.21, -0.37, 0.42, 1.13])  # each at least 0.01 from a node
+    force = np.real(dyson.forces(dyson.GasState(curve.point(s), s), cfg) * np.conj(curve.tangent(s)))
+    eps = 1e-5
+    for j in range(4):
+        up, down = s.copy(), s.copy()
+        up[j] += eps
+        down[j] -= eps
+        slope = (dyson.energy(dyson.GasState(curve.point(up), up), cfg)
+                 - dyson.energy(dyson.GasState(curve.point(down), down), cfg)) / (2 * eps)
+        assert slope == pytest.approx(-force[j], rel=1e-5, abs=1e-6)
+
+
 def test_minimize_single_particle():
     cfg = dyson.GasConfig(N=1, hbar=1.0, times=[0.3], seed=3)
     state = dyson.minimize(cfg)
@@ -92,8 +113,19 @@ def test_minimize_single_particle():
     assert_allclose(state.positions[0], 0.3, atol=1e-9)
 
 
-def test_minimize_energy_monotone():
-    cfg = dyson.GasConfig(N=32, hbar=1 / 32, seed=7)
+def real_line_gas(n_particles, seed, **schedule):
+    hbar = 1.0 / n_particles
+    return dyson.GasConfig(
+        N=n_particles, hbar=hbar, measure="curve", curve=dyson.CurveSpec.real_line(),
+        confine=lambda s: s ** 2 / (2 * hbar), seed=seed, schedule=dyson.Schedule(**schedule),
+    )
+
+
+@pytest.mark.parametrize("cfg", [
+    dyson.GasConfig(N=32, hbar=1 / 32, seed=7),
+    real_line_gas(32, seed=7),
+], ids=["plane", "real_line"])
+def test_minimize_energy_monotone(cfg):
     state = dyson.minimize(cfg)
     energies = [e for _, e, _ in state.trace]
     assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
@@ -106,8 +138,11 @@ def test_minimize_circular_law_small():
     assert 0.9 <= np.max(np.abs(state.positions)) <= 1.02
 
 
-def test_minimize_deterministic():
-    cfg = dyson.GasConfig(N=24, hbar=1 / 24, seed=6)
+@pytest.mark.parametrize("cfg", [
+    dyson.GasConfig(N=24, hbar=1 / 24, seed=6),
+    real_line_gas(24, seed=6),
+], ids=["plane", "real_line"])
+def test_minimize_deterministic(cfg):
     a, b = dyson.minimize(cfg), dyson.minimize(cfg)
     assert np.array_equal(a.positions, b.positions)
     assert a.energy == b.energy and a.iterations == b.iterations
@@ -126,6 +161,24 @@ def test_minimize_semicircle_against_tridiagonal_oracle():
     assert_allclose(np.sort(state.params), oracle, atol=1e-6)
 
 
+def test_minimize_real_line_iteration_budget():
+    # steepest descent needed 585 iterations here; L-BFGS-B needs under 100
+    state = dyson.minimize(real_line_gas(128, seed=1))
+    assert state.converged
+    assert state.iterations <= 400
+    assert_allclose(np.sort(state.params), hermite_gas_oracle(128, 1.0 / 128), atol=1e-6)
+
+
+def test_minimize_curve_reports_non_convergence(caplog):
+    with caplog.at_level("WARNING", logger="todaflow.dyson"):
+        state = dyson.minimize(real_line_gas(32, seed=2, max_iterations=3))
+    assert not state.converged
+    assert state.iterations == 3
+    assert np.all(np.isfinite(state.positions)) and np.isfinite(state.energy)
+    assert "did not converge" in caplog.text
+
+
+@pytest.mark.filterwarnings("error")
 def test_minimize_ray_wall_saturates():
     hbar = 0.05
     cfg = dyson.GasConfig(
@@ -134,10 +187,31 @@ def test_minimize_ray_wall_saturates():
         confine=lambda s: s ** 2 / (2 * hbar), seed=5,
         schedule=dyson.Schedule(max_iterations=30000, tolerance=1e-4 * 16 / hbar),
     )
+    # projected quasi-Newton steps put several particles on the wall at once
+    # here; such a trial point must cost +inf without a singular force kernel
     state = dyson.minimize(cfg)
+    assert state.converged
+    gaps = np.abs(state.positions[:, None] - state.positions[None, :])[np.triu_indices(16, 1)]
+    assert gaps.min() > dyson.MIN_SEPARATION
     support = dyson.support_boundary(state, cfg)
     assert support.s_min == 0.0
     assert support.s_max > 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_minimize_parametric_walls():
+    # the table is narrower than the droplet, so particles press against
+    # both ends; trial points that stack them on a wall must not stall the run
+    table_s = np.linspace(-0.5, 0.5, 11)
+    curve = dyson.CurveSpec(kind="parametric", s_table=table_s, z_table=table_s.astype(complex))
+    hbar = 1.0 / 20
+    cfg = dyson.GasConfig(N=20, hbar=hbar, measure="curve", curve=curve,
+                          confine=lambda s: np.asarray(s) ** 2 / (2 * hbar), seed=3)
+    state = dyson.minimize(cfg)
+    assert state.converged
+    s = np.sort(state.params)
+    assert s[0] == -0.5 and s[-1] == 0.5
+    assert np.all(np.diff(s) > dyson.MIN_SEPARATION)
 
 
 def test_metropolis_single_particle_variance():
