@@ -341,7 +341,7 @@ _SECTIONS = {
             "tolerance": _positive().opt(),
             "step0": _positive().opt(),
             "proposal_scale": _positive().opt(),
-            "burn_in": _integer().opt(),
+            "burn_in": _integer().opt().where(lambda b: b >= 0, "must be >= 0"),
         }).opt({}),
     }, _burn_in_below_sweeps),
     "moments": _object({"map": _MAP, "order": _count().opt(16)}),
@@ -493,8 +493,13 @@ def _run_grow(cfg: ScenarioConfig, out: Path, files: dict):
     if pending is not None:
         raise pending
     final = traj.final
+    diags = [rec.diagnostics for rec in traj.records[1:]]
     return {"final_r": final.r, "final_t0": traj.records[-1].moments.t0,
-            "steps": traj.records[-1].index}
+            "steps": traj.records[-1].index,
+            "rk4_steps": len(diags),
+            "max_leakage": max(d.leakage for d in diags),
+            "min_abs_zprime": min(d.min_abs_zprime for d in diags),
+            "max_r_imag_residual": max(d.r_imag_residual for d in diags)}
 
 
 def _run_loewner(cfg: ScenarioConfig, out: Path, files: dict):

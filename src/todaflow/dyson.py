@@ -134,6 +134,8 @@ class Schedule:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
+        if self.burn_in is not None and self.burn_in < 0:
+            raise ValueError("burn_in must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -106,33 +106,16 @@ class FlowSpec:
 class MomentVector:
     """t0 plus the exterior moments t_k and interior moments v_k, k = 1..order.
 
-    The two moment operations each fill their own part; ``merged`` combines
-    them.  ``v0`` is deliberately absent: only its t0-derivative is ever
-    defined by the flow equations, not the quantity itself.
+    :func:`harmonic_moments` fills t0 and t, :func:`interior_moments` fills v,
+    and :func:`moment_vector` fills all three.  ``v0`` is deliberately absent:
+    only its t0-derivative is ever defined by the flow equations, not the
+    quantity itself.
     """
 
     order: int
     t0: float | None = None
     t: np.ndarray | None = None
     v: np.ndarray | None = None
-
-    def merged(self, other: "MomentVector") -> "MomentVector":
-        if self.order != other.order:
-            raise ValueError("moment order mismatch")
-        return MomentVector(
-            order=self.order,
-            t0=self.t0 if self.t0 is not None else other.t0,
-            t=self.t if self.t is not None else other.t,
-            v=self.v if self.v is not None else other.v,
-        )
-
-
-def _boundary_state(m: LaurentMap, n: int | None):
-    n = laurent._resolve_grid(m, n)
-    w = circle_grid(n)
-    z = laurent.evaluate(m, w)
-    zp = laurent.derivative(m, w)
-    return n, w, z, zp
 
 
 def _require_univalent(m: LaurentMap, n: int | None, context: str):
@@ -145,6 +128,24 @@ def _require_univalent(m: LaurentMap, n: int | None, context: str):
         )
 
 
+def _moments(m: LaurentMap, order: int, n: int | None) -> MomentVector:
+    """Both moment families over one boundary pass, without the univalence witness.
+
+    With ``core = zbar z' w`` on the grid, ``t0 = mean(core)``,
+    ``t_k = mean(z^-k core) / k`` and ``v_k = mean(z^k core)``; the powers of
+    ``z`` for all k are built at once as running products.  Callers witness
+    the map first.
+    """
+    n = laurent._resolve_grid(m, n)
+    z, wzp = laurent._grid_values(m, n)
+    core = np.conj(z) * wzp
+    inverse_powers = np.cumprod(np.broadcast_to(1.0 / z, (order, n)), axis=0)
+    powers = np.cumprod(np.broadcast_to(z, (order, n)), axis=0)
+    return MomentVector(order=order, t0=float(np.mean(core).real),
+                        t=inverse_powers @ core / (n * np.arange(1, order + 1)),
+                        v=powers @ core / n)
+
+
 def harmonic_moments(m: LaurentMap, order: int, n: int | None = None) -> MomentVector:
     """Exterior harmonic moments ``t_k = (1/2 pi i k) oint z^{-k} zbar dz`` and t0.
 
@@ -152,34 +153,20 @@ def harmonic_moments(m: LaurentMap, order: int, n: int | None = None) -> MomentV
     quadrature.  The grid quadrature is spectrally accurate for univalent maps.
     """
     _require_univalent(m, n, "harmonic_moments")
-    n, w, z, zp = _boundary_state(m, n)
-    core = np.conj(z) * zp * w
-    t0 = float(np.mean(core).real)
-    t = np.empty(order, dtype=complex)
-    zinv = 1.0 / z
-    p = np.ones_like(z)
-    for k in range(1, order + 1):
-        p = p * zinv
-        t[k - 1] = np.mean(p * core) / k
-    return MomentVector(order=order, t0=t0, t=t)
+    mv = _moments(m, order, n)
+    return MomentVector(order=order, t0=mv.t0, t=mv.t)
 
 
 def interior_moments(m: LaurentMap, order: int, n: int | None = None) -> MomentVector:
     """Interior moments ``v_k = (1/2 pi i) oint z^k zbar dz``, k = 1..order."""
     _require_univalent(m, n, "interior_moments")
-    n, w, z, zp = _boundary_state(m, n)
-    core = np.conj(z) * zp * w
-    v = np.empty(order, dtype=complex)
-    p = np.ones_like(z)
-    for k in range(1, order + 1):
-        p = p * z
-        v[k - 1] = np.mean(p * core)
-    return MomentVector(order=order, v=v)
+    return MomentVector(order=order, v=_moments(m, order, n).v)
 
 
 def moment_vector(m: LaurentMap, order: int, n: int | None = None) -> MomentVector:
-    """Both moment families of a map, bundled."""
-    return harmonic_moments(m, order, n).merged(interior_moments(m, order, n))
+    """Both moment families of a map from one witness and one boundary pass."""
+    _require_univalent(m, n, "moment_vector")
+    return _moments(m, order, n)
 
 
 def orlov_shulman(m: LaurentMap, moments: MomentVector, w):
@@ -215,11 +202,10 @@ def green_function(m: LaurentMap, z: complex, z0: complex) -> float:
 
 
 def _velocity_over_speed(m: LaurentMap, flow: FlowSpec, potential: PotentialSpec, n: int):
-    """Return (V_n samples, h = V_n/|z'| samples, |z'| samples) on the grid."""
+    """Return (V_n samples, h = V_n/|z'| samples, w z' samples) on the grid."""
     w = circle_grid(n)
-    z = laurent.evaluate(m, w)
-    zp = laurent.derivative(m, w)
-    azp = np.abs(zp)
+    z, wzp = laurent._grid_values(m, n)
+    azp = np.abs(wzp)
     if azp.min() < CUSP_FLOOR:
         j = int(np.argmin(azp))
         raise CuspError(
@@ -247,7 +233,7 @@ def _velocity_over_speed(m: LaurentMap, flow: FlowSpec, potential: PotentialSpec
     else:  # pragma: no cover
         raise ValueError(flow.kind)
     vn = flow.sign * vn
-    return vn, vn / azp, azp
+    return vn, vn / azp, wzp
 
 
 def normal_velocity(m: LaurentMap, flow: FlowSpec, potential: PotentialSpec,
@@ -259,19 +245,24 @@ def normal_velocity(m: LaurentMap, flow: FlowSpec, potential: PotentialSpec,
 
 
 def _coefficient_rhs(m: LaurentMap, flow: FlowSpec, potential: PotentialSpec, n: int):
-    """Time derivative of (r, a0..aM) plus the spectral-leakage diagnostic."""
-    _, h, _ = _velocity_over_speed(m, flow, potential, n)
-    phi = laurent.schwarz_extension(h)
-    w = circle_grid(n)
-    dz = w * laurent.derivative(m, w) * phi(w)
-    modes = np.fft.fft(dz) / n
-    M = m.order
+    """Time derivative of (r, a0..aM) plus the spectral-leakage diagnostic.
+
+    All on the grid spectrum: ``Phi`` (the Schwarz extension of ``h``) keeps
+    ``Re hhat_0`` at index 0 and ``2 hhat_-k`` at index ``-k`` for
+    ``k = 1 .. n/2 - 1``, and ``dz/dt = w z' Phi`` is read off by one FFT.
+    """
+    _, h, wzp = _velocity_over_speed(m, flow, potential, n)
+    h_modes = np.fft.fft(h)
+    phi_modes = np.zeros(n, dtype=complex)
+    phi_modes[0] = h_modes[0].real
+    phi_modes[n // 2 + 1:] = 2.0 * h_modes[n // 2 + 1:]
+    modes = np.fft.fft(wzp * np.fft.ifft(phi_modes)) / n
+    kept_index = -np.arange(m.order + 1) % n
     r_dot = modes[1]
-    a_dot = np.array([modes[-j % n] for j in range(M + 1)], dtype=complex)
+    a_dot = modes[kept_index]
     kept = np.zeros(n, dtype=bool)
     kept[1] = True
-    for j in range(M + 1):
-        kept[-j % n] = True
+    kept[kept_index] = True
     leakage = float(np.sum(np.abs(modes[~kept]) ** 2))
     return r_dot, a_dot, leakage
 
@@ -356,14 +347,17 @@ def run(m: LaurentMap, schedule, potential: PotentialSpec, moment_order: int | N
     """Apply a schedule of ``(flow, duration, steps)`` legs.
 
     Records the map (with moments and step diagnostics) after every step;
-    the initial state is record 0.  Step failures are re-raised with the
-    failing step index in the message and the trajectory up to the failure
-    attached as ``exc.partial``.
+    the initial state is record 0.  Each map is witnessed once: record 0
+    here, every later one by the RK4 step that made it, so the moments of
+    the records skip the witness of :func:`moment_vector`.  Step failures
+    are re-raised with the failing step index in the message and the
+    trajectory up to the failure attached as ``exc.partial``.
     """
     n = laurent._resolve_grid(m, n)
     if moment_order is None:
         moment_order = m.order
-    records = [TrajectoryRecord(0, 0.0, m, moment_vector(m, moment_order, n), None)]
+    _require_univalent(m, n, "run")
+    records = [TrajectoryRecord(0, 0.0, m, _moments(m, moment_order, n), None)]
     current = m
     time = 0.0
     index = 0
@@ -382,7 +376,7 @@ def run(m: LaurentMap, schedule, potential: PotentialSpec, moment_order: int | N
                 raise wrapped from exc
             time += dt
             records.append(
-                TrajectoryRecord(index, time, current, moment_vector(current, moment_order, n), diag)
+                TrajectoryRecord(index, time, current, _moments(current, moment_order, n), diag)
             )
     return Trajectory(tuple(records))
 

@@ -14,6 +14,12 @@ Conventions
   ``fft(samples)[m % n] / n``;
 * the angular derivative ``d/d(log w) = w d/dw`` is computed spectrally,
   with a winding correction so that log-type samples differentiate exactly.
+
+Grid values of a map (``z`` and ``w z'`` on the circle grid) come from two
+inverse FFTs of its coefficient vector; the growth step, the univalence
+witness and the moment quadrature all read them that way.  The Horner loops
+of :func:`evaluate` and :func:`derivative` serve points off the grid only
+(Newton inversion, plotting, user queries).
 """
 
 from __future__ import annotations
@@ -173,6 +179,22 @@ def _resolve_grid(m: LaurentMap, n: int | None) -> int:
     return n
 
 
+def _grid_values(m: LaurentMap, n: int):
+    """``z`` and ``w z'`` on the ``n``-point circle grid, from two inverse FFTs.
+
+    The map's coefficients are its Fourier modes: ``r`` at index 1 and
+    ``a_j`` at index ``-j``.  ``w d/dw`` multiplies each mode by its index.
+    Any grid that passes ``_resolve_grid`` (``n >= 4 (M + 1)``) holds every
+    mode at its own signed index.
+    """
+    modes = np.zeros((2, n), dtype=complex)
+    modes[0, 1] = m.r
+    modes[0, -np.arange(len(m.coeffs)) % n] = m.coeffs
+    modes[1] = modes[0] * np.fft.fftfreq(n, 1.0 / n)
+    z, wzp = np.fft.ifft(modes, norm="forward")
+    return z, wzp
+
+
 def evaluate(m: LaurentMap, w):
     """Evaluate ``z(w) = r*w + sum_j a_j w**(-j)``.
 
@@ -227,24 +249,27 @@ def critical_points(m: LaurentMap) -> np.ndarray:
 def univalence_witness(m: LaurentMap, n: int | None = None):
     """Check the univalence invariant of the boundary map.
 
-    The sampled part requires pairwise-distinct boundary images and
-    ``|z'| > 0`` on the grid; since the series is truncated, the critical
-    points of the map are also located exactly, and any zero of ``z'`` on or
-    outside the unit circle flags the map.  Returns
+    The exact enclosed area over pi, ``r**2 - sum_j j |a_j|**2``, must be
+    positive (Gronwall's area theorem for univalent maps); it costs no grid
+    work and catches boundaries that cross themselves, which the separation
+    test can miss.  The sampled part requires pairwise-distinct boundary
+    images and ``|z'| > 0`` on the grid.  Since the series is truncated, the
+    critical points of the map are also located exactly, and any zero of
+    ``z'`` on or outside the unit circle flags the map.  Returns
     ``(ok, min_separation, min_derivative, theta_worst)`` with
     ``theta_worst`` locating the worst derivative or escaped critical point.
     """
     n = _resolve_grid(m, n)
-    w = circle_grid(n)
-    z = evaluate(m, w)
-    zp = np.abs(derivative(m, w))
+    z, wzp = _grid_values(m, n)
+    zp = np.abs(wzp)
     imin = int(np.argmin(zp))
     theta_worst = 2.0 * np.pi * imin / n
     dist = np.abs(z[:, None] - z[None, :])
     np.fill_diagonal(dist, np.inf)
     min_sep = float(dist.min())
     sep_floor = 1e-9 * max(m.r, 1.0)
-    ok = (min_sep > sep_floor) and (zp[imin] > 1e-8)
+    area = m.r ** 2 - float(np.sum(np.arange(len(m.coeffs)) * np.abs(m.coeffs) ** 2))
+    ok = (area > 0.0) and (min_sep > sep_floor) and (zp[imin] > 1e-8)
     if ok and m.order > 0:
         crit = critical_points(m)
         escaped = crit[np.abs(crit) >= 1.0 - 1e-9]
@@ -257,8 +282,8 @@ def univalence_witness(m: LaurentMap, n: int | None = None):
 
 def _boundary_power_modes(m: LaurentMap, k: int, n: int) -> np.ndarray:
     """FFT modes (coefficient of w**index) of ``z(w)**k`` sampled on the grid."""
-    w = circle_grid(n)
-    return np.fft.fft(evaluate(m, w) ** k) / n
+    z, _ = _grid_values(m, n)
+    return np.fft.fft(z ** k) / n
 
 
 def ak_projection(m: LaurentMap, k: int, n: int | None = None) -> np.polynomial.Polynomial:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from todaflow import cli, svgout
+from todaflow import cli, growth, laurent, svgout
 from todaflow.errors import ConfigError
 
 
@@ -174,6 +174,35 @@ def test_moments_scenario(tmp_path):
     assert data["t"][1][0] == pytest.approx(0.15)
 
 
+def test_moments_scenario_rejects_self_crossing_map(tmp_path):
+    raw = {
+        "scenario": "moments",
+        "output": {"directory": str(tmp_path / "out"), "formats": ["json"]},
+        "moments": {"map": {"r": 1.0, "coeffs": [[0, 0], [-0.9, 0], [0, -0.2], [-0.2, 0]]},
+                    "order": 4},
+    }
+    report = cli.run_scenario(cli.parse_config(json.dumps(raw)))
+    assert report.exit_code == 2
+    assert report.manifest["breakdown"]["type"] == "NonUnivalentError"
+    assert not (tmp_path / "out" / "moments.json").exists()
+
+
+def test_grow_summary_folds_step_diagnostics(tmp_path):
+    raw = minimal_grow_config(tmp_path / "out", steps=20, duration=0.2)
+    raw["grow"]["map"]["coeffs"] = [[0, 0], [0, 0], [0.1, 0.05]]
+    report = cli.run_scenario(cli.parse_config(json.dumps(raw)))
+    summary = report.manifest["summary"]
+    traj = growth.run(laurent.LaurentMap(1.0, [0, 0, 0.1 + 0.05j]),
+                      [(growth.FlowSpec.t0_infinity(), 0.2, 20)],
+                      growth.PotentialSpec.quadratic(), moment_order=4)
+    diags = [rec.diagnostics for rec in traj.records[1:]]
+    assert summary["rk4_steps"] == 20
+    assert summary["max_leakage"] == max(d.leakage for d in diags)
+    assert summary["min_abs_zprime"] == min(d.min_abs_zprime for d in diags)
+    assert summary["max_r_imag_residual"] == max(d.r_imag_residual for d in diags)
+    assert 0.0 < summary["min_abs_zprime"] < 1.0
+
+
 def test_reproducibility_byte_identical(tmp_path):
     text = json.dumps(minimal_grow_config(tmp_path / "a", steps=30))
     cfg1 = cli.parse_config(text)
@@ -260,7 +289,8 @@ def test_render_svg_points_and_empty():
     *[({"scenario": "dyson", "dyson": {"N": 8, "hbar": 0.1, "schedule": {key: value}}},
        f"/dyson/schedule/{key}")
       for key, value in [("max_iterations", -1), ("max_iterations", 0), ("tolerance", -1.0),
-                         ("tolerance", 0.0), ("step0", -0.5), ("proposal_scale", -0.1)]],
+                         ("tolerance", 0.0), ("step0", -0.5), ("proposal_scale", -0.1),
+                         ("burn_in", -5)]],
 ])
 def test_parse_rejects_non_finite_or_mistyped_number(raw, pointer):
     with pytest.raises(ConfigError) as err:

@@ -17,6 +17,12 @@ def hermite_gas_oracle(n_particles, hbar):
     return np.sqrt(2.0 * hbar) * eigvalsh_tridiagonal(np.zeros(n_particles), off)
 
 
+@pytest.mark.parametrize("kwargs", [{"max_iterations": 0}, {"burn_in": -1}])
+def test_schedule_rejects_invalid_settings(kwargs):
+    with pytest.raises(ValueError):
+        dyson.Schedule(**kwargs)
+
+
 def test_energy_two_charges():
     cfg = dyson.GasConfig(N=2, hbar=1.0, seed=0)
     e = dyson.energy(np.array([1.0 + 0j, -1.0 + 0j]), cfg)

@@ -3,9 +3,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from todaflow import growth, laurent
-from todaflow.errors import CuspError
+from todaflow.errors import CuspError, NonUnivalentError
 
 QUAD = growth.PotentialSpec.quadratic()
+FLOWS = [growth.FlowSpec.t0_infinity(), growth.FlowSpec.t0_source(3.0 + 1.0j),
+         growth.FlowSpec.tk_real(2), growth.FlowSpec.tk_imag(1, sign=-1)]
+# boundary crosses itself, with every critical point inside the disk
+CROSSING = laurent.LaurentMap(1.0, [0.0, -0.9, -0.2j, -0.2])
 
 
 def reference_exterior_moment(r, coeffs, k, n=4096):
@@ -65,6 +69,45 @@ def test_interior_moments_ellipse_against_oracle():
     oracle = reference_interior_moment(1.0, [0.0, 0.3], 2)
     assert_allclose(mv.v[1], oracle, atol=1e-13)
     assert_allclose(mv.v[1], 0.273, atol=1e-13)  # u - u^3 in closed form
+
+
+def loop_moments(m, order, n):
+    """t0, t_k and v_k by the separate power loops over Horner grid values."""
+    w = laurent.circle_grid(n)
+    z = laurent.evaluate(m, w)
+    core = np.conj(z) * laurent.derivative(m, w) * w
+    t, v = np.empty(order, dtype=complex), np.empty(order, dtype=complex)
+    p, q = np.ones_like(z), np.ones_like(z)
+    for k in range(1, order + 1):
+        p, q = p / z, q * z
+        t[k - 1] = np.mean(p * core) / k
+        v[k - 1] = np.mean(q * core)
+    return float(np.mean(core).real), t, v
+
+
+@pytest.mark.parametrize("m", [
+    laurent.LaurentMap(1.0, [0.0, 0.3]),
+    laurent.LaurentMap(1.2, [0.1 - 0.05j, 0.04j, 0.03, -0.02]).with_order(16),
+    laurent.LaurentMap(0.8, [0.2, 0.0, 0.0, 0.0, 0.05 + 0.05j]),
+])
+def test_one_pass_moments_match_separate_loops(m):
+    n = laurent.default_grid_size(m.order)
+    t0, t, v = loop_moments(m, 12, n)
+    mv = growth.moment_vector(m, 12, n)
+    assert_allclose(mv.t0, t0, rtol=0, atol=1e-13)
+    assert_allclose(mv.t, t, rtol=0, atol=1e-13)
+    assert_allclose(mv.v, v, rtol=0, atol=1e-13)
+    assert_allclose(growth.harmonic_moments(m, 12, n).t, mv.t, rtol=0, atol=0)
+    assert_allclose(growth.interior_moments(m, 12, n).v, mv.v, rtol=0, atol=0)
+
+
+def test_moments_reject_self_crossing_boundary():
+    # the quadrature alone would report a negative area, t0 = -0.01
+    t0, _, _ = loop_moments(CROSSING, 1, 128)
+    assert t0 == pytest.approx(-0.01, abs=1e-12)
+    for moments in (growth.harmonic_moments, growth.interior_moments, growth.moment_vector):
+        with pytest.raises(NonUnivalentError):
+            moments(CROSSING, 4)
 
 
 def test_orlov_shulman_centered_disk():
@@ -159,6 +202,50 @@ def test_normal_velocity_cusp_rejected():
     with pytest.raises(CuspError):
         growth.normal_velocity(laurent.LaurentMap(1.0, [0.0, 0.0, 0.5]),
                                growth.FlowSpec.t0_infinity(), QUAD)
+
+
+def reference_rhs(m, flow, n):
+    """Coefficient RHS through the Horner derivative and the OuterSeries Phi."""
+    w = laurent.circle_grid(n)
+    zp = laurent.derivative(m, w)
+    h = growth.normal_velocity(m, flow, QUAD, n).values / np.abs(zp)
+    modes = np.fft.fft(w * zp * laurent.schwarz_extension(h)(w)) / n
+    kept = np.zeros(n, dtype=bool)
+    kept[[1, *(-np.arange(m.order + 1) % n)]] = True
+    return modes[1], modes[-np.arange(m.order + 1) % n], np.sum(np.abs(modes[~kept]) ** 2)
+
+
+@pytest.mark.parametrize("flow", FLOWS, ids=lambda f: f.kind)
+def test_coefficient_rhs_matches_outer_series_reference(flow):
+    # order 3 on a 128 grid: the source flow leaks past a3; the other flows keep
+    # the polynomial form, so their leakage is roundoff
+    m = laurent.LaurentMap(1.1, [0.05j, 0.1, -0.04 + 0.02j, 0.03])
+    r_dot, a_dot, leakage = growth._coefficient_rhs(m, flow, QUAD, 128)
+    ref_r, ref_a, ref_leakage = reference_rhs(m, flow, 128)
+    assert_allclose(r_dot, ref_r, rtol=0, atol=1e-14)
+    assert_allclose(a_dot, ref_a, rtol=0, atol=1e-14)
+    assert_allclose(leakage, ref_leakage, rtol=1e-12, atol=1e-24)
+
+
+def test_run_witnesses_each_map_once(monkeypatch):
+    calls = []
+    witness = laurent.univalence_witness
+
+    def counted(m, n=None):
+        calls.append(m)
+        return witness(m, n)
+
+    monkeypatch.setattr(laurent, "univalence_witness", counted)
+    m = laurent.LaurentMap(1.0, [0.0, 0.1]).with_order(8)
+    schedule = [(growth.FlowSpec.t0_infinity(), 0.05, 4), (growth.FlowSpec.tk_real(2), 0.01, 3)]
+    traj = growth.run(m, schedule, QUAD)
+    assert len(calls) == 7 + 1
+    assert [c is rec.map for c, rec in zip(calls, traj.records)] == [True] * 8
+
+
+def test_run_rejects_non_univalent_start():
+    with pytest.raises(NonUnivalentError):
+        growth.run(CROSSING, [(growth.FlowSpec.t0_infinity(), 0.01, 1)], QUAD)
 
 
 def test_step_circle_law_single_step():

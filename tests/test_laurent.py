@@ -225,6 +225,34 @@ def test_univalence_witness_flags_escaped_critical_point():
     assert np.max(np.abs(crit)) == pytest.approx(1.4 ** (1 / 3), rel=1e-12)
 
 
+def test_univalence_witness_flags_self_crossing_boundary():
+    # all critical points lie inside the disk (|c| <= 0.955) and the grid
+    # images are well separated, yet the boundary crosses itself: the exact
+    # area r^2 - sum_j j |a_j|^2 = -0.01 is negative
+    m = laurent.LaurentMap(1.0, [0.0, -0.9, -0.2j, -0.2])
+    assert np.max(np.abs(laurent.critical_points(m))) < 1.0
+    ok, min_sep, min_zp, _ = laurent.univalence_witness(m)
+    assert not ok
+    assert min_sep > 1e-3 and min_zp > 1e-3
+
+
+@pytest.mark.parametrize("order, n", [(0, 128), (3, 16), (16, 128), (40, 256)])
+def test_grid_values_match_horner(order, n):
+    # random univalent maps: sum_j j |a_j| <= r / 2 keeps |z'| >= r / 2 > 0
+    rng = np.random.default_rng(order + n)
+    w = laurent.circle_grid(n)
+    j = np.arange(1, order + 1)
+    for _ in range(10):
+        r = rng.uniform(0.5, 2.0)
+        tail = rng.dirichlet(np.ones(order)) * 0.5 * r / j if order else np.zeros(0)
+        coeffs = np.concatenate([rng.normal(size=1), tail]) * np.exp(
+            2j * np.pi * rng.uniform(size=order + 1))
+        m = laurent.LaurentMap(r, coeffs)
+        z, wzp = laurent._grid_values(m, n)
+        assert_allclose(z, laurent.evaluate(m, w), rtol=0, atol=1e-13)
+        assert_allclose(wzp, w * laurent.derivative(m, w), rtol=0, atol=1e-13)
+
+
 def test_map_json_roundtrip():
     m = laurent.LaurentMap(1.25, [0.1 - 0.2j, 0.05])
     back = laurent.LaurentMap.loads(m.dumps())
