@@ -5,8 +5,9 @@ checked by walking it generically: unknown keys are errors, every number
 must be finite, every validation problem is reported with its JSON pointer,
 and numeric preconditions are checked before any computation starts.  Exit
 codes: 0 success, 1 config error, 2 numerical breakdown (cusp, shock,
-absorption); partial outputs are kept, with the manifest marking the run
-incomplete.
+absorption, a non-finite result); partial outputs are kept, with the
+manifest marking the run incomplete.  No artifact, summary or manifest ever
+holds a NaN or an infinity: a run that computes one ends in a breakdown.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .errors import (
     ConfigError,
     CuspError,
     IntegrationBreakdownError,
+    NonFiniteResultError,
     NonUnivalentError,
     PointAbsorbedError,
     RootFindError,
@@ -48,6 +50,7 @@ _BREAKDOWN_ERRORS = (
     PointAbsorbedError,
     IntegrationBreakdownError,
     RootFindError,
+    NonFiniteResultError,
 )
 
 
@@ -405,7 +408,25 @@ def _float_repr(x) -> str:
     return repr(float(x))
 
 
+def _require_finite(obj, where: str):
+    """Raise NonFiniteResultError naming the first NaN or infinity in ``obj``.
+
+    ``obj`` nests dicts, lists and tuples; a value's path extends ``where``
+    by its keys and indices.
+    """
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise NonFiniteResultError(f"{where} is {obj!r}")
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            _require_finite(value, f"{where}/{key}")
+    elif isinstance(obj, (list, tuple)):
+        for i, value in enumerate(obj):
+            _require_finite(value, f"{where}/{i}")
+
+
 def _write_csv(path: Path, header, rows):
+    _require_finite(rows, path.name)
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_float_repr(v) if isinstance(v, float) else str(v) for v in row))
@@ -413,7 +434,16 @@ def _write_csv(path: Path, header, rows):
 
 
 def _write_json(path: Path, obj):
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _require_finite(obj, path.name)
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n",
+                    encoding="utf-8")
+
+
+def _write_svg(path: Path, layers):
+    for _kind, points, _style in layers:
+        if not np.all(np.isfinite(points)):
+            raise NonFiniteResultError(f"{path.name} has a non-finite point")
+    path.write_text(svgout.render_svg(layers), encoding="utf-8")
 
 
 def _complex_list(values) -> list:
@@ -488,7 +518,7 @@ def _run_grow(cfg: ScenarioConfig, out: Path, files: dict):
         files["contours.json"] = True
     if "svg" in cfg.formats:
         layers = [("polyline", pts, {"closed": True}) for _, pts in snapshots]
-        (out / "contours.svg").write_text(svgout.render_svg(layers), encoding="utf-8")
+        _write_svg(out / "contours.svg", layers)
         files["contours.svg"] = True
     if pending is not None:
         raise pending
@@ -534,7 +564,7 @@ def _run_loewner(cfg: ScenarioConfig, out: Path, files: dict):
         circle = family.r0 * laurent.circle_grid(128)
         layers = [("polyline", circle, {"closed": True}),
                   ("polyline", tips, {"stroke": "#b3402a"})]
-        (out / "trace.svg").write_text(svgout.render_svg(layers), encoding="utf-8")
+        _write_svg(out / "trace.svg", layers)
         files["trace.svg"] = True
     return {"final_tip": [float(tips[-1].real), float(tips[-1].imag)],
             "capacity_range": [p["q0"], p["q_max"]]}
@@ -614,8 +644,16 @@ def _run_dyson(cfg: ScenarioConfig, out: Path, files: dict):
         state = run_result.samples[-1]
         extra = {"acceptance": run_result.acceptance,
                  "proposal_scale": run_result.proposal_scale,
-                 "energy": float(state.energy)}
+                 "energy": float(state.energy),
+                 "proposals": run_result.proposals,
+                 "accepted": run_result.accepted,
+                 "tuning_windows": [
+                     {"sweep": sweep, "acceptance": rate, "proposal_scale": scale}
+                     for sweep, rate, scale in run_result.windows]}
         trace = None
+    # the support estimate of a non-finite state is meaningless
+    if not (np.all(np.isfinite(state.positions)) and math.isfinite(state.energy)):
+        raise NonFiniteResultError("the gas state is not finite")
     support = dyson.support_boundary(state, config, bins=p["bins"])
     if "csv" in cfg.formats:
         _write_csv(out / "state.csv", ["index", "re_z", "im_z"],
@@ -642,7 +680,7 @@ def _run_dyson(cfg: ScenarioConfig, out: Path, files: dict):
         layers = [("points", state.positions, {})]
         if support.kind == "plane":
             layers.append(("polyline", support.boundary, {"closed": True}))
-        (out / "cloud.svg").write_text(svgout.render_svg(layers), encoding="utf-8")
+        _write_svg(out / "cloud.svg", layers)
         files["cloud.svg"] = True
     if support.kind == "plane":
         extra["fitted_r"] = support.fitted_map.r
@@ -680,6 +718,17 @@ _RUNNERS = {
 }
 
 
+def _breakdown(exc) -> dict:
+    """The manifest's record of a breakdown; non-finite attributes are left out."""
+    log.error("numerical breakdown: %s", exc)
+    breakdown = {"type": type(exc).__name__, "message": str(exc)}
+    for attr in ("theta", "s_star", "q_absorbed"):
+        val = getattr(exc, attr, None)
+        if val is not None and math.isfinite(val):
+            breakdown[attr] = float(val)
+    return breakdown
+
+
 def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> ExitReport:
     """Execute a validated scenario, writing artifacts and a manifest."""
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
@@ -688,15 +737,14 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> ExitReport:
     started = time.perf_counter()
     status, breakdown, summary = "ok", None, {}
     try:
-        summary = _RUNNERS[cfg.scenario](cfg, out, files)
+        result = _RUNNERS[cfg.scenario](cfg, out, files)
+        _require_finite(result, "summary")
+        summary = result
+    except OverflowError as exc:
+        # Python float arithmetic raises where numpy returns an infinity
+        status, breakdown = "breakdown", _breakdown(NonFiniteResultError(f"overflow: {exc}"))
     except _BREAKDOWN_ERRORS as exc:
-        status = "breakdown"
-        breakdown = {"type": type(exc).__name__, "message": str(exc)}
-        for attr in ("theta", "s_star", "q_absorbed"):
-            val = getattr(exc, attr, None)
-            if val is not None:
-                breakdown[attr] = float(val)
-        log.error("numerical breakdown: %s", exc)
+        status, breakdown = "breakdown", _breakdown(exc)
     except (OSError, ValueError) as exc:
         # bad referenced files or precondition violations surfaced at build
         # time count as configuration problems, not numerical breakdown

@@ -12,8 +12,16 @@ with ``t0 = hbar * N`` held finite.  The equilibrium configuration is found
 deterministically: by steepest descent with backtracking in the plane, and
 by L-BFGS-B over the curve parameters on a curve, with the curve's ends as
 box bounds.  A seeded Metropolis sampler provides the finite-hbar
-companion.  The support of the minimizer reproduces the growing domains of
-the contour-dynamics module; its boundary is extracted by angular binning.
+companion; each of its proposals costs O(N), from one distance row and a
+scalar field term.  The support of the minimizer reproduces the growing
+domains of the contour-dynamics module; its boundary is extracted by
+angular binning.
+
+The pair energy holds the N(N-1)/2 distances in one buffer, with no N x N
+matrix or index arrays, and sums them in the order of the matrix form: the
+minimizers are sensitive to that order at the ulp level.  The forces work in
+row blocks of at most ``_REPULSION_BLOCK`` pair terms, so their memory is
+O(N).
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import optimize
+from scipy.spatial import cKDTree
 
 from .growth import PotentialSpec
 from .laurent import LaurentMap
@@ -31,6 +40,8 @@ from .laurent import LaurentMap
 log = logging.getLogger(__name__)
 
 MIN_SEPARATION = 1e-12
+# pair terms per row block of the force kernel: one block up to N = 256
+_REPULSION_BLOCK = 65536
 
 
 @dataclass(frozen=True)
@@ -228,12 +239,14 @@ class GasState:
         pos = np.asarray(self.positions, dtype=complex).reshape(-1).copy()
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
-        if len(pos) > 1:
-            diff = np.abs(pos[:, None] - pos[None, :])
-            np.fill_diagonal(diff, np.inf)
-            if diff.min() <= MIN_SEPARATION:
+        # Non-finite positions are left to the caller: their separations
+        # are undefined, and a k-d tree cannot hold them.
+        if len(pos) > 1 and np.all(np.isfinite(pos)):
+            xy = np.column_stack((pos.real, pos.imag))
+            gap = float(cKDTree(xy).query(xy, k=2)[0][:, 1].min())
+            if gap <= MIN_SEPARATION:
                 raise ValueError(
-                    f"particle positions are not pairwise distinct (min separation {diff.min():.3e})"
+                    f"particle positions are not pairwise distinct (min separation {gap:.3e})"
                 )
         if self.params is not None:
             par = np.asarray(self.params, dtype=float).reshape(-1).copy()
@@ -246,15 +259,24 @@ class GasState:
 
 
 def _pair_log_sum(z: np.ndarray) -> float:
-    """sum_{m != n} log|z_m - z_n|, or -inf when points coincide."""
-    if len(z) < 2:
+    """sum_{m != n} log|z_m - z_n|, or -inf when points coincide.
+
+    The N(N-1)/2 distances fill one buffer row by row in ``triu`` order and
+    are summed in one ``np.sum``: the minimizers are sensitive to this sum's
+    order at the ulp level, so it must not change.
+    """
+    n = len(z)
+    if n < 2:
         return 0.0
-    diff = np.abs(z[:, None] - z[None, :])
-    iu = np.triu_indices(len(z), k=1)
-    d = diff[iu]
+    d = np.empty(n * (n - 1) // 2)
+    start = 0
+    for i in range(n - 1):
+        stop = start + n - 1 - i
+        np.abs(z[i] - z[i + 1:], out=d[start:stop])
+        start = stop
     if d.min() < MIN_SEPARATION:
         return -np.inf
-    return 2.0 * float(np.sum(np.log(d)))
+    return 2.0 * float(np.sum(np.log(d, out=d)))
 
 
 def energy(state, config: GasConfig) -> float:
@@ -293,10 +315,22 @@ def _potential_wirtinger(potential: PotentialSpec, z: np.ndarray) -> np.ndarray:
 
 
 def _repulsion(z: np.ndarray) -> np.ndarray:
-    """sum_{m != j} 1 / (zbar_j - zbar_m) for every j."""
-    diff = z[:, None] - z[None, :]
-    np.fill_diagonal(diff, np.inf)
-    return np.sum(1.0 / np.conj(diff), axis=1)
+    """sum_{m != j} 1 / (zbar_j - zbar_m) for every j.
+
+    Rows are summed in blocks of at most ``_REPULSION_BLOCK`` pair terms, so
+    the memory stays O(N); each row's sum does not depend on the blocking.
+    """
+    n = len(z)
+    out = np.empty(n, dtype=complex)
+    rows = max(1, _REPULSION_BLOCK // max(n, 1))
+    for r0 in range(0, n, rows):
+        r1 = min(n, r0 + rows)
+        diff = z[r0:r1, None] - z[None, :]
+        diff[np.arange(r1 - r0), np.arange(r0, r1)] = np.inf
+        np.conj(diff, out=diff)
+        np.divide(1.0, diff, out=diff)
+        np.sum(diff, axis=1, out=out[r0:r1])
+    return out
 
 
 def _plane_forces(z: np.ndarray, config: GasConfig) -> np.ndarray:
@@ -496,16 +530,84 @@ def _minimize_curve(config: GasConfig, s0: np.ndarray, tol: float) -> GasState:
 
 @dataclass(frozen=True)
 class MetropolisRun:
+    """Kept samples of one chain and its acceptance record.
+
+    ``proposals`` counts every proposal, one that leaves a curve's parameter
+    range included, and ``accepted`` the accepted ones.  ``windows`` has one
+    ``(sweep, acceptance, proposal_scale)`` row per burn-in tuning window:
+    its last sweep, its acceptance, and the scale after tuning.
+    """
+
     samples: tuple
     acceptance: float
     proposal_scale: float
+    proposals: int
+    accepted: int
+    windows: tuple
+
+
+def _particle_field(config: GasConfig):
+    """``field(z, s)``: one particle's field energy as a Python float.
+
+    A configuration's energy is its pair term plus this summed over its
+    particles: ``(U(z) - 2 Re sum_k t_k z^k) / hbar`` in the plane and
+    ``confine(s) - 2 Re sum_k t_k z^k / hbar`` on a curve.  The harmonic sum
+    is a Horner loop in Python complex arithmetic, the quadratic potential
+    is ``|z|^2``, and only custom potentials and curves call back into
+    numpy.
+    """
+    times = [complex(t) for t in config.times[::-1]]
+    hbar = config.hbar
+
+    def drive(z):
+        acc = 0j
+        for t in times:
+            acc = (acc + t) * z
+        return 2.0 * acc.real
+
+    if config.measure == "curve":
+        confine = config.confine
+        return lambda z, s: float(confine(np.array([s]))[0]) - drive(z) / hbar
+    if config.potential.kind == "quadratic":
+        return lambda z, s: (z.real * z.real + z.imag * z.imag - drive(z)) / hbar
+    value_at = config.potential.value_at
+    return lambda z, s: (float(value_at(np.array([z]))[0]) - drive(z)) / hbar
+
+
+def _proposal_delta(config: GasConfig):
+    """``delta(z, s, j, z_new, s_new)``: the energy change of moving particle j.
+
+    The pair change comes from one distance row to all N particles with
+    entry j masked to 1, in buffers allocated once, so a proposal costs O(N)
+    with no temporaries; a move closer than ``MIN_SEPARATION`` to another
+    particle costs ``+inf``.
+    """
+    field = _particle_field(config)
+    diff = np.empty(config.N, dtype=complex)
+    d_new = np.empty(config.N)
+    d_old = np.empty(config.N)
+
+    def delta(z, s, j, z_new, s_new):
+        z_old = complex(z[j])
+        np.abs(np.subtract(z, z_new, out=diff), out=d_new)
+        np.abs(np.subtract(z, z_old, out=diff), out=d_old)
+        d_new[j] = d_old[j] = 1.0
+        if d_new.min() < MIN_SEPARATION:
+            return np.inf
+        np.log(np.divide(d_new, d_old, out=d_new), out=d_new)
+        pair = -2.0 * float(d_new.sum())
+        return pair + field(z_new, s_new) - field(z_old, None if s is None else s[j])
+
+    return delta
 
 
 def metropolis(config: GasConfig, sweeps: int) -> MetropolisRun:
     """Metropolis-Hastings sampling of the gas measure at finite hbar.
 
-    Gaussian single-particle proposals; the scale is tuned to 30-50 percent
-    acceptance during burn-in and then frozen.  Chains are bit-reproducible
+    Gaussian single-particle proposals, each costing O(N) (see
+    ``_proposal_delta``); the scale is tuned to 30-50 percent acceptance in
+    windows of 20 sweeps during burn-in and then frozen, and every window is
+    recorded in ``MetropolisRun.windows``.  Chains are bit-reproducible
     from ``(seed, config)``.  A post-tuning acceptance outside [1%, 99%]
     logs a diagnostics warning.
     """
@@ -518,48 +620,32 @@ def metropolis(config: GasConfig, sweeps: int) -> MetropolisRun:
         # at least the final sweep is kept
         burn_in = min(max(20, sweeps // 5), sweeps - 1)
     thin = max(1, config.schedule.thin)
-    N = config.N
-
-    def delta_energy(j, z_new_j, s_new_j):
-        others = np.delete(z, j)
-        d_new = np.abs(z_new_j - others)
-        d_old = np.abs(z[j] - others)
-        if len(others) and d_new.min() < MIN_SEPARATION:
-            return np.inf
-        pair = -2.0 * (np.sum(np.log(d_new)) - np.sum(np.log(d_old))) if len(others) else 0.0
-        drive = 2.0 * np.real(
-            _times_polynomial(config.times, np.array([z_new_j]))
-            - _times_polynomial(config.times, np.array([z[j]]))
-        )[0]
-        if on_curve:
-            conf = float(config.confine(np.array([s_new_j]))[0] - config.confine(np.array([s[j]]))[0])
-            return pair + conf - drive / config.hbar
-        u = float(config.potential.value_at(np.array([z_new_j]))[0]
-                  - config.potential.value_at(np.array([z[j]]))[0])
-        return pair + (u - drive) / config.hbar
+    delta_energy = _proposal_delta(config)
+    # the same draws as rng.normal() and rng.uniform(), with less call overhead
+    normal, uniform = rng.standard_normal, rng.random
 
     samples = []
+    windows = []
     accepted = 0
     proposed = 0
     tune_acc = 0
     tune_prop = 0
+    # an unbounded end is +-inf, which no proposal crosses
     lo, hi = config.curve.bounds if on_curve else (None, None)
     for sweep in range(1, sweeps + 1):
-        for j in range(N):
+        for j in range(config.N):
+            proposed += 1
+            tune_prop += 1
             if on_curve:
-                s_new = s[j] + scale * rng.normal()
-                if (np.isfinite(lo) and s_new < lo) or (np.isfinite(hi) and s_new > hi):
-                    proposed += 1
-                    tune_prop += 1
+                s_new = s[j] + scale * normal()
+                if s_new < lo or s_new > hi:
                     continue
                 z_new = complex(config.curve.point(s_new))
             else:
                 s_new = None
-                z_new = z[j] + scale * (rng.normal() + 1j * rng.normal())
-            dE = delta_energy(j, z_new, s_new)
-            proposed += 1
-            tune_prop += 1
-            if dE <= 0 or rng.uniform() < math.exp(-min(dE, 700.0)):
+                z_new = complex(z[j]) + scale * (normal() + 1j * normal())
+            dE = delta_energy(z, s, j, z_new, s_new)
+            if dE <= 0 or uniform() < math.exp(-min(dE, 700.0)):
                 z[j] = z_new
                 if on_curve:
                     s[j] = s_new
@@ -571,6 +657,7 @@ def metropolis(config: GasConfig, sweeps: int) -> MetropolisRun:
                 scale *= 0.7
             elif rate > 0.50:
                 scale *= 1.3
+            windows.append((sweep, rate, scale))
             tune_acc = tune_prop = 0
         if sweep > burn_in and (sweep - burn_in) % thin == 0:
             samples.append(GasState(z.copy(), None if s is None else s.copy(),
@@ -578,7 +665,8 @@ def metropolis(config: GasConfig, sweeps: int) -> MetropolisRun:
     rate = accepted / max(proposed, 1)
     if not 0.01 <= rate <= 0.99:
         log.warning("metropolis acceptance %.3f outside [0.01, 0.99] after tuning", rate)
-    return MetropolisRun(samples=tuple(samples), acceptance=rate, proposal_scale=scale)
+    return MetropolisRun(samples=tuple(samples), acceptance=rate, proposal_scale=scale,
+                         proposals=proposed, accepted=accepted, windows=tuple(windows))
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,10 @@ class ShockError(TodaflowError):
         self.s_star = s_star
 
 
+class NonFiniteResultError(TodaflowError):
+    """A run computed a NaN or an infinity, or overflowed the float range."""
+
+
 class ConfigError(TodaflowError):
     """Scenario configuration failed validation.
 

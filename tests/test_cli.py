@@ -7,6 +7,12 @@ from todaflow import cli, growth, laurent, svgout
 from todaflow.errors import ConfigError
 
 
+def strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-finite JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
 def minimal_grow_config(out_dir, steps=40, duration=0.4):
     return {
         "scenario": "grow",
@@ -356,3 +362,67 @@ def test_parse_rejects_zero_ray_direction():
     with pytest.raises(ConfigError) as err:
         cli.parse_config(json.dumps(raw))
     assert [ptr for ptr, _ in err.value.problems] == ["/dyson/measure/curve/direction"]
+
+
+@pytest.mark.parametrize("raw", [
+    # hbar * N overflows, so the sampler starts from infinite positions
+    {"scenario": "dyson",
+     "dyson": {"N": 20, "hbar": 1e307, "mode": "metropolis", "sweeps": 2, "bins": 4,
+               "schedule": {"burn_in": 1}}},
+    # the map's area r^2 overflows
+    {"scenario": "moments", "moments": {"map": {"r": 1e200}, "order": 3}},
+], ids=["dyson-metropolis", "moments"])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_result_is_a_breakdown(tmp_path, raw):
+    report = cli.run_scenario(cli.parse_config(json.dumps(raw)), out_dir=str(tmp_path))
+    assert report.exit_code == 2
+    manifest = strict_json((tmp_path / "manifest.json").read_text())
+    assert manifest["status"] == "breakdown" and not manifest["complete"]
+    assert manifest["breakdown"]["type"] == "NonFiniteResultError"
+    for entry in manifest["files"]:
+        text = (tmp_path / entry["name"]).read_text()
+        assert "nan" not in text.lower() and "inf" not in text.lower(), entry["name"]
+
+
+def _writes_nan_artifact(cfg, out, files):
+    cli._write_json(out / "bad.json", {"values": [1.0, float("nan")]})
+    files["bad.json"] = True
+    return {}
+
+
+def _returns_infinite_summary(cfg, out, files):
+    return {"energy": float("inf"), "fine": 1.0}
+
+
+@pytest.mark.parametrize("runner, where", [
+    (_writes_nan_artifact, "bad.json/values/1"),
+    (_returns_infinite_summary, "summary/energy"),
+])
+def test_non_finite_values_are_never_written(tmp_path, monkeypatch, runner, where):
+    monkeypatch.setitem(cli._RUNNERS, "moments", runner)
+    raw = {"scenario": "moments", "moments": {"map": {"r": 1.0}}}
+    report = cli.run_scenario(cli.parse_config(json.dumps(raw)), out_dir=str(tmp_path))
+    assert report.exit_code == 2
+    manifest = strict_json((tmp_path / "manifest.json").read_text())
+    assert manifest["breakdown"]["type"] == "NonFiniteResultError"
+    assert where in manifest["breakdown"]["message"]
+    assert manifest["summary"] == {} and manifest["files"] == []
+    assert not (tmp_path / "bad.json").exists()
+
+
+def test_metropolis_summary_records_tuning_windows(tmp_path):
+    raw = {
+        "scenario": "dyson", "seed": 4,
+        "dyson": {"N": 8, "hbar": 0.125, "mode": "metropolis", "sweeps": 70,
+                  "schedule": {"burn_in": 45}},
+    }
+    first = cli.run_scenario(cli.parse_config(json.dumps(raw)), out_dir=str(tmp_path / "a"))
+    again = cli.run_scenario(cli.parse_config(json.dumps(raw)), out_dir=str(tmp_path / "b"))
+    summary = first.manifest["summary"]
+    assert summary["proposals"] == 8 * 70
+    assert summary["accepted"] == round(summary["acceptance"] * summary["proposals"])
+    windows = summary["tuning_windows"]
+    assert [w["sweep"] for w in windows] == [20, 40]
+    assert windows[-1]["proposal_scale"] == summary["proposal_scale"]
+    assert all(0.0 <= w["acceptance"] <= 1.0 for w in windows)
+    assert again.manifest["summary"] == summary

@@ -2,8 +2,8 @@
 
 Every config, valid or not, ends in exactly one of two ways: ``parse_config``
 or ``run_scenario`` raises ``ConfigError`` (exit 1), or ``run_scenario``
-returns exit 0 or 2 with a strict-JSON ``manifest.json``; a run with status
-``ok`` writes only finite numbers.
+returns exit 0 or 2 with a strict-JSON ``manifest.json``; every artifact it
+lists, at exit 0 or 2, is strict JSON or CSV holding only finite numbers.
 """
 
 import copy
@@ -126,11 +126,11 @@ def test_every_config_keeps_the_cli_contract(raw):
         assert report.exit_code == (0 if report.status == "ok" else 2)
         manifest = _strict_json((Path(tmp) / "manifest.json").read_text())
         assert manifest["status"] == report.status
-        if report.status == "ok":
-            for entry in manifest["files"]:
-                text = (Path(tmp) / entry["name"]).read_text()
-                if entry["name"].endswith(".json"):
-                    assert _finite_numbers(_strict_json(text)), entry["name"]
-                elif entry["name"].endswith(".csv"):
-                    cells = [float(c) for row in text.splitlines()[1:] for c in row.split(",")]
-                    assert all(map(math.isfinite, cells)), entry["name"]
+        # partial artifacts of a breakdown are held to the same standard
+        for entry in manifest["files"]:
+            text = (Path(tmp) / entry["name"]).read_text()
+            if entry["name"].endswith(".json"):
+                assert _finite_numbers(_strict_json(text)), entry["name"]
+            elif entry["name"].endswith(".csv"):
+                cells = [float(c) for row in text.splitlines()[1:] for c in row.split(",")]
+                assert all(map(math.isfinite, cells)), entry["name"]

@@ -1,9 +1,13 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import eigvalsh_tridiagonal
 
 from todaflow import dyson
+from todaflow.growth import PotentialSpec
 
 
 def hermite_gas_oracle(n_particles, hbar):
@@ -329,3 +333,211 @@ def test_config_validation():
 def test_gas_state_t0_invariant():
     cfg = dyson.GasConfig(N=10, hbar=0.3, seed=0)
     assert_allclose(cfg.t0, 3.0)
+
+
+# Reference kernels: the N x N forms that the row-wise kernels replaced.
+def pair_log_sum_reference(z):
+    if len(z) < 2:
+        return 0.0
+    diff = np.abs(z[:, None] - z[None, :])
+    d = diff[np.triu_indices(len(z), k=1)]
+    if d.min() < dyson.MIN_SEPARATION:
+        return -np.inf
+    return 2.0 * float(np.sum(np.log(d)))
+
+
+def repulsion_reference(z):
+    diff = z[:, None] - z[None, :]
+    np.fill_diagonal(diff, np.inf)
+    return np.sum(1.0 / np.conj(diff), axis=1)
+
+
+@pytest.mark.parametrize("n_particles", [1, 2, 3, 64, 256, 257, 1024])
+def test_pair_kernels_equal_the_matrix_reference(n_particles):
+    rng = np.random.default_rng(n_particles)
+    plane = rng.normal(size=n_particles) + 1j * rng.normal(size=n_particles)
+    line = rng.normal(size=n_particles).astype(complex)
+    for z in (plane, line):
+        assert dyson._pair_log_sum(z) == pair_log_sum_reference(z)
+        assert np.array_equal(dyson._repulsion(z), repulsion_reference(z))
+
+
+def test_pair_log_sum_coincident_points():
+    z = np.array([0.0, 1.0, 1.0 + 1e-13j, 2.0])
+    assert dyson._pair_log_sum(z) == pair_log_sum_reference(z) == -np.inf
+
+
+def test_kernels_run_in_bounded_memory():
+    # the N x N kernels needed about 0.5 GB here
+    n_particles = 4096
+    rng = np.random.default_rng(0)
+    z = rng.normal(size=n_particles) + 1j * rng.normal(size=n_particles)
+    cfg = dyson.GasConfig(N=n_particles, hbar=1.0 / n_particles)
+    bound = 80 * 2 ** 20
+    tracemalloc.start()
+    try:
+        assert np.isfinite(dyson.energy(dyson.GasState(z), cfg))
+        _, peak_energy = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        assert np.all(np.isfinite(dyson._repulsion(z)))
+        _, peak_forces = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak_energy <= bound
+    assert peak_forces <= bound
+
+
+@pytest.mark.parametrize("z, accepted", [
+    ([0.0, 1e-12], False),
+    ([0.0, 2e-12], True),
+    ([1e-12j, 0.0], False),
+    ([3.0 - 1j], True),
+])
+def test_gas_state_distinctness_rule(z, accepted):
+    z = np.array(z, dtype=complex)
+    if accepted:
+        assert dyson.GasState(z).N == len(z)
+    else:
+        with pytest.raises(ValueError, match="not pairwise distinct"):
+            dyson.GasState(z)
+
+
+def test_gas_state_rejects_duplicates_and_reports_the_separation():
+    with pytest.raises(ValueError, match=r"min separation 0\.000e\+00"):
+        dyson.GasState(np.array([0.5, 1.0, 0.5], dtype=complex))
+
+
+def _plane_with_times():
+    return dyson.GasConfig(N=12, hbar=0.2, times=[0.1, 0.05j])
+
+
+def _custom_potential():
+    potential = PotentialSpec.custom(lambda z, zb: np.ones(np.shape(z)),
+                                     value=lambda z, zb: (z * zb).real + 0.1 * (z * zb).real ** 2)
+    return dyson.GasConfig(N=12, hbar=0.2, times=[0.1j], potential=potential)
+
+
+def _ray():
+    return dyson.GasConfig(N=12, hbar=0.2, times=[-0.3], measure="curve",
+                           curve=dyson.CurveSpec.ray(0.5 + 0.5j, 1.0 + 1.0j),
+                           confine=lambda s: np.asarray(s) ** 2 / 0.4)
+
+
+def _parametric():
+    table_s = np.linspace(-2.0, 2.0, 81)
+    curve = dyson.CurveSpec(kind="parametric", s_table=table_s,
+                            z_table=table_s + 0.3j * table_s ** 2)
+    return dyson.GasConfig(N=12, hbar=0.2, times=[0.1j, 0.02], measure="curve", curve=curve,
+                           confine=lambda s: np.asarray(s) ** 2 / 0.4)
+
+
+@pytest.mark.parametrize("make_config", [_plane_with_times, _custom_potential, _ray, _parametric])
+def test_proposal_delta_matches_the_energy_difference(make_config):
+    cfg = make_config()
+    rng = np.random.default_rng(3)
+    delta = dyson._proposal_delta(cfg)
+    if cfg.measure == "curve":
+        s = np.sort(rng.uniform(0.0, 1.8, cfg.N))
+        z = cfg.curve.point(s)
+    else:
+        s = None
+        z = rng.normal(size=cfg.N) + 1j * rng.normal(size=cfg.N)
+    before = dyson.energy(dyson.GasState(z, s), cfg)
+    for j in range(cfg.N):
+        z_after = z.copy()
+        if s is None:
+            s_new, s_after = None, None
+            z_after[j] = z[j] + 0.3 * (rng.normal() + 1j * rng.normal())
+        else:
+            s_after = s.copy()
+            s_new = s_after[j] = s[j] + 0.1 * rng.normal()
+            z_after[j] = cfg.curve.point(s_new)
+        after = dyson.energy(dyson.GasState(z_after, s_after), cfg)
+        assert delta(z.copy(), s, j, complex(z_after[j]), s_new) == pytest.approx(
+            after - before, rel=1e-9)
+    # a move onto another particle is never accepted
+    assert delta(z.copy(), s, 0, complex(z[1]), None if s is None else s[1]) == np.inf
+
+
+def metropolis_reference(config, sweeps):
+    """The sampler before its O(N) proposals: np.delete and 1-element field calls."""
+    rng = np.random.default_rng(config.seed)
+    z, s = dyson._initial_configuration(config, rng)
+    on_curve = config.measure == "curve"
+    scale = config.schedule.proposal_scale
+    burn_in = min(max(20, sweeps // 5), sweeps - 1)
+
+    def delta_energy(j, z_new_j, s_new_j):
+        others = np.delete(z, j)
+        d_new = np.abs(z_new_j - others)
+        d_old = np.abs(z[j] - others)
+        if len(others) and d_new.min() < dyson.MIN_SEPARATION:
+            return np.inf
+        pair = -2.0 * (np.sum(np.log(d_new)) - np.sum(np.log(d_old))) if len(others) else 0.0
+        drive = 2.0 * np.real(
+            dyson._times_polynomial(config.times, np.array([z_new_j]))
+            - dyson._times_polynomial(config.times, np.array([z[j]]))
+        )[0]
+        if on_curve:
+            conf = float(config.confine(np.array([s_new_j]))[0] - config.confine(np.array([s[j]]))[0])
+            return pair + conf - drive / config.hbar
+        u = float(config.potential.value_at(np.array([z_new_j]))[0]
+                  - config.potential.value_at(np.array([z[j]]))[0])
+        return pair + (u - drive) / config.hbar
+
+    def energy(z, s):
+        drive = 2.0 * np.real(np.sum(dyson._times_polynomial(config.times, z)))
+        if on_curve:
+            return (-pair_log_sum_reference(z) + float(np.sum(config.confine(s)))
+                    - drive / config.hbar)
+        return -pair_log_sum_reference(z) + (float(np.sum(config.potential.value_at(z)))
+                                             - drive) / config.hbar
+
+    samples, accepted, proposed, tune_acc, tune_prop = [], 0, 0, 0, 0
+    lo, hi = config.curve.bounds if on_curve else (None, None)
+    for sweep in range(1, sweeps + 1):
+        for j in range(config.N):
+            proposed += 1
+            tune_prop += 1
+            if on_curve:
+                s_new = s[j] + scale * rng.normal()
+                if (np.isfinite(lo) and s_new < lo) or (np.isfinite(hi) and s_new > hi):
+                    continue
+                z_new = complex(config.curve.point(s_new))
+            else:
+                s_new = None
+                z_new = z[j] + scale * (rng.normal() + 1j * rng.normal())
+            dE = delta_energy(j, z_new, s_new)
+            if dE <= 0 or rng.uniform() < math.exp(-min(dE, 700.0)):
+                z[j] = z_new
+                if on_curve:
+                    s[j] = s_new
+                accepted += 1
+                tune_acc += 1
+        if sweep <= burn_in and sweep % 20 == 0 and tune_prop:
+            rate = tune_acc / tune_prop
+            if rate < 0.30:
+                scale *= 0.7
+            elif rate > 0.50:
+                scale *= 1.3
+            tune_acc = tune_prop = 0
+        if sweep > burn_in:
+            samples.append((z.copy(), energy(z, s)))
+    return samples, accepted / proposed, scale
+
+
+@pytest.mark.parametrize("cfg, sweeps", [
+    (dyson.GasConfig(N=1, hbar=0.5, times=[0.3], seed=21,
+                     schedule=dyson.Schedule(proposal_scale=0.5)), 400),
+    (dyson.GasConfig(N=24, hbar=1 / 24, times=[0.1, 0.05j], seed=9), 60),
+    (real_line_gas(24, seed=2), 60),
+], ids=["plane-1", "plane-24", "real_line-24"])
+def test_metropolis_chain_equals_the_reference_sampler(cfg, sweeps):
+    run = dyson.metropolis(cfg, sweeps)
+    samples, acceptance, scale = metropolis_reference(cfg, sweeps)
+    assert run.acceptance == acceptance and run.proposal_scale == scale
+    assert len(run.samples) == len(samples)
+    for sample, (z, e) in zip(run.samples, samples):
+        assert np.array_equal(sample.positions, z)
+        assert sample.energy == e
+
