@@ -253,6 +253,15 @@ def _burn_in_below_sweeps(v):
         yield "schedule/burn_in", "must be less than sweeps"
 
 
+def _t0_finite(v):
+    try:
+        finite = math.isfinite(v["hbar"] * v["N"])
+    except OverflowError:  # N beyond the float range
+        finite = False
+    if not finite:
+        yield "hbar", "t0 = hbar * N must be finite"
+
+
 _MAP = _object({"r": _positive(), "coeffs": _array(_pair()).opt([])})
 _POTENTIAL = _object({
     "kind": _string().where(lambda k: k == "quadratic",
@@ -342,11 +351,10 @@ _SECTIONS = {
         "schedule": _object({
             "max_iterations": _count().opt(),
             "tolerance": _positive().opt(),
-            "step0": _positive().opt(),
             "proposal_scale": _positive().opt(),
             "burn_in": _integer().opt().where(lambda b: b >= 0, "must be >= 0"),
         }).opt({}),
-    }, _burn_in_below_sweeps),
+    }, _burn_in_below_sweeps, _t0_finite),
     "moments": _object({"map": _MAP, "order": _count().opt(16)}),
 }
 _SEED = _integer().opt(0).where(lambda s: s >= 0, "must be >= 0")

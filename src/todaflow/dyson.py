@@ -9,9 +9,10 @@ The eigenvalue integrand is carried around as an energy
         + sum_j [ confine(s_j) - (2/hbar) Re sum_k t_k z(s_j)^k ]    (curve)
 
 with ``t0 = hbar * N`` held finite.  The equilibrium configuration is found
-deterministically: by steepest descent with backtracking in the plane, and
-by L-BFGS-B over the curve parameters on a curve, with the curve's ends as
-box bounds.  A seeded Metropolis sampler provides the finite-hbar
+deterministically by one L-BFGS-B driver: over the 2N coordinates in the
+plane, keeping the lowest of a few seeded starts, and over the curve
+parameters on a curve, with the curve's ends as box bounds.  A seeded
+Metropolis sampler provides the finite-hbar
 companion; each of its proposals costs O(N), from one distance row and a
 scalar field term.  The support of the minimizer reproduces the growing
 domains of the contour-dynamics module; its boundary is extracted by
@@ -40,6 +41,8 @@ from .laurent import LaurentMap
 log = logging.getLogger(__name__)
 
 MIN_SEPARATION = 1e-12
+# deterministic starts of a plane minimization; the lowest energy is kept
+_PLANE_STARTS = 6
 # pair terms per row block of the force kernel: one block up to N = 256
 _REPULSION_BLOCK = 65536
 
@@ -125,22 +128,15 @@ class CurveSpec:
 class Schedule:
     """Minimizer and sampler settings.
 
-    ``max_iterations`` and ``tolerance`` (on the largest force; default
-    ``1e-8 * N / hbar``) bound either minimizer.  ``step0`` is the first step
-    of the plane's steepest descent (default ``hbar``); L-BFGS-B on a curve
-    chooses its own steps and ignores it.  ``init_radius``/``init_span`` size
-    the seeded start, and ``burn_in``, ``proposal_scale`` and ``thin`` drive
-    the Metropolis sampler.
+    ``max_iterations`` (per start) and ``tolerance`` (on the largest force;
+    default ``1e-8 * N / hbar``) bound the minimizer, and ``burn_in`` and
+    ``proposal_scale`` drive the Metropolis sampler.
     """
 
     max_iterations: int = 20000
     tolerance: float | None = None
-    step0: float | None = None
-    init_radius: float | None = None
-    init_span: float | None = None
     burn_in: int | None = None
     proposal_scale: float = 0.1
-    thin: int = 1
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -168,6 +164,8 @@ class GasConfig:
             raise ValueError("N must be at least 1")
         if self.hbar <= 0:
             raise ValueError("hbar must be positive")
+        if not math.isfinite(self.t0):
+            raise ValueError("t0 = hbar * N must be finite")
         times = np.asarray(self.times, dtype=complex).reshape(-1).copy()
         times.setflags(write=False)
         object.__setattr__(self, "times", times)
@@ -222,9 +220,10 @@ def _times_polynomial_derivative(times: np.ndarray, z: np.ndarray) -> np.ndarray
 class GasState:
     """Particle configuration plus the outcome of the run that produced it.
 
-    ``trace`` is the per-iteration (iteration, energy, max force) record of
-    the minimizer that produced the state, when one ran, and ``evaluations``
-    counts its energy evaluations plus its force evaluations.
+    ``trace`` is the (iteration, energy, max force) record of the minimizer
+    that produced the state, when one ran: row 0 is the start and row ``i``
+    the iterate after ``i`` iterations.  ``evaluations`` counts its energy
+    evaluations plus its force evaluations, over every start of a plane run.
     """
 
     positions: np.ndarray
@@ -378,11 +377,11 @@ def _wall_clamped(s: np.ndarray, f_s: np.ndarray, curve: CurveSpec) -> np.ndarra
 
 def _initial_configuration(config: GasConfig, rng: np.random.Generator):
     if config.measure == "plane":
-        radius = config.schedule.init_radius or math.sqrt(config.t0)
+        radius = math.sqrt(config.t0)
         rho = radius * np.sqrt(rng.uniform(0.0, 1.0, config.N))
         ang = rng.uniform(0.0, 2.0 * np.pi, config.N)
         return rho * np.exp(1j * ang), None
-    span = config.schedule.init_span or 2.0 * math.sqrt(config.t0)
+    span = 2.0 * math.sqrt(config.t0)
     lo, hi = config.curve.bounds
     a = lo if np.isfinite(lo) else -span
     b = min(hi, a + 2.0 * span) if np.isfinite(hi) else a + 2.0 * span
@@ -393,121 +392,117 @@ def _initial_configuration(config: GasConfig, rng: np.random.Generator):
 def minimize(config: GasConfig) -> GasState:
     """Equilibrium configuration, deterministic for a given config and seed.
 
-    The plane measure runs steepest descent with Armijo backtracking, whose
-    energy decreases monotonically along the iteration; a curve measure runs
-    L-BFGS-B over the curve parameters (see ``_minimize_curve``).  Converged
-    means ``max |force| < tol`` with the default tolerance
-    ``1e-8 * N / hbar``, where a force pushing a particle into a curve wall
-    counts as zero; non-convergence is reported through the state's
-    ``converged`` flag and a warning log line, not an exception.
+    Both measures run one L-BFGS driver (see ``_lbfgs``): a curve measure
+    over the N curve parameters with the curve's ends as box bounds, the
+    plane over the 2N coordinates ``(Re z, Im z)`` with no bounds.  The plane
+    energy has metastable crystalline minima, so the plane keeps the lowest
+    energy of ``_PLANE_STARTS`` deterministic starts, the earlier start on a
+    tie (see ``_plane_starts``); ``iterations``, ``trace`` and ``converged``
+    describe the kept start, ``evaluations`` counts every start, and
+    ``max_iterations`` bounds each start.  Converged means
+    ``max |force| < tol`` with the default tolerance ``1e-8 * N / hbar``,
+    where a force pushing a particle into a curve wall counts as zero;
+    non-convergence is reported through the state's ``converged`` flag and a
+    warning log line, not an exception.
     """
-    rng = np.random.default_rng(config.seed)
-    z, s = _initial_configuration(config, rng)
     sched = config.schedule
     tol = sched.tolerance if sched.tolerance is not None else 1e-8 * config.N / config.hbar
     if config.measure == "curve":
-        state = _minimize_curve(config, s, tol)
+        curve = config.curve
+        lo, hi = curve.bounds
+        bounds = [(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)] * config.N
+        _, s0 = _initial_configuration(config, np.random.default_rng(config.seed))
+        s, trace, evaluations = _lbfgs(
+            lambda s: _energy_raw(curve.point(s), s, config),
+            lambda s: -_curve_param_forces(s, config),
+            lambda s, grad: float(np.max(np.abs(_wall_clamped(s, -grad, curve)))),
+            s0, bounds, tol, sched.max_iterations)
+        z = curve.point(s)
     else:
-        state = _minimize_plane(config, z, tol)
+        n = config.N
+        to_z = lambda x: x[:n] + 1j * x[n:]
+
+        def gradient(x):
+            f = _plane_forces(to_z(x), config)
+            return -2.0 * np.concatenate((f.real, f.imag))
+
+        runs = [_lbfgs(lambda x: _energy_raw(to_z(x), None, config), gradient,
+                       lambda x, grad: 0.5 * float(np.max(np.hypot(grad[:n], grad[n:]))),
+                       np.concatenate((z0.real, z0.imag)), None, tol, sched.max_iterations)
+                for z0 in _plane_starts(config)]
+        # min keeps the first of equal energies
+        x, trace, _ = min(runs, key=lambda run: run[1][-1][1])
+        z, s, evaluations = to_z(x), None, sum(run[2] for run in runs)
+    state = GasState(z, s, energy=trace[-1][1], converged=trace[-1][2] < tol,
+                     iterations=len(trace) - 1, trace=tuple(trace), evaluations=evaluations)
     if not state.converged:
         log.warning("minimize did not converge: residual force %.3e after %d iterations",
                     state.trace[-1][2], state.iterations)
     return state
 
 
-def _minimize_plane(config: GasConfig, z: np.ndarray, tol: float) -> GasState:
-    """Steepest descent; one trace row per iteration, taken before its step."""
-    sched = config.schedule
-    gamma = sched.step0 if sched.step0 is not None else config.hbar
-    gamma_max = 100.0 * gamma
-    e_now = _energy_raw(z, None, config)
-    evaluations = 1
-    iterations = 0
-    converged = False
-    trace = []
-    for iterations in range(1, sched.max_iterations + 1):
-        f = _plane_forces(z, config)
-        evaluations += 1
-        grad_norm = float(np.max(np.abs(f)))
-        trace.append((iterations, e_now, grad_norm))
-        if grad_norm < tol:
-            converged = True
-            break
-        decrease = float(np.sum(np.abs(f) ** 2))
-        accepted = False
-        backtracked = False
-        while gamma > 1e-18:
-            z_try = z + gamma * f
-            e_try = _energy_raw(z_try, None, config)
-            evaluations += 1
-            if e_try <= e_now - 1e-4 * gamma * decrease:
-                accepted = True
-                break
-            gamma *= 0.5
-            backtracked = True
-        if not accepted:
-            break
-        z, e_now = z_try, e_try
-        if not backtracked:
-            gamma = min(gamma * 1.3, gamma_max)
-    return GasState(z, None, energy=e_now, converged=converged, iterations=iterations,
-                    trace=tuple(trace), evaluations=evaluations)
+def _plane_starts(config: GasConfig) -> list:
+    """Start 0 draws from ``default_rng(seed)``, the others from ``SeedSequence(seed).spawn``."""
+    children = np.random.SeedSequence(config.seed).spawn(_PLANE_STARTS - 1)
+    rngs = [np.random.default_rng(config.seed)] + [np.random.default_rng(c) for c in children]
+    return [_initial_configuration(config, rng)[0] for rng in rngs]
 
 
-def _minimize_curve(config: GasConfig, s0: np.ndarray, tol: float) -> GasState:
-    """L-BFGS-B over the N curve parameters, with the curve's bounds as box bounds.
+def _lbfgs(energy, gradient, residual, x0: np.ndarray, bounds, tol: float,
+           max_iterations: int):
+    """L-BFGS-B from ``x0``; returns the last iterate, the trace and the evaluation count.
 
-    Trace row 0 is the start and row ``i`` the iterate after ``i``
-    quasi-Newton iterations, so ``iterations`` counts those iterations.
-    scipy's own stopping tests are off: the run stops once the wall-clamped
-    residual force is below ``tol``, after ``max_iterations`` iterations, or
-    when the line search can make no more progress.
+    ``gradient(x)`` is called only where ``energy(x)`` is finite, and
+    ``residual(x, gradient(x))`` is the largest force.  Trace row 0 is the
+    start and row ``i`` the ``(i, energy, residual)`` of the iterate after
+    ``i`` quasi-Newton iterations; the evaluation count is energy plus
+    gradient evaluations.  scipy's own stopping tests are off: the run stops
+    once the residual is below ``tol``, after ``max_iterations`` iterations,
+    or when the line search can make no more progress.
     """
-    last = {"s": None}
+    last = {"x": None}
     evaluations = 0
 
-    def evaluate(s):
-        """Energy and parameter forces at ``s``, computed once per distinct ``s``."""
+    def evaluate(x):
+        """Energy and gradient at ``x``, computed once per distinct ``x``."""
         nonlocal evaluations
-        if not np.array_equal(s, last["s"]):
-            e = _energy_raw(config.curve.point(s), s, config)
+        if not np.array_equal(x, last["x"]):
+            e = energy(x)
             evaluations += 1
-            f_s = None
+            grad = None
             if e < np.inf:
-                f_s = _curve_param_forces(s, config)
+                grad = gradient(x)
                 evaluations += 1
-            last.update(s=s.copy(), e=e, f=f_s)
-        return last["e"], last["f"]
+            last.update(x=x.copy(), e=e, grad=grad)
+        return last["e"], last["grad"]
 
-    def energy_and_gradient(s):
-        e, f_s = evaluate(s)
-        if f_s is None:
+    def energy_and_gradient(x):
+        e, grad = evaluate(x)
+        if grad is None:
             # Coincident particles, which a projected step can put on a wall
             # at once, give the +inf sentinel and no forces.  The line search
             # interpolates and cannot bracket +inf (it stops at a zero step),
             # so it gets the energy of the iterate it started from plus one
             # ulp: never an acceptable step, and its interpolation shrinks it.
-            return np.nextafter(trace[-1][1], np.inf), np.zeros_like(s)
-        return e, -f_s
+            return np.nextafter(trace[-1][1], np.inf), np.zeros_like(x)
+        return e, grad
 
     trace = []
-    iterate = [s0]
+    iterate = [x0]
 
-    def record(s):
-        """Append the trace row of iterate ``s``; True once it has converged."""
-        e, f_s = evaluate(s)
-        iterate[0] = s.copy()
-        trace.append((len(trace), e, float(np.max(np.abs(_wall_clamped(s, f_s, config.curve))))))
+    def record(x):
+        """Append the trace row of iterate ``x``; True once it has converged."""
+        e, grad = evaluate(x)
+        iterate[0] = x.copy()
+        # only a start can have no gradient: no accepted step raises the energy
+        trace.append((len(trace), e, np.inf if grad is None else residual(x, grad)))
         return trace[-1][2] < tol
 
     def callback(intermediate_result):
         if record(intermediate_result.x):
             raise StopIteration
 
-    lo, hi = config.curve.bounds
-    bounds = [(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)] * len(s0)
-    max_iterations = config.schedule.max_iterations
-    converged = record(s0)
+    converged = record(x0)
     # A line search that cannot lower the energy ends a scipy run early, as
     # next to walls that several particles press against.  A fresh run from
     # the last iterate drops the curvature memory that led there; a run that
@@ -523,9 +518,7 @@ def _minimize_curve(config: GasConfig, s0: np.ndarray, tol: float) -> GasState:
         converged = trace[-1][2] < tol
         if not trace[-1][1] < start_energy:
             break
-    s = iterate[0]
-    return GasState(config.curve.point(s), s, energy=trace[-1][1], converged=converged,
-                    iterations=len(trace) - 1, trace=tuple(trace), evaluations=evaluations)
+    return iterate[0], trace, evaluations
 
 
 @dataclass(frozen=True)
@@ -619,7 +612,6 @@ def metropolis(config: GasConfig, sweeps: int) -> MetropolisRun:
     if burn_in is None:
         # at least the final sweep is kept
         burn_in = min(max(20, sweeps // 5), sweeps - 1)
-    thin = max(1, config.schedule.thin)
     delta_energy = _proposal_delta(config)
     # the same draws as rng.normal() and rng.uniform(), with less call overhead
     normal, uniform = rng.standard_normal, rng.random
@@ -659,7 +651,7 @@ def metropolis(config: GasConfig, sweeps: int) -> MetropolisRun:
                 scale *= 1.3
             windows.append((sweep, rate, scale))
             tune_acc = tune_prop = 0
-        if sweep > burn_in and (sweep - burn_in) % thin == 0:
+        if sweep > burn_in:
             samples.append(GasState(z.copy(), None if s is None else s.copy(),
                                     energy=_energy_raw(z, s, config)))
     rate = accepted / max(proposed, 1)

@@ -296,7 +296,11 @@ def test_render_svg_points_and_empty():
        f"/dyson/schedule/{key}")
       for key, value in [("max_iterations", -1), ("max_iterations", 0), ("tolerance", -1.0),
                          ("tolerance", 0.0), ("step0", -0.5), ("proposal_scale", -0.1),
-                         ("burn_in", -5)]],
+                         ("burn_in", -5), ("step0", 0.5)]],
+    # t0 = hbar * N overflows
+    ({"scenario": "dyson", "dyson": {"N": 20, "hbar": 1e307, "mode": "metropolis"}},
+     "/dyson/hbar"),
+    ({"scenario": "dyson", "dyson": {"N": 10 ** 400, "hbar": 0.1}}, "/dyson/hbar"),
 ])
 def test_parse_rejects_non_finite_or_mistyped_number(raw, pointer):
     with pytest.raises(ConfigError) as err:
@@ -365,14 +369,20 @@ def test_parse_rejects_zero_ray_direction():
 
 
 @pytest.mark.parametrize("raw", [
-    # hbar * N overflows, so the sampler starts from infinite positions
+    # t0 = 1e308 is finite, but the field energy of the sampled state overflows
     {"scenario": "dyson",
-     "dyson": {"N": 20, "hbar": 1e307, "mode": "metropolis", "sweeps": 2, "bins": 4,
+     "dyson": {"N": 100, "hbar": 1e306, "mode": "metropolis", "sweeps": 2, "bins": 4,
                "schedule": {"burn_in": 1}}},
+    # the ray's confinement energy overflows at the start, which has no forces
+    {"scenario": "dyson",
+     "dyson": {"N": 20, "hbar": 5e306,
+               "measure": {"kind": "curve",
+                           "curve": {"kind": "ray", "z0": [0.0, 0.0], "direction": [1.0, 0.0]}}}},
     # the map's area r^2 overflows
     {"scenario": "moments", "moments": {"map": {"r": 1e200}, "order": 3}},
-], ids=["dyson-metropolis", "moments"])
+], ids=["dyson-metropolis", "dyson-ray", "moments"])
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_non_finite_result_is_a_breakdown(tmp_path, raw):
     report = cli.run_scenario(cli.parse_config(json.dumps(raw)), out_dir=str(tmp_path))
     assert report.exit_code == 2
