@@ -237,9 +237,9 @@ def _same_length(a, b):
     return check
 
 
-def _increasing_grid(v):
-    if any(b <= a for a, b in zip(v["grid"], v["grid"][1:])):
-        yield "grid", "must be strictly increasing"
+def _increasing():
+    return _array(_number()).where(lambda v: all(a < b for a, b in zip(v, v[1:])),
+                                   "must be strictly increasing")
 
 
 def _grid_resolves_order(v):
@@ -290,12 +290,12 @@ _FLOW = _kinded({
     "tk_imag": _object({"k": _count(), **_LEG}),
 })
 _PROFILE_CSV = _object({"csv": _string()})
-_PROFILE_INLINE = _object({"grid": _array(_number()), "q_values": _array(_number())},
-                          _same_length("grid", "q_values"), _increasing_grid)
+_PROFILE_INLINE = _object({"grid": _increasing(), "q_values": _array(_number())},
+                          _same_length("grid", "q_values"))
 _SPEED = _kinded({
     "identity": _object({}),
     "constant": _object({"value": _number()}),
-    "table": _object({"q": _array(_number()), "c": _array(_number())}, _same_length("q", "c")),
+    "table": _object({"q": _increasing(), "c": _array(_number())}, _same_length("q", "c")),
     "table_csv": _object({"path": _string()}),
     "family": _object({"k": _count(), "driving": _DRIVING, "q0": _number().opt(0.0),
                        "q_max": _number()}, _q_max_above_q0),
@@ -583,17 +583,14 @@ def _build_speed(spec: dict, seed: int):
         return lambda q: q
     if spec["kind"] == "constant":
         c0 = spec["value"]
-        return lambda q: c0
+        return lambda q: np.full(np.shape(q), c0)
     if spec["kind"] == "table":
-        qs = np.asarray(spec["q"], dtype=float)
-        cs = np.asarray(spec["c"], dtype=float)
-        return lambda q: float(np.interp(q, qs, cs))
+        return hydro._table_speed(spec["q"], spec["c"])
     if spec["kind"] == "table_csv":
         return hydro.read_speed_csv(spec["path"])
     driving = _build_driving(spec["driving"], seed, (spec["q0"], spec["q_max"]))
     family = loewner.default_family(spec["q0"], spec["q_max"], driving)
-    k = spec["k"]
-    return lambda q: hydro.characteristic_speed(k, family, q)
+    return hydro.family_speed(spec["k"], family)
 
 
 def _run_hydro(cfg: ScenarioConfig, out: Path, files: dict):
@@ -601,20 +598,25 @@ def _run_hydro(cfg: ScenarioConfig, out: Path, files: dict):
     if "csv" in p["profile"]:
         profile = hydro.read_profile_csv(p["profile"]["csv"])
     else:
-        profile = hydro.Profile(np.asarray(p["profile"]["grid"], dtype=float),
-                                np.asarray(p["profile"]["q_values"], dtype=float))
+        profile = hydro.Profile(p["profile"]["grid"], p["profile"]["q_values"])
     speed = _build_speed(p["speed"], cfg.seed)
     s_star = hydro.shock_time(profile, speed)
     result = hydro.solve_characteristics(profile, speed, p["s"])
+    if p["speed"]["kind"] == "family":  # its speed is clamped, so q must stay in range
+        lo, hi = p["speed"]["q0"], p["speed"]["q_max"]
+        for t0, q in zip(result.grid, result.q_values):
+            if not lo <= q <= hi:
+                raise IntegrationBreakdownError(
+                    f"node t0 = {t0} solved to q = {q} outside family range [{lo}, {hi}]")
     if "csv" in cfg.formats:
         _write_csv(out / "profile.csv", ["t0", "q"],
                    [[float(a), float(b)] for a, b in zip(result.grid, result.q_values)])
         files["profile.csv"] = True
+    summary = {"s": p["s"], "s_star": None if np.isinf(s_star) else s_star}
     if "json" in cfg.formats:
-        _write_json(out / "shock.json",
-                    {"s": p["s"], "s_star": None if np.isinf(s_star) else s_star})
+        _write_json(out / "shock.json", summary)
         files["shock.json"] = True
-    return {"s": p["s"], "s_star": None if np.isinf(s_star) else s_star}
+    return summary
 
 
 def _build_gas_config(cfg: ScenarioConfig) -> dyson.GasConfig:

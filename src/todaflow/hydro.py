@@ -7,9 +7,9 @@ transport equation
     dq/ds = c(q) dq/dt0,    c_k(q) = 2 Re phi_k(eta(q)),
 
 solved here by straight characteristics: the value at ``(t0, s)`` is the
-initial value at ``t0 + c(q) s``, found by an implicit Newton solve per
-node.  Characteristic crossing (the gradient catastrophe) ends the classical
-solution; the solver refuses to run past it.
+initial value at ``t0 + c(q) s``, found for all nodes by one masked Newton
+iteration (speeds are vectorized).  Characteristic crossing (the gradient
+catastrophe) ends the classical solution; the solver refuses to run past it.
 """
 
 from __future__ import annotations
@@ -18,12 +18,13 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from . import laurent, loewner
-from .errors import ShockError
+from .errors import IntegrationBreakdownError, ShockError
 
 _FD_STEP = 1e-6
+_HULL_RADIUS = 4.0  # speed sweep circle radius over exp(max q)
 
 
 def _read_two_columns(path, names):
@@ -61,15 +62,17 @@ def write_profile_csv(path, profile: "Profile"):
 
 
 def read_speed_csv(path):
-    """Load an externally supplied (q, c) speed table as an interpolating callable."""
-    q, c = _read_two_columns(path, ("q", "c"))
+    """Load a (q, c) speed table, rows in any order, as an interpolating callable."""
+    return _table_speed(*_read_two_columns(path, ("q", "c")))
+
+
+def _table_speed(q, c):
+    """Piecewise-linear speed through ``(q, c)`` nodes sorted by ``q``; no ``q`` may repeat."""
     order = np.argsort(q)
-    q, c = q[order], c[order]
-
-    def speed(value):
-        return float(np.interp(value, q, c))
-
-    return speed
+    q, c = np.asarray(q, dtype=float)[order], np.asarray(c, dtype=float)[order]
+    if np.any(np.diff(q) == 0):
+        raise ValueError("the speed table repeats a q value")
+    return lambda value: np.interp(value, q, c)
 
 
 @dataclass(frozen=True)
@@ -103,28 +106,74 @@ class Profile:
         return self._deriv(t0)
 
 
-def _speed_derivative(speed, q: float, h: float = _FD_STEP) -> float:
+def _speed_derivative(speed, q, h: float = _FD_STEP):
     return (speed(q + h) - speed(q - h)) / (2.0 * h)
 
 
-def characteristic_speed(k: int, family: loewner.LoewnerFamily, q: float,
-                         fit_order: int | None = None, fit_radius: float = 2.0,
-                         n_fit: int = 128) -> float:
-    """Transport speed ``c_k(q) = 2 Re phi_k(eta(q))`` of the k-th real flow.
+def _phi_coefficients(k: int, family: loewner.LoewnerFamily, q_values) -> np.ndarray:
+    """``b_1..b_k`` of ``phi_k = sum_j b_j eta^j`` at each of ``q_values``.
 
-    ``k = 1`` needs no map data (``phi_1 = r w`` exactly); higher ``k`` fits
-    a truncated map to the family at ``q`` and projects the flow generator.
+    One circle ``|z| = 4 exp(max q)`` is carried forward from ``q0`` through
+    the ``q_values`` (a hull of capacity ``exp(q)`` lies in
+    ``|z| <= 4 exp(q)``), stopping at the driving's knots so that no substep
+    straddles a kink of ``eta``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    eta = family.driving.eta(q)
+    knots = family.driving._knot_q
+    nodes = np.union1d(knots[(knots > family.q0) & (knots < np.max(q_values))], q_values)
+    z = _HULL_RADIUS * np.exp(nodes[-1]) * laurent.circle_grid(256)
+    roots = np.exp(2j * np.pi * np.arange(k + 1) / (k + 1))[:, None]
+    w, q = z / family.r0, family.q0
+    out = np.empty((len(nodes), k), dtype=complex)
+    for i, q_next in enumerate(nodes):
+        res = loewner.advance_many(w, q, q_next, family.driving, family.base_step)
+        w, q = res.w, q_next
+        # phi_k(eta)/k is the z^-k mode of eta / (w(z) - eta); a DFT over the
+        # roots of unity gives the b_j, and b_0 != 0 means the circle fails
+        b = np.fft.fft(k * np.mean(roots / (w - roots) * z ** k, axis=1)) / (k + 1)
+        if np.any(res.absorbed) or abs(b[0]) > 1e-8 * np.max(np.abs(b)):
+            raise IntegrationBreakdownError(
+                f"the speed sweep does not resolve the map at q = {q} (|b_0| = {abs(b[0]):.3e})")
+        out[i] = b[1:]
+    return out[np.searchsorted(nodes, q_values)]
+
+
+def _speed_from_coefficients(b, eta):
+    """``2 Re sum_j b_j eta^j`` over the last axis of ``b``."""
+    powers = np.asarray(eta)[..., None] ** np.arange(1, b.shape[-1] + 1)
+    return 2.0 * np.sum(b * powers, axis=-1).real
+
+
+def characteristic_speed(k: int, family: loewner.LoewnerFamily, q):
+    """Transport speed ``c_k(q) = 2 Re phi_k(eta(q))`` of the k-th real flow.
+
+    ``k = 1`` needs no map data (``phi_1 = r w`` exactly); higher ``k`` reads
+    ``phi_k`` off one forward sweep from ``q0`` through every ``q`` (an array).
+    """
     if k == 1:
-        return float(2.0 * np.exp(q) * np.cos(family.driving.theta(q)))
-    if fit_order is None:
-        fit_order = max(8, k + 2)
-    fitted = loewner.fit_map(family, q, order=fit_order, radius=fit_radius, n=n_fit)
-    phi = laurent.phi_k(fitted, k, complex(eta))
-    return float(2.0 * phi.real)
+        return 2.0 * np.exp(q) * np.cos(family.driving.theta(q))
+    q = np.asarray(q, dtype=float)
+    if np.any((q < family.q0) | (q > family.q_max + 1e-12)):
+        raise ValueError(f"q = {q} outside family range [{family.q0}, {family.q_max}]")
+    return _speed_from_coefficients(_phi_coefficients(k, family, q), family.driving.eta(q))
+
+
+def family_speed(k: int, family: loewner.LoewnerFamily):
+    """Vectorized ``c_k(q)`` of a family, ``q`` clamped to ``[q0, q_max]``.
+
+    A cubic spline through ``b_j`` swept every ``base_step`` is combined with
+    the exact ``eta(q)``, which keeps the driving's kinks.
+    """
+    n = int(np.ceil((family.q_max - family.q0) / family.base_step - 1e-6))
+    nodes = np.append(family.q0 + family.base_step * np.arange(n), family.q_max)
+    spline = CubicSpline(nodes, _phi_coefficients(k, family, nodes))
+
+    def speed(q):
+        q = np.clip(q, family.q0, family.q_max)
+        return _speed_from_coefficients(spline(q), family.driving.eta(q))
+
+    return speed
 
 
 def shock_time(initial: Profile, speed) -> float:
@@ -134,91 +183,79 @@ def shock_time(initial: Profile, speed) -> float:
     """
     lo, hi = initial.grid[0], initial.grid[-1]
     dense = np.linspace(lo, hi, max(8 * len(initial.grid), 256))
-    q0 = initial.value(dense)
-    cprime = np.array([_speed_derivative(speed, q) for q in q0])
-    slope = cprime * initial.derivative(dense)
+    slope = _speed_derivative(speed, initial.value(dense)) * initial.derivative(dense)
     peak = float(np.max(slope))
     if peak <= 0.0:
         return float(np.inf)
     return 1.0 / peak
 
 
-def _solve_node(t0: float, s: float, initial: Profile, speed, tol: float, max_iter: int) -> float:
-    q = float(initial.value(t0))
-    if s == 0.0:
-        return q
-
-    def g(qv):
-        return qv - float(initial.value(t0 + speed(qv) * s))
-
-    gq = g(q)
-    for _ in range(max_iter):
-        if abs(gq) <= tol:
-            return q
-        slope = 1.0 - float(initial.derivative(t0 + speed(q) * s)) * _speed_derivative(speed, q) * s
-        if slope <= 0.0:
-            raise ShockError(
-                f"characteristic crossing at t0 = {t0}",
-                s_star=shock_time(initial, speed),
-            )
-        q_new = q - gq / slope
-        g_new = g(q_new)
-        if not np.isfinite(g_new) or abs(g_new) >= abs(gq):
-            q_new, g_new = _bisect_node(g, q, gq)
-        q, gq = q_new, g_new
-    if abs(gq) > tol:
-        raise ShockError(
-            f"implicit solve stalled at t0 = {t0} (residual {abs(gq):.3e})",
-            s_star=shock_time(initial, speed),
-        )
-    return q
-
-
-def _bisect_node(g, q_seed: float, g_seed: float):
-    """Expand a bracket around the Newton seed, then bisect once inside it."""
-    span = max(1.0, abs(q_seed))
-    for _ in range(60):
-        lo, hi = q_seed - span, q_seed + span
-        glo, ghi = g(lo), g(hi)
-        if np.isfinite(glo) and np.isfinite(ghi) and glo * ghi <= 0:
-            break
-        span *= 2.0
-    else:
-        return q_seed, g_seed
+def _bracket(g, t0, q, gq):
+    """Expand a bracket around each Newton seed (60 doublings at most; a seed
+    without one is kept), then bisect eight times inside it."""
+    spans = np.maximum(1.0, np.abs(q))[:, None] * 2.0 ** np.arange(60)
+    ga, gb = g(q[:, None] - spans, t0[:, None]), g(q[:, None] + spans, t0[:, None])
+    ok = np.isfinite(ga) & np.isfinite(gb) & (ga * gb <= 0)
+    found = ok.any(axis=1)
+    j = ok[found].argmax(axis=1)
+    span, t0 = spans[found, j], t0[found]
+    lo, hi, glo = q[found] - span, q[found] + span, ga[found, j]
     for _ in range(8):
         mid = 0.5 * (lo + hi)
-        gmid = g(mid)
-        if glo * gmid <= 0:
-            hi, ghi = mid, gmid
-        else:
-            lo, glo = mid, gmid
+        gmid = g(mid, t0)
+        left = glo * gmid <= 0
+        lo, glo, hi = np.where(left, lo, mid), np.where(left, glo, gmid), np.where(left, mid, hi)
     mid = 0.5 * (lo + hi)
-    return mid, g(mid)
+    q, gq = q.copy(), gq.copy()
+    q[found], gq[found] = mid, g(mid, t0)
+    return q, gq
 
 
 def solve_characteristics(initial: Profile, speed, s: float, tol: float = 1e-12,
                           max_iter: int = 50) -> Profile:
     """Transport the profile by ``s`` along straight characteristics.
 
-    Each output node solves ``q = q0(t0 + c(q) s)`` by Newton iteration with
-    a bisection fallback.  Raises :class:`ShockError` (reporting the critical
-    ``s*``) if ``s`` reaches the gradient catastrophe or a crossing is
-    detected at any node.
+    One Newton iteration over the unconverged nodes solves
+    ``q = q0(t0 + c(q) s)``, bracketing where a step does not reduce the
+    residual.  Raises :class:`ShockError` (reporting the critical ``s*``) if
+    ``s`` reaches the gradient catastrophe or characteristics cross.
     """
     s_star = shock_time(initial, speed)
     if s >= s_star:
         raise ShockError(
             f"requested s = {s} is past the gradient catastrophe s* = {s_star}", s_star=s_star
         )
-    out = np.empty_like(initial.q_values)
-    for i, t0 in enumerate(initial.grid):
-        q = _solve_node(float(t0), float(s), initial, speed, tol, max_iter)
-        crossing = 1.0 - _speed_derivative(speed, q) * float(
-            initial.derivative(t0 + speed(q) * s)
-        ) * s
-        if crossing <= 0.0:
-            raise ShockError(
-                f"characteristic crossing detected at node t0 = {t0}", s_star=s_star
-            )
-        out[i] = q
-    return Profile(initial.grid.copy(), out)
+
+    def g(qv, t0):
+        return qv - initial.value(t0 + speed(qv) * s)
+
+    def crossing(qv, t0):
+        return 1.0 - initial.derivative(t0 + speed(qv) * s) * _speed_derivative(speed, qv) * s
+
+    grid = initial.grid
+    q = initial.value(grid)
+    gq = g(q, grid)
+    for _ in range(max_iter):
+        idx = np.flatnonzero(~(np.abs(gq) <= tol))
+        if len(idx) == 0:
+            break
+        t0, qi, gi = grid[idx], q[idx], gq[idx]
+        slope = crossing(qi, t0)
+        if np.any(slope <= 0.0):
+            raise ShockError(f"characteristic crossing at t0 = {t0[slope <= 0.0][0]}",
+                             s_star=s_star)
+        q_new = qi - gi / slope
+        g_new = g(q_new, t0)
+        worse = ~np.isfinite(g_new) | (np.abs(g_new) >= np.abs(gi))
+        if np.any(worse):
+            q_new[worse], g_new[worse] = _bracket(g, t0[worse], qi[worse], gi[worse])
+        q[idx], gq[idx] = q_new, g_new
+    stalled = ~(np.abs(gq) <= tol)
+    if np.any(stalled):
+        raise ShockError(f"implicit solve stalled at t0 = {grid[stalled][0]} "
+                         f"(residual {np.abs(gq[stalled][0]):.3e})", s_star=s_star)
+    crossed = crossing(q, grid) <= 0.0
+    if np.any(crossed):
+        raise ShockError(f"characteristic crossing detected at node t0 = {grid[crossed][0]}",
+                         s_star=s_star)
+    return Profile(grid.copy(), q)

@@ -25,13 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import laurent
 from .errors import (
     InsufficientSamplesError,
     IntegrationBreakdownError,
     PointAbsorbedError,
 )
-from .laurent import LaurentMap
 
 ABSORB_TOL = 1e-9
 DEFAULT_BASE_STEP = 1e-3
@@ -43,7 +41,8 @@ class DrivingFunction:
 
     Three constructions: a constant angle, linear interpolation through
     knots, and a seeded Brownian path built from fixed-grid increments with
-    variance ``kappa * dq`` (reproducible and refinable).
+    variance ``kappa * dq`` (reproducible and refinable).  The last two are
+    linear between the knots ``_knot_q``, the only places ``theta'`` jumps.
     """
 
     def __init__(self, kind, theta0=0.0, knots=None, kappa=0.0, seed=0, dq_grid=1e-3,
@@ -54,7 +53,7 @@ class DrivingFunction:
         self.seed = int(seed)
         self.dq_grid = float(dq_grid)
         if kind == "constant":
-            self._grid = None
+            self._knot_q = np.empty(0)
         elif kind == "piecewise_linear":
             knots = sorted((float(q), float(th)) for q, th in knots)
             if len(knots) < 2:
@@ -70,8 +69,8 @@ class DrivingFunction:
             n = int(np.ceil((hi - lo) / self.dq_grid)) + 1
             rng = np.random.default_rng(self.seed)
             increments = rng.normal(0.0, np.sqrt(self.kappa * self.dq_grid), size=n)
-            self._grid_q = lo + self.dq_grid * np.arange(n + 1)
-            self._grid_th = self.theta0 + np.concatenate([[0.0], np.cumsum(increments)])
+            self._knot_q = lo + self.dq_grid * np.arange(n + 1)
+            self._knot_th = self.theta0 + np.concatenate([[0.0], np.cumsum(increments)])
         else:
             raise ValueError(f"unknown driving kind {kind!r}")
 
@@ -91,10 +90,8 @@ class DrivingFunction:
         q = np.asarray(q, dtype=float)
         if self.kind == "constant":
             out = np.full(q.shape, self.theta0)
-        elif self.kind == "piecewise_linear":
-            out = np.interp(q, self._knot_q, self._knot_th)
         else:
-            out = np.interp(q, self._grid_q, self._grid_th)
+            out = np.interp(q, self._knot_q, self._knot_th)
         return out if out.ndim else float(out)
 
     def eta(self, q):
@@ -335,18 +332,6 @@ def fitted_radius(family: LoewnerFamily, q: float, w_small=1e2, w_large=1e3) -> 
     v1, v2 = forward_map(np.array([w_small, w_large], dtype=complex), q, family)
     r = (v2 - v1) / (w_large - w_small)
     return float(r.real)
-
-
-def fit_map(family: LoewnerFamily, q: float, order: int = 10, radius: float = 2.0,
-            n: int = 128) -> LaurentMap:
-    """Truncated Laurent fit of ``z(., q)`` from samples on ``|w| = radius``."""
-    theta = 2.0 * np.pi * np.arange(n) / n
-    ws = radius * np.exp(1j * theta)
-    z = forward_map(ws, q, family)
-    modes = np.fft.fft(z) / n
-    r = (modes[1] / radius).real
-    coeffs = np.array([modes[-j % n] * radius ** j for j in range(order + 1)], dtype=complex)
-    return LaurentMap(r, coeffs)
 
 
 def boundary_bracket(family: LoewnerFamily, q: float, dt0: float = 1e-3,

@@ -1,7 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from todaflow import cli, growth, laurent, svgout
 from todaflow.errors import ConfigError
@@ -166,6 +168,45 @@ def test_missing_csv_is_config_error(tmp_path):
     }
     with pytest.raises(ConfigError):
         cli.run_scenario(cli.parse_config(json.dumps(raw)))
+    # a speed CSV that repeats a q
+    speed_csv = tmp_path / "speed_in.csv"
+    speed_csv.write_text("q,c\n0.0,0.2\n0.5,0.3\n0.5,0.4\n1.0,0.6\n")
+    raw["hydro"] = {"profile": {"grid": [0, 1], "q_values": [0, 1]},
+                    "speed": {"kind": "table_csv", "path": str(speed_csv)}, "s": 0.1}
+    with pytest.raises(ConfigError) as err:
+        cli.run_scenario(cli.parse_config(json.dumps(raw)))
+    assert [ptr for ptr, _ in err.value.problems] == ["/hydro"]
+
+
+def _family_hydro(profile, k, q_max, driving, s):
+    return {"scenario": "hydro",
+            "hydro": {"profile": profile, "s": s,
+                      "speed": {"kind": "family", "k": k, "q_max": q_max, "driving": driving}}}
+
+
+def test_hydro_family_speed_agrees_with_the_per_q_refit(tmp_path):
+    # profile and s* of the same run when every speed call refit the map
+    raw = _family_hydro({"grid": [0, 0.25, 0.5, 0.75, 1], "q_values": [0.1, 0.15, 0.2, 0.25, 0.3]},
+                        2, 0.5, {"kind": "piecewise_linear",
+                                 "knots": [[0, 0], [0.25, 0.4], [0.5, 0.1]]}, 0.02)
+    report = cli.run_scenario(cli.parse_config(json.dumps(raw)), out_dir=str(tmp_path))
+    assert report.exit_code == 0
+    rows = (tmp_path / "profile.csv").read_text().splitlines()[1:]
+    refit = [0.12344258022841477, 0.17589569974770833, 0.22751196555412898,
+             0.28254879029806107, 0.3422345343249162]
+    assert_allclose([float(row.split(",")[1]) for row in rows], refit, rtol=0, atol=1e-8)
+    assert report.manifest["summary"]["s_star"] == pytest.approx(0.1273245051770218, rel=1e-4)
+
+
+def test_hydro_family_solution_outside_its_range_is_a_breakdown(tmp_path):
+    raw = _family_hydro({"grid": [0, 0.5, 1], "q_values": [0.1, 0.2, 0.3]},
+                        2, 0.4, {"kind": "constant", "theta0": math.pi}, 0.05)
+    report = cli.run_scenario(cli.parse_config(json.dumps(raw)), out_dir=str(tmp_path))
+    assert report.exit_code == 2
+    manifest = strict_json((tmp_path / "manifest.json").read_text())
+    assert manifest["breakdown"]["type"] == "IntegrationBreakdownError"
+    message = manifest["breakdown"]["message"]
+    assert "t0 = 1.0" in message and "q = 0.44" in message and "[0.0, 0.4]" in message
 
 
 def test_moments_scenario(tmp_path):
@@ -301,6 +342,14 @@ def test_render_svg_points_and_empty():
     ({"scenario": "dyson", "dyson": {"N": 20, "hbar": 1e307, "mode": "metropolis"}},
      "/dyson/hbar"),
     ({"scenario": "dyson", "dyson": {"N": 10 ** 400, "hbar": 0.1}}, "/dyson/hbar"),
+    ({"scenario": "hydro",
+      "hydro": {"profile": {"grid": [0, 1, 1], "q_values": [0, 0.5, 1]},
+                "speed": {"kind": "identity"}, "s": 0.1}}, "/hydro/profile/grid"),
+    # a speed table must be sorted by q, without repeats
+    *[({"scenario": "hydro",
+        "hydro": {"profile": {"grid": [0, 1], "q_values": [0, 1]},
+                  "speed": {"kind": "table", "q": q, "c": c}, "s": 0.1}}, "/hydro/speed/q")
+      for q, c in [([1.0, 0.0], [0.6, 0.2]), ([0, 0.5, 0.5, 1], [0.2, 0.3, 0.4, 0.6])]],
 ])
 def test_parse_rejects_non_finite_or_mistyped_number(raw, pointer):
     with pytest.raises(ConfigError) as err:

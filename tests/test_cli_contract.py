@@ -19,8 +19,7 @@ from todaflow.errors import ConfigError
 
 _PROFILE = {"grid": [0.1, 0.5, 0.9], "q_values": [0.1, 0.3, 0.5]}
 
-# Small valid configs, one per scenario plus every cheap hydro speed.  The
-# `family` speed is left out: one run takes about 40 s.
+# Small valid configs, one per scenario plus every hydro speed kind.
 BASES = {
     "grow": {
         "scenario": "grow", "seed": 1, "resolution": {"M": 4, "n": 32},
@@ -49,6 +48,14 @@ BASES = {
         "scenario": "hydro",
         "hydro": {"profile": _PROFILE,
                   "speed": {"kind": "table", "q": [0.0, 1.0], "c": [0.2, 0.6]}, "s": 0.2},
+    },
+    "hydro-family": {
+        "scenario": "hydro",
+        "hydro": {"profile": {"grid": [0.1, 0.5, 0.9], "q_values": [0.02, 0.04, 0.06]},
+                  "speed": {"kind": "family", "k": 2, "q_max": 0.1,
+                            "driving": {"kind": "piecewise_linear",
+                                        "knots": [[0.0, 0.0], [0.1, 0.3]]}},
+                  "s": 0.01},
     },
     "dyson": {
         "scenario": "dyson", "seed": 3,

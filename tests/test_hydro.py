@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from todaflow import hydro, loewner
-from todaflow.errors import ShockError
+from todaflow.errors import IntegrationBreakdownError, ShockError
 
 
 def upwind_oracle(q0_fn, c_fn, s_end, lo, hi, nx, ds):
@@ -137,6 +137,12 @@ def test_speed_csv_table(tmp_path):
     path.write_text("q,c\n0.0,1.0\n1.0,3.0\n")
     speed = hydro.read_speed_csv(path)
     assert speed(0.5) == pytest.approx(2.0)
+    # rows in any order are sorted, a repeated q is refused
+    path.write_text("q,c\n1.0,3.0\n0.0,1.0\n")
+    assert_allclose(hydro.read_speed_csv(path)(np.array([0.25, 0.5])), [1.5, 2.0])
+    path.write_text("q,c\n0.0,1.0\n0.5,2.0\n0.5,2.5\n1.0,3.0\n")
+    with pytest.raises(ValueError):
+        hydro.read_speed_csv(path)
 
 
 def test_characteristic_speed_k2_generating_oracle():
@@ -156,3 +162,72 @@ def test_characteristic_speed_k2_generating_oracle():
         oracle = 2.0 * phi_k.real
         got = hydro.characteristic_speed(k, fam, q)
         assert abs(got - oracle) < 1e-6
+
+
+FAMILY_SPEED_CASES = {
+    "constant": (loewner.DrivingFunction.constant(0.7), 0.5, 1e-6),
+    "linear": (loewner.DrivingFunction.piecewise_linear([(0.0, 0.0), (1.0, 0.6)]), 0.5, 1e-6),
+    "knots": (loewner.DrivingFunction.piecewise_linear([(0.0, 0.0), (0.25, 0.4), (0.5, 0.1)]),
+              0.5, 1e-6),
+    "brownian": (loewner.DrivingFunction.brownian(0.4, 3, q_range=(0.0, 0.5)), 0.5, 1e-4),
+    "q_max_1": (loewner.DrivingFunction.constant(0.0), 1.0, 1e-6),
+}
+
+
+@pytest.mark.parametrize("driving, q_max, bound", FAMILY_SPEED_CASES.values(),
+                         ids=FAMILY_SPEED_CASES)
+def test_family_speed_matches_characteristic_speed(driving, q_max, bound):
+    family = loewner.default_family(0.0, q_max, driving)
+    speed = hydro.family_speed(2, family)
+    qs = np.random.default_rng(8).uniform(0.0, q_max, 30)
+    exact = hydro.characteristic_speed(2, family, qs)
+    assert np.max(np.abs(speed(qs) - exact)) < bound
+    # clamped to the family's range
+    assert np.array_equal(speed(np.array([-1.0, q_max + 1.0])), speed(np.array([0.0, q_max])))
+
+
+def test_speed_sweep_circle_cutting_the_hull_is_a_breakdown(monkeypatch):
+    # at q = 1 the constant-driving slit reaches past 3 e^q but not 4 e^q
+    family = loewner.default_family(0.0, 1.0, loewner.DrivingFunction.constant(0.0))
+    monkeypatch.setattr(hydro, "_HULL_RADIUS", 3.0)
+    with pytest.raises(IntegrationBreakdownError):
+        hydro.family_speed(2, family)
+
+
+def _bisect_reference(g, q_seed, g_seed):
+    """The scalar expand-and-bisect fallback that ``hydro._bracket`` vectorizes."""
+    span = max(1.0, abs(q_seed))
+    for _ in range(60):
+        lo, hi = q_seed - span, q_seed + span
+        glo, ghi = g(lo), g(hi)
+        if np.isfinite(glo) and np.isfinite(ghi) and glo * ghi <= 0:
+            break
+        span *= 2.0
+    else:
+        return q_seed, g_seed
+    for _ in range(8):
+        mid = 0.5 * (lo + hi)
+        gmid = g(mid)
+        if glo * gmid <= 0:
+            hi = mid
+        else:
+            lo, glo = mid, gmid
+    mid = 0.5 * (lo + hi)
+    return mid, g(mid)
+
+
+def test_bracket_matches_the_scalar_fallback():
+    # roots near, far and very far from their seeds, and one residual without a root
+    roots = np.array([0.3, 5.7, -40.2, 3e6, np.nan])
+
+    def g(q, t0):
+        r = roots[np.asarray(t0, dtype=int)]
+        return np.where(np.isnan(r), q * q + 1.0, (q - r) * (1.0 + 0.01 * q * q))
+
+    t0 = np.arange(len(roots), dtype=float)
+    seeds = np.array([0.0, 1.0, 2.0, -0.5, 0.5])
+    q, gq = hydro._bracket(g, t0, seeds, g(seeds, t0))
+    for i in range(len(roots)):
+        expected = _bisect_reference(lambda v: g(v, t0[i]), seeds[i], g(seeds[i], t0[i]))
+        assert (q[i], gq[i]) == expected
+    assert q[-1] == seeds[-1]

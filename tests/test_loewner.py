@@ -140,12 +140,6 @@ def test_integrator_convergence_order():
     assert e1 / e2 == pytest.approx(16.0, rel=0.35)
 
 
-def test_fit_map_recovers_leading_coefficient():
-    fam = loewner.default_family(0.0, 0.5, CONST)
-    fitted = loewner.fit_map(fam, 0.3, order=8)
-    assert abs(fitted.r - np.exp(0.3)) < 1e-6
-
-
 def test_boundary_bracket_vanishes_for_slit_families():
     for drv in (CONST, loewner.DrivingFunction.piecewise_linear([(0.0, 0.0), (1.0, 1.0)])):
         fam = loewner.LoewnerFamily(0.0, 0.5, drv)
