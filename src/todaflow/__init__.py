@@ -26,13 +26,11 @@ from .errors import (
     ShockError,
     TodaflowError,
 )
-from .laurent import BoundarySamples, LaurentMap, OuterSeries
+from .laurent import LaurentMap
 
 __all__ = [
     "__version__",
-    "BoundarySamples",
     "LaurentMap",
-    "OuterSeries",
     "ConfigError",
     "CuspError",
     "InsufficientSamplesError",

@@ -481,15 +481,27 @@ def _run_grow(cfg: ScenarioConfig, out: Path, files: dict):
         flow = growth.FlowSpec(f["kind"], k=f.get("k", 0), z0=f.get("z0", 0j), sign=f["sign"])
         schedule.append((flow, f["duration"], f["steps"]))
     order = p["moment_order"] if p["moment_order"] is not None else m.order
+    n = laurent._resolve_grid(m, cfg.grid_n)
+    budget = n // 2 - 1
+    too_deep = [(f"/grow/flows/{i}/k", f"z**{k} spans powers [{-k * m.order}, {k}] but the "
+                 f"grid of size {n} resolves only |m| <= {budget}")
+                for i, k in enumerate(f.get("k", 0) for f in p["flows"])
+                if max(k, k * m.order) > budget]
+    if too_deep:
+        raise ConfigError(too_deep)
     pending = None
     try:
-        traj = growth.run(m, schedule, potential, moment_order=order, n=cfg.grid_n)
+        traj = growth.run(m, schedule, potential, moment_order=order, n=n)
     except (CuspError, NonUnivalentError) as exc:
         # keep whatever the run produced before the breakdown
         traj = getattr(exc, "partial", None)
         if traj is None or not traj.records:
             raise
         pending = exc
+    except ValueError as exc:
+        if not hasattr(exc, "leg"):
+            raise
+        raise ConfigError([(f"/grow/flows/{exc.leg}/duration", str(exc))]) from exc
     if "csv" in cfg.formats:
         header = ["step", "time", "t0", "r"]
         for j in range(m.order + 1):
@@ -512,12 +524,11 @@ def _run_grow(cfg: ScenarioConfig, out: Path, files: dict):
                 ])
         _write_csv(out / "moments.csv", ["step", "k", "re_tk", "im_tk", "re_vk", "im_vk"], rows)
         files["moments.csv"] = True
-    n_plot = cfg.grid_n or laurent.default_grid_size(m.order)
     picks = np.unique(np.linspace(0, len(traj.records) - 1, p["snapshots"]).astype(int))
     snapshots = []
     for i in picks:
         rec = traj.records[i]
-        pts = laurent.evaluate(rec.map, laurent.circle_grid(n_plot))
+        pts = laurent.evaluate(rec.map, laurent.circle_grid(n))
         snapshots.append((rec.index, pts))
     if "json" in cfg.formats:
         _write_json(out / "contours.json", [

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import laurent
 from .errors import CuspError, NonUnivalentError
-from .laurent import BoundarySamples, LaurentMap, circle_grid
+from .laurent import LaurentMap, circle_grid
 
 log = logging.getLogger(__name__)
 
@@ -237,11 +237,14 @@ def _velocity_over_speed(m: LaurentMap, flow: FlowSpec, potential: PotentialSpec
 
 
 def normal_velocity(m: LaurentMap, flow: FlowSpec, potential: PotentialSpec,
-                    n: int | None = None) -> BoundarySamples:
-    """Outward normal velocity of the contour for one flow direction."""
+                    n: int | None = None) -> np.ndarray:
+    """Outward normal velocity of the contour for one flow direction.
+
+    Returns its real samples on the ``n``-point circle grid.
+    """
     n = laurent._resolve_grid(m, n)
     vn, _, _ = _velocity_over_speed(m, flow, potential, n)
-    return BoundarySamples(vn)
+    return vn
 
 
 def _coefficient_rhs(m: LaurentMap, flow: FlowSpec, potential: PotentialSpec, n: int):
@@ -351,7 +354,9 @@ def run(m: LaurentMap, schedule, potential: PotentialSpec, moment_order: int | N
     here, every later one by the RK4 step that made it, so the moments of
     the records skip the witness of :func:`moment_vector`.  Step failures
     are re-raised with the failing step index in the message and the
-    trajectory up to the failure attached as ``exc.partial``.
+    trajectory up to the failure attached as ``exc.partial``; a
+    ``ValueError`` from a step (say a leading coefficient driven below zero)
+    carries the failing leg's index as ``exc.leg``.
     """
     n = laurent._resolve_grid(m, n)
     if moment_order is None:
@@ -374,6 +379,9 @@ def run(m: LaurentMap, schedule, potential: PotentialSpec, moment_order: int | N
                                     getattr(exc, "theta", None))
                 wrapped.partial = Trajectory(tuple(records))
                 raise wrapped from exc
+            except ValueError as exc:  # the leg left the maps, e.g. r <= 0
+                exc.leg = leg
+                raise
             time += dt
             records.append(
                 TrajectoryRecord(index, time, current, _moments(current, moment_order, n), diag)
@@ -411,6 +419,6 @@ def string_residual(m: LaurentMap, potential: PotentialSpec, dt0: float | None =
         return np.conj(z_fn(w, t))
 
     w = circle_grid(n)
-    bracket = laurent.poisson_bracket(z_fn, zbar_fn, w, 0.0, dt0).values
+    bracket = laurent.poisson_bracket(z_fn, zbar_fn, w, 0.0, dt0)
     u = potential.u_zzbar_at(laurent.evaluate(m, w))
     return float(np.max(np.abs(bracket * u - 1.0)))

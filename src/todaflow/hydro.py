@@ -28,14 +28,21 @@ _HULL_RADIUS = 4.0  # speed sweep circle radius over exp(max q)
 
 
 def _read_two_columns(path, names):
+    """Two finite columns of at least one data row, after an optional header."""
     with open(path, newline="", encoding="utf-8") as handle:
         rows = list(csv.reader(handle))
+    if any(len(row) < 2 for row in rows):
+        raise ValueError(f"every row needs the two columns {names}")
     if rows and not _is_number(rows[0][0]):
         header = [c.strip() for c in rows[0]]
         if header[:2] != list(names):
             raise ValueError(f"expected columns {names}, found {header[:2]}")
         rows = rows[1:]
+    if not rows:
+        raise ValueError("the table has no data rows")
     data = np.array([[float(a), float(b)] for a, b, *_ in rows])
+    if not np.all(np.isfinite(data)):
+        raise ValueError("the table has a non-finite cell")
     return data[:, 0], data[:, 1]
 
 

@@ -2,10 +2,10 @@
 
 The central object is the map ``z(w) = r*w + a0 + a1/w + ... + aM/w**M``
 from the exterior of the unit disk onto the exterior of a compact planar
-domain.  Everything here is spectral: series are represented by samples on a
-uniform grid of the unit circle and manipulated through the FFT, so products
-never touch an explicit convolution.  Grid sizes are powers of two and must
-satisfy ``n >= 4*(M+1)`` to keep quadratic nonlinearities alias-free.
+domain.  Boundary functions have one representation: samples on a uniform
+power-of-two grid of the unit circle, read as Fourier modes through the FFT,
+so products never touch an explicit convolution.  Grid sizes must satisfy
+``n >= 4*(M+1)`` to keep quadratic nonlinearities alias-free.
 
 Conventions
 -----------
@@ -17,15 +17,15 @@ Conventions
 
 Grid values of a map (``z`` and ``w z'`` on the circle grid) come from two
 inverse FFTs of its coefficient vector; the growth step, the univalence
-witness and the moment quadrature all read them that way.  The Horner loops
-of :func:`evaluate` and :func:`derivative` serve points off the grid only
-(Newton inversion, plotting, user queries).
+witness and the moment quadrature all read them that way.  Horner loops
+(:func:`evaluate` and :func:`derivative`) serve points off the grid only:
+Newton inversion, plotting and user queries.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,12 +56,6 @@ def circle_grid(n: int) -> np.ndarray:
     if not _is_power_of_two(n):
         raise ValueError(f"grid size must be a power of two, got {n}")
     return np.exp(2j * np.pi * np.arange(n) / n)
-
-
-def fourier_coefficient(samples: np.ndarray, m: int) -> complex:
-    """Coefficient of ``w**m`` of a grid-sampled boundary function."""
-    n = len(samples)
-    return np.fft.fft(samples)[m % n] / n
 
 
 @dataclass(frozen=True)
@@ -115,58 +109,6 @@ class LaurentMap:
     @classmethod
     def loads(cls, text: str) -> "LaurentMap":
         return cls.from_json(json.loads(text))
-
-
-@dataclass(frozen=True)
-class OuterSeries:
-    """Series ``c0 + sum_{k>=1} c_k w**(-k)`` analytic outside the unit disk."""
-
-    c0: complex
-    tail: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=complex))
-
-    def __post_init__(self):
-        tail = np.asarray(self.tail, dtype=complex).reshape(-1).copy()
-        tail.setflags(write=False)
-        object.__setattr__(self, "c0", complex(self.c0))
-        object.__setattr__(self, "tail", tail)
-
-    @property
-    def order(self) -> int:
-        return len(self.tail)
-
-    def __call__(self, w):
-        w = np.asarray(w, dtype=complex)
-        out = np.full(w.shape, self.c0, dtype=complex)
-        iw = 1.0 / w
-        p = np.ones_like(w)
-        for c in self.tail:
-            p = p * iw
-            out = out + c * p
-        return out if out.ndim else out[()]
-
-
-@dataclass(frozen=True)
-class BoundarySamples:
-    """Values of a boundary function on the global circle grid."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values).copy()
-        if values.ndim != 1:
-            raise ValueError("boundary samples must be one-dimensional")
-        if not _is_power_of_two(len(values)):
-            raise ValueError(f"grid size must be a power of two, got {len(values)}")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    @property
-    def theta(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.n) / self.n
 
 
 def _resolve_grid(m: LaurentMap, n: int | None) -> int:
@@ -228,12 +170,6 @@ def derivative(m: LaurentMap, w):
         p = p * iw
         out = out - j * a * p
     return out if out.ndim else out[()]
-
-
-def boundary_derivative(m: LaurentMap, n: int | None = None) -> BoundarySamples:
-    """Samples of ``z'`` on the global circle grid."""
-    n = _resolve_grid(m, n)
-    return BoundarySamples(derivative(m, circle_grid(n)))
 
 
 def critical_points(m: LaurentMap) -> np.ndarray:
@@ -317,29 +253,6 @@ def phi_k(m: LaurentMap, k: int, w, n: int | None = None):
     return out if out.ndim else complex(out)
 
 
-def schwarz_extension(h) -> OuterSeries:
-    """Analytic extension of real boundary data to the exterior of the disk.
-
-    Given real samples ``h`` on the grid, returns the series ``Phi`` analytic
-    in ``|w| > 1`` with ``Re Phi = h`` on the circle: ``c0`` is the mean of
-    ``h`` and ``c_k = 2 h_{-k}`` picks up the negative Fourier modes.
-    """
-    values = h.values if isinstance(h, BoundarySamples) else np.asarray(h)
-    if np.iscomplexobj(values) and np.max(np.abs(values.imag)) > 1e-13 * max(
-        1.0, float(np.max(np.abs(values)))
-    ):
-        raise ValueError("schwarz_extension requires real boundary data")
-    values = values.real.astype(float)
-    if not _is_power_of_two(len(values)):
-        raise ValueError("grid size must be a power of two")
-    n = len(values)
-    modes = np.fft.fft(values) / n
-    c0 = float(modes[0].real)
-    kmax = n // 2 - 1
-    tail = 2.0 * modes[n - np.arange(1, kmax + 1)]
-    return OuterSeries(c0, tail)
-
-
 def _winding_number(samples: np.ndarray) -> int:
     """Net winding of the imaginary part, detected from wrapped increments."""
     d = np.diff(np.concatenate([samples, samples[:1]])).imag
@@ -369,19 +282,22 @@ def log_derivative(samples: np.ndarray) -> np.ndarray:
 
 
 def poisson_bracket(f_fn, g_fn, w: np.ndarray, t0: float,
-                    dt0: float | None = None) -> BoundarySamples:
+                    dt0: float | None = None) -> np.ndarray:
     """Finite-difference Poisson bracket ``{f, g}`` on the circle grid.
 
     ``f_fn(w, t)`` and ``g_fn(w, t)`` must return boundary samples for the
-    grid ``w`` at deformation time ``t``.  The angular derivative
-    ``d/d(log w)`` is spectral; the ``t0`` derivative uses central
-    differences with step ``dt0`` (default ``1e-4 * max(|t0|, 1)``).
+    grid ``w`` (1-D, power-of-two length) at deformation time ``t``.  The
+    angular derivative ``d/d(log w)`` is spectral; the ``t0`` derivative
+    uses central differences with step ``dt0`` (default
+    ``1e-4 * max(|t0|, 1)``).  Returns the bracket's grid samples.
     """
     if dt0 is None:
         dt0 = 1e-4 * max(abs(t0), 1.0)
     if dt0 <= 0:
         raise ValueError("dt0 must be positive")
     w = np.asarray(w, dtype=complex)
+    if w.ndim != 1 or not _is_power_of_two(len(w)):
+        raise ValueError(f"the grid must be 1-D with a power-of-two length, got shape {w.shape}")
     f0 = np.asarray(f_fn(w, t0), dtype=complex)
     g0 = np.asarray(g_fn(w, t0), dtype=complex)
     df_dt = (np.asarray(f_fn(w, t0 + dt0), dtype=complex) - np.asarray(f_fn(w, t0 - dt0), dtype=complex)) / (
@@ -390,8 +306,7 @@ def poisson_bracket(f_fn, g_fn, w: np.ndarray, t0: float,
     dg_dt = (np.asarray(g_fn(w, t0 + dt0), dtype=complex) - np.asarray(g_fn(w, t0 - dt0), dtype=complex)) / (
         2.0 * dt0
     )
-    bracket = log_derivative(f0) * dg_dt - df_dt * log_derivative(g0)
-    return BoundarySamples(bracket)
+    return log_derivative(f0) * dg_dt - df_dt * log_derivative(g0)
 
 
 def inverse_evaluate(m: LaurentMap, z: complex, tol: float = INVERSION_TOL,

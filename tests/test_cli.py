@@ -159,20 +159,30 @@ def test_hydro_csv_inputs(tmp_path):
     assert q_mid == pytest.approx(0.5 / 0.75, abs=1e-9)  # q = t0 / (1 - s)
 
 
-def test_missing_csv_is_config_error(tmp_path):
-    raw = {
-        "scenario": "hydro",
-        "output": {"directory": str(tmp_path / "out")},
-        "hydro": {"profile": {"csv": str(tmp_path / "nope.csv")},
-                  "speed": {"kind": "identity"}, "s": 0.1},
-    }
-    with pytest.raises(ConfigError):
-        cli.run_scenario(cli.parse_config(json.dumps(raw)))
-    # a speed CSV that repeats a q
-    speed_csv = tmp_path / "speed_in.csv"
-    speed_csv.write_text("q,c\n0.0,0.2\n0.5,0.3\n0.5,0.4\n1.0,0.6\n")
-    raw["hydro"] = {"profile": {"grid": [0, 1], "q_values": [0, 1]},
-                    "speed": {"kind": "table_csv", "path": str(speed_csv)}, "s": 0.1}
+_CSV_HEADERS = {"profile": "t0,q", "speed": "q,c"}
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("profile", None),
+    ("speed", "q,c\n0.0,0.2\n0.5,0.3\n0.5,0.4\n1.0,0.6\n"),
+    *[(kind, text) for kind in ("profile", "speed") for text in (
+        "", "{header}\n", "\n0.0,0.2\n1.0,0.6\n",
+        "{header}\n0.0,nan\n1.0,0.6\n", "{header}\n0.0,0.2\ninf,0.6\n")],
+], ids=["profile-missing", "speed-repeated-q",
+        *[f"{kind}-{case}" for kind in ("profile", "speed")
+          for case in ("empty", "header-only", "blank-first-line", "nan", "inf")]])
+def test_missing_csv_is_config_error(tmp_path, kind, text):
+    # a missing file, a repeated speed q, no data rows, or a non-finite cell
+    path = tmp_path / "table.csv"
+    if text is not None:
+        path.write_text(text.format(header=_CSV_HEADERS[kind]))
+    hydro = {"profile": {"grid": [0, 1], "q_values": [0, 1]},
+             "speed": {"kind": "identity"}, "s": 0.1}
+    if kind == "profile":
+        hydro["profile"] = {"csv": str(path)}
+    else:
+        hydro["speed"] = {"kind": "table_csv", "path": str(path)}
+    raw = {"scenario": "hydro", "output": {"directory": str(tmp_path / "out")}, "hydro": hydro}
     with pytest.raises(ConfigError) as err:
         cli.run_scenario(cli.parse_config(json.dumps(raw)))
     assert [ptr for ptr, _ in err.value.problems] == ["/hydro"]
@@ -248,6 +258,30 @@ def test_grow_summary_folds_step_diagnostics(tmp_path):
     assert summary["min_abs_zprime"] == min(d.min_abs_zprime for d in diags)
     assert summary["max_r_imag_residual"] == max(d.r_imag_residual for d in diags)
     assert 0.0 < summary["min_abs_zprime"] < 1.0
+
+
+def _grow_legs(flows, coeffs=(), **extra):
+    return {"scenario": "grow", **extra,
+            "grow": {"map": {"r": 1.0, "coeffs": list(coeffs)}, "flows": flows}}
+
+
+_T0 = {"kind": "t0_infinity", "duration": 0.1, "steps": 4}
+
+
+@pytest.mark.parametrize("raw, pointer", [
+    # z**k spans powers [-k M, k]; a 128 grid resolves only |m| <= 63
+    (_grow_legs([{"kind": "tk_real", "k": 4, "duration": 0.01, "steps": 1}], [[0, 0], [0.1, 0]],
+                resolution={"M": 16, "n": 128}), "/grow/flows/0/k"),
+    (_grow_legs([_T0, {"kind": "tk_real", "k": 70, "duration": 0.01, "steps": 1}]),
+     "/grow/flows/1/k"),
+    # the leading coefficient driven below zero
+    (_grow_legs([{**_T0, "duration": -2}]), "/grow/flows/0/duration"),
+    (_grow_legs([_T0, {**_T0, "duration": -2}]), "/grow/flows/1/duration"),
+])
+def test_grow_leg_error_is_reported_at_its_leg(tmp_path, raw, pointer):
+    with pytest.raises(ConfigError) as err:
+        cli.run_scenario(cli.parse_config(json.dumps(raw)), out_dir=str(tmp_path))
+    assert [ptr for ptr, _ in err.value.problems] == [pointer]
 
 
 def test_reproducibility_byte_identical(tmp_path):

@@ -163,14 +163,14 @@ def test_green_function_symmetry():
 def test_normal_velocity_circle_darcy():
     m = laurent.LaurentMap(2.0, [])
     v = growth.normal_velocity(m, growth.FlowSpec.t0_infinity(), QUAD)
-    assert_allclose(v.values, 0.25, atol=1e-13)  # 1 / (2 r)
+    assert_allclose(v, 0.25, atol=1e-13)  # 1 / (2 r)
 
 
 def test_normal_velocity_tk_real_circle():
     m = laurent.LaurentMap(1.0, [])
     v = growth.normal_velocity(m, growth.FlowSpec.tk_real(1), QUAD)
-    theta = 2 * np.pi * np.arange(v.n) / v.n
-    assert_allclose(v.values, np.cos(theta), atol=1e-13)
+    theta = 2 * np.pi * np.arange(len(v)) / len(v)
+    assert_allclose(v, np.cos(theta), atol=1e-13)
 
 
 def test_normal_velocity_source_against_fd_oracle():
@@ -184,17 +184,17 @@ def test_normal_velocity_source_against_fd_oracle():
         return np.log(np.abs((z - z0) / (1 - z * np.conj(z0))))
 
     h = 1e-6
-    for i, theta in enumerate(2 * np.pi * np.arange(v.n) / v.n):
+    for i, theta in enumerate(2 * np.pi * np.arange(len(v)) / len(v)):
         nhat = np.exp(1j * theta)
         dn = (g(nhat * (1 + h)) - g(nhat * (1 - h))) / (2 * h)
-        assert abs(v.values[i] - (-0.5 * dn)) < 1e-7
+        assert abs(v[i] - (-0.5 * dn)) < 1e-7
 
 
 def test_normal_velocity_source_far_limit():
     m = laurent.LaurentMap(1.2, [0.1, 0.2])
     v_inf = growth.normal_velocity(m, growth.FlowSpec.t0_infinity(), QUAD)
     v_far = growth.normal_velocity(m, growth.FlowSpec.t0_source(1000 * 1.2), QUAD)
-    rel = np.max(np.abs(v_far.values - v_inf.values)) / np.max(np.abs(v_inf.values))
+    rel = np.max(np.abs(v_far - v_inf)) / np.max(np.abs(v_inf))
     assert rel < 0.01
 
 
@@ -204,12 +204,80 @@ def test_normal_velocity_cusp_rejected():
                                growth.FlowSpec.t0_infinity(), QUAD)
 
 
+class OuterSeries:
+    """Reference series ``c0 + sum_{k>=1} c_k w**(-k)``, summed by Horner off any grid."""
+
+    def __init__(self, c0, tail):
+        self.c0 = complex(c0)
+        self.tail = np.asarray(tail, dtype=complex).reshape(-1)
+
+    def __call__(self, w):
+        w = np.asarray(w, dtype=complex)
+        out = np.full(w.shape, self.c0, dtype=complex)
+        iw = 1.0 / w
+        p = np.ones_like(w)
+        for c in self.tail:
+            p = p * iw
+            out = out + c * p
+        return out
+
+
+def schwarz_extension(h):
+    """Reference ``Phi`` analytic in ``|w| > 1`` with ``Re Phi = h`` on the circle.
+
+    ``h`` holds real samples on the grid: ``c0`` is their mean and
+    ``c_k = 2 h_{-k}`` picks up the negative Fourier modes.
+    """
+    h = np.asarray(h)
+    if np.iscomplexobj(h) and np.max(np.abs(h.imag)) > 1e-13 * max(1.0, float(np.max(np.abs(h)))):
+        raise ValueError("schwarz_extension requires real boundary data")
+    n = len(h)
+    modes = np.fft.fft(h.real.astype(float)) / n
+    return OuterSeries(modes[0].real, 2.0 * modes[n - np.arange(1, n // 2)])
+
+
+def test_schwarz_extension_examples():
+    n = 128
+    theta = 2 * np.pi * np.arange(n) / n
+    phi = schwarz_extension(np.ones(n))
+    assert_allclose(phi.c0, 1.0)
+    assert_allclose(phi.tail, 0.0, atol=1e-14)
+
+    phi = schwarz_extension(np.cos(theta))
+    assert_allclose(phi.c0, 0.0, atol=1e-14)
+    assert_allclose(phi.tail[0], 1.0, atol=1e-13)
+    assert_allclose(phi.tail[1:], 0.0, atol=1e-13)
+
+    phi = schwarz_extension(np.cos(2 * theta) + 3.0)
+    assert_allclose(phi.c0, 3.0, atol=1e-13)
+    assert_allclose(phi.tail[1], 1.0, atol=1e-13)
+
+
+def test_schwarz_extension_rejects_complex():
+    with pytest.raises(ValueError):
+        schwarz_extension(np.full(16, 1.0 + 0.5j))
+
+
+def test_schwarz_roundtrip_random_series():
+    # extension of (Re series on circle) recovers the series, K <= 32
+    rng = np.random.default_rng(7)
+    n = 128
+    w = laurent.circle_grid(n)
+    for _ in range(20):
+        K = int(rng.integers(1, 33))
+        tail = rng.normal(size=K) + 1j * rng.normal(size=K)
+        series = OuterSeries(rng.normal(), tail)
+        h = series(w).real
+        back = schwarz_extension(h)
+        assert_allclose(back(w), series(w), atol=1e-12)
+
+
 def reference_rhs(m, flow, n):
     """Coefficient RHS through the Horner derivative and the OuterSeries Phi."""
     w = laurent.circle_grid(n)
     zp = laurent.derivative(m, w)
-    h = growth.normal_velocity(m, flow, QUAD, n).values / np.abs(zp)
-    modes = np.fft.fft(w * zp * laurent.schwarz_extension(h)(w)) / n
+    h = growth.normal_velocity(m, flow, QUAD, n) / np.abs(zp)
+    modes = np.fft.fft(w * zp * schwarz_extension(h)(w)) / n
     kept = np.zeros(n, dtype=bool)
     kept[[1, *(-np.arange(m.order + 1) % n)]] = True
     return modes[1], modes[-np.arange(m.order + 1) % n], np.sum(np.abs(modes[~kept]) ** 2)
@@ -287,7 +355,7 @@ def test_flow_sign_reverses_velocity():
     m = laurent.LaurentMap(1.0, [0.05])
     fwd = growth.normal_velocity(m, growth.FlowSpec.t0_infinity(), QUAD)
     bwd = growth.normal_velocity(m, growth.FlowSpec.t0_infinity(sign=-1), QUAD)
-    assert_allclose(bwd.values, -fwd.values)
+    assert_allclose(bwd, -fwd)
 
 
 def test_run_empty_schedule():
