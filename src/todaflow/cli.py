@@ -312,7 +312,7 @@ _MEASURE = _kinded({
             "kind": _string().where(
                 lambda k: k == "quadratic_hbar",
                 "only 'quadratic_hbar' (s^2 / (2 hbar)) is available via config"),
-            "coefficient": _number().opt(1.0),
+            "coefficient": _positive().opt(1.0),
         }).opt({"kind": "quadratic_hbar"}),
     }),
 })
@@ -416,21 +416,38 @@ def _float_repr(x) -> str:
     return repr(float(x))
 
 
+def _first_non_finite(obj):
+    """``(*keys, value)`` of the first NaN or infinity in ``obj``, or None.
+
+    ``obj`` nests dicts, lists and tuples; a flat list of numbers is checked
+    in one ``math.isfinite`` pass.
+    """
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else (obj,)
+    if isinstance(obj, (list, tuple)):
+        try:
+            if all(map(math.isfinite, obj)):
+                return None
+        except (TypeError, OverflowError):
+            pass  # not a flat list of numbers
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, (list, tuple)) else ())
+    for key, value in items:
+        bad = _first_non_finite(value)
+        if bad is not None:
+            return (key, *bad)
+    return None
+
+
 def _require_finite(obj, where: str):
     """Raise NonFiniteResultError naming the first NaN or infinity in ``obj``.
 
-    ``obj`` nests dicts, lists and tuples; a value's path extends ``where``
-    by its keys and indices.
+    The value's path extends ``where`` by its keys and indices.
     """
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise NonFiniteResultError(f"{where} is {obj!r}")
-    elif isinstance(obj, dict):
-        for key, value in obj.items():
-            _require_finite(value, f"{where}/{key}")
-    elif isinstance(obj, (list, tuple)):
-        for i, value in enumerate(obj):
-            _require_finite(value, f"{where}/{i}")
+    bad = _first_non_finite(obj)
+    if bad is not None:
+        *keys, value = bad
+        raise NonFiniteResultError(f"{where}{''.join(f'/{k}' for k in keys)} is {value!r}")
 
 
 def _write_csv(path: Path, header, rows):
@@ -442,9 +459,13 @@ def _write_csv(path: Path, header, rows):
 
 
 def _write_json(path: Path, obj):
-    _require_finite(obj, path.name)
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n",
-                    encoding="utf-8")
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        # a NaN or an infinity: name the first one
+        _require_finite(obj, path.name)
+        raise
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _write_svg(path: Path, layers):

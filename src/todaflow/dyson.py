@@ -8,21 +8,22 @@ The eigenvalue integrand is carried around as an energy
     E = - sum_{m != n} log|z_m - z_n|
         + sum_j [ confine(s_j) - (2/hbar) Re sum_k t_k z(s_j)^k ]    (curve)
 
-with ``t0 = hbar * N`` held finite.  The equilibrium configuration is found
-deterministically by one L-BFGS-B driver: over the 2N coordinates in the
-plane, keeping the lowest of a few seeded starts, and over the curve
-parameters on a curve, with the curve's ends as box bounds.  A seeded
-Metropolis sampler provides the finite-hbar
+with ``t0 = hbar * N`` held finite.  Curves are straight, so their pair
+terms are real: one pass gives the pair energy and every pair force.  The
+equilibrium configuration is found deterministically by one L-BFGS-B
+driver: over the 2N coordinates in the plane, keeping the lowest of a few
+seeded starts, and over the curve parameters on a curve, with the curve's
+ends as box bounds.  A seeded Metropolis sampler provides the finite-hbar
 companion; each of its proposals costs O(N), from one distance row and a
 scalar field term.  The support of the minimizer reproduces the growing
 domains of the contour-dynamics module; its boundary is extracted by
 angular binning.
 
-The pair energy holds the N(N-1)/2 distances in one buffer, with no N x N
-matrix or index arrays, and sums them in the order of the matrix form: the
-minimizers are sensitive to that order at the ulp level.  The forces work in
-row blocks of at most ``_REPULSION_BLOCK`` pair terms, so their memory is
-O(N).
+The pair energies hold the N(N-1)/2 distances in one buffer in ``triu``
+order, with no N x N matrix or index arrays, and sum it in one ``np.sum``:
+the minimizers are sensitive to that order at the ulp level, and on the
+real line it makes the real and complex kernels agree bit for bit.  The
+forces work in row blocks of at most ``_REPULSION_BLOCK`` pair terms.
 """
 
 from __future__ import annotations
@@ -45,82 +46,52 @@ MIN_SEPARATION = 1e-12
 _PLANE_STARTS = 6
 # pair terms per row block of the force kernel: one block up to N = 256
 _REPULSION_BLOCK = 65536
+# smaller for the line kernel: at 65536 its pages were refaulted on every call
+_LINE_BLOCK = 16384
 
 
 @dataclass(frozen=True)
 class CurveSpec:
-    """Support curve for singular measures: the real line, a ray, or a table.
+    """Straight support curve ``z(s) = z0 + direction * s`` for ``lo <= s <= hi``.
 
-    A ray has a hard endpoint at ``z0`` (parameter ``s >= 0``); a parametric
-    curve interpolates a caller-supplied arc-length sample table.
+    ``direction`` is normalized to modulus 1, so ``s`` is arc length,
+    ``dz/ds = direction`` and ``|z_m - z_n| = |s_m - s_n|``.  Either end may
+    be infinite: the real line has no end, a ray a hard endpoint at ``z0``
+    (``s >= 0``), and a segment two.
     """
 
-    kind: str
     z0: complex = 0j
     direction: complex = 1 + 0j
-    s_table: np.ndarray | None = None
-    z_table: np.ndarray | None = None
+    lo: float = -np.inf
+    hi: float = np.inf
 
     def __post_init__(self):
-        if self.kind not in ("real_line", "ray", "parametric"):
-            raise ValueError(f"unknown curve kind {self.kind!r}")
-        if self.kind == "ray":
-            d = complex(self.direction)
-            if d == 0:
-                raise ValueError("ray direction must be nonzero")
-            object.__setattr__(self, "direction", d / abs(d))
-        if self.kind == "parametric":
-            s = np.asarray(self.s_table, dtype=float)
-            z = np.asarray(self.z_table, dtype=complex)
-            if s.ndim != 1 or s.shape != z.shape or len(s) < 2 or np.any(np.diff(s) <= 0):
-                raise ValueError("parametric curve needs matching tables over increasing s")
-            object.__setattr__(self, "s_table", s)
-            object.__setattr__(self, "z_table", z)
+        d = complex(self.direction)
+        if d == 0:
+            raise ValueError("curve direction must be nonzero")
+        if not float(self.lo) < float(self.hi):
+            raise ValueError("curve needs lo < hi")
+        object.__setattr__(self, "z0", complex(self.z0))
+        object.__setattr__(self, "direction", d / abs(d))
 
     @classmethod
     def real_line(cls) -> "CurveSpec":
-        return cls("real_line")
+        return cls()
 
     @classmethod
     def ray(cls, z0: complex, direction: complex) -> "CurveSpec":
-        return cls("ray", z0=complex(z0), direction=complex(direction))
+        return cls(z0, direction, lo=0.0)
+
+    @classmethod
+    def segment(cls, lo: float, hi: float, z0=0j, direction=1 + 0j) -> "CurveSpec":
+        return cls(z0, direction, lo, hi)
 
     @property
     def bounds(self):
-        if self.kind == "real_line":
-            return (-np.inf, np.inf)
-        if self.kind == "ray":
-            return (0.0, np.inf)
-        return (float(self.s_table[0]), float(self.s_table[-1]))
+        return (self.lo, self.hi)
 
     def point(self, s):
-        s = np.asarray(s, dtype=float)
-        if self.kind == "real_line":
-            out = s.astype(complex)
-        elif self.kind == "ray":
-            out = self.z0 + self.direction * s
-        else:
-            out = np.interp(s, self.s_table, self.z_table.real) + 1j * np.interp(
-                s, self.s_table, self.z_table.imag
-            )
-        return out if out.ndim else complex(out)
-
-    def velocity(self, s):
-        """dz/ds: the unit tangent on a line or ray, a central difference on a table."""
-        s = np.asarray(s, dtype=float)
-        if self.kind == "real_line":
-            out = np.ones(s.shape, dtype=complex)
-        elif self.kind == "ray":
-            out = np.full(s.shape, self.direction, dtype=complex)
-        else:
-            h = 1e-6 * max(1.0, float(self.s_table[-1] - self.s_table[0]))
-            out = (np.asarray(self.point(s + h)) - np.asarray(self.point(s - h))) / (2.0 * h)
-        return out if out.ndim else complex(out)
-
-    def tangent(self, s):
-        out = np.asarray(self.velocity(s))
-        if self.kind == "parametric":
-            out = out / np.abs(out)
+        out = self.z0 + self.direction * np.asarray(s, dtype=float)
         return out if out.ndim else complex(out)
 
 
@@ -171,27 +142,33 @@ class GasConfig:
         object.__setattr__(self, "times", times)
         if self.measure not in ("plane", "curve"):
             raise ValueError(f"unknown measure {self.measure!r}")
-        if self.measure == "curve":
-            if self.curve is None or self.confine is None:
-                raise ValueError("curve measure needs a CurveSpec and a confine callable")
-        else:
-            _check_confining(self.potential, times, self.t0)
+        if self.measure == "curve" and (self.curve is None or self.confine is None):
+            raise ValueError("curve measure needs a CurveSpec and a confine callable")
+        _check_confining(self)
 
     @property
     def t0(self) -> float:
         return self.hbar * self.N
 
 
-def _check_confining(potential: PotentialSpec, times: np.ndarray, t0: float):
-    """Reject plane potentials that lose to the harmonic terms at infinity."""
-    radius = 50.0 * max(1.0, math.sqrt(max(t0, 1e-12)))
-    ring = radius * np.exp(2j * np.pi * np.arange(64) / 64)
-    drive = 2.0 * np.real(_times_polynomial(times, ring))
-    margin = potential.value_at(ring) - drive
-    if np.any(margin <= 0):
-        raise ValueError(
-            "potential is not confining: the harmonic drive wins on the far-field ring"
-        )
+def _check_confining(config: GasConfig):
+    """Reject fields whose one-particle energy is not positive far away.
+
+    Far away is the ring ``|z| = R = 50 max(1, sqrt(t0))`` in the plane, and
+    ``s = -R`` or ``s = R`` at a curve's infinite ends.
+    """
+    radius = 50.0 * max(1.0, math.sqrt(max(config.t0, 1e-12)))
+    if config.measure == "plane":
+        far = radius * np.exp(2j * np.pi * np.arange(64) / 64)
+        field_energy = config.potential.value_at(far)
+    else:
+        lo, hi = config.curve.bounds
+        s = np.array([end for end, bound in ((-radius, lo), (radius, hi)) if np.isinf(bound)])
+        far = config.curve.point(s)
+        field_energy = config.hbar * np.asarray(config.confine(s), dtype=float)
+    if not np.all(field_energy - 2.0 * np.real(_times_polynomial(config.times, far)) > 0):
+        raise ValueError(f"{config.measure} field is not confining: "
+                         "the harmonic drive wins in the far field")
 
 
 def _times_polynomial(times: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -289,18 +266,17 @@ def energy(state, config: GasConfig) -> float:
 
 
 def _energy_raw(z: np.ndarray, s, config: GasConfig) -> float:
+    if config.measure == "curve":
+        if s is None:
+            raise ValueError("curve-measure energy needs the parameter vector")
+        return _curve_energy_gradient(z, s, config)[0]
     pair = _pair_log_sum(z)
     if pair == -np.inf:
         log.debug("coincident particles: energy sentinel +inf")
         return np.inf
     drive = 2.0 * np.real(np.sum(_times_polynomial(config.times, z)))
-    if config.measure == "plane":
-        field_term = float(np.sum(config.potential.value_at(z))) - drive
-        return -pair + field_term / config.hbar
-    if s is None:
-        raise ValueError("curve-measure energy needs the parameter vector")
-    confine_term = float(np.sum(np.asarray(config.confine(s), dtype=float)))
-    return -pair + confine_term - drive / config.hbar
+    field_term = float(np.sum(config.potential.value_at(z))) - drive
+    return -pair + field_term / config.hbar
 
 
 def _potential_wirtinger(potential: PotentialSpec, z: np.ndarray) -> np.ndarray:
@@ -342,19 +318,51 @@ def _confine_derivative(confine, s: np.ndarray) -> np.ndarray:
     return (np.asarray(confine(s + h), dtype=float) - np.asarray(confine(s - h), dtype=float)) / (2.0 * h)
 
 
-def _curve_param_forces(s: np.ndarray, config: GasConfig) -> np.ndarray:
-    """Descent direction in the curve parameter (force = -dE/ds)."""
-    z = config.curve.point(s)
-    complex_part = _repulsion(z) + np.conj(_times_polynomial_derivative(config.times, z)) / config.hbar
-    return (2.0 * np.real(complex_part * np.conj(config.curve.velocity(s)))
-            - _confine_derivative(config.confine, s))
+def _line_pair_pass(s: np.ndarray):
+    """``sum_{m != n} log|s_m - s_n|`` and every ``sum_{m != j} 1 / (s_j - s_m)``.
+
+    Each row block of differences fills its ``triu`` part into the distance
+    buffer of ``_pair_log_sum``, summed the same way, and its rows give the
+    forces; points closer than ``MIN_SEPARATION`` return ``(-inf, None)``.
+    """
+    n = len(s)
+    d = np.empty(n * (n - 1) // 2)
+    repulsion = np.empty(n)
+    col = np.arange(n)
+    rows = max(1, _LINE_BLOCK // max(n, 1))
+    start = 0
+    for r0 in range(0, n, rows):
+        r1 = min(n, r0 + rows)
+        diff = s[r0:r1, None] - s
+        upper = diff[col > col[r0:r1, None]]
+        stop = start + len(upper)
+        if stop > start and np.abs(upper, out=d[start:stop]).min() < MIN_SEPARATION:
+            return -np.inf, None
+        start = stop
+        diff[col[:r1 - r0], col[r0:r1]] = np.inf
+        np.divide(1.0, diff, out=diff).sum(axis=1, out=repulsion[r0:r1])
+    return 2.0 * float(np.sum(np.log(d, out=d))), repulsion
+
+
+def _curve_energy_gradient(z: np.ndarray, s: np.ndarray, config: GasConfig):
+    """Energy and ``dE/ds`` at ``z = curve.point(s)``; no gradient where E is not finite."""
+    pair, repulsion = _line_pair_pass(s)
+    if repulsion is None:
+        log.debug("coincident particles: energy sentinel +inf")
+        return np.inf, None
+    drive = 2.0 * np.real(np.sum(_times_polynomial(config.times, z)))
+    e = -pair + float(np.sum(np.asarray(config.confine(s), dtype=float))) - drive / config.hbar
+    if not e < np.inf:
+        return e, None
+    drive_force = 2.0 * np.real(_times_polynomial_derivative(config.times, z) * config.curve.direction)
+    return e, _confine_derivative(config.confine, s) - 2.0 * repulsion - drive_force / config.hbar
 
 
 def forces(state, config: GasConfig) -> np.ndarray:
     """Descent direction: ``z + gamma * force`` lowers the energy to first order.
 
-    Curve measures project onto the curve tangent; at a ray endpoint the
-    inward wall component is clamped to zero (hard wall).
+    Curve measures return the parameter force times the curve's direction;
+    at a curve end the push into the wall is clamped to zero (hard wall).
     """
     if isinstance(state, GasState):
         z, s = state.positions, state.params
@@ -364,15 +372,16 @@ def forces(state, config: GasConfig) -> np.ndarray:
         return _plane_forces(z, config)
     if s is None:
         raise ValueError("curve-measure forces need the parameter vector")
-    return _wall_clamped(s, _curve_param_forces(s, config), config.curve) * config.curve.tangent(s)
+    grad = _curve_energy_gradient(z, s, config)[1]
+    if grad is None:
+        raise ValueError("a configuration of infinite energy has no forces")
+    return _wall_clamped(s, -grad, config.curve) * config.curve.direction
 
 
 def _wall_clamped(s: np.ndarray, f_s: np.ndarray, curve: CurveSpec) -> np.ndarray:
     """Parameter forces with every push into a curve wall set to zero."""
-    lo, hi = curve.bounds
-    at_low_wall = (s <= lo + 1e-12) & (f_s < 0) if np.isfinite(lo) else np.zeros(len(s), bool)
-    at_high_wall = (s >= hi - 1e-12) & (f_s > 0) if np.isfinite(hi) else np.zeros(len(s), bool)
-    return np.where(at_low_wall | at_high_wall, 0.0, f_s)
+    pushed = ((s <= curve.lo + 1e-12) & (f_s < 0)) | ((s >= curve.hi - 1e-12) & (f_s > 0))
+    return np.where(pushed, 0.0, f_s)
 
 
 def _initial_configuration(config: GasConfig, rng: np.random.Generator):
@@ -384,7 +393,7 @@ def _initial_configuration(config: GasConfig, rng: np.random.Generator):
     span = 2.0 * math.sqrt(config.t0)
     lo, hi = config.curve.bounds
     a = lo if np.isfinite(lo) else -span
-    b = min(hi, a + 2.0 * span) if np.isfinite(hi) else a + 2.0 * span
+    b = min(hi, a + 2.0 * span)
     s = np.sort(rng.uniform(a, b, config.N))
     return config.curve.point(s), s
 
@@ -409,12 +418,10 @@ def minimize(config: GasConfig) -> GasState:
     tol = sched.tolerance if sched.tolerance is not None else 1e-8 * config.N / config.hbar
     if config.measure == "curve":
         curve = config.curve
-        lo, hi = curve.bounds
-        bounds = [(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)] * config.N
+        bounds = [curve.bounds] * config.N
         _, s0 = _initial_configuration(config, np.random.default_rng(config.seed))
         s, trace, evaluations = _lbfgs(
-            lambda s: _energy_raw(curve.point(s), s, config),
-            lambda s: -_curve_param_forces(s, config),
+            lambda s: _curve_energy_gradient(curve.point(s), s, config),
             lambda s, grad: float(np.max(np.abs(_wall_clamped(s, -grad, curve)))),
             s0, bounds, tol, sched.max_iterations)
         z = curve.point(s)
@@ -422,11 +429,12 @@ def minimize(config: GasConfig) -> GasState:
         n = config.N
         to_z = lambda x: x[:n] + 1j * x[n:]
 
-        def gradient(x):
-            f = _plane_forces(to_z(x), config)
-            return -2.0 * np.concatenate((f.real, f.imag))
+        def plane_fun(x):
+            e = _energy_raw(to_z(x), None, config)
+            f = _plane_forces(to_z(x), config) if e < np.inf else None
+            return e, None if f is None else -2.0 * np.concatenate((f.real, f.imag))
 
-        runs = [_lbfgs(lambda x: _energy_raw(to_z(x), None, config), gradient,
+        runs = [_lbfgs(plane_fun,
                        lambda x, grad: 0.5 * float(np.max(np.hypot(grad[:n], grad[n:]))),
                        np.concatenate((z0.real, z0.imag)), None, tol, sched.max_iterations)
                 for z0 in _plane_starts(config)]
@@ -448,14 +456,13 @@ def _plane_starts(config: GasConfig) -> list:
     return [_initial_configuration(config, rng)[0] for rng in rngs]
 
 
-def _lbfgs(energy, gradient, residual, x0: np.ndarray, bounds, tol: float,
-           max_iterations: int):
+def _lbfgs(fun, residual, x0: np.ndarray, bounds, tol: float, max_iterations: int):
     """L-BFGS-B from ``x0``; returns the last iterate, the trace and the evaluation count.
 
-    ``gradient(x)`` is called only where ``energy(x)`` is finite, and
-    ``residual(x, gradient(x))`` is the largest force.  Trace row 0 is the
-    start and row ``i`` the ``(i, energy, residual)`` of the iterate after
-    ``i`` quasi-Newton iterations; the evaluation count is energy plus
+    ``fun(x)`` is the energy and its gradient (None where the energy is not
+    finite), and ``residual(x, gradient)`` the largest force.  Trace row 0
+    is the start and row ``i`` the ``(i, energy, residual)`` of the iterate
+    after ``i`` quasi-Newton iterations; the evaluation count is energy plus
     gradient evaluations.  scipy's own stopping tests are off: the run stops
     once the residual is below ``tol``, after ``max_iterations`` iterations,
     or when the line search can make no more progress.
@@ -467,12 +474,8 @@ def _lbfgs(energy, gradient, residual, x0: np.ndarray, bounds, tol: float,
         """Energy and gradient at ``x``, computed once per distinct ``x``."""
         nonlocal evaluations
         if not np.array_equal(x, last["x"]):
-            e = energy(x)
-            evaluations += 1
-            grad = None
-            if e < np.inf:
-                grad = gradient(x)
-                evaluations += 1
+            e, grad = fun(x)
+            evaluations += 1 if grad is None else 2
             last.update(x=x.copy(), e=e, grad=grad)
         return last["e"], last["grad"]
 
@@ -570,20 +573,22 @@ def _particle_field(config: GasConfig):
 def _proposal_delta(config: GasConfig):
     """``delta(z, s, j, z_new, s_new)``: the energy change of moving particle j.
 
-    The pair change comes from one distance row to all N particles with
-    entry j masked to 1, in buffers allocated once, so a proposal costs O(N)
-    with no temporaries; a move closer than ``MIN_SEPARATION`` to another
-    particle costs ``+inf``.
+    The pair change comes from one distance row to all N particles (real
+    ``|s - s_new|`` on a curve) with entry j masked to 1, in buffers
+    allocated once, so a proposal costs O(N) with no temporaries; a move
+    closer than ``MIN_SEPARATION`` to another particle costs ``+inf``.
     """
     field = _particle_field(config)
-    diff = np.empty(config.N, dtype=complex)
+    on_curve = config.measure == "curve"
+    diff = np.empty(config.N, dtype=float if on_curve else complex)
     d_new = np.empty(config.N)
     d_old = np.empty(config.N)
 
     def delta(z, s, j, z_new, s_new):
         z_old = complex(z[j])
-        np.abs(np.subtract(z, z_new, out=diff), out=d_new)
-        np.abs(np.subtract(z, z_old, out=diff), out=d_old)
+        x, x_new, x_old = (s, s_new, s[j]) if on_curve else (z, z_new, z_old)
+        np.abs(np.subtract(x, x_new, out=diff), out=d_new)
+        np.abs(np.subtract(x, x_old, out=diff), out=d_old)
         d_new[j] = d_old[j] = 1.0
         if d_new.min() < MIN_SEPARATION:
             return np.inf
@@ -616,23 +621,21 @@ def metropolis(config: GasConfig, sweeps: int) -> MetropolisRun:
     # the same draws as rng.normal() and rng.uniform(), with less call overhead
     normal, uniform = rng.standard_normal, rng.random
 
-    samples = []
-    windows = []
-    accepted = 0
-    proposed = 0
-    tune_acc = 0
-    tune_prop = 0
-    # an unbounded end is +-inf, which no proposal crosses
-    lo, hi = config.curve.bounds if on_curve else (None, None)
+    samples, windows = [], []
+    accepted = proposed = tune_acc = tune_prop = 0
+    if on_curve:
+        # an unbounded end is +-inf, which no proposal crosses
+        lo, hi = config.curve.bounds
+        z0, direction = config.curve.z0, config.curve.direction
     for sweep in range(1, sweeps + 1):
         for j in range(config.N):
             proposed += 1
             tune_prop += 1
             if on_curve:
-                s_new = s[j] + scale * normal()
+                s_new = float(s[j]) + scale * normal()
                 if s_new < lo or s_new > hi:
                     continue
-                z_new = complex(config.curve.point(s_new))
+                z_new = z0 + direction * s_new
             else:
                 s_new = None
                 z_new = complex(z[j]) + scale * (normal() + 1j * normal())

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from todaflow import cli, growth, laurent, svgout
-from todaflow.errors import ConfigError
+from todaflow.errors import ConfigError, NonFiniteResultError
 
 
 def strict_json(text):
@@ -449,6 +449,44 @@ def test_parse_rejects_zero_ray_direction():
     with pytest.raises(ConfigError) as err:
         cli.parse_config(json.dumps(raw))
     assert [ptr for ptr, _ in err.value.problems] == ["/dyson/measure/curve/direction"]
+
+
+def _curve_measure(curve, **confine):
+    return {"kind": "curve", "curve": curve, "confine": {"kind": "quadratic_hbar", **confine}}
+
+
+_REAL_LINE = {"kind": "real_line"}
+_RAY = {"kind": "ray", "z0": [0.0, 0.0], "direction": [1.0, 0.0]}
+
+
+@pytest.mark.parametrize("measure, times, pointer", [
+    # unchecked, these ran to status ok: the particles spread until the forces fell below tol
+    (_curve_measure(_REAL_LINE, coefficient=0), [], "/dyson/measure/confine/coefficient"),
+    (_curve_measure(_REAL_LINE, coefficient=-1), [], "/dyson/measure/confine/coefficient"),
+    (_curve_measure(_RAY, coefficient=0), [], "/dyson/measure/confine/coefficient"),
+    # t2 beats s^2 / (2 hbar); unchecked, the run stopped unconverged after 0 iterations
+    (_curve_measure(_REAL_LINE), [[0, 0], [2, 0]], "/dyson"),
+], ids=["line-free", "line-repelling", "ray-free", "line-t2"])
+def test_non_confining_curve_gas_is_a_config_error(tmp_path, capsys, measure, times, pointer):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"scenario": "dyson",
+                                    "dyson": {"N": 8, "hbar": 0.1, "times": times,
+                                              "measure": measure}}))
+    assert cli.main([str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert f"config error at {pointer}: " in capsys.readouterr().err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+def test_strict_writers_name_the_first_non_finite_value(tmp_path):
+    rows = [[0, 1.0, 2.0], [1, 3.0, float("nan")], [2, float("inf"), 0.5]]
+    with pytest.raises(NonFiniteResultError) as err:
+        cli._write_csv(tmp_path / "rows.csv", ["i", "a", "b"], rows)
+    assert str(err.value) == "rows.csv/1/2 is nan"
+    payload = {"b": [[1.0], [2.0, np.float64("-inf"), float("nan")]], "a": float("nan")}
+    with pytest.raises(NonFiniteResultError) as err:
+        cli._write_json(tmp_path / "nested.json", payload)
+    assert str(err.value) == "nested.json/b/1/1 is np.float64(-inf)"
+    assert not (tmp_path / "rows.csv").exists() and not (tmp_path / "nested.json").exists()
 
 
 @pytest.mark.parametrize("raw", [

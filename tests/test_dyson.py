@@ -96,16 +96,14 @@ def test_forces_match_energy_finite_difference():
 
 
 def test_curve_forces_match_energy_finite_difference():
-    # a table that is not parametrized by arc length: the force must use
-    # dz/ds, not the unit tangent
-    table_s = np.linspace(-2.0, 2.0, 81)
-    curve = dyson.CurveSpec(kind="parametric", s_table=table_s,
-                            z_table=table_s + 0.3j * table_s ** 2)
+    # an off-axis ray with a complex time: the drive's force must be taken
+    # along the curve's direction
+    curve = dyson.CurveSpec.ray(0.5 + 0.5j, 1.0 + 1.0j)
     hbar = 0.2
     cfg = dyson.GasConfig(N=4, hbar=hbar, times=[0.1j], measure="curve", curve=curve,
                           confine=lambda s: np.asarray(s) ** 2 / (2 * hbar), seed=0)
-    s = np.array([-1.21, -0.37, 0.42, 1.13])  # each at least 0.01 from a node
-    force = np.real(dyson.forces(dyson.GasState(curve.point(s), s), cfg) * np.conj(curve.tangent(s)))
+    s = np.array([0.21, 0.79, 1.42, 2.13])
+    force = np.real(dyson.forces(dyson.GasState(curve.point(s), s), cfg) * np.conj(curve.direction))
     eps = 1e-5
     for j in range(4):
         up, down = s.copy(), s.copy()
@@ -211,11 +209,10 @@ def test_minimize_ray_wall_saturates():
 
 
 @pytest.mark.filterwarnings("error")
-def test_minimize_parametric_walls():
-    # the table is narrower than the droplet, so particles press against
+def test_minimize_segment_walls():
+    # the segment is narrower than the droplet, so particles press against
     # both ends; trial points that stack them on a wall must not stall the run
-    table_s = np.linspace(-0.5, 0.5, 11)
-    curve = dyson.CurveSpec(kind="parametric", s_table=table_s, z_table=table_s.astype(complex))
+    curve = dyson.CurveSpec.segment(-0.5, 0.5)
     hbar = 1.0 / 20
     cfg = dyson.GasConfig(N=20, hbar=hbar, measure="curve", curve=curve,
                           confine=lambda s: np.asarray(s) ** 2 / (2 * hbar), seed=3)
@@ -285,11 +282,10 @@ def test_support_boundary_bin_reduction():
     assert len(support.boundary) < 32
 
 
-def test_parametric_curve_matches_real_line_segment():
-    # a parametric table sampling the real axis must reproduce the real-line
-    # energy for configurations inside the table's range
-    table_s = np.linspace(-3.0, 3.0, 61)
-    curve = dyson.CurveSpec(kind="parametric", s_table=table_s, z_table=table_s.astype(complex))
+def test_segment_matches_the_real_line():
+    # a real segment must reproduce the real-line energy for configurations
+    # inside its range
+    curve = dyson.CurveSpec.segment(-3.0, 3.0)
     hbar = 0.25
     confine = lambda s: np.asarray(s) ** 2 / (2 * hbar)
     cfg_par = dyson.GasConfig(N=5, hbar=hbar, measure="curve", curve=curve,
@@ -301,7 +297,7 @@ def test_parametric_curve_matches_real_line_segment():
     state_line = dyson.GasState(s.astype(complex), s)
     assert_allclose(dyson.energy(state_par, cfg_par), dyson.energy(state_line, cfg_line),
                     atol=1e-12)
-    assert_allclose(curve.tangent(0.3), 1.0 + 0j, atol=1e-9)
+    assert_allclose(curve.direction, 1.0 + 0j, atol=1e-9)
 
 
 def test_free_energy_single_particle():
@@ -332,6 +328,44 @@ def test_config_validation():
         dyson.GasConfig(N=4, hbar=1.0, times=[0, 0, 0.5])
     with pytest.raises(ValueError, match="t0"):
         dyson.GasConfig(N=20, hbar=1e307)  # t0 = hbar * N overflows
+
+
+def _curve_gas(curve, coefficient=1.0, times=()):
+    return dyson.GasConfig(N=8, hbar=0.1, times=times, measure="curve", curve=curve,
+                           confine=lambda s: coefficient * np.asarray(s) ** 2 / 0.2)
+
+
+@pytest.mark.parametrize("curve, coefficient, times", [
+    (dyson.CurveSpec.real_line(), 0.0, ()),
+    (dyson.CurveSpec.real_line(), -1.0, ()),
+    (dyson.CurveSpec.ray(0j, 1.0), 0.0, ()),
+    (dyson.CurveSpec.real_line(), 1.0, (0, 2)),  # t2 beats s^2 / (2 hbar)
+    (dyson.CurveSpec.ray(0j, 1.0), 1.0, (0, 0, 0.01)),  # t3 wins at s = +50
+], ids=["line-free", "line-repelling", "ray-free", "line-t2", "ray-t3"])
+def test_curve_gas_must_be_confining(curve, coefficient, times):
+    with pytest.raises(ValueError, match="not confining"):
+        _curve_gas(curve, coefficient, times)
+
+
+def test_curve_confinement_checks_only_infinite_ends():
+    # a segment confines any field; a ray needs it only along its direction,
+    # where t3 pulls inward
+    assert _curve_gas(dyson.CurveSpec.segment(-1.0, 1.0), coefficient=0.0).N == 8
+    assert _curve_gas(dyson.CurveSpec.ray(0j, -1.0), times=(0, 0, 0.01)).N == 8
+
+
+@pytest.mark.parametrize("kwargs", [{"direction": 0j}, {"lo": 1.0, "hi": 1.0},
+                                    {"lo": np.nan}])
+def test_curve_spec_rejects_invalid_curves(kwargs):
+    with pytest.raises(ValueError):
+        dyson.CurveSpec(**kwargs)
+
+
+def test_curve_spec_normalizes_the_direction():
+    curve = dyson.CurveSpec.ray(1.0 + 1.0j, 3.0 + 4.0j)
+    assert curve.bounds == (0.0, np.inf)
+    assert curve.direction == pytest.approx(0.6 + 0.8j, rel=1e-15)
+    assert curve.point(2.0) == pytest.approx(2.2 + 2.6j, rel=1e-15)
 
 
 def test_gas_state_t0_invariant():
@@ -391,6 +425,34 @@ def test_kernels_run_in_bounded_memory():
     assert peak_forces <= bound
 
 
+def test_line_pair_pass_runs_in_bounded_memory():
+    s = np.random.default_rng(0).normal(size=4096)
+    tracemalloc.start()
+    try:
+        pair, repulsion = dyson._line_pair_pass(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(pair) and np.all(np.isfinite(repulsion))
+    assert peak <= 80 * 2 ** 20
+
+
+@pytest.mark.parametrize("n_particles", [1, 2, 3, 64, 256, 257, 1024])
+def test_line_pair_pass_equals_the_complex_kernels(n_particles):
+    # the real line's distances in the same buffer order: the same energy bits
+    s = np.random.default_rng(n_particles).normal(size=n_particles)
+    pair, repulsion = dyson._line_pair_pass(s)
+    assert pair == dyson._pair_log_sum(s.astype(complex))
+    reference = dyson._repulsion(s.astype(complex))
+    assert np.max(np.abs(repulsion - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s", [[0.0, 1.0, 1.0 + 1e-13, 2.0], [0.5, -1.0, 0.5]])
+def test_line_pair_pass_stops_at_coincident_points(s):
+    assert dyson._line_pair_pass(np.array(s)) == (-np.inf, None)
+
+
 @pytest.mark.parametrize("z, accepted", [
     ([0.0, 1e-12], False),
     ([0.0, 2e-12], True),
@@ -427,15 +489,13 @@ def _ray():
                            confine=lambda s: np.asarray(s) ** 2 / 0.4)
 
 
-def _parametric():
-    table_s = np.linspace(-2.0, 2.0, 81)
-    curve = dyson.CurveSpec(kind="parametric", s_table=table_s,
-                            z_table=table_s + 0.3j * table_s ** 2)
+def _segment():
+    curve = dyson.CurveSpec.segment(-2.0, 2.0, z0=0.3j, direction=1.0 + 0.2j)
     return dyson.GasConfig(N=12, hbar=0.2, times=[0.1j, 0.02], measure="curve", curve=curve,
                            confine=lambda s: np.asarray(s) ** 2 / 0.4)
 
 
-@pytest.mark.parametrize("make_config", [_plane_with_times, _custom_potential, _ray, _parametric])
+@pytest.mark.parametrize("make_config", [_plane_with_times, _custom_potential, _ray, _segment])
 def test_proposal_delta_matches_the_energy_difference(make_config):
     cfg = make_config()
     rng = np.random.default_rng(3)
@@ -461,6 +521,49 @@ def test_proposal_delta_matches_the_energy_difference(make_config):
             after - before, rel=1e-9)
     # a move onto another particle is never accepted
     assert delta(z.copy(), s, 0, complex(z[1]), None if s is None else s[1]) == np.inf
+
+
+def curve_energy_gradient_reference(z, s, config):
+    """E and dE/ds from the complex plane kernels, as curves used before their real pass."""
+    drive = 2.0 * np.real(np.sum(dyson._times_polynomial(config.times, z)))
+    e = -dyson._pair_log_sum(z) + float(np.sum(config.confine(s))) - drive / config.hbar
+    pull = (dyson._repulsion(z)
+            + np.conj(dyson._times_polynomial_derivative(config.times, z)) / config.hbar)
+    force = (2.0 * np.real(pull * np.conj(config.curve.direction))
+             - dyson._confine_derivative(config.confine, s))
+    return e, -force
+
+
+@pytest.mark.parametrize("make_config", [lambda: real_line_gas(40, seed=0), _ray, _segment],
+                         ids=["real_line", "ray", "segment"])
+def test_curve_kernel_equals_the_complex_reference(make_config):
+    cfg = make_config()
+    s = np.sort(np.random.default_rng(5).uniform(0.0, 1.8, cfg.N))
+    z = cfg.curve.point(s)
+    e, grad = dyson._curve_energy_gradient(z, s, cfg)
+    e_ref, grad_ref = curve_energy_gradient_reference(z, s, cfg)
+    assert e == pytest.approx(e_ref, rel=1e-12, abs=0)
+    assert np.max(np.abs(grad - grad_ref)) <= 1e-12 * np.max(np.abs(grad_ref))
+    if cfg.curve == dyson.CurveSpec.real_line():
+        assert e == e_ref
+
+
+def real_line_minimum_energy(n_particles, hbar):
+    """E_min of the real-line gas in s^2 / (2 hbar): its ground state is the
+    scaled Hermite point set."""
+    return (n_particles * (n_particles - 1) / 2 * (1.0 - math.log(hbar))
+            - sum(k * math.log(k) for k in range(1, n_particles + 1)))
+
+
+@pytest.mark.parametrize("n_particles, hbar", [(64, 1 / 64), (256, 1 / 256), (64, 0.05)])
+def test_minimize_real_line_energy_equals_the_closed_form(n_particles, hbar):
+    cfg = dyson.GasConfig(N=n_particles, hbar=hbar, measure="curve",
+                          curve=dyson.CurveSpec.real_line(),
+                          confine=lambda s: s ** 2 / (2 * hbar), seed=1)
+    state = dyson.minimize(cfg)
+    assert state.converged
+    exact = real_line_minimum_energy(n_particles, hbar)
+    assert abs(state.energy - exact) <= 1e-12 * abs(exact)
 
 
 def metropolis_reference(config, sweeps):
