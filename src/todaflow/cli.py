@@ -253,6 +253,11 @@ def _burn_in_below_sweeps(v):
         yield "schedule/burn_in", "must be less than sweeps"
 
 
+def _plane_bins(v):
+    if v["measure"]["kind"] == "plane" and v["bins"] < 4:
+        yield "bins", "must be >= 4 for a plane measure"
+
+
 def _t0_finite(v):
     try:
         finite = math.isfinite(v["hbar"] * v["N"])
@@ -354,7 +359,7 @@ _SECTIONS = {
             "proposal_scale": _positive().opt(),
             "burn_in": _integer().opt().where(lambda b: b >= 0, "must be >= 0"),
         }).opt({}),
-    }, _burn_in_below_sweeps, _t0_finite),
+    }, _burn_in_below_sweeps, _plane_bins, _t0_finite),
     "moments": _object({"map": _MAP, "order": _count().opt(16)}),
 }
 _SEED = _integer().opt(0).where(lambda s: s >= 0, "must be >= 0")
@@ -655,20 +660,14 @@ def _build_gas_config(cfg: ScenarioConfig) -> dyson.GasConfig:
     p = cfg.params
     sched_kwargs = {k: v for k, v in (p.get("schedule") or {}).items() if v is not None}
     schedule = dyson.Schedule(**sched_kwargs)
-    times = np.array(p["times"], dtype=complex)
     measure = p["measure"]
-    if measure["kind"] == "plane":
-        return dyson.GasConfig(N=p["N"], hbar=p["hbar"], times=times, measure="plane",
-                               seed=cfg.seed, schedule=schedule)
-    curve_spec = measure["curve"]
-    if curve_spec["kind"] == "real_line":
-        curve = dyson.CurveSpec.real_line()
-    else:
-        curve = dyson.CurveSpec.ray(curve_spec["z0"], curve_spec["direction"])
-    coeff = measure["confine"]["coefficient"]
-    hbar = p["hbar"]
-    confine = lambda s: coeff * np.asarray(s) ** 2 / (2.0 * hbar)
-    return dyson.GasConfig(N=p["N"], hbar=hbar, times=times, measure="curve",
+    curve, confine = None, 1.0
+    if measure["kind"] == "curve":
+        spec = measure["curve"]
+        curve = (dyson.CurveSpec.real_line() if spec["kind"] == "real_line"
+                 else dyson.CurveSpec.ray(spec["z0"], spec["direction"]))
+        confine = measure["confine"]["coefficient"]
+    return dyson.GasConfig(N=p["N"], hbar=p["hbar"], times=np.array(p["times"], dtype=complex),
                            curve=curve, confine=confine, seed=cfg.seed, schedule=schedule)
 
 

@@ -3,21 +3,22 @@
 The eigenvalue integrand is carried around as an energy
 
     E = - sum_{m != n} log|z_m - z_n|
-        + (1/hbar) sum_j [ U(z_j) - 2 Re sum_k t_k z_j^k ]           (plane)
+        + (1/hbar) sum_j [ |z_j|^2 - 2 Re sum_k t_k z_j^k ]           (plane)
 
     E = - sum_{m != n} log|z_m - z_n|
-        + sum_j [ confine(s_j) - (2/hbar) Re sum_k t_k z(s_j)^k ]    (curve)
+        + (1/hbar) sum_j [ c s_j^2 / 2 - 2 Re sum_k t_k z(s_j)^k ]    (curve)
 
-with ``t0 = hbar * N`` held finite.  Curves are straight, so their pair
-terms are real: one pass gives the pair energy and every pair force.  The
-equilibrium configuration is found deterministically by one L-BFGS-B
-driver: over the 2N coordinates in the plane, keeping the lowest of a few
-seeded starts, and over the curve parameters on a curve, with the curve's
-ends as box bounds.  A seeded Metropolis sampler provides the finite-hbar
-companion; each of its proposals costs O(N), from one distance row and a
-scalar field term.  The support of the minimizer reproduces the growing
-domains of the contour-dynamics module; its boundary is extracted by
-angular binning.
+with ``t0 = hbar * N`` held finite and the coefficient ``c`` given as
+``GasConfig.confine``; both fields and their forces are closed forms.
+Curves are straight, so their pair terms are real: one pass gives the pair
+energy and every pair force.  The equilibrium configuration is found
+deterministically by one L-BFGS-B minimizer: over the 2N coordinates in the
+plane, keeping the lowest of a few seeded starts, and over the curve
+parameters on a curve, with the curve's ends as box bounds.  A seeded
+Metropolis sampler provides the finite-hbar companion; each of its
+proposals costs O(N), from one distance row and a scalar field term.  The
+support of the minimizer reproduces the growing domains of the
+contour-dynamics module; its boundary is extracted by angular binning.
 
 The pair energies hold the N(N-1)/2 distances in one buffer in ``triu``
 order, with no N x N matrix or index arrays, and sum it in one ``np.sum``:
@@ -36,7 +37,6 @@ import numpy as np
 from scipy import optimize
 from scipy.spatial import cKDTree
 
-from .growth import PotentialSpec
 from .laurent import LaurentMap
 
 log = logging.getLogger(__name__)
@@ -48,6 +48,7 @@ _PLANE_STARTS = 6
 _REPULSION_BLOCK = 65536
 # smaller for the line kernel: at 65536 its pages were refaulted on every call
 _LINE_BLOCK = 16384
+_BOUNDARY_MAP_ORDER = 8  # of the map fitted through a plane support's boundary
 
 
 @dataclass(frozen=True)
@@ -118,15 +119,18 @@ class Schedule:
 
 @dataclass(frozen=True)
 class GasConfig:
-    """Particle count, temperature scale, harmonic times and the measure."""
+    """Particle count, temperature scale, harmonic times and the support.
+
+    Without a ``curve`` the gas lives in the plane, in the field ``|z|^2``.
+    On a straight ``curve`` the finite coefficient ``confine`` gives the
+    confinement ``confine * s^2 / (2 hbar)``; the plane ignores ``confine``.
+    """
 
     N: int
     hbar: float
     times: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=complex))
-    measure: str = "plane"
-    potential: PotentialSpec = field(default_factory=PotentialSpec.quadratic)
     curve: CurveSpec | None = None
-    confine: object = None
+    confine: float = 1.0
     seed: int = 0
     schedule: Schedule = field(default_factory=Schedule)
 
@@ -140,15 +144,17 @@ class GasConfig:
         times = np.asarray(self.times, dtype=complex).reshape(-1).copy()
         times.setflags(write=False)
         object.__setattr__(self, "times", times)
-        if self.measure not in ("plane", "curve"):
-            raise ValueError(f"unknown measure {self.measure!r}")
-        if self.measure == "curve" and (self.curve is None or self.confine is None):
-            raise ValueError("curve measure needs a CurveSpec and a confine callable")
+        if not math.isfinite(self.confine):
+            raise ValueError("confine must be a finite coefficient")
         _check_confining(self)
 
     @property
     def t0(self) -> float:
         return self.hbar * self.N
+
+    @property
+    def measure(self) -> str:
+        return "plane" if self.curve is None else "curve"
 
 
 def _check_confining(config: GasConfig):
@@ -160,12 +166,12 @@ def _check_confining(config: GasConfig):
     radius = 50.0 * max(1.0, math.sqrt(max(config.t0, 1e-12)))
     if config.measure == "plane":
         far = radius * np.exp(2j * np.pi * np.arange(64) / 64)
-        field_energy = config.potential.value_at(far)
+        field_energy = np.abs(far) ** 2
     else:
         lo, hi = config.curve.bounds
         s = np.array([end for end, bound in ((-radius, lo), (radius, hi)) if np.isinf(bound)])
         far = config.curve.point(s)
-        field_energy = config.hbar * np.asarray(config.confine(s), dtype=float)
+        field_energy = config.confine * s ** 2 / 2.0
     if not np.all(field_energy - 2.0 * np.real(_times_polynomial(config.times, far)) > 0):
         raise ValueError(f"{config.measure} field is not confining: "
                          "the harmonic drive wins in the far field")
@@ -275,18 +281,8 @@ def _energy_raw(z: np.ndarray, s, config: GasConfig) -> float:
         log.debug("coincident particles: energy sentinel +inf")
         return np.inf
     drive = 2.0 * np.real(np.sum(_times_polynomial(config.times, z)))
-    field_term = float(np.sum(config.potential.value_at(z))) - drive
+    field_term = float(np.sum(np.abs(z) ** 2)) - drive
     return -pair + field_term / config.hbar
-
-
-def _potential_wirtinger(potential: PotentialSpec, z: np.ndarray) -> np.ndarray:
-    """d U / d zbar; quadratic potentials give z exactly, custom ones use FD."""
-    if potential.kind == "quadratic":
-        return z.astype(complex)
-    h = 1e-6
-    ux = (potential.value_at(z + h) - potential.value_at(z - h)) / (2.0 * h)
-    uy = (potential.value_at(z + 1j * h) - potential.value_at(z - 1j * h)) / (2.0 * h)
-    return 0.5 * (ux + 1j * uy)
 
 
 def _repulsion(z: np.ndarray) -> np.ndarray:
@@ -309,13 +305,9 @@ def _repulsion(z: np.ndarray) -> np.ndarray:
 
 
 def _plane_forces(z: np.ndarray, config: GasConfig) -> np.ndarray:
+    """``-dE/dzbar``; the field's part is ``dU/dzbar = z``."""
     drive = np.conj(_times_polynomial_derivative(config.times, z))
-    return _repulsion(z) - (_potential_wirtinger(config.potential, z) - drive) / config.hbar
-
-
-def _confine_derivative(confine, s: np.ndarray) -> np.ndarray:
-    h = 1e-6
-    return (np.asarray(confine(s + h), dtype=float) - np.asarray(confine(s - h), dtype=float)) / (2.0 * h)
+    return _repulsion(z) - (z - drive) / config.hbar
 
 
 def _line_pair_pass(s: np.ndarray):
@@ -350,19 +342,21 @@ def _curve_energy_gradient(z: np.ndarray, s: np.ndarray, config: GasConfig):
     if repulsion is None:
         log.debug("coincident particles: energy sentinel +inf")
         return np.inf, None
+    c, hbar = config.confine, config.hbar
     drive = 2.0 * np.real(np.sum(_times_polynomial(config.times, z)))
-    e = -pair + float(np.sum(np.asarray(config.confine(s), dtype=float))) - drive / config.hbar
+    e = -pair + float(np.sum(c * s ** 2 / (2.0 * hbar))) - drive / hbar
     if not e < np.inf:
         return e, None
     drive_force = 2.0 * np.real(_times_polynomial_derivative(config.times, z) * config.curve.direction)
-    return e, _confine_derivative(config.confine, s) - 2.0 * repulsion - drive_force / config.hbar
+    return e, c * s / hbar - 2.0 * repulsion - drive_force / hbar
 
 
 def forces(state, config: GasConfig) -> np.ndarray:
     """Descent direction: ``z + gamma * force`` lowers the energy to first order.
 
-    Curve measures return the parameter force times the curve's direction;
-    at a curve end the push into the wall is clamped to zero (hard wall).
+    The plane returns ``-dE/dzbar``.  Curve measures return the parameter
+    force ``-dE/ds`` times the curve's direction; at a curve end the push
+    into the wall is clamped to zero (hard wall).  Both are exact.
     """
     if isinstance(state, GasState):
         z, s = state.positions, state.params
@@ -546,11 +540,10 @@ def _particle_field(config: GasConfig):
     """``field(z, s)``: one particle's field energy as a Python float.
 
     A configuration's energy is its pair term plus this summed over its
-    particles: ``(U(z) - 2 Re sum_k t_k z^k) / hbar`` in the plane and
-    ``confine(s) - 2 Re sum_k t_k z^k / hbar`` on a curve.  The harmonic sum
-    is a Horner loop in Python complex arithmetic, the quadratic potential
-    is ``|z|^2``, and only custom potentials and curves call back into
-    numpy.
+    particles: ``(|z|^2 - 2 Re sum_k t_k z^k) / hbar`` in the plane and
+    ``c s^2 / (2 hbar) - 2 Re sum_k t_k z^k / hbar`` on a curve.  All of it
+    is Python float and complex arithmetic, the harmonic sum a Horner loop;
+    ``s * s`` rounds as numpy's ``s ** 2`` does.
     """
     times = [complex(t) for t in config.times[::-1]]
     hbar = config.hbar
@@ -562,12 +555,9 @@ def _particle_field(config: GasConfig):
         return 2.0 * acc.real
 
     if config.measure == "curve":
-        confine = config.confine
-        return lambda z, s: float(confine(np.array([s]))[0]) - drive(z) / hbar
-    if config.potential.kind == "quadratic":
-        return lambda z, s: (z.real * z.real + z.imag * z.imag - drive(z)) / hbar
-    value_at = config.potential.value_at
-    return lambda z, s: (float(value_at(np.array([z]))[0]) - drive(z)) / hbar
+        c = config.confine
+        return lambda z, s: c * (s * s) / (2.0 * hbar) - drive(z) / hbar
+    return lambda z, s: (z.real * z.real + z.imag * z.imag - drive(z)) / hbar
 
 
 def _proposal_delta(config: GasConfig):
@@ -677,7 +667,7 @@ class SupportEstimate:
     histogram: tuple | None = None
 
 
-def _fit_boundary_map(points: np.ndarray, order: int = 8) -> LaurentMap:
+def _fit_boundary_map(points: np.ndarray) -> LaurentMap:
     """Least-squares truncated map through boundary points at their angles."""
     theta = np.angle(points)
     rows = []
@@ -686,7 +676,7 @@ def _fit_boundary_map(points: np.ndarray, order: int = 8) -> LaurentMap:
         cos_r, sin_r = math.cos(th), math.sin(th)
         row_re = [cos_r]
         row_im = [sin_r]
-        for j in range(order + 1):
+        for j in range(_BOUNDARY_MAP_ORDER + 1):
             cj, sj = math.cos(j * th), math.sin(j * th)
             row_re.extend([cj, sj])
             row_im.extend([-sj, cj])
@@ -709,7 +699,8 @@ def support_boundary(state: GasState, config: GasConfig, bins: int = 32,
     centers tile the droplet, so with ``edge_correction`` the polyline is
     pushed out by the half-cell width of the uniform density (mean radius
     over sqrt(N)); turn it off to get the raw outermost-particle hull.
-    Curve: occupied parameter range and a density histogram.
+    Curve: occupied parameter range and a density histogram.  A plane
+    estimate needs ``bins >= 4``.
     """
     if config.measure == "curve":
         s = state.params
@@ -717,6 +708,8 @@ def support_boundary(state: GasState, config: GasConfig, bins: int = 32,
         counts, edges = np.histogram(s, bins=bins)
         return SupportEstimate(kind="curve", s_min=s_min, s_max=s_max,
                                histogram=(counts, edges))
+    if bins < 4:
+        raise ValueError(f"a plane boundary needs bins >= 4, got bins = {bins}")
     z = state.positions
     angles = np.angle(z)
     while bins >= 4:

@@ -24,6 +24,7 @@ from . import laurent, loewner
 from .errors import IntegrationBreakdownError, ShockError
 
 _FD_STEP = 1e-6
+_NEWTON_TOL, _NEWTON_ITERATIONS = 1e-12, 50  # solve_characteristics' residual and cap
 _HULL_RADIUS = 4.0  # speed sweep circle radius over exp(max q)
 
 
@@ -218,14 +219,14 @@ def _bracket(g, t0, q, gq):
     return q, gq
 
 
-def solve_characteristics(initial: Profile, speed, s: float, tol: float = 1e-12,
-                          max_iter: int = 50) -> Profile:
+def solve_characteristics(initial: Profile, speed, s: float) -> Profile:
     """Transport the profile by ``s`` along straight characteristics.
 
     One Newton iteration over the unconverged nodes solves
-    ``q = q0(t0 + c(q) s)``, bracketing where a step does not reduce the
-    residual.  Raises :class:`ShockError` (reporting the critical ``s*``) if
-    ``s`` reaches the gradient catastrophe or characteristics cross.
+    ``q = q0(t0 + c(q) s)`` to ``_NEWTON_TOL``, bracketing where a step does
+    not reduce the residual.  Raises :class:`ShockError` (reporting the
+    critical ``s*``) if ``s`` reaches the gradient catastrophe or
+    characteristics cross.
     """
     s_star = shock_time(initial, speed)
     if s >= s_star:
@@ -242,8 +243,8 @@ def solve_characteristics(initial: Profile, speed, s: float, tol: float = 1e-12,
     grid = initial.grid
     q = initial.value(grid)
     gq = g(q, grid)
-    for _ in range(max_iter):
-        idx = np.flatnonzero(~(np.abs(gq) <= tol))
+    for _ in range(_NEWTON_ITERATIONS):
+        idx = np.flatnonzero(~(np.abs(gq) <= _NEWTON_TOL))
         if len(idx) == 0:
             break
         t0, qi, gi = grid[idx], q[idx], gq[idx]
@@ -257,7 +258,7 @@ def solve_characteristics(initial: Profile, speed, s: float, tol: float = 1e-12,
         if np.any(worse):
             q_new[worse], g_new[worse] = _bracket(g, t0[worse], qi[worse], gi[worse])
         q[idx], gq[idx] = q_new, g_new
-    stalled = ~(np.abs(gq) <= tol)
+    stalled = ~(np.abs(gq) <= _NEWTON_TOL)
     if np.any(stalled):
         raise ShockError(f"implicit solve stalled at t0 = {grid[stalled][0]} "
                          f"(residual {np.abs(gq[stalled][0]):.3e})", s_star=s_star)

@@ -34,6 +34,13 @@ from .errors import (
 ABSORB_TOL = 1e-9
 DEFAULT_BASE_STEP = 1e-3
 TIP_OFFSET = 1e-4
+_MAX_SUBSTEPS = 5_000_000  # per integration call; more is a breakdown
+# default_family's ring: tracked points, first angle, radius over the initial one
+_RING_POINTS, _RING_ANGLE, _RING_RADIUS = 12, 0.37, 3.0
+_FAR_FIELD = (1e2, 1e3)  # the two w at which fitted_radius reads z(w, q)
+# boundary_bracket's steps in q and theta, nodes, slit mask distance, erosion
+_BRACKET_DT0, _BRACKET_DTHETA, _BRACKET_NODES = 1e-3, 1e-4, 128
+_BRACKET_SAFETY, _BRACKET_ERODE = 0.05, 3
 
 
 class DrivingFunction:
@@ -121,16 +128,14 @@ class LoewnerFamily:
         return float(np.exp(self.q0))
 
 
-def default_family(q0=0.0, q_max=0.5, driving=None, n_tracked=12, seed_angle=0.37,
-                   radius_factor=3.0, base_step=DEFAULT_BASE_STEP) -> LoewnerFamily:
+def default_family(q0=0.0, q_max=0.5, driving=None) -> LoewnerFamily:
     """Family with a ring of tracked points placed off the likely slit path."""
     if driving is None:
         driving = DrivingFunction.constant(0.0)
     r0 = np.exp(q0)
-    angles = seed_angle + 2.0 * np.pi * np.arange(n_tracked) / n_tracked
-    pts = tuple(radius_factor * r0 * np.exp(1j * angles))
-    return LoewnerFamily(q0=q0, q_max=q_max, driving=driving, z_samples=pts,
-                         base_step=base_step)
+    angles = _RING_ANGLE + 2.0 * np.pi * np.arange(_RING_POINTS) / _RING_POINTS
+    pts = tuple(_RING_RADIUS * r0 * np.exp(1j * angles))
+    return LoewnerFamily(q0=q0, q_max=q_max, driving=driving, z_samples=pts)
 
 
 @dataclass
@@ -148,12 +153,12 @@ def _loewner_rhs(w, eta):
 
 
 def _integrate(w0, q_from, q_to, driving, base_step=DEFAULT_BASE_STEP,
-               absorb_tol=ABSORB_TOL, max_steps=5_000_000, stops=()) -> AdvanceResult:
+               stops=()) -> AdvanceResult:
     """March every point independently, with per-point adaptive substeps.
 
     ``q_from`` and ``q_to`` are scalars or per-point arrays, so one call
     can carry each point over its own capacity range, forward, backward or
-    of zero length.  Absorption fires when a point enters the ``absorb_tol``
+    of zero length.  Absorption fires when a point enters the ``ABSORB_TOL``
     ball around the driving point, or when a step carries it inside the unit
     disk (the step law ``h ~ |eta - w|`` decrements the distance by a fixed
     amount per step near the singularity, so a swallowed trajectory crosses
@@ -180,7 +185,7 @@ def _integrate(w0, q_from, q_to, driving, base_step=DEFAULT_BASE_STEP,
         eta_i = driving.eta(qi)
         dist = np.abs(eta_i - wi)
         min_dist[idx] = np.minimum(min_dist[idx], dist)
-        hit = dist < absorb_tol
+        hit = dist < ABSORB_TOL
         if np.any(hit):
             absorbed[idx[hit]] = True
             q_abs[idx[hit]] = qi[hit] + direction[idx[hit]] * dist[hit] ** 2 / 4.0
@@ -208,8 +213,8 @@ def _integrate(w0, q_from, q_to, driving, base_step=DEFAULT_BASE_STEP,
         w[idx] = np.where(dead, wi, w_new)
         q[idx] = np.where(dead, qi, qi + h)
         steps += 1
-        if steps > max_steps:
-            raise IntegrationBreakdownError(f"integration exceeded {max_steps} substeps")
+        if steps > _MAX_SUBSTEPS:
+            raise IntegrationBreakdownError(f"integration exceeded {_MAX_SUBSTEPS} substeps")
     return AdvanceResult(w=w, absorbed=absorbed, q_absorbed=q_abs, min_eta_distance=min_dist)
 
 
@@ -327,27 +332,26 @@ def extract_eta(family: LoewnerFamily, q: float, dq: float = 1e-3) -> EtaEstimat
     return EtaEstimate(eta=eta_hat, spread=spread, n_alive=int(np.count_nonzero(alive)))
 
 
-def fitted_radius(family: LoewnerFamily, q: float, w_small=1e2, w_large=1e3) -> float:
+def fitted_radius(family: LoewnerFamily, q: float) -> float:
     """Leading coefficient of ``z(., q)`` from two far-field evaluations."""
-    v1, v2 = forward_map(np.array([w_small, w_large], dtype=complex), q, family)
-    r = (v2 - v1) / (w_large - w_small)
+    v1, v2 = forward_map(np.array(_FAR_FIELD, dtype=complex), q, family)
+    r = (v2 - v1) / (_FAR_FIELD[1] - _FAR_FIELD[0])
     return float(r.real)
 
 
-def boundary_bracket(family: LoewnerFamily, q: float, dt0: float = 1e-3,
-                     dtheta: float = 1e-4, n: int = 128, safety: float = 0.05,
-                     erode: int = 3):
+def boundary_bracket(family: LoewnerFamily, q: float):
     """Poisson bracket ``{z, zbar}`` of the family on the unit circle.
 
     The capacity is used as the t0 axis (``dq/dt0 = 1``).  Boundary nodes
-    whose backward characteristics pass within ``safety`` of the driving
-    point are masked out: those are the slit points, where the history of
-    the parametrization runs into the tip singularity.  The valid set is
-    then eroded by ``erode`` grid slots, because finite-difference stencils
-    adjacent to the slit arc straddle the critical trajectory and produce
-    junk derivatives.  Returns ``(bracket values, valid mask)`` over the
-    ``n``-point grid; masked entries are NaN.
+    whose backward characteristics pass within ``_BRACKET_SAFETY`` of the
+    driving point are masked out: those are the slit points, where the
+    history of the parametrization runs into the tip singularity.  The valid
+    set is then eroded by ``_BRACKET_ERODE`` grid slots, because
+    finite-difference stencils adjacent to the slit arc straddle the critical
+    trajectory and produce junk derivatives.  Returns ``(bracket values,
+    valid mask)`` over the ``_BRACKET_NODES``-point grid; masked entries are NaN.
     """
+    dt0, dtheta, n = _BRACKET_DT0, _BRACKET_DTHETA, _BRACKET_NODES
     if not (family.q0 < q - dt0 and q + dt0 <= family.q_max + 1e-12):
         raise ValueError("q +/- dt0 must lie inside the family range")
     theta = 2.0 * np.pi * np.arange(n) / n
@@ -356,8 +360,8 @@ def boundary_bracket(family: LoewnerFamily, q: float, dt0: float = 1e-3,
     res = _integrate(starts, np.repeat([q, q, q + dt0, q - dt0], n), family.q0,
                      family.driving, family.base_step)
     z_tp, z_tm, z_qp, z_qm = (family.r0 * res.w).reshape(4, n)
-    valid = ~(res.absorbed | (res.min_eta_distance < safety)).reshape(4, n).any(axis=0)
-    for _ in range(max(erode, 0)):
+    valid = ~(res.absorbed | (res.min_eta_distance < _BRACKET_SAFETY)).reshape(4, n).any(axis=0)
+    for _ in range(_BRACKET_ERODE):
         valid = valid & np.roll(valid, 1) & np.roll(valid, -1)
     dz_dlogw = -1j * (z_tp - z_tm) / (2.0 * dtheta)
     dz_dt = (z_qp - z_qm) / (2.0 * dt0)

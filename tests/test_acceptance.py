@@ -259,8 +259,7 @@ def test_criterion_13_semicircle_endpoints():
     n_particles = 256
     hbar = 1.0 / n_particles
     config = dyson.GasConfig(
-        N=n_particles, hbar=hbar, measure="curve", curve=dyson.CurveSpec.real_line(),
-        confine=lambda s: s ** 2 / (2.0 * hbar), seed=4,
+        N=n_particles, hbar=hbar, curve=dyson.CurveSpec.real_line(), seed=4,
         schedule=dyson.Schedule(max_iterations=60000),
     )
     state = dyson.minimize(config)
@@ -324,3 +323,20 @@ def test_criterion_15_reproducibility(tmp_path):
             else:
                 assert (a / fname).read_bytes() == (b / fname).read_bytes(), fname
     _report(15, "reproducibility", "grow/loewner/dyson artifacts byte-identical across reruns")
+
+
+@pytest.mark.parametrize("t0", [1.0, 4.0])
+def test_criterion_16_slit_free_energy_relation(t0):
+    # The real-line gas in s^2 / (2 hbar) has the exact ground-state energy
+    # E_min(N) = N(N-1)/2 (1 - log hbar) - sum_k k log k, so at fixed hbar the
+    # three-point d2F/dt0^2 is log t0 + (N+1) log(1 + 1/N) - 1: the slit
+    # picture's 2 log(capacity) = log t0, up to O(1/N).
+    n_particles = 64
+    config = dyson.GasConfig(N=n_particles, hbar=t0 / n_particles,
+                             curve=dyson.CurveSpec.real_line(), seed=0)
+    est = dyson.free_energy_estimate(config)
+    exact = np.log(t0) + (n_particles + 1) * np.log1p(1.0 / n_particles) - 1.0
+    err = abs(est.d2f_dt02 - exact)
+    assert err <= 1e-7
+    _report(16, "slit free-energy relation",
+            f"d2F/dt0^2 = {est.d2f_dt02:.12f} vs exact {exact:.12f} (abs err {err:.1e})")

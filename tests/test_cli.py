@@ -477,6 +477,38 @@ def test_non_confining_curve_gas_is_a_config_error(tmp_path, capsys, measure, ti
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 
+def test_plane_bins_below_four_is_a_config_error(tmp_path, capsys):
+    # unchecked, this ran the whole minimize and then failed at /dyson with
+    # "too few particles to estimate a boundary"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"scenario": "dyson", "seed": 1,
+                                    "dyson": {"N": 64, "hbar": 0.015625, "bins": 3}}))
+    assert cli.main([str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert "config error at /dyson/bins: must be >= 4 for a plane measure" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("bins, measure", [(4, {"kind": "plane"}), (1, _curve_measure(_REAL_LINE))])
+def test_bins_rule_takes_four_in_the_plane_and_one_on_a_curve(bins, measure):
+    raw = {"scenario": "dyson", "dyson": {"N": 8, "hbar": 0.1, "bins": bins, "measure": measure}}
+    assert cli.parse_config(json.dumps(raw)).params["bins"] == bins
+
+
+@pytest.mark.parametrize("coefficient", [2.0, 0.5])
+def test_confine_coefficient_gives_the_closed_form_energy(tmp_path, coefficient):
+    # the real-line gas in c s^2 / (2 hbar) is the c = 1 gas at hbar / c
+    n, hbar = 64, 1 / 64
+    raw = {"scenario": "dyson", "seed": 1,
+           "dyson": {"N": n, "hbar": hbar,
+                     "measure": _curve_measure(_REAL_LINE, coefficient=coefficient)}}
+    report = cli.run_scenario(cli.parse_config(json.dumps(raw)), out_dir=str(tmp_path))
+    summary = report.manifest["summary"]
+    assert report.exit_code == 0 and summary["converged"]
+    exact = (n * (n - 1) / 2 * (1 - math.log(hbar / coefficient))
+             - sum(k * math.log(k) for k in range(1, n + 1)))
+    assert abs(summary["energy"] - exact) <= 1e-12 * abs(exact)
+
+
 def test_strict_writers_name_the_first_non_finite_value(tmp_path):
     rows = [[0, 1.0, 2.0], [1, 3.0, float("nan")], [2, float("inf"), 0.5]]
     with pytest.raises(NonFiniteResultError) as err:

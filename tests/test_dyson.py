@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from scipy.linalg import eigvalsh_tridiagonal
 
 from todaflow import dyson
-from todaflow.growth import PotentialSpec
 
 
 def hermite_gas_oracle(n_particles, hbar):
@@ -100,8 +99,7 @@ def test_curve_forces_match_energy_finite_difference():
     # along the curve's direction
     curve = dyson.CurveSpec.ray(0.5 + 0.5j, 1.0 + 1.0j)
     hbar = 0.2
-    cfg = dyson.GasConfig(N=4, hbar=hbar, times=[0.1j], measure="curve", curve=curve,
-                          confine=lambda s: np.asarray(s) ** 2 / (2 * hbar), seed=0)
+    cfg = dyson.GasConfig(N=4, hbar=hbar, times=[0.1j], curve=curve, seed=0)
     s = np.array([0.21, 0.79, 1.42, 2.13])
     force = np.real(dyson.forces(dyson.GasState(curve.point(s), s), cfg) * np.conj(curve.direction))
     eps = 1e-5
@@ -122,10 +120,9 @@ def test_minimize_single_particle():
 
 
 def real_line_gas(n_particles, seed, **schedule):
-    hbar = 1.0 / n_particles
     return dyson.GasConfig(
-        N=n_particles, hbar=hbar, measure="curve", curve=dyson.CurveSpec.real_line(),
-        confine=lambda s: s ** 2 / (2 * hbar), seed=seed, schedule=dyson.Schedule(**schedule),
+        N=n_particles, hbar=1.0 / n_particles, curve=dyson.CurveSpec.real_line(),
+        seed=seed, schedule=dyson.Schedule(**schedule),
     )
 
 
@@ -161,8 +158,7 @@ def test_minimize_deterministic(cfg):
 def test_minimize_semicircle_against_tridiagonal_oracle():
     n_particles, hbar = 48, 1.0 / 48
     cfg = dyson.GasConfig(
-        N=n_particles, hbar=hbar, measure="curve", curve=dyson.CurveSpec.real_line(),
-        confine=lambda s: s ** 2 / (2 * hbar), seed=4,
+        N=n_particles, hbar=hbar, curve=dyson.CurveSpec.real_line(), seed=4,
         schedule=dyson.Schedule(max_iterations=40000),
     )
     state = dyson.minimize(cfg)
@@ -192,9 +188,7 @@ def test_minimize_curve_reports_non_convergence(caplog):
 def test_minimize_ray_wall_saturates():
     hbar = 0.05
     cfg = dyson.GasConfig(
-        N=16, hbar=hbar, times=[-0.8], measure="curve",
-        curve=dyson.CurveSpec.ray(0.5 + 0j, 1.0),
-        confine=lambda s: s ** 2 / (2 * hbar), seed=5,
+        N=16, hbar=hbar, times=[-0.8], curve=dyson.CurveSpec.ray(0.5 + 0j, 1.0), seed=5,
         schedule=dyson.Schedule(max_iterations=30000, tolerance=1e-4 * 16 / hbar),
     )
     # projected quasi-Newton steps put several particles on the wall at once
@@ -214,8 +208,7 @@ def test_minimize_segment_walls():
     # both ends; trial points that stack them on a wall must not stall the run
     curve = dyson.CurveSpec.segment(-0.5, 0.5)
     hbar = 1.0 / 20
-    cfg = dyson.GasConfig(N=20, hbar=hbar, measure="curve", curve=curve,
-                          confine=lambda s: np.asarray(s) ** 2 / (2 * hbar), seed=3)
+    cfg = dyson.GasConfig(N=20, hbar=hbar, curve=curve, seed=3)
     state = dyson.minimize(cfg)
     assert state.converged
     s = np.sort(state.params)
@@ -282,16 +275,34 @@ def test_support_boundary_bin_reduction():
     assert len(support.boundary) < 32
 
 
+@pytest.mark.parametrize("bins", [1, 2, 3])
+def test_support_boundary_plane_needs_four_bins(bins):
+    # a plane call with bins < 4 failed with "too few particles to estimate a boundary"
+    z = np.exp(2j * np.pi * np.arange(64) / 64)
+    cfg = dyson.GasConfig(N=64, hbar=1.0 / 64, seed=0)
+    with pytest.raises(ValueError, match="bins >= 4"):
+        dyson.support_boundary(dyson.GasState(z), cfg, bins=bins)
+
+
+def test_support_boundary_curve_takes_one_bin():
+    s = np.linspace(-1.0, 1.0, 8)
+    support = dyson.support_boundary(dyson.GasState(s.astype(complex), s),
+                                     real_line_gas(8, seed=0), bins=1)
+    assert support.histogram[0].tolist() == [8]
+
+
+def test_gas_config_measure_follows_the_curve():
+    assert dyson.GasConfig(N=4, hbar=0.25).measure == "plane"
+    assert dyson.GasConfig(N=4, hbar=0.25, curve=dyson.CurveSpec.real_line()).measure == "curve"
+
+
 def test_segment_matches_the_real_line():
     # a real segment must reproduce the real-line energy for configurations
     # inside its range
     curve = dyson.CurveSpec.segment(-3.0, 3.0)
     hbar = 0.25
-    confine = lambda s: np.asarray(s) ** 2 / (2 * hbar)
-    cfg_par = dyson.GasConfig(N=5, hbar=hbar, measure="curve", curve=curve,
-                              confine=confine, seed=0)
-    cfg_line = dyson.GasConfig(N=5, hbar=hbar, measure="curve",
-                               curve=dyson.CurveSpec.real_line(), confine=confine, seed=0)
+    cfg_par = dyson.GasConfig(N=5, hbar=hbar, curve=curve, seed=0)
+    cfg_line = dyson.GasConfig(N=5, hbar=hbar, curve=dyson.CurveSpec.real_line(), seed=0)
     s = np.array([-1.2, -0.4, 0.1, 0.8, 1.5])
     state_par = dyson.GasState(curve.point(s), s)
     state_line = dyson.GasState(s.astype(complex), s)
@@ -321,8 +332,9 @@ def test_config_validation():
         dyson.GasConfig(N=0, hbar=1.0)
     with pytest.raises(ValueError):
         dyson.GasConfig(N=4, hbar=-1.0)
-    with pytest.raises(ValueError):
-        dyson.GasConfig(N=4, hbar=1.0, measure="curve")  # missing curve/confine
+    for confine in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            dyson.GasConfig(N=4, hbar=1.0, curve=dyson.CurveSpec.real_line(), confine=confine)
     with pytest.raises(ValueError):
         # t3 drive beats the quadratic potential at infinity
         dyson.GasConfig(N=4, hbar=1.0, times=[0, 0, 0.5])
@@ -331,8 +343,7 @@ def test_config_validation():
 
 
 def _curve_gas(curve, coefficient=1.0, times=()):
-    return dyson.GasConfig(N=8, hbar=0.1, times=times, measure="curve", curve=curve,
-                           confine=lambda s: coefficient * np.asarray(s) ** 2 / 0.2)
+    return dyson.GasConfig(N=8, hbar=0.1, times=times, curve=curve, confine=coefficient)
 
 
 @pytest.mark.parametrize("curve, coefficient, times", [
@@ -477,25 +488,22 @@ def _plane_with_times():
     return dyson.GasConfig(N=12, hbar=0.2, times=[0.1, 0.05j])
 
 
-def _custom_potential():
-    potential = PotentialSpec.custom(lambda z, zb: np.ones(np.shape(z)),
-                                     value=lambda z, zb: (z * zb).real + 0.1 * (z * zb).real ** 2)
-    return dyson.GasConfig(N=12, hbar=0.2, times=[0.1j], potential=potential)
-
-
 def _ray():
-    return dyson.GasConfig(N=12, hbar=0.2, times=[-0.3], measure="curve",
-                           curve=dyson.CurveSpec.ray(0.5 + 0.5j, 1.0 + 1.0j),
-                           confine=lambda s: np.asarray(s) ** 2 / 0.4)
+    return dyson.GasConfig(N=12, hbar=0.2, times=[-0.3],
+                           curve=dyson.CurveSpec.ray(0.5 + 0.5j, 1.0 + 1.0j))
 
 
 def _segment():
     curve = dyson.CurveSpec.segment(-2.0, 2.0, z0=0.3j, direction=1.0 + 0.2j)
-    return dyson.GasConfig(N=12, hbar=0.2, times=[0.1j, 0.02], measure="curve", curve=curve,
-                           confine=lambda s: np.asarray(s) ** 2 / 0.4)
+    return dyson.GasConfig(N=12, hbar=0.2, times=[0.1j, 0.02], curve=curve)
 
 
-@pytest.mark.parametrize("make_config", [_plane_with_times, _custom_potential, _ray, _segment])
+def _stiff_ray():
+    return dyson.GasConfig(N=12, hbar=0.2, times=[-0.3],
+                           curve=dyson.CurveSpec.ray(0.5 + 0.5j, 1.0 + 1.0j), confine=2.5)
+
+
+@pytest.mark.parametrize("make_config", [_plane_with_times, _ray, _segment, _stiff_ray])
 def test_proposal_delta_matches_the_energy_difference(make_config):
     cfg = make_config()
     rng = np.random.default_rng(3)
@@ -525,17 +533,18 @@ def test_proposal_delta_matches_the_energy_difference(make_config):
 
 def curve_energy_gradient_reference(z, s, config):
     """E and dE/ds from the complex plane kernels, as curves used before their real pass."""
+    c, hbar = config.confine, config.hbar
     drive = 2.0 * np.real(np.sum(dyson._times_polynomial(config.times, z)))
-    e = -dyson._pair_log_sum(z) + float(np.sum(config.confine(s))) - drive / config.hbar
+    e = -dyson._pair_log_sum(z) + float(np.sum(c * s ** 2 / (2.0 * hbar))) - drive / hbar
     pull = (dyson._repulsion(z)
-            + np.conj(dyson._times_polynomial_derivative(config.times, z)) / config.hbar)
-    force = (2.0 * np.real(pull * np.conj(config.curve.direction))
-             - dyson._confine_derivative(config.confine, s))
+            + np.conj(dyson._times_polynomial_derivative(config.times, z)) / hbar)
+    force = 2.0 * np.real(pull * np.conj(config.curve.direction)) - c * s / hbar
     return e, -force
 
 
-@pytest.mark.parametrize("make_config", [lambda: real_line_gas(40, seed=0), _ray, _segment],
-                         ids=["real_line", "ray", "segment"])
+@pytest.mark.parametrize("make_config",
+                         [lambda: real_line_gas(40, seed=0), _ray, _segment, _stiff_ray],
+                         ids=["real_line", "ray", "segment", "stiff_ray"])
 def test_curve_kernel_equals_the_complex_reference(make_config):
     cfg = make_config()
     s = np.sort(np.random.default_rng(5).uniform(0.0, 1.8, cfg.N))
@@ -548,26 +557,41 @@ def test_curve_kernel_equals_the_complex_reference(make_config):
         assert e == e_ref
 
 
-def real_line_minimum_energy(n_particles, hbar):
-    """E_min of the real-line gas in s^2 / (2 hbar): its ground state is the
-    scaled Hermite point set."""
-    return (n_particles * (n_particles - 1) / 2 * (1.0 - math.log(hbar))
+def real_line_minimum_energy(n_particles, hbar, coefficient=1.0):
+    """E_min of the real-line gas in c s^2 / (2 hbar): its ground state is the
+    Hermite point set scaled by sqrt(2 hbar / c)."""
+    return (n_particles * (n_particles - 1) / 2 * (1.0 - math.log(hbar / coefficient))
             - sum(k * math.log(k) for k in range(1, n_particles + 1)))
 
 
 @pytest.mark.parametrize("n_particles, hbar", [(64, 1 / 64), (256, 1 / 256), (64, 0.05)])
 def test_minimize_real_line_energy_equals_the_closed_form(n_particles, hbar):
-    cfg = dyson.GasConfig(N=n_particles, hbar=hbar, measure="curve",
-                          curve=dyson.CurveSpec.real_line(),
-                          confine=lambda s: s ** 2 / (2 * hbar), seed=1)
+    cfg = dyson.GasConfig(N=n_particles, hbar=hbar, curve=dyson.CurveSpec.real_line(), seed=1)
     state = dyson.minimize(cfg)
     assert state.converged
     exact = real_line_minimum_energy(n_particles, hbar)
     assert abs(state.energy - exact) <= 1e-12 * abs(exact)
 
 
+@pytest.mark.parametrize("coefficient", [2.0, 0.5])
+def test_minimize_real_line_energy_with_a_confinement_coefficient(coefficient):
+    # c s^2 / (2 hbar) is the c = 1 field at hbar / c
+    cfg = dyson.GasConfig(N=64, hbar=1 / 64, curve=dyson.CurveSpec.real_line(),
+                          confine=coefficient, seed=1)
+    state = dyson.minimize(cfg)
+    assert state.converged
+    exact = real_line_minimum_energy(64, 1 / 64, coefficient)
+    assert abs(state.energy - exact) <= 1e-12 * abs(exact)
+
+
 def metropolis_reference(config, sweeps):
     """The sampler before its O(N) proposals: np.delete and 1-element field calls."""
+    def confinement(s):
+        return config.confine * np.asarray(s) ** 2 / (2.0 * config.hbar)
+
+    def potential(z):
+        return np.abs(z) ** 2
+
     rng = np.random.default_rng(config.seed)
     z, s = dyson._initial_configuration(config, rng)
     on_curve = config.measure == "curve"
@@ -586,18 +610,17 @@ def metropolis_reference(config, sweeps):
             - dyson._times_polynomial(config.times, np.array([z[j]]))
         )[0]
         if on_curve:
-            conf = float(config.confine(np.array([s_new_j]))[0] - config.confine(np.array([s[j]]))[0])
+            conf = float(confinement(np.array([s_new_j]))[0] - confinement(np.array([s[j]]))[0])
             return pair + conf - drive / config.hbar
-        u = float(config.potential.value_at(np.array([z_new_j]))[0]
-                  - config.potential.value_at(np.array([z[j]]))[0])
+        u = float(potential(np.array([z_new_j]))[0] - potential(np.array([z[j]]))[0])
         return pair + (u - drive) / config.hbar
 
     def energy(z, s):
         drive = 2.0 * np.real(np.sum(dyson._times_polynomial(config.times, z)))
         if on_curve:
-            return (-pair_log_sum_reference(z) + float(np.sum(config.confine(s)))
+            return (-pair_log_sum_reference(z) + float(np.sum(confinement(s)))
                     - drive / config.hbar)
-        return -pair_log_sum_reference(z) + (float(np.sum(config.potential.value_at(z)))
+        return -pair_log_sum_reference(z) + (float(np.sum(potential(z)))
                                              - drive) / config.hbar
 
     samples, accepted, proposed, tune_acc, tune_prop = [], 0, 0, 0, 0
