@@ -253,9 +253,12 @@ def _burn_in_below_sweeps(v):
         yield "schedule/burn_in", "must be less than sweeps"
 
 
-def _plane_bins(v):
-    if v["measure"]["kind"] == "plane" and v["bins"] < 4:
-        yield "bins", "must be >= 4 for a plane measure"
+def _plane_four(v):
+    # a plane boundary needs four occupied angular bins, so four particles
+    if v["measure"]["kind"] == "plane":
+        for key in ("N", "bins"):
+            if v[key] < 4:
+                yield key, "must be >= 4 for a plane measure"
 
 
 def _t0_finite(v):
@@ -359,7 +362,7 @@ _SECTIONS = {
             "proposal_scale": _positive().opt(),
             "burn_in": _integer().opt().where(lambda b: b >= 0, "must be >= 0"),
         }).opt({}),
-    }, _burn_in_below_sweeps, _plane_bins, _t0_finite),
+    }, _burn_in_below_sweeps, _plane_four, _t0_finite),
     "moments": _object({"map": _MAP, "order": _count().opt(16)}),
 }
 _SEED = _integer().opt(0).where(lambda s: s >= 0, "must be >= 0")
@@ -638,7 +641,7 @@ def _run_hydro(cfg: ScenarioConfig, out: Path, files: dict):
         profile = hydro.Profile(p["profile"]["grid"], p["profile"]["q_values"])
     speed = _build_speed(p["speed"], cfg.seed)
     s_star = hydro.shock_time(profile, speed)
-    result = hydro.solve_characteristics(profile, speed, p["s"])
+    result = hydro._solve_characteristics(profile, speed, p["s"], s_star)
     if p["speed"]["kind"] == "family":  # its speed is clamped, so q must stay in range
         lo, hi = p["speed"]["q0"], p["speed"]["q_max"]
         for t0, q in zip(result.grid, result.q_values):

@@ -25,6 +25,10 @@ order, with no N x N matrix or index arrays, and sum it in one ``np.sum``:
 the minimizers are sensitive to that order at the ulp level, and on the
 real line it makes the real and complex kernels agree bit for bit.  The
 forces work in row blocks of at most ``_REPULSION_BLOCK`` pair terms.
+
+``scipy.optimize`` (the minimizer) and ``scipy.spatial`` (the separation
+check of ``GasState``) are imported where they are used, so that importing
+this module, as the CLI does for every scenario, loads neither.
 """
 
 from __future__ import annotations
@@ -34,8 +38,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import optimize
-from scipy.spatial import cKDTree
 
 from .laurent import LaurentMap
 
@@ -224,6 +226,10 @@ class GasState:
         # Non-finite positions are left to the caller: their separations
         # are undefined, and a k-d tree cannot hold them.
         if len(pos) > 1 and np.all(np.isfinite(pos)):
+            # imported here, not at module level, so that importing the CLI
+            # does not load scipy.spatial for scenarios without a gas
+            from scipy.spatial import cKDTree
+
             xy = np.column_stack((pos.real, pos.imag))
             gap = float(cKDTree(xy).query(xy, k=2)[0][:, 1].min())
             if gap <= MIN_SEPARATION:
@@ -461,6 +467,10 @@ def _lbfgs(fun, residual, x0: np.ndarray, bounds, tol: float, max_iterations: in
     once the residual is below ``tol``, after ``max_iterations`` iterations,
     or when the line search can make no more progress.
     """
+    # imported here, not at module level, so that only a gas minimization
+    # pays for loading scipy.optimize
+    from scipy import optimize
+
     last = {"x": None}
     evaluations = 0
 
@@ -700,7 +710,7 @@ def support_boundary(state: GasState, config: GasConfig, bins: int = 32,
     pushed out by the half-cell width of the uniform density (mean radius
     over sqrt(N)); turn it off to get the raw outermost-particle hull.
     Curve: occupied parameter range and a density histogram.  A plane
-    estimate needs ``bins >= 4``.
+    estimate needs ``bins >= 4`` and ``N >= 4``.
     """
     if config.measure == "curve":
         s = state.params
@@ -710,6 +720,8 @@ def support_boundary(state: GasState, config: GasConfig, bins: int = 32,
                                histogram=(counts, edges))
     if bins < 4:
         raise ValueError(f"a plane boundary needs bins >= 4, got bins = {bins}")
+    if state.N < 4:
+        raise ValueError(f"a plane boundary needs N >= 4 particles, got N = {state.N}")
     z = state.positions
     angles = np.angle(z)
     while bins >= 4:

@@ -10,6 +10,10 @@ solved here by straight characteristics: the value at ``(t0, s)`` is the
 initial value at ``t0 + c(q) s``, found for all nodes by one masked Newton
 iteration (speeds are vectorized).  Characteristic crossing (the gradient
 catastrophe) ends the classical solution; the solver refuses to run past it.
+
+``scipy.interpolate`` (the profile's PCHIP and the family speed's spline)
+is imported where it is used, so that importing this module, as the CLI
+does for every scenario, does not load it.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from . import laurent, loewner
 from .errors import IntegrationBreakdownError, ShockError
@@ -103,6 +106,10 @@ class Profile:
         qv.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "q_values", qv)
+        # imported here, not at module level, so that importing the CLI does
+        # not load scipy.interpolate for scenarios that never build a profile
+        from scipy.interpolate import PchipInterpolator
+
         interp = PchipInterpolator(grid, qv, extrapolate=True)
         object.__setattr__(self, "_interp", interp)
         object.__setattr__(self, "_deriv", interp.derivative())
@@ -175,6 +182,9 @@ def family_speed(k: int, family: loewner.LoewnerFamily):
     """
     n = int(np.ceil((family.q_max - family.q0) / family.base_step - 1e-6))
     nodes = np.append(family.q0 + family.base_step * np.arange(n), family.q_max)
+    # imported here for the same reason as in Profile: only hydro uses it
+    from scipy.interpolate import CubicSpline
+
     spline = CubicSpline(nodes, _phi_coefficients(k, family, nodes))
 
     def speed(q):
@@ -228,7 +238,11 @@ def solve_characteristics(initial: Profile, speed, s: float) -> Profile:
     critical ``s*``) if ``s`` reaches the gradient catastrophe or
     characteristics cross.
     """
-    s_star = shock_time(initial, speed)
+    return _solve_characteristics(initial, speed, s, shock_time(initial, speed))
+
+
+def _solve_characteristics(initial: Profile, speed, s: float, s_star: float) -> Profile:
+    """:func:`solve_characteristics` given its ``s* = shock_time(initial, speed)``."""
     if s >= s_star:
         raise ShockError(
             f"requested s = {s} is past the gradient catastrophe s* = {s_star}", s_star=s_star

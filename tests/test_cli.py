@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from numpy.testing import assert_allclose
 
-from todaflow import cli, growth, laurent, svgout
+from todaflow import cli, growth, hydro, laurent, svgout
 from todaflow.errors import ConfigError, NonFiniteResultError
 
 
@@ -124,6 +129,18 @@ def test_hydro_scenario_breakdown_exit_code(tmp_path):
     assert report.manifest["status"] == "breakdown"
     assert report.manifest["breakdown"]["s_star"] == pytest.approx(1.0, abs=1e-6)
     assert not report.manifest["complete"]
+
+
+@pytest.mark.parametrize("s, status", [(0.5, "ok"), (2.0, "breakdown")])
+def test_hydro_run_computes_the_shock_time_once(tmp_path, monkeypatch, s, status):
+    shock_time, calls = hydro.shock_time, []
+    monkeypatch.setattr(hydro, "shock_time", lambda *args: calls.append(args) or shock_time(*args))
+    raw = {"scenario": "hydro",
+           "hydro": {"profile": {"grid": [0.1, 0.5, 0.9], "q_values": [0.1, 0.5, 0.9]},
+                     "speed": {"kind": "identity"}, "s": s}}
+    report = cli.run_scenario(cli.parse_config(json.dumps(raw)), out_dir=str(tmp_path))
+    assert report.manifest["status"] == status
+    assert len(calls) == 1
 
 
 def test_dyson_scenario_small_circular_law(tmp_path):
@@ -494,6 +511,27 @@ def test_bins_rule_takes_four_in_the_plane_and_one_on_a_curve(bins, measure):
     assert cli.parse_config(json.dumps(raw)).params["bins"] == bins
 
 
+@pytest.mark.parametrize("mode", ["minimize", "metropolis"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_plane_gas_below_four_particles_is_a_config_error(tmp_path, capsys, n, mode):
+    # unchecked, this ran the whole minimize or chain and then failed at
+    # /dyson with "too few particles to estimate a boundary"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"scenario": "dyson",
+                                    "dyson": {"N": n, "hbar": 0.25, "mode": mode, "sweeps": 2}}))
+    assert cli.main([str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert "config error at /dyson/N: must be >= 4 for a plane measure" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_curve_gas_takes_three_particles(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"scenario": "dyson",
+                                    "dyson": {"N": 3, "hbar": 0.25,
+                                              "measure": _curve_measure(_REAL_LINE)}}))
+    assert cli.main([str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+
+
 @pytest.mark.parametrize("coefficient", [2.0, 0.5])
 def test_confine_coefficient_gives_the_closed_form_energy(tmp_path, coefficient):
     # the real-line gas in c s^2 / (2 hbar) is the c = 1 gas at hbar / c
@@ -589,3 +627,45 @@ def test_metropolis_summary_records_tuning_windows(tmp_path):
     assert windows[-1]["proposal_scale"] == summary["proposal_scale"]
     assert all(0.0 <= w["acceptance"] <= 1.0 for w in windows)
     assert again.manifest["summary"] == summary
+
+
+# The scipy parts that only the gas (optimize, spatial) and hydro
+# (interpolate) compute with; every other scenario must start without them.
+_DEFERRED_SCIPY = ("scipy.optimize", "scipy.interpolate", "scipy.spatial")
+_COLD_START = """
+import json, sys
+import todaflow.cli
+deferred = {deferred!r}
+result = {{"import": [m for m in deferred if m in sys.modules]}}
+if len(sys.argv) > 1:
+    result["exit"] = todaflow.cli.main(sys.argv[1:])
+    result["run"] = [m for m in deferred if m in sys.modules]
+print(json.dumps(result))
+""".format(deferred=_DEFERRED_SCIPY)
+
+
+@pytest.mark.parametrize("raw", [
+    None,
+    {"scenario": "moments",
+     "moments": {"map": {"r": 1.0, "coeffs": [[0, 0], [0.2, 0]]}, "order": 4}},
+    minimal_grow_config("unused", steps=5, duration=0.05),
+    {"scenario": "loewner",
+     "loewner": {"driving": {"kind": "constant", "theta0": 0.0}, "q_max": 0.2,
+                 "trace_points": 5}},
+], ids=["import", "moments", "grow", "loewner"])
+def test_cold_start_loads_no_deferred_scipy_part(tmp_path, raw):
+    argv = []
+    if raw is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(raw))
+        argv = [str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, *argv], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["import"] == []
+    if raw is not None:
+        assert (result["exit"], result["run"]) == (0, [])
+        manifest = strict_json((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["versions"]["scipy"] == scipy.__version__

@@ -284,6 +284,16 @@ def test_support_boundary_plane_needs_four_bins(bins):
         dyson.support_boundary(dyson.GasState(z), cfg, bins=bins)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_support_boundary_plane_needs_four_particles(n):
+    # fewer than four particles can never fill four bins; this failed with
+    # "too few particles to estimate a boundary"
+    z = np.exp(2j * np.pi * np.arange(n) / n)
+    cfg = dyson.GasConfig(N=n, hbar=1.0 / n, seed=0)
+    with pytest.raises(ValueError, match="N >= 4"):
+        dyson.support_boundary(dyson.GasState(z), cfg, bins=4)
+
+
 def test_support_boundary_curve_takes_one_bin():
     s = np.linspace(-1.0, 1.0, 8)
     support = dyson.support_boundary(dyson.GasState(s.astype(complex), s),
