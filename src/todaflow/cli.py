@@ -30,6 +30,7 @@ from . import __version__, dyson, growth, hydro, laurent, loewner, svgout
 from .errors import (
     ConfigError,
     CuspError,
+    InsufficientSamplesError,
     IntegrationBreakdownError,
     NonFiniteResultError,
     NonUnivalentError,
@@ -51,6 +52,7 @@ _BREAKDOWN_ERRORS = (
     IntegrationBreakdownError,
     RootFindError,
     NonFiniteResultError,
+    InsufficientSamplesError,
 )
 
 
@@ -420,10 +422,6 @@ def parse_config(text: str) -> ScenarioConfig:
 # artifact writers
 
 
-def _float_repr(x) -> str:
-    return repr(float(x))
-
-
 def _first_non_finite(obj):
     """``(*keys, value)`` of the first NaN or infinity in ``obj``, or None.
 
@@ -459,10 +457,10 @@ def _require_finite(obj, where: str):
 
 
 def _write_csv(path: Path, header, rows):
+    """Header plus one line per row; cells are Python ints and floats, written by ``repr``."""
     _require_finite(rows, path.name)
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_float_repr(v) if isinstance(v, float) else str(v) for v in row))
+    lines.extend(",".join(map(repr, row)) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -698,7 +696,6 @@ def _run_dyson(cfg: ScenarioConfig, out: Path, files: dict):
     # the support estimate of a non-finite state is meaningless
     if not (np.all(np.isfinite(state.positions)) and math.isfinite(state.energy)):
         raise NonFiniteResultError("the gas state is not finite")
-    support = dyson.support_boundary(state, config, bins=p["bins"])
     if "csv" in cfg.formats:
         _write_csv(out / "state.csv", ["index", "re_z", "im_z"],
                    [[i, float(z.real), float(z.imag)] for i, z in enumerate(state.positions)])
@@ -707,6 +704,8 @@ def _run_dyson(cfg: ScenarioConfig, out: Path, files: dict):
             _write_csv(out / "energy_trace.csv", ["iteration", "energy", "grad_norm"],
                        [[i, float(e), float(g)] for i, e, g in trace])
             files["energy_trace.csv"] = True
+    # written first, so that a state too sparse for a boundary is still kept
+    support = dyson.support_boundary(state, config, bins=p["bins"])
     if "json" in cfg.formats:
         payload = {"kind": support.kind}
         if support.kind == "plane":

@@ -39,6 +39,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .errors import InsufficientSamplesError
 from .laurent import LaurentMap
 
 log = logging.getLogger(__name__)
@@ -710,7 +711,9 @@ def support_boundary(state: GasState, config: GasConfig, bins: int = 32,
     pushed out by the half-cell width of the uniform density (mean radius
     over sqrt(N)); turn it off to get the raw outermost-particle hull.
     Curve: occupied parameter range and a density histogram.  A plane
-    estimate needs ``bins >= 4`` and ``N >= 4``.
+    estimate needs ``bins >= 4`` and ``N >= 4``; a plane state that leaves
+    a bin empty at every count down to 4 raises
+    :class:`InsufficientSamplesError`.
     """
     if config.measure == "curve":
         s = state.params
@@ -732,7 +735,9 @@ def support_boundary(state: GasState, config: GasConfig, bins: int = 32,
         bins //= 2
         log.warning("empty angular bins; reducing bin count to %d", bins)
     else:
-        raise ValueError("too few particles to estimate a boundary")
+        raise InsufficientSamplesError(
+            "an angular bin stays empty at every bin count down to 4: "
+            "too few particles to estimate a boundary")
     boundary = np.empty(bins, dtype=complex)
     for b in range(bins):
         members = z[idx == b]

@@ -14,6 +14,7 @@ outward-positive: the area clock runs at ``d t0/dt = +1``.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -128,16 +129,17 @@ def _require_univalent(m: LaurentMap, n: int | None, context: str):
         )
 
 
-def _moments(m: LaurentMap, order: int, n: int | None) -> MomentVector:
+def _moments(m: LaurentMap, order: int, n: int | None, grid=None) -> MomentVector:
     """Both moment families over one boundary pass, without the univalence witness.
 
     With ``core = zbar z' w`` on the grid, ``t0 = mean(core)``,
     ``t_k = mean(z^-k core) / k`` and ``v_k = mean(z^k core)``; the powers of
     ``z`` for all k are built at once as running products.  Callers witness
-    the map first.
+    the map first.  ``grid`` is the map's ``(z, w z')`` samples when the
+    caller already has them.
     """
     n = laurent._resolve_grid(m, n)
-    z, wzp = laurent._grid_values(m, n)
+    z, wzp = laurent._grid_values(m, n) if grid is None else grid
     core = np.conj(z) * wzp
     inverse_powers = np.cumprod(np.broadcast_to(1.0 / z, (order, n)), axis=0)
     powers = np.cumprod(np.broadcast_to(z, (order, n)), axis=0)
@@ -201,10 +203,22 @@ def green_function(m: LaurentMap, z: complex, z0: complex) -> float:
     return float(np.log(np.abs((wz - w0) / (1.0 - wz * np.conj(w0)))))
 
 
-def _velocity_over_speed(m: LaurentMap, flow: FlowSpec, potential: PotentialSpec, n: int):
-    """Return (V_n samples, h = V_n/|z'| samples, w z' samples) on the grid."""
+@functools.lru_cache(maxsize=None)
+def _circle_nodes(n: int) -> np.ndarray:
+    """The ``n``-point circle grid, built once per ``n`` and read-only."""
     w = circle_grid(n)
-    z, wzp = laurent._grid_values(m, n)
+    w.setflags(write=False)
+    return w
+
+
+def _velocity_over_speed(m: LaurentMap, flow: FlowSpec, potential: PotentialSpec, n: int,
+                         grid=None):
+    """Return (V_n samples, h = V_n/|z'| samples, w z' samples) on the grid.
+
+    ``grid`` is the map's ``(z, w z')`` samples when the caller already has them.
+    """
+    w = _circle_nodes(n)
+    z, wzp = laurent._grid_values(m, n) if grid is None else grid
     azp = np.abs(wzp)
     if azp.min() < CUSP_FLOOR:
         j = int(np.argmin(azp))
@@ -225,11 +239,9 @@ def _velocity_over_speed(m: LaurentMap, flow: FlowSpec, potential: PotentialSpec
         # as |z0| grows, and keeps d t0/dt = +1.
         vn = -wf.real / (2.0 * u * azp)
     elif flow.kind == "tk_real":
-        pk = laurent.phi_k(m, flow.k, w, n)
-        vn = pk.real / (u * azp)
+        vn = laurent._phi_values(z, flow.k, w).real / (u * azp)
     elif flow.kind == "tk_imag":
-        pk = laurent.phi_k(m, flow.k, w, n)
-        vn = -pk.imag / (u * azp)
+        vn = -laurent._phi_values(z, flow.k, w).imag / (u * azp)
     else:  # pragma: no cover
         raise ValueError(flow.kind)
     vn = flow.sign * vn
@@ -247,14 +259,15 @@ def normal_velocity(m: LaurentMap, flow: FlowSpec, potential: PotentialSpec,
     return vn
 
 
-def _coefficient_rhs(m: LaurentMap, flow: FlowSpec, potential: PotentialSpec, n: int):
+def _coefficient_rhs(m: LaurentMap, flow: FlowSpec, potential: PotentialSpec, n: int,
+                     grid=None):
     """Time derivative of (r, a0..aM) plus the spectral-leakage diagnostic.
 
     All on the grid spectrum: ``Phi`` (the Schwarz extension of ``h``) keeps
     ``Re hhat_0`` at index 0 and ``2 hhat_-k`` at index ``-k`` for
     ``k = 1 .. n/2 - 1``, and ``dz/dt = w z' Phi`` is read off by one FFT.
     """
-    _, h, wzp = _velocity_over_speed(m, flow, potential, n)
+    _, h, wzp = _velocity_over_speed(m, flow, potential, n, grid)
     h_modes = np.fft.fft(h)
     phi_modes = np.zeros(n, dtype=complex)
     phi_modes[0] = h_modes[0].real
@@ -277,15 +290,16 @@ class StepDiagnostics:
     min_abs_zprime: float
 
 
-def _rk4_step(m: LaurentMap, flow: FlowSpec, potential: PotentialSpec, dt: float, n: int):
-    M = m.order
+def _rk4_step(m: LaurentMap, flow: FlowSpec, potential: PotentialSpec, dt: float, n: int,
+              grid=None):
+    """One RK4 step and its diagnostics; ``grid`` is ``m``'s ``(z, w z')`` if known."""
 
     def rhs(r, a):
         probe = LaurentMap(r, a)
         return _coefficient_rhs(probe, flow, potential, n)
 
     r0, a0 = m.r, np.asarray(m.coeffs, dtype=complex)
-    k1r, k1a, leak = rhs(r0, a0)
+    k1r, k1a, leak = _coefficient_rhs(m, flow, potential, n, grid)
     k2r, k2a, _ = rhs(r0 + 0.5 * dt * k1r.real, a0 + 0.5 * dt * k1a)
     k3r, k3a, _ = rhs(r0 + 0.5 * dt * k2r.real, a0 + 0.5 * dt * k2a)
     k4r, k4a, _ = rhs(r0 + dt * k3r.real, a0 + dt * k3a)
@@ -352,17 +366,19 @@ def run(m: LaurentMap, schedule, potential: PotentialSpec, moment_order: int | N
     Records the map (with moments and step diagnostics) after every step;
     the initial state is record 0.  Each map is witnessed once: record 0
     here, every later one by the RK4 step that made it, so the moments of
-    the records skip the witness of :func:`moment_vector`.  Step failures
-    are re-raised with the failing step index in the message and the
-    trajectory up to the failure attached as ``exc.partial``; a
-    ``ValueError`` from a step (say a leading coefficient driven below zero)
-    carries the failing leg's index as ``exc.leg``.
+    the records skip the witness of :func:`moment_vector`, and each map's
+    grid samples serve both its moments and the first stage of the next
+    step.  Step failures are re-raised with the failing step index in the
+    message and the trajectory up to the failure attached as
+    ``exc.partial``; a ``ValueError`` from a step (say a leading coefficient
+    driven below zero) carries the failing leg's index as ``exc.leg``.
     """
     n = laurent._resolve_grid(m, n)
     if moment_order is None:
         moment_order = m.order
     _require_univalent(m, n, "run")
-    records = [TrajectoryRecord(0, 0.0, m, _moments(m, moment_order, n), None)]
+    grid = laurent._grid_values(m, n)
+    records = [TrajectoryRecord(0, 0.0, m, _moments(m, moment_order, n, grid), None)]
     current = m
     time = 0.0
     index = 0
@@ -373,7 +389,7 @@ def run(m: LaurentMap, schedule, potential: PotentialSpec, moment_order: int | N
         for _ in range(steps):
             index += 1
             try:
-                current, diag = _rk4_step(current, flow, potential, dt, n)
+                current, diag = _rk4_step(current, flow, potential, dt, n, grid)
             except (CuspError, NonUnivalentError) as exc:
                 wrapped = type(exc)(f"step {index} (leg {leg}): {exc}",
                                     getattr(exc, "theta", None))
@@ -383,8 +399,10 @@ def run(m: LaurentMap, schedule, potential: PotentialSpec, moment_order: int | N
                 exc.leg = leg
                 raise
             time += dt
+            grid = laurent._grid_values(current, n)
             records.append(
-                TrajectoryRecord(index, time, current, _moments(current, moment_order, n), diag)
+                TrajectoryRecord(index, time, current, _moments(current, moment_order, n, grid),
+                                 diag)
             )
     return Trajectory(tuple(records))
 

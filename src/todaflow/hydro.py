@@ -64,14 +64,6 @@ def read_profile_csv(path) -> "Profile":
     return Profile(grid, q_values)
 
 
-def write_profile_csv(path, profile: "Profile"):
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t0", "q"])
-        for t0, q in zip(profile.grid, profile.q_values):
-            writer.writerow([repr(float(t0)), repr(float(q))])
-
-
 def read_speed_csv(path):
     """Load a (q, c) speed table, rows in any order, as an interpolating callable."""
     return _table_speed(*_read_two_columns(path, ("q", "c")))

@@ -172,14 +172,38 @@ def derivative(m: LaurentMap, w):
     return out if out.ndim else out[()]
 
 
+def _critical_polynomial(m: LaurentMap) -> np.ndarray:
+    """Coefficients, in ascending powers of ``w``, of ``w^(M+1) z'(w)``."""
+    M = m.order
+    coeffs = np.zeros(M + 2, dtype=complex)
+    coeffs[M + 1] = m.r
+    coeffs[:M] = -np.arange(M, 0, -1) * m.coeffs[M:0:-1]
+    return coeffs
+
+
 def critical_points(m: LaurentMap) -> np.ndarray:
     """All zeros of ``z'``: roots of the degree-(M+1) polynomial ``z'(w) w^(M+1)``."""
-    M = m.order
-    coeffs = np.zeros(M + 2, dtype=complex)  # ascending powers of w
-    coeffs[M + 1] = m.r
-    for j in range(1, M + 1):
-        coeffs[M - j] = -j * m.coeffs[j]
-    return np.roots(coeffs[::-1])
+    return np.roots(_critical_polynomial(m)[::-1])
+
+
+def _zeros_inside(coeffs: np.ndarray, radius: float) -> bool:
+    """Whether every zero of a polynomial lies in ``|w| < radius`` (Schur-Cohn).
+
+    ``coeffs`` holds ascending powers with a nonzero leading coefficient.
+    The polynomial is rescaled to ``|w| < 1`` and made monic; each step of
+    the recursion needs ``|a_0| < 1`` and then replaces ``p`` by the monic
+    form of ``(p - a_0 p*) / w``, where ``p*`` is the reversed conjugate,
+    which lowers the degree by one and keeps the count of zeros inside.
+    """
+    d = len(coeffs) - 1
+    p = (coeffs * (radius ** np.arange(-d, 1) / coeffs[-1])).tolist()
+    while len(p) > 1:
+        a0 = p[0]
+        lead = 1.0 - (a0.real * a0.real + a0.imag * a0.imag)
+        if not lead > 0.0:
+            return False
+        p = [(x - a0 * y.conjugate()) / lead for x, y in zip(p[1:], p[-2::-1])]
+    return True
 
 
 def univalence_witness(m: LaurentMap, n: int | None = None):
@@ -190,10 +214,13 @@ def univalence_witness(m: LaurentMap, n: int | None = None):
     work and catches boundaries that cross themselves, which the separation
     test can miss.  The sampled part requires pairwise-distinct boundary
     images and ``|z'| > 0`` on the grid.  Since the series is truncated, the
-    critical points of the map are also located exactly, and any zero of
-    ``z'`` on or outside the unit circle flags the map.  Returns
-    ``(ok, min_separation, min_derivative, theta_worst)`` with
-    ``theta_worst`` locating the worst derivative or escaped critical point.
+    critical points of the map are also checked exactly: a Schur-Cohn
+    recursion on the coefficients of ``w^(M+1) z'(w)`` decides whether every
+    zero of ``z'`` lies in ``|w| < 1 - 1e-9``, and only a map that fails it
+    pays for :func:`critical_points` (``np.roots``) to locate the escaped
+    point.  Returns ``(ok, min_separation, min_derivative, theta_worst)``
+    with ``theta_worst`` locating the worst derivative or the outermost
+    critical point.
     """
     n = _resolve_grid(m, n)
     z, wzp = _grid_values(m, n)
@@ -206,28 +233,15 @@ def univalence_witness(m: LaurentMap, n: int | None = None):
     sep_floor = 1e-9 * max(m.r, 1.0)
     area = m.r ** 2 - float(np.sum(np.arange(len(m.coeffs)) * np.abs(m.coeffs) ** 2))
     ok = (area > 0.0) and (min_sep > sep_floor) and (zp[imin] > 1e-8)
-    if ok and m.order > 0:
+    if ok and m.order > 0 and not _zeros_inside(_critical_polynomial(m), 1.0 - 1e-9):
+        ok = False
         crit = critical_points(m)
-        escaped = crit[np.abs(crit) >= 1.0 - 1e-9]
-        if len(escaped):
-            ok = False
-            worst = escaped[np.argmax(np.abs(escaped))]
-            theta_worst = float(np.angle(worst))
+        theta_worst = float(np.angle(crit[np.argmax(np.abs(crit))]))
     return ok, min_sep, float(zp[imin]), theta_worst
 
 
-def _boundary_power_modes(m: LaurentMap, k: int, n: int) -> np.ndarray:
-    """FFT modes (coefficient of w**index) of ``z(w)**k`` sampled on the grid."""
-    z, _ = _grid_values(m, n)
-    return np.fft.fft(z ** k) / n
-
-
-def ak_projection(m: LaurentMap, k: int, n: int | None = None) -> np.polynomial.Polynomial:
-    """Flow generator ``A_k``: strictly positive powers of ``z**k`` plus half its free term.
-
-    Returns a degree-``k`` polynomial in ``w``.  ``A_0 = log w`` is a special
-    symbol and is never produced here; callers handle it themselves.
-    """
+def _projection_grid(m: LaurentMap, k: int, n: int | None) -> int:
+    """The grid for ``A_k`` of the map; refuses ``k < 1`` and unresolved powers."""
     if k < 1:
         raise ValueError("ak_projection is defined for k >= 1")
     n = _resolve_grid(m, n)
@@ -237,19 +251,37 @@ def ak_projection(m: LaurentMap, k: int, n: int | None = None) -> np.polynomial.
             f"z**{k} spans powers [{-k * m.order}, {k}] but the grid of size {n} "
             f"resolves only |m| <= {budget}"
         )
-    modes = _boundary_power_modes(m, k, n)
+    return n
+
+
+def _ak_coefficients(z: np.ndarray, k: int) -> np.ndarray:
+    """``A_k``'s coefficients (ascending powers of ``w``) from the grid samples ``z``."""
+    modes = np.fft.fft(z ** k) / len(z)
     coeffs = np.zeros(k + 1, dtype=complex)
     coeffs[0] = 0.5 * modes[0]
     coeffs[1 : k + 1] = modes[1 : k + 1]
-    return np.polynomial.Polynomial(coeffs)
+    return coeffs
+
+
+def _phi_values(z: np.ndarray, k: int, w) -> np.ndarray:
+    """``phi_k`` at ``w`` from the grid samples ``z``: Horner on ``w d/dw A_k``."""
+    return np.polynomial.polynomial.polyval(w, _ak_coefficients(z, k) * np.arange(k + 1))
+
+
+def ak_projection(m: LaurentMap, k: int, n: int | None = None) -> np.polynomial.Polynomial:
+    """Flow generator ``A_k``: strictly positive powers of ``z**k`` plus half its free term.
+
+    Returns a degree-``k`` polynomial in ``w``.  ``A_0 = log w`` is a special
+    symbol and is never produced here; callers handle it themselves.
+    """
+    z, _ = _grid_values(m, _projection_grid(m, k, n))
+    return np.polynomial.Polynomial(_ak_coefficients(z, k))
 
 
 def phi_k(m: LaurentMap, k: int, w, n: int | None = None):
     """Velocity generator ``phi_k(w) = w * d/dw A_k(w)``."""
-    ak = ak_projection(m, k, n)
-    weighted = np.polynomial.Polynomial(ak.coef * np.arange(len(ak.coef)))
-    w = np.asarray(w, dtype=complex)
-    out = weighted(w)
+    z, _ = _grid_values(m, _projection_grid(m, k, n))
+    out = _phi_values(z, k, np.asarray(w, dtype=complex))
     return out if out.ndim else complex(out)
 
 

@@ -524,6 +524,25 @@ def test_plane_gas_below_four_particles_is_a_config_error(tmp_path, capsys, n, m
     assert not (tmp_path / "o").exists()
 
 
+def test_plane_gas_with_empty_bins_is_a_breakdown(tmp_path, capsys):
+    # a short chain at N = 8 leaves an angular bin empty at every count down
+    # to 4; this ran the chain and then exited 1 at /dyson with "too few
+    # particles to estimate a boundary", writing no manifest
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"scenario": "dyson",
+                                    "dyson": {"N": 8, "hbar": 0.125, "mode": "metropolis",
+                                              "sweeps": 3}}))
+    assert cli.main([str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert "config error" not in capsys.readouterr().err
+    manifest = strict_json((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["status"] == "breakdown" and not manifest["complete"]
+    assert manifest["breakdown"]["type"] == "InsufficientSamplesError"
+    assert "empty" in manifest["breakdown"]["message"]
+    # the chain's final state is still written
+    assert "state.csv" in [f["name"] for f in manifest["files"]]
+    assert len((tmp_path / "o" / "state.csv").read_text().splitlines()) == 9
+
+
 def test_curve_gas_takes_three_particles(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"scenario": "dyson",

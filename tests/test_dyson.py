@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import eigvalsh_tridiagonal
 
 from todaflow import dyson
+from todaflow.errors import InsufficientSamplesError
 
 
 def hermite_gas_oracle(n_particles, hbar):
@@ -292,6 +293,15 @@ def test_support_boundary_plane_needs_four_particles(n):
     cfg = dyson.GasConfig(N=n, hbar=1.0 / n, seed=0)
     with pytest.raises(ValueError, match="N >= 4"):
         dyson.support_boundary(dyson.GasState(z), cfg, bins=4)
+
+
+def test_support_boundary_plane_with_an_empty_quadrant_is_insufficient():
+    # eight particles in one quadrant leave a bin empty at every count down
+    # to 4; this raised a ValueError, which the CLI reported as a bad config
+    z = np.exp(1j * np.linspace(0.1, 1.2, 8))
+    cfg = dyson.GasConfig(N=8, hbar=1.0 / 8, seed=0)
+    with pytest.raises(InsufficientSamplesError, match="empty"):
+        dyson.support_boundary(dyson.GasState(z), cfg, bins=32)
 
 
 def test_support_boundary_curve_takes_one_bin():

@@ -202,6 +202,67 @@ def test_univalence_witness_flags_self_crossing_boundary():
     assert min_sep > 1e-3 and min_zp > 1e-3
 
 
+def _critical_points_inside(m):
+    return bool(np.all(np.abs(laurent.critical_points(m)) < 1.0 - 1e-9))
+
+
+def test_schur_cohn_decision_matches_the_roots():
+    # order-16 maps with sum_j j |a_j| from 0.5 r to 3 r: below r every
+    # critical point is inside, above it about half of the maps have one out
+    rng = np.random.default_rng(16)
+    j = np.arange(1, 17)
+    decisions = []
+    for _ in range(1500):
+        r = rng.uniform(0.5, 2.0)
+        tail = rng.dirichlet(np.ones(16)) * rng.uniform(0.5, 3.0) * r / j
+        coeffs = np.concatenate([rng.normal(size=1), tail]) * np.exp(
+            2j * np.pi * rng.uniform(size=17))
+        m = laurent.LaurentMap(r, coeffs)
+        inside = laurent._zeros_inside(laurent._critical_polynomial(m), 1.0 - 1e-9)
+        assert inside == _critical_points_inside(m), m
+        decisions.append(inside)
+    assert 300 < sum(decisions) < 1200  # both outcomes are well represented
+
+
+@pytest.mark.parametrize("radius, inside", [(1.0 - 1e-6, True), (1.0 + 1e-6, False)])
+def test_schur_cohn_decides_critical_points_near_the_circle(radius, inside):
+    # z = w + a2/w^2 has its three critical points at |w| = (2 |a2|)^(1/3)
+    m = laurent.LaurentMap(1.0, [0.0, 0.0, 0.5 * radius ** 3])
+    assert np.abs(laurent.critical_points(m)) == pytest.approx(radius, abs=1e-12)
+    assert _critical_points_inside(m) is inside
+    assert laurent._zeros_inside(laurent._critical_polynomial(m), 1.0 - 1e-9) is inside
+    ok, _, min_zp, _ = laurent.univalence_witness(m)
+    assert min_zp > 1e-8  # the grid alone passes both maps
+    assert ok == inside
+
+
+def test_schur_cohn_keeps_the_margin_inside_the_circle():
+    # critical points at |w| = 1 - 1e-10 are inside the circle but not
+    # inside the witness's radius 1 - 1e-9
+    m = laurent.LaurentMap(1.0, [0.0, 0.0, 0.5 * (1.0 - 1e-10) ** 3])
+    poly = laurent._critical_polynomial(m)
+    assert laurent._zeros_inside(poly, 1.0)
+    assert not laurent._zeros_inside(poly, 1.0 - 1e-9)
+
+
+def test_witness_locates_the_escaped_critical_point_only_on_failure(monkeypatch):
+    calls = []
+    roots = laurent.critical_points
+
+    def counted(m):
+        calls.append(m)
+        return roots(m)
+
+    monkeypatch.setattr(laurent, "critical_points", counted)
+    ok, *_ = laurent.univalence_witness(laurent.LaurentMap(1.0, [0.0, 0.1, 0.05j]))
+    assert ok and calls == []
+    # the critical points of w + 0.7 e^(0.3 i)/w^2 are the cube roots of 1.4 e^(0.3 i)
+    bad, _, _, theta = laurent.univalence_witness(
+        laurent.LaurentMap(1.0, [0.0, 0.0, 0.7 * np.exp(0.3j)]))
+    assert not bad and len(calls) == 1
+    assert np.exp(3j * theta) == pytest.approx(np.exp(0.3j), abs=1e-12)
+
+
 @pytest.mark.parametrize("order, n", [(0, 128), (3, 16), (16, 128), (40, 256)])
 def test_grid_values_match_horner(order, n):
     # random univalent maps: sum_j j |a_j| <= r / 2 keeps |z'| >= r / 2 > 0
