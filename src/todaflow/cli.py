@@ -588,6 +588,8 @@ def _run_loewner(cfg: ScenarioConfig, out: Path, files: dict):
         family = loewner.default_family(p["q0"], p["q_max"], driving)
     q_grid = np.linspace(p["q0"], p["q_max"], p["trace_points"])
     tips = loewner.slit_trace(family, q_grid)
+    summary = {"final_tip": [float(tips[-1].real), float(tips[-1].imag)],
+               "capacity_range": [p["q0"], p["q_max"]]}
     if "csv" in cfg.formats:
         _write_csv(out / "trace.csv", ["q", "re_tip", "im_tip"],
                    [[float(q), float(t.real), float(t.imag)] for q, t in zip(q_grid, tips)])
@@ -606,14 +608,19 @@ def _run_loewner(cfg: ScenarioConfig, out: Path, files: dict):
             snaps.append({"q": float(q), "pairs": pairs})
         _write_json(out / "family.json", snaps)
         files["family.json"] = True
+        # the snapshot integration's counters: the q_max copy carries every
+        # tracked point's whole run, so its flags count the swallowed points
+        summary["tracked"] = {
+            "substeps": res.substeps,
+            "absorbed": int(np.count_nonzero(res.absorbed[2 * len(z0):])),
+            "min_eta_distance": float(np.min(res.min_eta_distance)) if len(z0) else None}
     if "svg" in cfg.formats:
         circle = family.r0 * laurent.circle_grid(128)
         layers = [("polyline", circle, {"closed": True}),
                   ("polyline", tips, {"stroke": "#b3402a"})]
         _write_svg(out / "trace.svg", layers)
         files["trace.svg"] = True
-    return {"final_tip": [float(tips[-1].real), float(tips[-1].imag)],
-            "capacity_range": [p["q0"], p["q_max"]]}
+    return summary
 
 
 def _build_speed(spec: dict, seed: int):

@@ -28,7 +28,7 @@ from .errors import IntegrationBreakdownError, ShockError
 
 _FD_STEP = 1e-6
 _NEWTON_TOL, _NEWTON_ITERATIONS = 1e-12, 50  # solve_characteristics' residual and cap
-_HULL_RADIUS = 4.0  # speed sweep circle radius over exp(max q)
+_HULL_RADIUS = 6.0  # speed sweep circle radius over exp(max q)
 
 
 def _read_two_columns(path, names):
@@ -120,10 +120,12 @@ def _speed_derivative(speed, q, h: float = _FD_STEP):
 def _phi_coefficients(k: int, family: loewner.LoewnerFamily, q_values) -> np.ndarray:
     """``b_1..b_k`` of ``phi_k = sum_j b_j eta^j`` at each of ``q_values``.
 
-    One circle ``|z| = 4 exp(max q)`` is carried forward from ``q0`` through
-    the ``q_values`` (a hull of capacity ``exp(q)`` lies in
-    ``|z| <= 4 exp(q)``), stopping at the driving's knots so that no substep
-    straddles a kink of ``eta``.
+    One circle ``|z| = 6 exp(max q)`` is carried forward from ``q0`` through
+    the ``q_values``, stopping at the driving's knots so that no substep
+    straddles a kink of ``eta``.  A hull of capacity ``exp(q)`` lies in
+    ``|z| <= 4 exp(q)``, and a straight slit's tip reaches that bound, so the
+    circle keeps clear of it; its points also keep ``|eta - w| >= 4``, where
+    ``loewner``'s substep is the whole ``base_step``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -17,6 +17,12 @@ range (start and end ``q``, either direction, possibly empty), so each query
 estimate from tracked points, a batch of snapshots -- is one vectorized
 integration call.  Points are integrated independently (no cross-point
 state), so results do not depend on how they are batched.
+
+A substep costs a fixed number of small numpy calls, whatever the batch
+size, so the loop keeps that number down: the points still moving stay in
+compact arrays, gathered again only when one of them finishes or is
+absorbed, and each substep makes one ``eta`` call (its mid and end stages;
+the end stage is the next substep's first).
 """
 
 from __future__ import annotations
@@ -140,12 +146,15 @@ def default_family(q0=0.0, q_max=0.5, driving=None) -> LoewnerFamily:
 
 @dataclass
 class AdvanceResult:
-    """Batch integration outcome: final points, absorption flags and times."""
+    """Batch integration outcome: final points, absorption flags and times,
+    each point's closest approach to the driving point, and the call's
+    substep count."""
 
     w: np.ndarray
     absorbed: np.ndarray
     q_absorbed: np.ndarray
     min_eta_distance: np.ndarray
+    substeps: int
 
 
 def _loewner_rhs(w, eta):
@@ -167,6 +176,16 @@ def _integrate(w0, q_from, q_to, driving, base_step=DEFAULT_BASE_STEP,
 
     No substep crosses a capacity in ``stops``: a point lands on it and
     goes on, exactly as if a second call had restarted it there.
+
+    The active points (range not yet covered, not absorbed) live in compact
+    arrays between substeps.  They are gathered from the full arrays, and
+    the compact state written back, only when the set changes: when a
+    substep's reductions (min ``|eta - w|``, min and max ``|w_new|``, min
+    remaining range) show that a point was absorbed, died or finished.  A
+    substep's end-stage ``eta`` is the next substep's first stage, because
+    the new ``q`` is the same float ``q + h``; the mid and end stages come
+    from one ``eta`` call on the concatenated capacities.  Each point sees
+    exactly the arithmetic of a loop that gathers every substep.
     """
     w = np.atleast_1d(np.asarray(w0, dtype=complex)).copy()
     npts = len(w)
@@ -177,45 +196,64 @@ def _integrate(w0, q_from, q_to, driving, base_step=DEFAULT_BASE_STEP,
     q_abs = np.full(npts, np.nan)
     min_dist = np.full(npts, np.inf)
     steps = 0
+    gather = True
     while True:
-        idx = np.flatnonzero((np.abs(q_to - q) > 1e-15) & ~absorbed)
-        if len(idx) == 0:
-            break
-        wi, qi = w[idx], q[idx]
-        eta_i = driving.eta(qi)
-        dist = np.abs(eta_i - wi)
-        min_dist[idx] = np.minimum(min_dist[idx], dist)
-        hit = dist < ABSORB_TOL
-        if np.any(hit):
-            absorbed[idx[hit]] = True
-            q_abs[idx[hit]] = qi[hit] + direction[idx[hit]] * dist[hit] ** 2 / 4.0
-            keep = ~hit
-            idx, wi, qi, eta_i, dist = idx[keep], wi[keep], qi[keep], eta_i[keep], dist[keep]
+        if gather:
+            idx = np.flatnonzero((np.abs(q_to - q) > 1e-15) & ~absorbed)
             if len(idx) == 0:
+                break
+            wi, qi, ti, di, md = w[idx], q[idx], q_to[idx], direction[idx], min_dist[idx]
+            eta_i = driving.eta(qi)
+            remaining = np.abs(ti - qi)
+            gather = False
+        dist = np.abs(eta_i - wi)
+        np.minimum(md, dist, out=md)
+        # each reduction only screens for the exact test below it; the tests
+        # are written so that a NaN also falls through to the exact test
+        if not dist.min() >= ABSORB_TOL:
+            hit = dist < ABSORB_TOL
+            if np.any(hit):
+                # the survivors redo this substep from a fresh gather, which
+                # recomputes the same eta and distance
+                w[idx], q[idx], min_dist[idx] = wi, qi, md
+                absorbed[idx[hit]] = True
+                q_abs[idx[hit]] = qi[hit] + di[hit] * dist[hit] ** 2 / 4.0
+                gather = True
                 continue
         h = base_step * np.minimum(1.0, dist / 4.0)
-        h = np.minimum(h, np.abs(q_to[idx] - qi))
+        h = np.minimum(h, remaining)
         for stop in stops:
-            ahead = (stop - qi) * direction[idx]
+            ahead = (stop - qi) * di
             h = np.where(ahead > 1e-15, np.minimum(h, ahead), h)
-        h = h * direction[idx]
-        eta_mid = driving.eta(qi + 0.5 * h)
+        h = h * di
+        half = 0.5 * h
+        q_new = qi + h
+        eta_stages = driving.eta(np.concatenate([qi + half, q_new]))
+        eta_mid, eta_end = eta_stages[:len(idx)], eta_stages[len(idx):]
         k1 = _loewner_rhs(wi, eta_i)
-        k2 = _loewner_rhs(wi + 0.5 * h * k1, eta_mid)
-        k3 = _loewner_rhs(wi + 0.5 * h * k2, eta_mid)
-        k4 = _loewner_rhs(wi + h * k3, driving.eta(qi + h))
+        k2 = _loewner_rhs(wi + half * k1, eta_mid)
+        k3 = _loewner_rhs(wi + half * k2, eta_mid)
+        k4 = _loewner_rhs(wi + h * k3, eta_end)
         w_new = wi + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        dead = ~np.isfinite(w_new) | (np.abs(w_new) < 1.0 - 1e-6)
+        steps += 1
+        if steps > _MAX_SUBSTEPS:
+            raise IntegrationBreakdownError(f"integration exceeded {_MAX_SUBSTEPS} substeps")
+        modulus = np.abs(w_new)
+        remaining = np.abs(ti - q_new)
+        if modulus.min() >= 1.0 - 1e-6 and modulus.max() < np.inf and remaining.min() > 1e-15:
+            wi, qi, eta_i = w_new, q_new, eta_end
+            continue
+        dead = ~np.isfinite(w_new) | (modulus < 1.0 - 1e-6)
+        w[idx] = np.where(dead, wi, w_new)
+        q[idx] = np.where(dead, qi, q_new)
+        min_dist[idx] = md
         if np.any(dead):
             absorbed[idx[dead]] = True
             q_abs[idx[dead]] = qi[dead]
             min_dist[idx[dead]] = 0.0
-        w[idx] = np.where(dead, wi, w_new)
-        q[idx] = np.where(dead, qi, qi + h)
-        steps += 1
-        if steps > _MAX_SUBSTEPS:
-            raise IntegrationBreakdownError(f"integration exceeded {_MAX_SUBSTEPS} substeps")
-    return AdvanceResult(w=w, absorbed=absorbed, q_absorbed=q_abs, min_eta_distance=min_dist)
+        gather = True
+    return AdvanceResult(w=w, absorbed=absorbed, q_absorbed=q_abs, min_eta_distance=min_dist,
+                         substeps=steps)
 
 
 def advance_inverse(w, q_from: float, q_to: float, driving: DrivingFunction,
@@ -277,10 +315,11 @@ def forward_map(w, q: float, family: LoewnerFamily):
 def slit_trace(family: LoewnerFamily, q_grid) -> np.ndarray:
     """Tip positions along the run: images of the driving point.
 
-    The tip at each ``q`` is evaluated at two small radial offsets from
+    The tip at each ``q > q0`` is evaluated at two small radial offsets from
     ``eta(q)`` and Richardson-extrapolated (the offset enters quadratically
     at a simple critical point).  Both offsets at every grid ``q`` go
-    through one integration call.
+    through one integration call.  At ``q = q0`` the map is the linear
+    ``z = exp(q0) w``, with no critical point, so the tip is ``exp(q0) eta(q0)``.
     """
     q_grid = np.atleast_1d(np.asarray(q_grid, dtype=float))
     eta = family.driving.eta(q_grid)
@@ -288,7 +327,8 @@ def slit_trace(family: LoewnerFamily, q_grid) -> np.ndarray:
     t1, t2 = np.split(_pull_back(starts, np.tile(q_grid, 2), family), 2)
     # divide the real and imaginary parts by 3: numpy's complex division
     # multiplies by 1/3 instead, which rounds differently from a scalar tip
-    return ((4.0 * t2 - t1).view(float) / 3.0).view(complex)
+    tips = ((4.0 * t2 - t1).view(float) / 3.0).view(complex)
+    return np.where(q_grid == family.q0, family.r0 * eta, tips)
 
 
 @dataclass(frozen=True)

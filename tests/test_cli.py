@@ -10,7 +10,7 @@ import pytest
 import scipy
 from numpy.testing import assert_allclose
 
-from todaflow import cli, growth, hydro, laurent, svgout
+from todaflow import cli, growth, hydro, laurent, loewner, svgout
 from todaflow.errors import ConfigError, NonFiniteResultError
 
 
@@ -115,6 +115,28 @@ def test_loewner_scenario_monotone_real_trace(tmp_path):
     tips = np.array([[float(v) for v in row.split(",")] for row in rows])
     assert np.all(np.diff(tips[:, 1]) > 0)  # re_tip increasing
     assert np.max(np.abs(tips[:, 2])) < 1e-9  # im_tip zero by symmetry
+
+
+def test_loewner_summary_counts_the_tracked_integration(tmp_path):
+    # two tracked points on the slit's path get swallowed, two stay clear
+    tracked = [[1.2, 0.0], [1.5, 0.0], [2.0, 2.0], [-1.7, 0.8]]
+    raw = {
+        "scenario": "loewner",
+        "output": {"directory": str(tmp_path / "out"), "formats": ["json"]},
+        "loewner": {"driving": {"kind": "constant", "theta0": 0.0},
+                    "q_max": 0.3, "trace_points": 3, "tracked": tracked},
+    }
+    summaries = []
+    for _ in range(2):
+        report = cli.run_scenario(cli.parse_config(json.dumps(raw)))
+        assert report.exit_code == 0
+        summaries.append(report.manifest["summary"]["tracked"])
+    assert summaries[0] == summaries[1]
+    w0 = np.array([complex(*z) for z in tracked])
+    res = loewner.advance_many(w0, 0.0, 0.3, loewner.DrivingFunction.constant(0.0))
+    assert summaries[0]["substeps"] == res.substeps
+    assert summaries[0]["absorbed"] == 2 == np.count_nonzero(res.absorbed)
+    assert summaries[0]["min_eta_distance"] == 0.0  # a swallowed point's closest approach
 
 
 def test_hydro_scenario_breakdown_exit_code(tmp_path):

@@ -188,6 +188,28 @@ def test_family_speed_matches_characteristic_speed(driving, q_max, bound):
     assert np.array_equal(speed(np.array([-1.0, q_max + 1.0])), speed(np.array([0.0, q_max])))
 
 
+def test_family_speed_sweeps_a_long_straight_slit():
+    # the tip nears 4 e^q: a sweep circle at that radius broke down at q = 2.484
+    family = loewner.default_family(0.0, 2.5, loewner.DrivingFunction.constant(0.0))
+    speed = hydro.family_speed(2, family)
+    qs = np.array([1.0, 2.0, 2.45])
+    assert np.max(np.abs(speed(qs) - hydro.characteristic_speed(2, family, qs))) < 1e-6
+
+
+def test_speed_sweep_takes_one_substep_per_node(monkeypatch):
+    substeps, advance_many = [], loewner.advance_many
+
+    def counted(*args, **kwargs):
+        res = advance_many(*args, **kwargs)
+        substeps.append(res.substeps)
+        return res
+
+    monkeypatch.setattr(loewner, "advance_many", counted)
+    hydro.family_speed(2, loewner.default_family(0.0, 0.5, loewner.DrivingFunction.constant(0.7)))
+    # the first node is q0 itself, a zero-length advance
+    assert len(substeps) == 501 and sum(substeps) == 500
+
+
 def test_speed_sweep_circle_cutting_the_hull_is_a_breakdown(monkeypatch):
     # at q = 1 the constant-driving slit reaches past 3 e^q but not 4 e^q
     family = loewner.default_family(0.0, 1.0, loewner.DrivingFunction.constant(0.0))

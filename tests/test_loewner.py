@@ -3,7 +3,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from todaflow import loewner
-from todaflow.errors import InsufficientSamplesError, PointAbsorbedError
+from todaflow.errors import (
+    InsufficientSamplesError,
+    IntegrationBreakdownError,
+    PointAbsorbedError,
+)
 
 CONST = loewner.DrivingFunction.constant(0.0)
 
@@ -209,7 +213,7 @@ def test_slit_trace_matches_per_point_forward_map(driving):
         eta = driving.eta(q)
         t1 = loewner.forward_map(eta * (1.0 + loewner.TIP_OFFSET), q, fam)
         t2 = loewner.forward_map(eta * (1.0 + 0.5 * loewner.TIP_OFFSET), q, fam)
-        ref.append((4.0 * t2 - t1) / 3.0)
+        ref.append(fam.r0 * eta if q == fam.q0 else (4.0 * t2 - t1) / 3.0)
     assert np.max(np.abs(loewner.slit_trace(fam, qs) - np.array(ref))) <= 1e-14
 
 
@@ -228,3 +232,131 @@ def test_extract_eta_matches_chained_integrations():
     est = loewner.extract_eta(fam, q, dq)
     assert abs(est.eta - np.mean(eta_pts)) <= 1e-15
     assert est.spread == pytest.approx(np.max(np.abs(eta_pts - est.eta)), rel=1e-12, abs=1e-15)
+
+
+def integrate_reference(w0, q_from, q_to, driving, base_step=loewner.DEFAULT_BASE_STEP,
+                        stops=()):
+    """The gather-every-substep loop that ``_integrate`` must reproduce exactly:
+    returns ``(w, absorbed, q_absorbed, min_eta_distance, substeps)``."""
+    ABSORB_TOL, _MAX_SUBSTEPS = loewner.ABSORB_TOL, loewner._MAX_SUBSTEPS
+    _loewner_rhs = loewner._loewner_rhs
+    w = np.atleast_1d(np.asarray(w0, dtype=complex)).copy()
+    npts = len(w)
+    q = np.broadcast_to(np.asarray(q_from, dtype=float), (npts,)).copy()
+    q_to = np.broadcast_to(np.asarray(q_to, dtype=float), (npts,))
+    direction = np.where(q_to >= q, 1.0, -1.0)
+    absorbed = np.zeros(npts, dtype=bool)
+    q_abs = np.full(npts, np.nan)
+    min_dist = np.full(npts, np.inf)
+    steps = 0
+    while True:
+        idx = np.flatnonzero((np.abs(q_to - q) > 1e-15) & ~absorbed)
+        if len(idx) == 0:
+            break
+        wi, qi = w[idx], q[idx]
+        eta_i = driving.eta(qi)
+        dist = np.abs(eta_i - wi)
+        min_dist[idx] = np.minimum(min_dist[idx], dist)
+        hit = dist < ABSORB_TOL
+        if np.any(hit):
+            absorbed[idx[hit]] = True
+            q_abs[idx[hit]] = qi[hit] + direction[idx[hit]] * dist[hit] ** 2 / 4.0
+            keep = ~hit
+            idx, wi, qi, eta_i, dist = idx[keep], wi[keep], qi[keep], eta_i[keep], dist[keep]
+            if len(idx) == 0:
+                continue
+        h = base_step * np.minimum(1.0, dist / 4.0)
+        h = np.minimum(h, np.abs(q_to[idx] - qi))
+        for stop in stops:
+            ahead = (stop - qi) * direction[idx]
+            h = np.where(ahead > 1e-15, np.minimum(h, ahead), h)
+        h = h * direction[idx]
+        eta_mid = driving.eta(qi + 0.5 * h)
+        k1 = _loewner_rhs(wi, eta_i)
+        k2 = _loewner_rhs(wi + 0.5 * h * k1, eta_mid)
+        k3 = _loewner_rhs(wi + 0.5 * h * k2, eta_mid)
+        k4 = _loewner_rhs(wi + h * k3, driving.eta(qi + h))
+        w_new = wi + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+        dead = ~np.isfinite(w_new) | (np.abs(w_new) < 1.0 - 1e-6)
+        if np.any(dead):
+            absorbed[idx[dead]] = True
+            q_abs[idx[dead]] = qi[dead]
+            min_dist[idx[dead]] = 0.0
+        w[idx] = np.where(dead, wi, w_new)
+        q[idx] = np.where(dead, qi, qi + h)
+        steps += 1
+        if steps > _MAX_SUBSTEPS:
+            raise IntegrationBreakdownError(f"integration exceeded {_MAX_SUBSTEPS} substeps")
+    return w, absorbed, q_abs, min_dist, steps
+
+
+PL = loewner.DrivingFunction.piecewise_linear([(0.0, 0.0), (0.1, 0.3), (0.2, -0.2), (0.4, 0.5)])
+BROWNIAN = loewner.DrivingFunction.brownian(0.5, seed=7, dq_grid=1e-3, q_range=(0.0, 0.4))
+# far points, points that cross into the disk and points that pass close to the slit
+SPREAD = np.array([3.0 + 0j, -2.0 + 1.0j, 1.5 + 0j, 1.2 + 0.05j, 1.05 - 0.02j, 0.3 + 1.4j,
+                   1.01 * np.exp(0.25j), 2.0 * np.exp(-2.5j)])
+REFERENCE_CASES = {
+    "constant": (SPREAD, 0.0, 0.4, CONST, {}),
+    "piecewise_linear": (SPREAD, 0.0, 0.4, PL, {}),
+    "brownian": (SPREAD, 0.0, 0.4, BROWNIAN, {}),
+    "mixed_ranges": (np.array([2.0 + 1.0j, -1.5 + 0.5j, 3.0j, 1.8 - 1.8j, 2.5 + 0j, 1.5 + 0j]),
+                     np.array([0.0, 0.3, 0.1, 0.2, 0.25, 0.0]),
+                     np.array([0.3, 0.0, 0.1, 0.45, 0.25, 0.4]), PL, {}),
+    # within ABSORB_TOL of eta at the start, forward and backward, beside
+    # points that step inside the unit disk and points that finish
+    "absorbed": (np.array([1 + 5e-10, 2.0 + 2.0j, 1.5 + 0j, 1 + 2e-10j, -1.7 + 0.8j]),
+                 np.array([0.0, 0.0, 0.0, 0.3, 0.3]), np.array([0.3, 0.3, 0.3, 0.0, 0.0]),
+                 CONST, {}),
+    # a base step small enough that a point walks into the ABSORB_TOL ball
+    # two substeps in, while the others keep going
+    "absorbed_mid_run": (np.array([3.0 + 1.0j, 1 + 2e-9, -2.0 + 0.5j]), 0.0, 1e-8, CONST,
+                         {"base_step": 1e-9}),
+    "stops": (np.tile(np.asarray(loewner.default_family().z_samples), 3), 0.0,
+              np.repeat([0.249, 0.25, 0.251], 12), BROWNIAN, {"stops": (0.249, 0.25)}),
+    "circle_256": (1.3 * np.exp(2j * np.pi * np.arange(256) / 256), 0.0, 0.2, PL,
+                   {"base_step": 4e-3}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_integrate_matches_gather_every_substep_reference(case):
+    w0, q_from, q_to, driving, kwargs = REFERENCE_CASES[case]
+    w, absorbed, q_abs, min_dist, steps = integrate_reference(w0, q_from, q_to, driving,
+                                                              **kwargs)
+    res = loewner._integrate(w0, q_from, q_to, driving, **kwargs)
+    assert np.array_equal(res.w, w)
+    assert np.array_equal(res.absorbed, absorbed)
+    assert np.array_equal(res.q_absorbed, q_abs, equal_nan=True)
+    assert np.array_equal(res.min_eta_distance, min_dist)
+    assert res.substeps == steps
+    if case == "absorbed":
+        # both absorption rules fire: the ABSORB_TOL ball (forward and
+        # backward) and a step into the unit disk
+        assert absorbed.tolist() == [True, False, True, True, False]
+        assert np.all(min_dist[[0, 3]] < loewner.ABSORB_TOL) and min_dist[2] == 0.0
+    if case == "absorbed_mid_run":
+        assert absorbed.tolist() == [False, True, False] and q_abs[1] > 0.0
+        assert min_dist[1] < loewner.ABSORB_TOL
+
+
+def test_far_point_takes_one_substep_per_base_step():
+    res = loewner.advance_many(np.array([50.0 + 0j]), 0.0, 0.1, CONST)
+    assert res.substeps == 100
+    again = loewner.advance_many(np.array([50.0 + 0j]), 0.0, 0.1, CONST)
+    assert again.substeps == res.substeps
+    assert np.array_equal(again.min_eta_distance, res.min_eta_distance)
+
+
+def exact_constant_tip(q, q0, theta0):
+    """Tip of the straight slit grown from exp(q0) * exp(i theta0)."""
+    grow = np.exp(q - q0)
+    return np.exp(q0) * np.exp(1j * theta0) * (np.sqrt(grow) + np.sqrt(grow - 1.0)) ** 2
+
+
+@pytest.mark.parametrize("q0, theta0", [(0.0, 0.0), (0.1, 0.9)])
+def test_slit_trace_matches_closed_form_straight_slit(q0, theta0):
+    fam = loewner.default_family(q0, q0 + 0.5, loewner.DrivingFunction.constant(theta0))
+    qs = np.linspace(q0, q0 + 0.5, 11)
+    tips = loewner.slit_trace(fam, qs)
+    assert np.max(np.abs(tips - exact_constant_tip(qs, q0, theta0))) <= 1e-7
+    assert tips[0] == fam.r0 * fam.driving.eta(q0)
