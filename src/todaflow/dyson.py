@@ -10,21 +10,22 @@ The eigenvalue integrand is carried around as an energy
 
 with ``t0 = hbar * N`` held finite and the coefficient ``c`` given as
 ``GasConfig.confine``; both fields and their forces are closed forms.
-Curves are straight, so their pair terms are real: one pass gives the pair
-energy and every pair force.  The equilibrium configuration is found
-deterministically by one L-BFGS-B minimizer: over the 2N coordinates in the
-plane, keeping the lowest of a few seeded starts, and over the curve
-parameters on a curve, with the curve's ends as box bounds.  A seeded
-Metropolis sampler provides the finite-hbar companion; each of its
-proposals costs O(N), from one distance row and a scalar field term.  The
-support of the minimizer reproduces the growing domains of the
+Curves are straight, so their pair terms are real.  The equilibrium
+configuration is found deterministically by one L-BFGS-B minimizer: over
+the 2N coordinates in the plane, keeping the lowest of a few seeded starts,
+and over the curve parameters on a curve, with the curve's ends as box
+bounds.  A seeded Metropolis sampler provides the finite-hbar companion;
+each of its proposals costs O(N), from one distance row and a scalar field
+term.  The support of the minimizer reproduces the growing domains of the
 contour-dynamics module; its boundary is extracted by angular binning.
 
-The pair energies hold the N(N-1)/2 distances in one buffer in ``triu``
-order, with no N x N matrix or index arrays, and sum it in one ``np.sum``:
-the minimizers are sensitive to that order at the ulp level, and on the
-real line it makes the real and complex kernels agree bit for bit.  The
-forces work in row blocks of at most ``_REPULSION_BLOCK`` pair terms.
+Both measures score their pairs by one pass, ``_pair_pass``, over the
+curve parameters or the plane positions: one call gives the pair energy
+and, when asked, every pair force.  It works in row blocks of at most
+``_PAIR_BLOCK`` = 16,384 differences, with no N x N matrix, and fills the
+N(N-1)/2 distances into one buffer in ``triu`` order, summed in one
+``np.sum``: the minimizers are sensitive to that order at the ulp level,
+and on the real line it makes real and complex input agree bit for bit.
 
 ``scipy.optimize`` (the minimizer) and ``scipy.spatial`` (the separation
 check of ``GasState``) are imported where they are used, so that importing
@@ -47,10 +48,9 @@ log = logging.getLogger(__name__)
 MIN_SEPARATION = 1e-12
 # deterministic starts of a plane minimization; the lowest energy is kept
 _PLANE_STARTS = 6
-# pair terms per row block of the force kernel: one block up to N = 256
-_REPULSION_BLOCK = 65536
-# smaller for the line kernel: at 65536 its pages were refaulted on every call
-_LINE_BLOCK = 16384
+# differences per row block of the pair pass: at 65536 its pages were
+# refaulted on every call
+_PAIR_BLOCK = 16384
 _BOUNDARY_MAP_ORDER = 8  # of the map fitted through a plane support's boundary
 
 
@@ -247,115 +247,12 @@ class GasState:
         return len(self.positions)
 
 
-def _pair_log_sum(z: np.ndarray) -> float:
-    """sum_{m != n} log|z_m - z_n|, or -inf when points coincide.
-
-    The N(N-1)/2 distances fill one buffer row by row in ``triu`` order and
-    are summed in one ``np.sum``: the minimizers are sensitive to this sum's
-    order at the ulp level, so it must not change.
-    """
-    n = len(z)
-    if n < 2:
-        return 0.0
-    d = np.empty(n * (n - 1) // 2)
-    start = 0
-    for i in range(n - 1):
-        stop = start + n - 1 - i
-        np.abs(z[i] - z[i + 1:], out=d[start:stop])
-        start = stop
-    if d.min() < MIN_SEPARATION:
-        return -np.inf
-    return 2.0 * float(np.sum(np.log(d, out=d)))
-
-
 def energy(state, config: GasConfig) -> float:
     """Negative log of the eigenvalue integrand (each pair counted twice).
 
     Coincident particles return the ``+inf`` sentinel.
     """
-    if isinstance(state, GasState):
-        return _energy_raw(state.positions, state.params, config)
-    return _energy_raw(np.asarray(state, dtype=complex), None, config)
-
-
-def _energy_raw(z: np.ndarray, s, config: GasConfig) -> float:
-    if config.measure == "curve":
-        if s is None:
-            raise ValueError("curve-measure energy needs the parameter vector")
-        return _curve_energy_gradient(z, s, config)[0]
-    pair = _pair_log_sum(z)
-    if pair == -np.inf:
-        log.debug("coincident particles: energy sentinel +inf")
-        return np.inf
-    drive = 2.0 * np.real(np.sum(_times_polynomial(config.times, z)))
-    field_term = float(np.sum(np.abs(z) ** 2)) - drive
-    return -pair + field_term / config.hbar
-
-
-def _repulsion(z: np.ndarray) -> np.ndarray:
-    """sum_{m != j} 1 / (zbar_j - zbar_m) for every j.
-
-    Rows are summed in blocks of at most ``_REPULSION_BLOCK`` pair terms, so
-    the memory stays O(N); each row's sum does not depend on the blocking.
-    """
-    n = len(z)
-    out = np.empty(n, dtype=complex)
-    rows = max(1, _REPULSION_BLOCK // max(n, 1))
-    for r0 in range(0, n, rows):
-        r1 = min(n, r0 + rows)
-        diff = z[r0:r1, None] - z[None, :]
-        diff[np.arange(r1 - r0), np.arange(r0, r1)] = np.inf
-        np.conj(diff, out=diff)
-        np.divide(1.0, diff, out=diff)
-        np.sum(diff, axis=1, out=out[r0:r1])
-    return out
-
-
-def _plane_forces(z: np.ndarray, config: GasConfig) -> np.ndarray:
-    """``-dE/dzbar``; the field's part is ``dU/dzbar = z``."""
-    drive = np.conj(_times_polynomial_derivative(config.times, z))
-    return _repulsion(z) - (z - drive) / config.hbar
-
-
-def _line_pair_pass(s: np.ndarray):
-    """``sum_{m != n} log|s_m - s_n|`` and every ``sum_{m != j} 1 / (s_j - s_m)``.
-
-    Each row block of differences fills its ``triu`` part into the distance
-    buffer of ``_pair_log_sum``, summed the same way, and its rows give the
-    forces; points closer than ``MIN_SEPARATION`` return ``(-inf, None)``.
-    """
-    n = len(s)
-    d = np.empty(n * (n - 1) // 2)
-    repulsion = np.empty(n)
-    col = np.arange(n)
-    rows = max(1, _LINE_BLOCK // max(n, 1))
-    start = 0
-    for r0 in range(0, n, rows):
-        r1 = min(n, r0 + rows)
-        diff = s[r0:r1, None] - s
-        upper = diff[col > col[r0:r1, None]]
-        stop = start + len(upper)
-        if stop > start and np.abs(upper, out=d[start:stop]).min() < MIN_SEPARATION:
-            return -np.inf, None
-        start = stop
-        diff[col[:r1 - r0], col[r0:r1]] = np.inf
-        np.divide(1.0, diff, out=diff).sum(axis=1, out=repulsion[r0:r1])
-    return 2.0 * float(np.sum(np.log(d, out=d))), repulsion
-
-
-def _curve_energy_gradient(z: np.ndarray, s: np.ndarray, config: GasConfig):
-    """Energy and ``dE/ds`` at ``z = curve.point(s)``; no gradient where E is not finite."""
-    pair, repulsion = _line_pair_pass(s)
-    if repulsion is None:
-        log.debug("coincident particles: energy sentinel +inf")
-        return np.inf, None
-    c, hbar = config.confine, config.hbar
-    drive = 2.0 * np.real(np.sum(_times_polynomial(config.times, z)))
-    e = -pair + float(np.sum(c * s ** 2 / (2.0 * hbar))) - drive / hbar
-    if not e < np.inf:
-        return e, None
-    drive_force = 2.0 * np.real(_times_polynomial_derivative(config.times, z) * config.curve.direction)
-    return e, c * s / hbar - 2.0 * repulsion - drive_force / hbar
+    return _energy_gradient(*_positions_and_params(state), config, gradient=False)[0]
 
 
 def forces(state, config: GasConfig) -> np.ndarray:
@@ -365,18 +262,82 @@ def forces(state, config: GasConfig) -> np.ndarray:
     force ``-dE/ds`` times the curve's direction; at a curve end the push
     into the wall is clamped to zero (hard wall).  Both are exact.
     """
-    if isinstance(state, GasState):
-        z, s = state.positions, state.params
-    else:
-        z, s = np.asarray(state, dtype=complex), None
-    if config.measure == "plane":
-        return _plane_forces(z, config)
-    if s is None:
-        raise ValueError("curve-measure forces need the parameter vector")
-    grad = _curve_energy_gradient(z, s, config)[1]
+    z, s = _positions_and_params(state)
+    grad = _energy_gradient(z, s, config)[1]
     if grad is None:
         raise ValueError("a configuration of infinite energy has no forces")
+    if config.measure == "plane":
+        return -grad
     return _wall_clamped(s, -grad, config.curve) * config.curve.direction
+
+
+def _positions_and_params(state):
+    """A state's positions and curve parameters; a bare array is plane positions."""
+    if isinstance(state, GasState):
+        return state.positions, state.params
+    return np.asarray(state, dtype=complex), None
+
+
+def _pair_pass(x: np.ndarray, forces: bool = True):
+    """``sum_{m != n} log|x_m - x_n|`` and every ``sum_{m != j} 1 / conj(x_j - x_m)``.
+
+    ``x`` is real (curve parameters) or complex (plane positions).  Row
+    blocks of at most ``_PAIR_BLOCK`` differences fill their ``triu`` part
+    into one distance buffer, summed in one ``np.sum``, and with ``forces``
+    their rows give the repulsions.  Points closer than ``MIN_SEPARATION``
+    return ``(-inf, None)``; without ``forces`` the repulsions are None.
+    """
+    n = len(x)
+    d = np.empty(n * (n - 1) // 2)
+    repulsion = np.empty(n, dtype=x.dtype) if forces else None
+    col = np.arange(n)
+    rows = max(1, _PAIR_BLOCK // max(n, 1))
+    start = 0
+    for r0 in range(0, n, rows):
+        r1 = min(n, r0 + rows)
+        diff = x[r0:r1, None] - x
+        upper = diff[col > col[r0:r1, None]]
+        stop = start + len(upper)
+        if stop > start and np.abs(upper, out=d[start:stop]).min() < MIN_SEPARATION:
+            return -np.inf, None
+        start = stop
+        if forces:
+            diff[col[:r1 - r0], col[r0:r1]] = np.inf
+            if diff.dtype.kind == "c":
+                np.conj(diff, out=diff)
+            np.divide(1.0, diff, out=diff).sum(axis=1, out=repulsion[r0:r1])
+    return 2.0 * float(np.sum(np.log(d, out=d))), repulsion
+
+
+def _energy_gradient(z: np.ndarray, s, config: GasConfig, gradient: bool = True):
+    """Energy and, with ``gradient``, ``dE/ds`` on a curve or ``dE/dzbar`` in the plane.
+
+    The pair terms come from one ``_pair_pass`` over ``s`` on a curve and
+    ``z`` in the plane; the field's part of ``dE/dzbar`` is ``z`` and of
+    ``dE/ds`` is ``c s``, over ``hbar``.  The gradient is None where the
+    energy is not finite.
+    """
+    on_curve = config.measure == "curve"
+    if on_curve and s is None:
+        raise ValueError("a curve-measure gas needs the parameter vector")
+    pair, repulsion = _pair_pass(s if on_curve else z, forces=gradient)
+    if pair == -np.inf:
+        log.debug("coincident particles: energy sentinel +inf")
+        return np.inf, None
+    hbar = config.hbar
+    drive = 2.0 * np.real(np.sum(_times_polynomial(config.times, z)))
+    if on_curve:
+        c = config.confine
+        e = -pair + float(np.sum(c * s ** 2 / (2.0 * hbar))) - drive / hbar
+    else:
+        e = -pair + (float(np.sum(np.abs(z) ** 2)) - drive) / hbar
+    if not (gradient and e < np.inf):
+        return e, None
+    drive_slope = _times_polynomial_derivative(config.times, z)
+    if on_curve:
+        drive_force = 2.0 * np.real(drive_slope * config.curve.direction)
+        return e, c * s / hbar - 2.0 * repulsion - drive_force / hbar
+    return e, (z - np.conj(drive_slope)) / hbar - repulsion
 
 
 def _wall_clamped(s: np.ndarray, f_s: np.ndarray, curve: CurveSpec) -> np.ndarray:
@@ -422,7 +383,7 @@ def minimize(config: GasConfig) -> GasState:
         bounds = [curve.bounds] * config.N
         _, s0 = _initial_configuration(config, np.random.default_rng(config.seed))
         s, trace, evaluations = _lbfgs(
-            lambda s: _curve_energy_gradient(curve.point(s), s, config),
+            lambda s: _energy_gradient(curve.point(s), s, config),
             lambda s, grad: float(np.max(np.abs(_wall_clamped(s, -grad, curve)))),
             s0, bounds, tol, sched.max_iterations)
         z = curve.point(s)
@@ -431,9 +392,8 @@ def minimize(config: GasConfig) -> GasState:
         to_z = lambda x: x[:n] + 1j * x[n:]
 
         def plane_fun(x):
-            e = _energy_raw(to_z(x), None, config)
-            f = _plane_forces(to_z(x), config) if e < np.inf else None
-            return e, None if f is None else -2.0 * np.concatenate((f.real, f.imag))
+            e, grad = _energy_gradient(to_z(x), None, config)
+            return e, None if grad is None else 2.0 * np.concatenate((grad.real, grad.imag))
 
         runs = [_lbfgs(plane_fun,
                        lambda x, grad: 0.5 * float(np.max(np.hypot(grad[:n], grad[n:]))),
@@ -657,7 +617,7 @@ def metropolis(config: GasConfig, sweeps: int) -> MetropolisRun:
             tune_acc = tune_prop = 0
         if sweep > burn_in:
             samples.append(GasState(z.copy(), None if s is None else s.copy(),
-                                    energy=_energy_raw(z, s, config)))
+                                    energy=_energy_gradient(z, s, config, gradient=False)[0]))
     rate = accepted / max(proposed, 1)
     if not 0.01 <= rate <= 0.99:
         log.warning("metropolis acceptance %.3f outside [0.01, 0.99] after tuning", rate)

@@ -427,61 +427,66 @@ def test_pair_kernels_equal_the_matrix_reference(n_particles):
     plane = rng.normal(size=n_particles) + 1j * rng.normal(size=n_particles)
     line = rng.normal(size=n_particles).astype(complex)
     for z in (plane, line):
-        assert dyson._pair_log_sum(z) == pair_log_sum_reference(z)
-        assert np.array_equal(dyson._repulsion(z), repulsion_reference(z))
+        pair, repulsion = dyson._pair_pass(z)
+        assert pair == pair_log_sum_reference(z)
+        assert np.array_equal(repulsion, repulsion_reference(z))
+        assert dyson._pair_pass(z, forces=False) == (pair, None)
 
 
-def test_pair_log_sum_coincident_points():
-    z = np.array([0.0, 1.0, 1.0 + 1e-13j, 2.0])
-    assert dyson._pair_log_sum(z) == pair_log_sum_reference(z) == -np.inf
-
-
-def test_kernels_run_in_bounded_memory():
+@pytest.mark.parametrize("forces", [True, False], ids=["forces", "energy"])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_pair_pass_runs_in_bounded_memory(kind, forces):
     # the N x N kernels needed about 0.5 GB here
-    n_particles = 4096
     rng = np.random.default_rng(0)
-    z = rng.normal(size=n_particles) + 1j * rng.normal(size=n_particles)
-    cfg = dyson.GasConfig(N=n_particles, hbar=1.0 / n_particles)
-    bound = 80 * 2 ** 20
+    x = rng.normal(size=4096)
+    if kind == "complex":
+        x = x + 1j * rng.normal(size=4096)
     tracemalloc.start()
     try:
-        assert np.isfinite(dyson.energy(dyson.GasState(z), cfg))
-        _, peak_energy = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        assert np.all(np.isfinite(dyson._repulsion(z)))
-        _, peak_forces = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak_energy <= bound
-    assert peak_forces <= bound
-
-
-def test_line_pair_pass_runs_in_bounded_memory():
-    s = np.random.default_rng(0).normal(size=4096)
-    tracemalloc.start()
-    try:
-        pair, repulsion = dyson._line_pair_pass(s)
+        pair, repulsion = dyson._pair_pass(x, forces=forces)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert np.isfinite(pair) and np.all(np.isfinite(repulsion))
+    assert np.isfinite(pair)
+    assert np.all(np.isfinite(repulsion)) if forces else repulsion is None
     assert peak <= 80 * 2 ** 20
 
 
 @pytest.mark.parametrize("n_particles", [1, 2, 3, 64, 256, 257, 1024])
 def test_line_pair_pass_equals_the_complex_kernels(n_particles):
-    # the real line's distances in the same buffer order: the same energy bits
+    # the real line's distances in the same buffer order: the same energy
+    # bits from real and from complex input
     s = np.random.default_rng(n_particles).normal(size=n_particles)
-    pair, repulsion = dyson._line_pair_pass(s)
-    assert pair == dyson._pair_log_sum(s.astype(complex))
-    reference = dyson._repulsion(s.astype(complex))
+    pair, repulsion = dyson._pair_pass(s)
+    pair_complex, reference = dyson._pair_pass(s.astype(complex))
+    assert pair == pair_complex
     assert np.max(np.abs(repulsion - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("s", [[0.0, 1.0, 1.0 + 1e-13, 2.0], [0.5, -1.0, 0.5]])
-def test_line_pair_pass_stops_at_coincident_points(s):
-    assert dyson._line_pair_pass(np.array(s)) == (-np.inf, None)
+@pytest.mark.parametrize("forces", [True, False], ids=["forces", "energy"])
+@pytest.mark.parametrize("x", [[0.0, 1.0, 1.0 + 1e-13, 2.0], [0.5, -1.0, 0.5],
+                               [0.0, 1.0, 1.0 + 1e-13j, 2.0], [0.5, -1.0j, 0.5]],
+                         ids=["real-close", "real-equal", "complex-close", "complex-equal"])
+def test_pair_pass_stops_at_coincident_points(x, forces):
+    x = np.array(x)
+    assert dyson._pair_pass(x, forces=forces) == (-np.inf, None)
+    assert pair_log_sum_reference(x) == -np.inf
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("measure", ["plane", "curve"])
+def test_forces_of_coincident_points_raise(measure):
+    s = np.array([0.5, 0.5, 1.0])
+    if measure == "plane":
+        cfg, state = dyson.GasConfig(N=3, hbar=0.5), s.astype(complex)
+    else:
+        cfg = real_line_gas(3, seed=0)
+        # GasState checks only its positions, so these parameters reach the kernel
+        state = dyson.GasState(np.array([0.0, 1.0, 2.0]), s)
+    assert dyson.energy(state, cfg) == np.inf
+    with pytest.raises(ValueError, match="infinite energy has no forces"):
+        dyson.forces(state, cfg)
 
 
 @pytest.mark.parametrize("z, accepted", [
@@ -552,24 +557,44 @@ def test_proposal_delta_matches_the_energy_difference(make_config):
 
 
 def curve_energy_gradient_reference(z, s, config):
-    """E and dE/ds from the complex plane kernels, as curves used before their real pass."""
+    """E and dE/ds from the complex reference kernels, as curves used before their real pass."""
     c, hbar = config.confine, config.hbar
     drive = 2.0 * np.real(np.sum(dyson._times_polynomial(config.times, z)))
-    e = -dyson._pair_log_sum(z) + float(np.sum(c * s ** 2 / (2.0 * hbar))) - drive / hbar
-    pull = (dyson._repulsion(z)
+    e = -pair_log_sum_reference(z) + float(np.sum(c * s ** 2 / (2.0 * hbar))) - drive / hbar
+    pull = (repulsion_reference(z)
             + np.conj(dyson._times_polynomial_derivative(config.times, z)) / hbar)
     force = 2.0 * np.real(pull * np.conj(config.curve.direction)) - c * s / hbar
     return e, -force
 
 
+def plane_energy_gradient_reference(z, config):
+    """E and dE/dzbar from the complex reference kernels, in the plane's rounding order."""
+    hbar = config.hbar
+    drive = 2.0 * np.real(np.sum(dyson._times_polynomial(config.times, z)))
+    e = -pair_log_sum_reference(z) + (float(np.sum(np.abs(z) ** 2)) - drive) / hbar
+    slope = np.conj(dyson._times_polynomial_derivative(config.times, z))
+    return e, (z - slope) / hbar - repulsion_reference(z)
+
+
 @pytest.mark.parametrize("make_config",
-                         [lambda: real_line_gas(40, seed=0), _ray, _segment, _stiff_ray],
-                         ids=["real_line", "ray", "segment", "stiff_ray"])
+                         [lambda: real_line_gas(40, seed=0), _ray, _segment, _stiff_ray,
+                          _plane_with_times],
+                         ids=["real_line", "ray", "segment", "stiff_ray", "plane"])
 def test_curve_kernel_equals_the_complex_reference(make_config):
     cfg = make_config()
-    s = np.sort(np.random.default_rng(5).uniform(0.0, 1.8, cfg.N))
-    z = cfg.curve.point(s)
-    e, grad = dyson._curve_energy_gradient(z, s, cfg)
+    rng = np.random.default_rng(5)
+    if cfg.measure == "plane":
+        s, z = None, rng.normal(size=cfg.N) + 1j * rng.normal(size=cfg.N)
+    else:
+        s = np.sort(rng.uniform(0.0, 1.8, cfg.N))
+        z = cfg.curve.point(s)
+    e, grad = dyson._energy_gradient(z, s, cfg)
+    assert dyson._energy_gradient(z, s, cfg, gradient=False) == (e, None)
+    if cfg.measure == "plane":
+        e_ref, grad_ref = plane_energy_gradient_reference(z, cfg)
+        assert e == e_ref
+        assert np.array_equal(grad, grad_ref)
+        return
     e_ref, grad_ref = curve_energy_gradient_reference(z, s, cfg)
     assert e == pytest.approx(e_ref, rel=1e-12, abs=0)
     assert np.max(np.abs(grad - grad_ref)) <= 1e-12 * np.max(np.abs(grad_ref))
