@@ -8,6 +8,13 @@ codes: 0 success, 1 config error, 2 numerical breakdown (cusp, shock,
 absorption, a non-finite result); partial outputs are kept, with the
 manifest marking the run incomplete.  No artifact, summary or manifest ever
 holds a NaN or an infinity: a run that computes one ends in a breakdown.
+
+Every file takes one path.  A scenario runner hands each artifact to
+``emit(name, content)``, which skips it when the name's suffix is not among
+the requested formats; otherwise ``_encode`` turns the content into bytes by
+that suffix (refusing a NaN or an infinity), the bytes are written, and the
+manifest records the file's name, SHA-256 and size from those same bytes.
+The manifest itself is encoded the same way.
 """
 
 from __future__ import annotations
@@ -368,13 +375,14 @@ _SECTIONS = {
     "moments": _object({"map": _MAP, "order": _count().opt(16)}),
 }
 _SEED = _integer().opt(0).where(lambda s: s >= 0, "must be >= 0")
+_FORMATS = _array(_string().where(lambda f: f in FORMATS, f"must be one of {FORMATS}")).opt(
+    list(FORMATS))
 _CONFIG = _object({
     "scenario": _string().where(lambda s: s in SCENARIOS, f"must be one of {SCENARIOS}"),
     "seed": _SEED,
     "output": _object({
         "directory": _string().opt("out"),
-        "formats": _array(_string().where(lambda f: f in FORMATS, f"must be one of {FORMATS}"))
-        .opt(list(FORMATS)),
+        "formats": _FORMATS,
     }).opt({}),
     "resolution": _object({
         "M": _integer().opt().where(lambda m: m >= 0, "must be >= 0"),
@@ -419,7 +427,7 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-# artifact writers
+# artifacts
 
 
 def _first_non_finite(obj):
@@ -456,29 +464,34 @@ def _require_finite(obj, where: str):
         raise NonFiniteResultError(f"{where}{''.join(f'/{k}' for k in keys)} is {value!r}")
 
 
-def _write_csv(path: Path, header, rows):
-    """Header plus one line per row; cells are Python ints and floats, written by ``repr``."""
-    _require_finite(rows, path.name)
-    lines = [",".join(header)]
-    lines.extend(",".join(map(repr, row)) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _encode(name: str, content) -> bytes:
+    """The bytes of artifact ``name``, in the format its suffix names.
 
-
-def _write_json(path: Path, obj):
-    try:
-        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError:
-        # a NaN or an infinity: name the first one
-        _require_finite(obj, path.name)
-        raise
-    path.write_text(text + "\n", encoding="utf-8")
-
-
-def _write_svg(path: Path, layers):
-    for _kind, points, _style in layers:
-        if not np.all(np.isfinite(points)):
-            raise NonFiniteResultError(f"{path.name} has a non-finite point")
-    path.write_text(svgout.render_svg(layers), encoding="utf-8")
+    CSV content is ``(header, rows)``, with cells (Python ints and floats)
+    written by ``repr``; JSON content is any JSON value, written strictly
+    with sorted keys; SVG content is a list of ``svgout`` layers.  A NaN or
+    an infinity raises NonFiniteResultError naming the first one.
+    """
+    kind = name.rpartition(".")[2]
+    if kind == "csv":
+        header, rows = content
+        _require_finite(rows, name)
+        lines = [",".join(header)]
+        lines.extend(",".join(map(repr, row)) for row in rows)
+        text = "\n".join(lines) + "\n"
+    elif kind == "json":
+        try:
+            text = json.dumps(content, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        except ValueError:
+            # a NaN or an infinity: name the first one
+            _require_finite(content, name)
+            raise
+    else:
+        for _kind, points, _style in content:
+            if not np.all(np.isfinite(points)):
+                raise NonFiniteResultError(f"{name} has a non-finite point")
+        text = svgout.render_svg(content)
+    return text.encode("utf-8")
 
 
 def _complex_list(values) -> list:
@@ -497,7 +510,7 @@ def _build_driving(spec: dict, seed: int, q_range=(0.0, 1.0)) -> loewner.Driving
     return loewner.DrivingFunction.brownian(spec["kappa"], seed, spec["dq_grid"], q_range)
 
 
-def _run_grow(cfg: ScenarioConfig, out: Path, files: dict):
+def _run_grow(cfg: ScenarioConfig, emit):
     p = cfg.params
     m = laurent.LaurentMap(p["map"]["r"], np.array(p["map"]["coeffs"], dtype=complex))
     if cfg.m_order is not None:
@@ -529,43 +542,33 @@ def _run_grow(cfg: ScenarioConfig, out: Path, files: dict):
         if not hasattr(exc, "leg"):
             raise
         raise ConfigError([(f"/grow/flows/{exc.leg}/duration", str(exc))]) from exc
-    if "csv" in cfg.formats:
-        header = ["step", "time", "t0", "r"]
-        for j in range(m.order + 1):
-            header += [f"re_a{j}", f"im_a{j}"]
-        rows = []
-        for rec in traj.records:
-            row = [rec.index, float(rec.time), float(rec.moments.t0), float(rec.map.r)]
-            for c in rec.map.coeffs:
-                row += [float(c.real), float(c.imag)]
-            rows.append(row)
-        _write_csv(out / "trajectory.csv", header, rows)
-        files["trajectory.csv"] = True
-        rows = []
-        for rec in traj.records:
-            for k in range(1, order + 1):
-                rows.append([
-                    rec.index, k,
-                    float(rec.moments.t[k - 1].real), float(rec.moments.t[k - 1].imag),
-                    float(rec.moments.v[k - 1].real), float(rec.moments.v[k - 1].imag),
-                ])
-        _write_csv(out / "moments.csv", ["step", "k", "re_tk", "im_tk", "re_vk", "im_vk"], rows)
-        files["moments.csv"] = True
+    header = ["step", "time", "t0", "r"]
+    for j in range(m.order + 1):
+        header += [f"re_a{j}", f"im_a{j}"]
+    rows = []
+    for rec in traj.records:
+        row = [rec.index, float(rec.time), float(rec.moments.t0), float(rec.map.r)]
+        for c in rec.map.coeffs:
+            row += [float(c.real), float(c.imag)]
+        rows.append(row)
+    emit("trajectory.csv", (header, rows))
+    rows = []
+    for rec in traj.records:
+        for k in range(1, order + 1):
+            rows.append([
+                rec.index, k,
+                float(rec.moments.t[k - 1].real), float(rec.moments.t[k - 1].imag),
+                float(rec.moments.v[k - 1].real), float(rec.moments.v[k - 1].imag),
+            ])
+    emit("moments.csv", (["step", "k", "re_tk", "im_tk", "re_vk", "im_vk"], rows))
     picks = np.unique(np.linspace(0, len(traj.records) - 1, p["snapshots"]).astype(int))
     snapshots = []
     for i in picks:
         rec = traj.records[i]
         pts = laurent.evaluate(rec.map, laurent.circle_grid(n))
         snapshots.append((rec.index, pts))
-    if "json" in cfg.formats:
-        _write_json(out / "contours.json", [
-            {"step": int(i), "points": _complex_list(pts)} for i, pts in snapshots
-        ])
-        files["contours.json"] = True
-    if "svg" in cfg.formats:
-        layers = [("polyline", pts, {"closed": True}) for _, pts in snapshots]
-        _write_svg(out / "contours.svg", layers)
-        files["contours.svg"] = True
+    emit("contours.json", [{"step": int(i), "points": _complex_list(pts)} for i, pts in snapshots])
+    emit("contours.svg", [("polyline", pts, {"closed": True}) for _, pts in snapshots])
     if pending is not None:
         raise pending
     final = traj.final
@@ -578,7 +581,7 @@ def _run_grow(cfg: ScenarioConfig, out: Path, files: dict):
             "max_r_imag_residual": max(d.r_imag_residual for d in diags)}
 
 
-def _run_loewner(cfg: ScenarioConfig, out: Path, files: dict):
+def _run_loewner(cfg: ScenarioConfig, emit):
     p = cfg.params
     driving = _build_driving(p["driving"], cfg.seed, (p["q0"], p["q_max"]))
     if p["tracked"] is not None:
@@ -590,10 +593,9 @@ def _run_loewner(cfg: ScenarioConfig, out: Path, files: dict):
     tips = loewner.slit_trace(family, q_grid)
     summary = {"final_tip": [float(tips[-1].real), float(tips[-1].imag)],
                "capacity_range": [p["q0"], p["q_max"]]}
-    if "csv" in cfg.formats:
-        _write_csv(out / "trace.csv", ["q", "re_tip", "im_tip"],
-                   [[float(q), float(t.real), float(t.imag)] for q, t in zip(q_grid, tips)])
-        files["trace.csv"] = True
+    emit("trace.csv", (["q", "re_tip", "im_tip"],
+                       [[float(q), float(t.real), float(t.imag)] for q, t in zip(q_grid, tips)]))
+    # the one gated artifact: it costs an integration and adds to the summary
     if "json" in cfg.formats:
         snap_q = (p["q0"], 0.5 * (p["q0"] + p["q_max"]), p["q_max"])
         z0 = np.asarray(family.z_samples, dtype=complex)
@@ -606,20 +608,15 @@ def _run_loewner(cfg: ScenarioConfig, out: Path, files: dict):
                 for z, w, dead in zip(z0, ws, dead_at) if not dead
             ]
             snaps.append({"q": float(q), "pairs": pairs})
-        _write_json(out / "family.json", snaps)
-        files["family.json"] = True
+        emit("family.json", snaps)
         # the snapshot integration's counters: the q_max copy carries every
         # tracked point's whole run, so its flags count the swallowed points
         summary["tracked"] = {
             "substeps": res.substeps,
             "absorbed": int(np.count_nonzero(res.absorbed[2 * len(z0):])),
             "min_eta_distance": float(np.min(res.min_eta_distance)) if len(z0) else None}
-    if "svg" in cfg.formats:
-        circle = family.r0 * laurent.circle_grid(128)
-        layers = [("polyline", circle, {"closed": True}),
-                  ("polyline", tips, {"stroke": "#b3402a"})]
-        _write_svg(out / "trace.svg", layers)
-        files["trace.svg"] = True
+    emit("trace.svg", [("polyline", family.r0 * laurent.circle_grid(128), {"closed": True}),
+                       ("polyline", tips, {"stroke": "#b3402a"})])
     return summary
 
 
@@ -638,7 +635,7 @@ def _build_speed(spec: dict, seed: int):
     return hydro.family_speed(spec["k"], family)
 
 
-def _run_hydro(cfg: ScenarioConfig, out: Path, files: dict):
+def _run_hydro(cfg: ScenarioConfig, emit):
     p = cfg.params
     if "csv" in p["profile"]:
         profile = hydro.read_profile_csv(p["profile"]["csv"])
@@ -653,14 +650,10 @@ def _run_hydro(cfg: ScenarioConfig, out: Path, files: dict):
             if not lo <= q <= hi:
                 raise IntegrationBreakdownError(
                     f"node t0 = {t0} solved to q = {q} outside family range [{lo}, {hi}]")
-    if "csv" in cfg.formats:
-        _write_csv(out / "profile.csv", ["t0", "q"],
-                   [[float(a), float(b)] for a, b in zip(result.grid, result.q_values)])
-        files["profile.csv"] = True
+    emit("profile.csv", (["t0", "q"],
+                         [[float(a), float(b)] for a, b in zip(result.grid, result.q_values)]))
     summary = {"s": p["s"], "s_star": None if np.isinf(s_star) else s_star}
-    if "json" in cfg.formats:
-        _write_json(out / "shock.json", summary)
-        files["shock.json"] = True
+    emit("shock.json", summary)
     return summary
 
 
@@ -679,7 +672,7 @@ def _build_gas_config(cfg: ScenarioConfig) -> dyson.GasConfig:
                            curve=curve, confine=confine, seed=cfg.seed, schedule=schedule)
 
 
-def _run_dyson(cfg: ScenarioConfig, out: Path, files: dict):
+def _run_dyson(cfg: ScenarioConfig, emit):
     p = cfg.params
     config = _build_gas_config(cfg)
     if p["mode"] == "minimize":
@@ -703,59 +696,41 @@ def _run_dyson(cfg: ScenarioConfig, out: Path, files: dict):
     # the support estimate of a non-finite state is meaningless
     if not (np.all(np.isfinite(state.positions)) and math.isfinite(state.energy)):
         raise NonFiniteResultError("the gas state is not finite")
-    if "csv" in cfg.formats:
-        _write_csv(out / "state.csv", ["index", "re_z", "im_z"],
-                   [[i, float(z.real), float(z.imag)] for i, z in enumerate(state.positions)])
-        files["state.csv"] = True
-        if trace:
-            _write_csv(out / "energy_trace.csv", ["iteration", "energy", "grad_norm"],
-                       [[i, float(e), float(g)] for i, e, g in trace])
-            files["energy_trace.csv"] = True
+    emit("state.csv", (["index", "re_z", "im_z"],
+                       [[i, float(z.real), float(z.imag)] for i, z in enumerate(state.positions)]))
+    if trace:
+        emit("energy_trace.csv", (["iteration", "energy", "grad_norm"],
+                                  [[i, float(e), float(g)] for i, e, g in trace]))
     # written first, so that a state too sparse for a boundary is still kept
     support = dyson.support_boundary(state, config, bins=p["bins"])
-    if "json" in cfg.formats:
-        payload = {"kind": support.kind}
-        if support.kind == "plane":
-            payload["boundary"] = _complex_list(support.boundary)
-            payload["fitted_map"] = support.fitted_map.to_json()
-        else:
-            payload["s_min"] = support.s_min
-            payload["s_max"] = support.s_max
-            counts, edges = support.histogram
-            payload["histogram"] = {"counts": [int(c) for c in counts],
-                                    "edges": [float(e) for e in edges]}
-        _write_json(out / "support.json", payload)
-        files["support.json"] = True
-    if "svg" in cfg.formats:
-        layers = [("points", state.positions, {})]
-        if support.kind == "plane":
-            layers.append(("polyline", support.boundary, {"closed": True}))
-        _write_svg(out / "cloud.svg", layers)
-        files["cloud.svg"] = True
+    payload = {"kind": support.kind}
+    layers = [("points", state.positions, {})]
     if support.kind == "plane":
+        payload["boundary"] = _complex_list(support.boundary)
+        payload["fitted_map"] = support.fitted_map.to_json()
+        layers.append(("polyline", support.boundary, {"closed": True}))
         extra["fitted_r"] = support.fitted_map.r
     else:
-        extra["s_min"], extra["s_max"] = support.s_min, support.s_max
+        payload["s_min"] = extra["s_min"] = support.s_min
+        payload["s_max"] = extra["s_max"] = support.s_max
+        counts, edges = support.histogram
+        payload["histogram"] = {"counts": [int(c) for c in counts],
+                                "edges": [float(e) for e in edges]}
+    emit("support.json", payload)
+    emit("cloud.svg", layers)
     return extra
 
 
-def _run_moments(cfg: ScenarioConfig, out: Path, files: dict):
+def _run_moments(cfg: ScenarioConfig, emit):
     p = cfg.params
     m = laurent.LaurentMap(p["map"]["r"], np.array(p["map"]["coeffs"], dtype=complex))
     moments = growth.moment_vector(m, p["order"], n=cfg.grid_n)
-    if "csv" in cfg.formats:
-        rows = [[k, float(moments.t[k - 1].real), float(moments.t[k - 1].imag),
-                 float(moments.v[k - 1].real), float(moments.v[k - 1].imag)]
-                for k in range(1, p["order"] + 1)]
-        _write_csv(out / "moments.csv", ["k", "re_tk", "im_tk", "re_vk", "im_vk"], rows)
-        files["moments.csv"] = True
-    if "json" in cfg.formats:
-        _write_json(out / "moments.json", {
-            "t0": moments.t0,
-            "t": _complex_list(moments.t),
-            "v": _complex_list(moments.v),
-        })
-        files["moments.json"] = True
+    rows = [[k, float(moments.t[k - 1].real), float(moments.t[k - 1].imag),
+             float(moments.v[k - 1].real), float(moments.v[k - 1].imag)]
+            for k in range(1, p["order"] + 1)]
+    emit("moments.csv", (["k", "re_tk", "im_tk", "re_vk", "im_vk"], rows))
+    emit("moments.json", {"t0": moments.t0, "t": _complex_list(moments.t),
+                          "v": _complex_list(moments.v)})
     return {"t0": moments.t0}
 
 
@@ -783,11 +758,20 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> ExitReport:
     """Execute a validated scenario, writing artifacts and a manifest."""
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    files: dict = {}
+    files = []
+
+    def emit(name, content):
+        if name.rpartition(".")[2] not in cfg.formats:
+            return
+        data = _encode(name, content)
+        (out / name).write_bytes(data)
+        files.append({"name": name, "sha256": hashlib.sha256(data).hexdigest(),
+                      "bytes": len(data)})
+
     started = time.perf_counter()
     status, breakdown, summary = "ok", None, {}
     try:
-        result = _RUNNERS[cfg.scenario](cfg, out, files)
+        result = _RUNNERS[cfg.scenario](cfg, emit)
         _require_finite(result, "summary")
         summary = result
     except OverflowError as exc:
@@ -809,18 +793,10 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> ExitReport:
         "complete": status == "ok",
         "breakdown": breakdown,
         "summary": summary,
-        "files": [],
-        "wall_time_s": 0.0,
+        "files": sorted(files, key=lambda f: f["name"]),  # by name, not write order
+        "wall_time_s": time.perf_counter() - started,
     }
-    for name in sorted(files):
-        data = (out / name).read_bytes()
-        manifest["files"].append({
-            "name": name,
-            "sha256": hashlib.sha256(data).hexdigest(),
-            "bytes": len(data),
-        })
-    manifest["wall_time_s"] = time.perf_counter() - started
-    _write_json(out / "manifest.json", manifest)
+    (out / "manifest.json").write_bytes(_encode("manifest.json", manifest))
     return ExitReport(status=status, exit_code=0 if status == "ok" else 2,
                       out_dir=out, manifest=manifest)
 
@@ -844,18 +820,16 @@ def main(argv=None) -> int:
         return 1
     try:
         cfg = parse_config(text)
+        # overrides go through the schema nodes of the keys they replace
+        problems = []
         if args.seed is not None:
-            problems = []
             cfg.seed = _SEED(args.seed, "/seed", problems)
-            if problems:
-                raise ConfigError(problems)
         if args.format:
-            fmts = tuple(f.strip() for f in args.format.split(","))
-            bad = [f for f in fmts if f not in FORMATS]
-            if bad:
-                print(f"unknown formats: {bad}", file=sys.stderr)
-                return 1
-            cfg.formats = fmts
+            formats = _FORMATS([f.strip() for f in args.format.split(",")],
+                               "/output/formats", problems)
+            cfg.formats = tuple(formats or ())
+        if problems:
+            raise ConfigError(problems)
         report = run_scenario(cfg, out_dir=args.out)
     except ConfigError as exc:
         for ptr, msg in exc.problems:

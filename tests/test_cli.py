@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -366,11 +367,46 @@ def test_main_seed_and_format_overrides(tmp_path):
 def test_manifest_lists_every_file_with_hash(tmp_path):
     text = json.dumps(minimal_grow_config(tmp_path / "out", steps=5, duration=0.05))
     report = cli.run_scenario(cli.parse_config(text))
-    import hashlib
     for entry in report.manifest["files"]:
         data = (tmp_path / "out" / entry["name"]).read_bytes()
         assert hashlib.sha256(data).hexdigest() == entry["sha256"]
         assert entry["bytes"] == len(data)
+
+
+# a small run of each scenario, and every artifact it writes when every format is on
+_SUBSET_RUNS = {
+    "grow": (minimal_grow_config("unused", steps=5, duration=0.05),
+             ["contours.json", "contours.svg", "moments.csv", "trajectory.csv"]),
+    "loewner": ({"scenario": "loewner",
+                 "loewner": {"driving": {"kind": "constant", "theta0": 0.0}, "q_max": 0.2,
+                             "trace_points": 3}},
+                ["family.json", "trace.csv", "trace.svg"]),
+    "hydro": ({"scenario": "hydro",
+               "hydro": {"profile": {"grid": [0.1, 0.5, 0.9], "q_values": [0.1, 0.5, 0.9]},
+                         "speed": {"kind": "identity"}, "s": 0.5}},
+              ["profile.csv", "shock.json"]),
+    "dyson": ({"scenario": "dyson", "seed": 2, "dyson": {"N": 16, "hbar": 1 / 16, "bins": 8}},
+              ["cloud.svg", "energy_trace.csv", "state.csv", "support.json"]),
+    "moments": ({"scenario": "moments",
+                 "moments": {"map": {"r": 1.0, "coeffs": [[0, 0], [0.2, 0]]}, "order": 4}},
+                ["moments.csv", "moments.json"]),
+}
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize("scenario", cli.SCENARIOS)
+def test_format_subset_writes_and_hashes_only_its_artifacts(tmp_path, scenario, fmt):
+    raw, every = _SUBSET_RUNS[scenario]
+    raw = {**raw, "output": {"formats": [fmt]}}
+    assert cli.run_scenario(cli.parse_config(json.dumps(raw)), out_dir=str(tmp_path)).exit_code == 0
+    files = strict_json((tmp_path / "manifest.json").read_text())["files"]
+    names = [entry["name"] for entry in files]
+    assert names == [name for name in every if name.endswith("." + fmt)]
+    assert set(names) == {path.name for path in tmp_path.iterdir()} - {"manifest.json"}
+    for entry in files:
+        data = (tmp_path / entry["name"]).read_bytes()
+        assert entry == {"name": entry["name"], "sha256": hashlib.sha256(data).hexdigest(),
+                         "bytes": len(data)}
 
 
 def test_render_svg_square_and_determinism():
@@ -470,12 +506,21 @@ def test_parse_rejects_negative_seed():
     assert [ptr for ptr, _ in err.value.problems] == ["/seed"]
 
 
-def test_main_rejects_negative_seed_override(tmp_path, capsys):
+@pytest.mark.parametrize("override, errors", [
+    (["--seed", "-1"], ["config error at /seed: must be >= 0"]),
+    (["--format", "csv,bogus"],
+     ["config error at /output/formats/1: must be one of ('csv', 'json', 'svg')"]),
+    (["--seed", "-1", "--format", "svg,xml"],
+     ["config error at /seed: must be >= 0",
+      "config error at /output/formats/1: must be one of ('csv', 'json', 'svg')"]),
+], ids=["seed", "format", "both"])
+def test_main_rejects_negative_seed_override(tmp_path, capsys, override, errors):
+    # both overrides go through the config's schema nodes, in one error
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"scenario": "dyson", "seed": 1,
                                     "dyson": {"N": 6, "hbar": 0.2}}))
-    assert cli.main([str(cfg_path), "--seed", "-1", "--out", str(tmp_path / "o")]) == 1
-    assert "config error at /seed:" in capsys.readouterr().err
+    assert cli.main([str(cfg_path), *override, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines() == errors
     assert not (tmp_path / "o").exists()
 
 
@@ -588,16 +633,18 @@ def test_confine_coefficient_gives_the_closed_form_energy(tmp_path, coefficient)
     assert abs(summary["energy"] - exact) <= 1e-12 * abs(exact)
 
 
-def test_strict_writers_name_the_first_non_finite_value(tmp_path):
+def test_strict_writers_name_the_first_non_finite_value():
     rows = [[0, 1.0, 2.0], [1, 3.0, float("nan")], [2, float("inf"), 0.5]]
     with pytest.raises(NonFiniteResultError) as err:
-        cli._write_csv(tmp_path / "rows.csv", ["i", "a", "b"], rows)
+        cli._encode("rows.csv", (["i", "a", "b"], rows))
     assert str(err.value) == "rows.csv/1/2 is nan"
     payload = {"b": [[1.0], [2.0, np.float64("-inf"), float("nan")]], "a": float("nan")}
     with pytest.raises(NonFiniteResultError) as err:
-        cli._write_json(tmp_path / "nested.json", payload)
+        cli._encode("nested.json", payload)
     assert str(err.value) == "nested.json/b/1/1 is np.float64(-inf)"
-    assert not (tmp_path / "rows.csv").exists() and not (tmp_path / "nested.json").exists()
+    with pytest.raises(NonFiniteResultError) as err:
+        cli._encode("cloud.svg", [("points", [0j, complex(1.0, float("nan"))], {})])
+    assert str(err.value) == "cloud.svg has a non-finite point"
 
 
 @pytest.mark.parametrize("raw", [
@@ -626,13 +673,12 @@ def test_non_finite_result_is_a_breakdown(tmp_path, raw):
         assert "nan" not in text.lower() and "inf" not in text.lower(), entry["name"]
 
 
-def _writes_nan_artifact(cfg, out, files):
-    cli._write_json(out / "bad.json", {"values": [1.0, float("nan")]})
-    files["bad.json"] = True
+def _writes_nan_artifact(cfg, emit):
+    emit("bad.json", {"values": [1.0, float("nan")]})
     return {}
 
 
-def _returns_infinite_summary(cfg, out, files):
+def _returns_infinite_summary(cfg, emit):
     return {"energy": float("inf"), "fine": 1.0}
 
 

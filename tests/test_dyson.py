@@ -489,6 +489,22 @@ def test_forces_of_coincident_points_raise(measure):
         dyson.forces(state, cfg)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("measure", ["plane", "curve"])
+def test_forces_of_an_overflowing_field_raise(measure):
+    # the field energy overflows to inf while every pair term stays finite,
+    # so forces must refuse it rather than return the finite pair forces
+    if measure == "plane":
+        cfg, state = dyson.GasConfig(N=4, hbar=1.0), np.array([1e200, -1e200, 1e200j, -1e200j])
+    else:
+        s = np.array([-1e200, 1e200])
+        cfg = dyson.GasConfig(N=2, hbar=1.0, curve=dyson.CurveSpec.real_line())
+        state = dyson.GasState(s.astype(complex), s)
+    assert dyson.energy(state, cfg) == np.inf
+    with pytest.raises(ValueError, match="infinite energy has no forces"):
+        dyson.forces(state, cfg)
+
+
 @pytest.mark.parametrize("z, accepted", [
     ([0.0, 1e-12], False),
     ([0.0, 2e-12], True),

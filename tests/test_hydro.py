@@ -126,9 +126,9 @@ def test_profile_csv_roundtrip(tmp_path):
     grid = np.linspace(0.0, 1.0, 11)
     prof = hydro.Profile(grid, np.cos(grid))
     path = tmp_path / "profile.csv"
-    # the CLI's writer, as a hydro run writes profile.csv
-    cli._write_csv(path, ["t0", "q"],
-                   [[float(t0), float(q)] for t0, q in zip(prof.grid, prof.q_values)])
+    # the CLI's encoder, as a hydro run writes profile.csv
+    path.write_bytes(cli._encode(path.name, (
+        ["t0", "q"], [[float(t0), float(q)] for t0, q in zip(prof.grid, prof.q_values)])))
     back = hydro.read_profile_csv(path)
     assert_array_equal(back.grid, prof.grid)  # repr round-trips every float
     assert_array_equal(back.q_values, prof.q_values)
