@@ -590,31 +590,31 @@ def _run_loewner(cfg: ScenarioConfig, emit):
     else:
         family = loewner.default_family(p["q0"], p["q_max"], driving)
     q_grid = np.linspace(p["q0"], p["q_max"], p["trace_points"])
-    tips = loewner.slit_trace(family, q_grid)
+    # the one gated artifact: its snapshots ride in the tips' integration
+    # and add to the summary
+    snap_q = (p["q0"], 0.5 * (p["q0"] + p["q_max"]), p["q_max"]) if "json" in cfg.formats else ()
+    tips, tracked = loewner.trace_and_track(family, q_grid, snap_q)
     summary = {"final_tip": [float(tips[-1].real), float(tips[-1].imag)],
                "capacity_range": [p["q0"], p["q_max"]]}
     emit("trace.csv", (["q", "re_tip", "im_tip"],
                        [[float(q), float(t.real), float(t.imag)] for q, t in zip(q_grid, tips)]))
-    # the one gated artifact: it costs an integration and adds to the summary
-    if "json" in cfg.formats:
-        snap_q = (p["q0"], 0.5 * (p["q0"] + p["q_max"]), p["q_max"])
+    if snap_q:
         z0 = np.asarray(family.z_samples, dtype=complex)
-        res = loewner.advance_many(np.tile(z0 / family.r0, 3), family.q0,
-                                   np.repeat(snap_q, len(z0)), driving, family.base_step)
         snaps = []
-        for q, ws, dead_at in zip(snap_q, res.w.reshape(3, -1), res.absorbed.reshape(3, -1)):
+        for q, ws, dead_at in zip(snap_q, tracked.w.reshape(3, -1),
+                                  tracked.absorbed.reshape(3, -1)):
             pairs = [
                 [[float(z.real), float(z.imag)], [float(w.real), float(w.imag)]]
                 for z, w, dead in zip(z0, ws, dead_at) if not dead
             ]
             snaps.append({"q": float(q), "pairs": pairs})
         emit("family.json", snaps)
-        # the snapshot integration's counters: the q_max copy carries every
+        # the tracked copies' own counters: the q_max copy carries every
         # tracked point's whole run, so its flags count the swallowed points
         summary["tracked"] = {
-            "substeps": res.substeps,
-            "absorbed": int(np.count_nonzero(res.absorbed[2 * len(z0):])),
-            "min_eta_distance": float(np.min(res.min_eta_distance)) if len(z0) else None}
+            "substeps": tracked.substeps,
+            "absorbed": int(np.count_nonzero(tracked.absorbed[2 * len(z0):])),
+            "min_eta_distance": float(np.min(tracked.min_eta_distance)) if len(z0) else None}
     emit("trace.svg", [("polyline", family.r0 * laurent.circle_grid(128), {"closed": True}),
                        ("polyline", tips, {"stroke": "#b3402a"})])
     return summary

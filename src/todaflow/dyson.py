@@ -284,7 +284,8 @@ def _pair_pass(x: np.ndarray, forces: bool = True):
     ``x`` is real (curve parameters) or complex (plane positions).  Row
     blocks of at most ``_PAIR_BLOCK`` differences fill their ``triu`` part
     into one distance buffer, summed in one ``np.sum``, and with ``forces``
-    their rows give the repulsions.  Points closer than ``MIN_SEPARATION``
+    their rows give the repulsions; without, a block forms only the columns
+    from its first row on.  Points closer than ``MIN_SEPARATION``
     return ``(-inf, None)``; without ``forces`` the repulsions are None.
     """
     n = len(x)
@@ -295,8 +296,9 @@ def _pair_pass(x: np.ndarray, forces: bool = True):
     start = 0
     for r0 in range(0, n, rows):
         r1 = min(n, r0 + rows)
-        diff = x[r0:r1, None] - x
-        upper = diff[col > col[r0:r1, None]]
+        lo = 0 if forces else r0
+        diff = x[r0:r1, None] - x[lo:]
+        upper = diff[col[lo:] > col[r0:r1, None]]
         stop = start + len(upper)
         if stop > start and np.abs(upper, out=d[start:stop]).min() < MIN_SEPARATION:
             return -np.inf, None

@@ -13,10 +13,11 @@ Integration is RK4 with substeps shrunk in proportion to the distance from
 the driving singularity; a tracked point that comes within ``ABSORB_TOL`` of
 ``eta`` has been swallowed by the slit.  Every point carries its own capacity
 range (start and end ``q``, either direction, possibly empty), so each query
--- a slit trace, the far-field radius, a Poisson-bracket stencil, the driving
-estimate from tracked points, a batch of snapshots -- is one vectorized
-integration call.  Points are integrated independently (no cross-point
-state), so results do not depend on how they are batched.
+-- a slit trace together with snapshots of the tracked points, the far-field
+radius, a Poisson-bracket stencil, the driving estimate from tracked points
+-- is one vectorized integration call.  Points are integrated independently
+(no cross-point state, and each point keeps its own substep count), so
+results do not depend on how they are batched.
 
 A substep costs a fixed number of small numpy calls, whatever the batch
 size, so the loop keeps that number down: the points still moving stay in
@@ -147,13 +148,18 @@ def default_family(q0=0.0, q_max=0.5, driving=None) -> LoewnerFamily:
 @dataclass
 class AdvanceResult:
     """Batch integration outcome: final points, absorption flags and times,
-    each point's closest approach to the driving point, and the call's
-    substep count."""
+    each point's closest approach to the driving point, each point's substep
+    count, and the call's substep count.
+
+    A point's count is the number of substeps it took part in, which does
+    not depend on the batch; the call's count is the largest of them.
+    """
 
     w: np.ndarray
     absorbed: np.ndarray
     q_absorbed: np.ndarray
     min_eta_distance: np.ndarray
+    point_substeps: np.ndarray
     substeps: int
 
 
@@ -185,7 +191,11 @@ def _integrate(w0, q_from, q_to, driving, base_step=DEFAULT_BASE_STEP,
     substep's end-stage ``eta`` is the next substep's first stage, because
     the new ``q`` is the same float ``q + h``; the mid and end stages come
     from one ``eta`` call on the concatenated capacities.  Each point sees
-    exactly the arithmetic of a loop that gathers every substep.
+    exactly the arithmetic of a loop that gathers every substep, and its
+    substep count is added up at those write-backs.  Every point starts on
+    the first substep and the active set only shrinks, so the call's count
+    is the largest point count: a subset of a call reports what a call
+    holding only that subset would.
     """
     w = np.atleast_1d(np.asarray(w0, dtype=complex)).copy()
     npts = len(w)
@@ -195,6 +205,7 @@ def _integrate(w0, q_from, q_to, driving, base_step=DEFAULT_BASE_STEP,
     absorbed = np.zeros(npts, dtype=bool)
     q_abs = np.full(npts, np.nan)
     min_dist = np.full(npts, np.inf)
+    point_steps = np.zeros(npts, dtype=np.int64)
     steps = 0
     gather = True
     while True:
@@ -203,6 +214,7 @@ def _integrate(w0, q_from, q_to, driving, base_step=DEFAULT_BASE_STEP,
             if len(idx) == 0:
                 break
             wi, qi, ti, di, md = w[idx], q[idx], q_to[idx], direction[idx], min_dist[idx]
+            gathered_at = steps
             eta_i = driving.eta(qi)
             remaining = np.abs(ti - qi)
             gather = False
@@ -216,6 +228,7 @@ def _integrate(w0, q_from, q_to, driving, base_step=DEFAULT_BASE_STEP,
                 # the survivors redo this substep from a fresh gather, which
                 # recomputes the same eta and distance
                 w[idx], q[idx], min_dist[idx] = wi, qi, md
+                point_steps[idx] += steps - gathered_at
                 absorbed[idx[hit]] = True
                 q_abs[idx[hit]] = qi[hit] + di[hit] * dist[hit] ** 2 / 4.0
                 gather = True
@@ -247,13 +260,14 @@ def _integrate(w0, q_from, q_to, driving, base_step=DEFAULT_BASE_STEP,
         w[idx] = np.where(dead, wi, w_new)
         q[idx] = np.where(dead, qi, q_new)
         min_dist[idx] = md
+        point_steps[idx] += steps - gathered_at
         if np.any(dead):
             absorbed[idx[dead]] = True
             q_abs[idx[dead]] = qi[dead]
             min_dist[idx[dead]] = 0.0
         gather = True
     return AdvanceResult(w=w, absorbed=absorbed, q_absorbed=q_abs, min_eta_distance=min_dist,
-                         substeps=steps)
+                         point_substeps=point_steps, substeps=steps)
 
 
 def advance_inverse(w, q_from: float, q_to: float, driving: DrivingFunction,
@@ -283,6 +297,14 @@ def advance_many(w, q_from: float, q_to, driving: DrivingFunction,
     return _integrate(w, q_from, q_to, driving, base_step)
 
 
+def _check_capacities(q, family: LoewnerFamily):
+    q = np.asarray(q, dtype=float)
+    outside = ~((family.q0 <= q) & (q <= family.q_max + 1e-12))
+    if np.any(outside):
+        raise ValueError(f"q = {float(q[outside].flat[0])} outside family range "
+                         f"[{family.q0}, {family.q_max}]")
+
+
 def _pull_back(w, q, family: LoewnerFamily) -> np.ndarray:
     """``z(w, q)`` for scalar or per-point ``q``, in one integration call.
 
@@ -290,11 +312,7 @@ def _pull_back(w, q, family: LoewnerFamily) -> np.ndarray:
     ``q`` down to ``q0`` (zero length at ``q = q0``) and then pushed through
     the initial map ``z = exp(q0) * w``.
     """
-    q = np.asarray(q, dtype=float)
-    outside = ~((family.q0 <= q) & (q <= family.q_max + 1e-12))
-    if np.any(outside):
-        raise ValueError(f"q = {float(q[outside].flat[0])} outside family range "
-                         f"[{family.q0}, {family.q_max}]")
+    _check_capacities(q, family)
     res = _integrate(w, q, family.q0, family.driving, family.base_step)
     if np.any(res.absorbed):
         raise IntegrationBreakdownError("backward characteristic hit the driving point")
@@ -312,23 +330,50 @@ def forward_map(w, q: float, family: LoewnerFamily):
     return complex(z[0]) if scalar else z
 
 
-def slit_trace(family: LoewnerFamily, q_grid) -> np.ndarray:
-    """Tip positions along the run: images of the driving point.
+def trace_and_track(family: LoewnerFamily, q_grid, snapshot_q=()):
+    """Slit tips along ``q_grid`` and the tracked points at each ``snapshot_q``.
 
-    The tip at each ``q > q0`` is evaluated at two small radial offsets from
-    ``eta(q)`` and Richardson-extrapolated (the offset enters quadratically
-    at a simple critical point).  Both offsets at every grid ``q`` go
-    through one integration call.  At ``q = q0`` the map is the linear
-    ``z = exp(q0) w``, with no critical point, so the tip is ``exp(q0) eta(q0)``.
+    Returns ``(tips, tracked)``.  The tip at each ``q > q0`` is evaluated at
+    two small radial offsets from ``eta(q)``, carried backward to ``q0`` and
+    Richardson-extrapolated (the offset enters quadratically at a simple
+    critical point).  At ``q = q0`` the map is the linear ``z = exp(q0) w``,
+    with no critical point, so the tip is ``exp(q0) eta(q0)``.  ``tracked``
+    is the :class:`AdvanceResult` of one copy of ``w = z / exp(q0)`` per
+    snapshot and tracked point (snapshot-major), carried forward from ``q0``;
+    its ``substeps`` is the copies' own count.  The tip starts and the
+    tracked copies share one integration call, and each gets the result a
+    call of its own would give.
     """
     q_grid = np.atleast_1d(np.asarray(q_grid, dtype=float))
+    snapshot_q = np.atleast_1d(np.asarray(snapshot_q, dtype=float))
+    _check_capacities(np.concatenate([q_grid, snapshot_q]), family)
     eta = family.driving.eta(q_grid)
-    starts = np.concatenate([eta * (1.0 + TIP_OFFSET), eta * (1.0 + 0.5 * TIP_OFFSET)])
-    t1, t2 = np.split(_pull_back(starts, np.tile(q_grid, 2), family), 2)
+    w0 = np.asarray(family.z_samples, dtype=complex) / family.r0
+    n_tips, n_copies = 2 * len(q_grid), len(snapshot_q) * len(w0)
+    res = _integrate(
+        np.concatenate([eta * (1.0 + TIP_OFFSET), eta * (1.0 + 0.5 * TIP_OFFSET),
+                        np.tile(w0, len(snapshot_q))]),
+        np.concatenate([np.tile(q_grid, 2), np.full(n_copies, family.q0)]),
+        np.concatenate([np.full(n_tips, family.q0), np.repeat(snapshot_q, len(w0))]),
+        family.driving, family.base_step)
+    if np.any(res.absorbed[:n_tips]):
+        raise IntegrationBreakdownError("backward characteristic hit the driving point")
+    t1, t2 = np.split(family.r0 * res.w[:n_tips], 2)
     # divide the real and imaginary parts by 3: numpy's complex division
     # multiplies by 1/3 instead, which rounds differently from a scalar tip
     tips = ((4.0 * t2 - t1).view(float) / 3.0).view(complex)
-    return np.where(q_grid == family.q0, family.r0 * eta, tips)
+    counts = res.point_substeps[n_tips:]
+    tracked = AdvanceResult(w=res.w[n_tips:], absorbed=res.absorbed[n_tips:],
+                            q_absorbed=res.q_absorbed[n_tips:],
+                            min_eta_distance=res.min_eta_distance[n_tips:],
+                            point_substeps=counts, substeps=int(counts.max(initial=0)))
+    return np.where(q_grid == family.q0, family.r0 * eta, tips), tracked
+
+
+def slit_trace(family: LoewnerFamily, q_grid) -> np.ndarray:
+    """Tip positions along the run, the images of the driving point:
+    :func:`trace_and_track` with no snapshots."""
+    return trace_and_track(family, q_grid)[0]
 
 
 @dataclass(frozen=True)

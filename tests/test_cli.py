@@ -140,6 +140,59 @@ def test_loewner_summary_counts_the_tracked_integration(tmp_path):
     assert summaries[0]["min_eta_distance"] == 0.0  # a swallowed point's closest approach
 
 
+LOEWNER_DRIVINGS = {
+    "constant": {"kind": "constant", "theta0": 0.0},
+    "piecewise_linear": {"kind": "piecewise_linear", "knots": [[0.0, 0.3], [0.15, -0.2],
+                                                               [0.3, 0.4]]},
+    "brownian": {"kind": "brownian", "kappa": 0.5},
+}
+
+
+@pytest.mark.parametrize("formats", [None, ["csv"], ["json"]], ids=["default", "csv", "json"])
+@pytest.mark.parametrize("kind", sorted(LOEWNER_DRIVINGS))
+def test_loewner_run_matches_separate_trace_and_snapshot_calls(tmp_path, monkeypatch, kind,
+                                                               formats):
+    # the straight slit swallows the points on its ray; a point within
+    # ABSORB_TOL of eta(q0) is swallowed under every driving
+    eta0 = (1 + 5e-10) * np.exp(0.3j if kind == "piecewise_linear" else 0.0)
+    tracked = [[1.2, 0.0], [1.5, 0.0], [eta0.real, eta0.imag], [2.0, 2.0], [-1.7, 0.8]]
+    raw = {"scenario": "loewner", "seed": 3,
+           "loewner": {"driving": LOEWNER_DRIVINGS[kind], "q_max": 0.3, "trace_points": 6,
+                       "tracked": tracked}}
+    if formats is not None:
+        raw["output"] = {"formats": formats}
+    trace_and_track, integrate, calls = loewner.trace_and_track, loewner._integrate, []
+    monkeypatch.setattr(loewner, "_integrate",
+                        lambda *args, **kwargs: calls.append(args) or integrate(*args, **kwargs))
+    merged = cli.run_scenario(cli.parse_config(json.dumps(raw)), out_dir=tmp_path / "merged")
+    assert merged.exit_code == 0 and len(calls) == 1
+
+    def separate_calls(family, q_grid, snapshot_q=()):
+        # the tips alone (slit_trace), then the snapshots in a second call
+        tips = trace_and_track(family, q_grid)[0]
+        w0 = np.asarray(family.z_samples, dtype=complex) / family.r0
+        res = loewner.advance_many(np.tile(w0, len(snapshot_q)), family.q0,
+                                   np.repeat(snapshot_q, len(w0)), family.driving,
+                                   family.base_step)
+        return tips, res
+
+    monkeypatch.setattr(loewner, "trace_and_track", separate_calls)
+    separate = cli.run_scenario(cli.parse_config(json.dumps(raw)), out_dir=tmp_path / "separate")
+    assert len(calls) == 3
+    names = sorted(p.name for p in (tmp_path / "merged").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "separate").iterdir())
+    for name in names:
+        a = (tmp_path / "merged" / name).read_bytes()
+        b = (tmp_path / "separate" / name).read_bytes()
+        if name == "manifest.json":
+            a, b = json.loads(a), json.loads(b)
+            a.pop("wall_time_s"), b.pop("wall_time_s")
+        assert a == b, name
+    if formats != ["csv"]:
+        assert merged.manifest["summary"]["tracked"]["absorbed"] == (
+            3 if kind == "constant" else 1)
+
+
 def test_hydro_scenario_breakdown_exit_code(tmp_path):
     raw = {
         "scenario": "hydro",

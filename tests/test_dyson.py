@@ -421,12 +421,15 @@ def repulsion_reference(z):
     return np.sum(1.0 / np.conj(diff), axis=1)
 
 
-@pytest.mark.parametrize("n_particles", [1, 2, 3, 64, 256, 257, 1024])
+# N = 128 fills one row block exactly and 129 spills into a second; 1024
+# splits into whole 16-row blocks and 1025 leaves a short last one
+@pytest.mark.parametrize("n_particles", [1, 2, 3, 64, 127, 128, 129, 256, 257, 1024, 1025])
 def test_pair_kernels_equal_the_matrix_reference(n_particles):
     rng = np.random.default_rng(n_particles)
     plane = rng.normal(size=n_particles) + 1j * rng.normal(size=n_particles)
     line = rng.normal(size=n_particles).astype(complex)
-    for z in (plane, line):
+    real = rng.normal(size=n_particles)
+    for z in (plane, line, real):
         pair, repulsion = dyson._pair_pass(z)
         assert pair == pair_log_sum_reference(z)
         assert np.array_equal(repulsion, repulsion_reference(z))

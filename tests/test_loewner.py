@@ -237,7 +237,8 @@ def test_extract_eta_matches_chained_integrations():
 def integrate_reference(w0, q_from, q_to, driving, base_step=loewner.DEFAULT_BASE_STEP,
                         stops=()):
     """The gather-every-substep loop that ``_integrate`` must reproduce exactly:
-    returns ``(w, absorbed, q_absorbed, min_eta_distance, substeps)``."""
+    returns ``(w, absorbed, q_absorbed, min_eta_distance, point_substeps,
+    substeps)``."""
     ABSORB_TOL, _MAX_SUBSTEPS = loewner.ABSORB_TOL, loewner._MAX_SUBSTEPS
     _loewner_rhs = loewner._loewner_rhs
     w = np.atleast_1d(np.asarray(w0, dtype=complex)).copy()
@@ -248,6 +249,7 @@ def integrate_reference(w0, q_from, q_to, driving, base_step=loewner.DEFAULT_BAS
     absorbed = np.zeros(npts, dtype=bool)
     q_abs = np.full(npts, np.nan)
     min_dist = np.full(npts, np.inf)
+    point_steps = np.zeros(npts, dtype=int)
     steps = 0
     while True:
         idx = np.flatnonzero((np.abs(q_to - q) > 1e-15) & ~absorbed)
@@ -284,10 +286,11 @@ def integrate_reference(w0, q_from, q_to, driving, base_step=loewner.DEFAULT_BAS
             min_dist[idx[dead]] = 0.0
         w[idx] = np.where(dead, wi, w_new)
         q[idx] = np.where(dead, qi, qi + h)
+        point_steps[idx] += 1
         steps += 1
         if steps > _MAX_SUBSTEPS:
             raise IntegrationBreakdownError(f"integration exceeded {_MAX_SUBSTEPS} substeps")
-    return w, absorbed, q_abs, min_dist, steps
+    return w, absorbed, q_abs, min_dist, point_steps, steps
 
 
 PL = loewner.DrivingFunction.piecewise_linear([(0.0, 0.0), (0.1, 0.3), (0.2, -0.2), (0.4, 0.5)])
@@ -321,14 +324,15 @@ REFERENCE_CASES = {
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
 def test_integrate_matches_gather_every_substep_reference(case):
     w0, q_from, q_to, driving, kwargs = REFERENCE_CASES[case]
-    w, absorbed, q_abs, min_dist, steps = integrate_reference(w0, q_from, q_to, driving,
-                                                              **kwargs)
+    w, absorbed, q_abs, min_dist, point_steps, steps = integrate_reference(
+        w0, q_from, q_to, driving, **kwargs)
     res = loewner._integrate(w0, q_from, q_to, driving, **kwargs)
     assert np.array_equal(res.w, w)
     assert np.array_equal(res.absorbed, absorbed)
     assert np.array_equal(res.q_absorbed, q_abs, equal_nan=True)
     assert np.array_equal(res.min_eta_distance, min_dist)
-    assert res.substeps == steps
+    assert np.array_equal(res.point_substeps, point_steps)
+    assert res.substeps == steps == point_steps.max(initial=0)
     if case == "absorbed":
         # both absorption rules fire: the ABSORB_TOL ball (forward and
         # backward) and a step into the unit disk
@@ -337,6 +341,99 @@ def test_integrate_matches_gather_every_substep_reference(case):
     if case == "absorbed_mid_run":
         assert absorbed.tolist() == [False, True, False] and q_abs[1] > 0.0
         assert min_dist[1] < loewner.ABSORB_TOL
+
+
+def mixed_batch(case):
+    """Backward tip-like starts near the driving point and forward tracked
+    copies to two capacities, over the case's own capacity span."""
+    w0, q_from, q_to, driving, _ = REFERENCE_CASES[case]
+    lo = float(min(np.min(q_from), np.min(q_to)))
+    hi = float(max(np.max(q_from), np.max(q_to)))
+    ring = np.asarray(loewner.default_family().z_samples)[:4]
+    w = np.concatenate([driving.eta(hi) * np.array([1.01, 1.05, 1.1]), np.tile(ring, 2),
+                        [1.5 * driving.eta(lo)]])
+    q_start = np.array([hi] * 3 + [lo] * 9)
+    q_end = np.array([lo] * 3 + [0.5 * (lo + hi)] * 4 + [hi] * 5)
+    return w, q_start, q_end
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_merged_call_parts_match_their_own_calls(case):
+    # the CLI puts backward tip starts and forward tracked copies in one call:
+    # each part of it must get what a call holding only that part gets
+    w0, q_from, q_to, driving, kwargs = REFERENCE_CASES[case]
+    n = len(w0)
+    w1, q_from1, q_to1 = mixed_batch(case)
+    merged = loewner._integrate(np.concatenate([w0, w1]),
+                                np.concatenate([np.broadcast_to(q_from, (n,)), q_from1]),
+                                np.concatenate([np.broadcast_to(q_to, (n,)), q_to1]),
+                                driving, **kwargs)
+    for part, alone in ((slice(0, n), loewner._integrate(w0, q_from, q_to, driving, **kwargs)),
+                        (slice(n, None), loewner._integrate(w1, q_from1, q_to1, driving,
+                                                            **kwargs))):
+        assert np.array_equal(merged.w[part], alone.w)
+        assert np.array_equal(merged.absorbed[part], alone.absorbed)
+        assert np.array_equal(merged.q_absorbed[part], alone.q_absorbed, equal_nan=True)
+        assert np.array_equal(merged.min_eta_distance[part], alone.min_eta_distance)
+        assert np.array_equal(merged.point_substeps[part], alone.point_substeps)
+        assert merged.point_substeps[part].max() == alone.substeps
+    assert merged.substeps == merged.point_substeps.max()
+
+
+def slit_trace_reference(family, q_grid):
+    """Tips from their own integration call, as the trace was computed
+    before the tracked copies joined it."""
+    q_grid = np.atleast_1d(np.asarray(q_grid, dtype=float))
+    eta = family.driving.eta(q_grid)
+    starts = np.concatenate([eta * (1.0 + loewner.TIP_OFFSET),
+                             eta * (1.0 + 0.5 * loewner.TIP_OFFSET)])
+    t1, t2 = np.split(loewner._pull_back(starts, np.tile(q_grid, 2), family), 2)
+    tips = ((4.0 * t2 - t1).view(float) / 3.0).view(complex)
+    return np.where(q_grid == family.q0, family.r0 * eta, tips)
+
+
+# tracked points on the straight slit's path are swallowed; a curved slit
+# passes beside every point that does not start within ABSORB_TOL of eta(q0)
+TRACKED_DRIVINGS = {
+    "constant": (CONST, (1.2 + 0j, 1.5 + 0j, 2.0 + 2.0j, -1.7 + 0.8j)),
+    "piecewise_linear": (loewner.DrivingFunction.piecewise_linear(
+        [(0.0, 0.3), (0.15, -0.2), (0.3, 0.4)]),
+        ((1 + 5e-10) * np.exp(0.3j), 1.4 * np.exp(0.25j), 2.0 + 2.0j, -1.7 + 0.8j)),
+    "brownian": (loewner.DrivingFunction.brownian(0.5, seed=3, dq_grid=1e-3, q_range=(0.0, 0.3)),
+                 (1 + 5e-10, 1.3 + 0j, 2.0 + 2.0j, -1.7 + 0.8j)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TRACKED_DRIVINGS))
+def test_trace_and_track_matches_separate_calls(kind, monkeypatch):
+    driving, tracked = TRACKED_DRIVINGS[kind]
+    fam = loewner.LoewnerFamily(0.0, 0.3, driving, tracked)
+    qs, snap_q = np.linspace(0.0, 0.3, 7), (0.0, 0.15, 0.3)
+    calls, integrate = [], loewner._integrate
+    monkeypatch.setattr(loewner, "_integrate",
+                        lambda *args, **kwargs: calls.append(args) or integrate(*args, **kwargs))
+    tips, res = loewner.trace_and_track(fam, qs, snap_q)
+    assert len(calls) == 1
+    monkeypatch.setattr(loewner, "_integrate", integrate)
+    assert np.array_equal(tips, slit_trace_reference(fam, qs))
+    assert np.array_equal(loewner.slit_trace(fam, qs), tips)
+    w0 = np.asarray(tracked) / fam.r0
+    alone = loewner.advance_many(np.tile(w0, 3), fam.q0, np.repeat(snap_q, len(w0)), driving)
+    assert np.array_equal(res.w, alone.w)
+    assert np.array_equal(res.absorbed, alone.absorbed)
+    assert np.array_equal(res.q_absorbed, alone.q_absorbed, equal_nan=True)
+    assert np.array_equal(res.min_eta_distance, alone.min_eta_distance)
+    assert np.array_equal(res.point_substeps, alone.point_substeps)
+    assert res.substeps == alone.substeps
+    assert 0 < np.count_nonzero(res.absorbed[2 * len(w0):]) < len(w0)
+
+
+def test_trace_and_track_checks_the_snapshot_range():
+    fam = loewner.default_family(0.0, 0.3)
+    with pytest.raises(ValueError, match="outside family range"):
+        loewner.trace_and_track(fam, [0.1], (0.1, 0.4))
+    tips, res = loewner.trace_and_track(fam, [0.0, 0.1])
+    assert len(res.w) == 0 and res.substeps == 0
 
 
 def test_far_point_takes_one_substep_per_base_step():
