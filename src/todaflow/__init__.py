@@ -20,7 +20,6 @@ from .errors import (
     InsufficientSamplesError,
     IntegrationBreakdownError,
     NonUnivalentError,
-    PointAbsorbedError,
     RootFindError,
     SeriesBudgetError,
     ShockError,
@@ -36,7 +35,6 @@ __all__ = [
     "InsufficientSamplesError",
     "IntegrationBreakdownError",
     "NonUnivalentError",
-    "PointAbsorbedError",
     "RootFindError",
     "SeriesBudgetError",
     "ShockError",

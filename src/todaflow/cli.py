@@ -41,7 +41,6 @@ from .errors import (
     IntegrationBreakdownError,
     NonFiniteResultError,
     NonUnivalentError,
-    PointAbsorbedError,
     RootFindError,
     ShockError,
 )
@@ -55,7 +54,6 @@ _BREAKDOWN_ERRORS = (
     CuspError,
     NonUnivalentError,
     ShockError,
-    PointAbsorbedError,
     IntegrationBreakdownError,
     RootFindError,
     NonFiniteResultError,
@@ -280,10 +278,6 @@ def _t0_finite(v):
 
 
 _MAP = _object({"r": _positive(), "coeffs": _array(_pair()).opt([])})
-_POTENTIAL = _object({
-    "kind": _string().where(lambda k: k == "quadratic",
-                            "only the quadratic potential is available via config"),
-}).opt({"kind": "quadratic"})
 _DRIVING = _kinded({
     "constant": _object({"theta0": _number().opt(0.0)}),
     "piecewise_linear": _object({
@@ -318,25 +312,19 @@ _SPEED = _kinded({
                        "q_max": _number()}, _q_max_above_q0),
 })
 _MEASURE = _kinded({
-    "plane": _object({"potential": _POTENTIAL}),
+    "plane": _object({}),
     "curve": _object({
         "curve": _kinded({
             "real_line": _object({}),
             "ray": _object({"z0": _pair(),
                             "direction": _pair().where(lambda d: d != 0, "must be nonzero")}),
         }),
-        "confine": _object({
-            "kind": _string().where(
-                lambda k: k == "quadratic_hbar",
-                "only 'quadratic_hbar' (s^2 / (2 hbar)) is available via config"),
-            "coefficient": _positive().opt(1.0),
-        }).opt({"kind": "quadratic_hbar"}),
+        "confine": _object({"coefficient": _positive().opt(1.0)}).opt({}),
     }),
 })
 _SECTIONS = {
     "grow": _object({
         "map": _MAP,
-        "potential": _POTENTIAL,
         "flows": _array(_FLOW).where(bool, "needs at least one leg"),
         "moment_order": _count().opt(),
         "snapshots": _count().opt(5),
@@ -515,7 +503,6 @@ def _run_grow(cfg: ScenarioConfig, emit):
     m = laurent.LaurentMap(p["map"]["r"], np.array(p["map"]["coeffs"], dtype=complex))
     if cfg.m_order is not None:
         m = m.with_order(cfg.m_order)
-    potential = growth.PotentialSpec.quadratic()
     schedule = []
     for f in p["flows"]:
         flow = growth.FlowSpec(f["kind"], k=f.get("k", 0), z0=f.get("z0", 0j), sign=f["sign"])
@@ -531,7 +518,7 @@ def _run_grow(cfg: ScenarioConfig, emit):
         raise ConfigError(too_deep)
     pending = None
     try:
-        traj = growth.run(m, schedule, potential, moment_order=order, n=n)
+        traj = growth.run(m, schedule, moment_order=order, n=n)
     except (CuspError, NonUnivalentError) as exc:
         # keep whatever the run produced before the breakdown
         traj = getattr(exc, "partial", None)
@@ -747,7 +734,7 @@ def _breakdown(exc) -> dict:
     """The manifest's record of a breakdown; non-finite attributes are left out."""
     log.error("numerical breakdown: %s", exc)
     breakdown = {"type": type(exc).__name__, "message": str(exc)}
-    for attr in ("theta", "s_star", "q_absorbed"):
+    for attr in ("theta", "s_star"):
         val = getattr(exc, attr, None)
         if val is not None and math.isfinite(val):
             breakdown[attr] = float(val)

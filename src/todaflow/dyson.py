@@ -247,37 +247,6 @@ class GasState:
         return len(self.positions)
 
 
-def energy(state, config: GasConfig) -> float:
-    """Negative log of the eigenvalue integrand (each pair counted twice).
-
-    Coincident particles return the ``+inf`` sentinel.
-    """
-    return _energy_gradient(*_positions_and_params(state), config, gradient=False)[0]
-
-
-def forces(state, config: GasConfig) -> np.ndarray:
-    """Descent direction: ``z + gamma * force`` lowers the energy to first order.
-
-    The plane returns ``-dE/dzbar``.  Curve measures return the parameter
-    force ``-dE/ds`` times the curve's direction; at a curve end the push
-    into the wall is clamped to zero (hard wall).  Both are exact.
-    """
-    z, s = _positions_and_params(state)
-    grad = _energy_gradient(z, s, config)[1]
-    if grad is None:
-        raise ValueError("a configuration of infinite energy has no forces")
-    if config.measure == "plane":
-        return -grad
-    return _wall_clamped(s, -grad, config.curve) * config.curve.direction
-
-
-def _positions_and_params(state):
-    """A state's positions and curve parameters; a bare array is plane positions."""
-    if isinstance(state, GasState):
-        return state.positions, state.params
-    return np.asarray(state, dtype=complex), None
-
-
 def _pair_pass(x: np.ndarray, forces: bool = True):
     """``sum_{m != n} log|x_m - x_n|`` and every ``sum_{m != j} 1 / conj(x_j - x_m)``.
 
@@ -316,8 +285,8 @@ def _energy_gradient(z: np.ndarray, s, config: GasConfig, gradient: bool = True)
 
     The pair terms come from one ``_pair_pass`` over ``s`` on a curve and
     ``z`` in the plane; the field's part of ``dE/dzbar`` is ``z`` and of
-    ``dE/ds`` is ``c s``, over ``hbar``.  The gradient is None where the
-    energy is not finite.
+    ``dE/ds`` is ``c s``, over ``hbar``.  Coincident particles give the
+    ``+inf`` sentinel; the gradient is None where the energy is not finite.
     """
     on_curve = config.measure == "curve"
     if on_curve and s is None:

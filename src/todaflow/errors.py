@@ -29,14 +29,6 @@ class RootFindError(TodaflowError):
     """Newton inversion of the map failed to converge."""
 
 
-class PointAbsorbedError(TodaflowError):
-    """A tracked point was swallowed by the growing slit."""
-
-    def __init__(self, message, q_absorbed=None):
-        super().__init__(message)
-        self.q_absorbed = q_absorbed
-
-
 class IntegrationBreakdownError(TodaflowError):
     """A Loewner trajectory left the domain where the ODE is valid."""
 

@@ -8,8 +8,10 @@ through the classical analytic-extension scheme:
 
 with ``Phi`` the Schwarz extension of the real boundary data.  The available
 flows are growth with a source at infinity, growth with a source at a finite
-exterior point, and the higher harmonic-moment flows.  The orientation is
-outward-positive: the area clock runs at ``d t0/dt = +1``.
+exterior point, and the higher harmonic-moment flows, all in the quadratic
+background ``U = z zbar`` (``U_zzbar = 1``) that the gas of
+:mod:`todaflow.dyson` shares.  The orientation is outward-positive: the area
+clock runs at ``d t0/dt = +1``.
 """
 
 from __future__ import annotations
@@ -28,43 +30,6 @@ log = logging.getLogger(__name__)
 
 #: boundary |z'| below this is treated as a cusp for smooth flows
 CUSP_FLOOR = 1e-8
-
-
-@dataclass(frozen=True)
-class PotentialSpec:
-    """Background potential ``U(z, zbar)`` entering the normal velocity.
-
-    Only the mixed derivative ``U_{z zbar}`` enters the contour dynamics; the
-    value of ``U`` itself is needed by the gas module.  ``quadratic`` is
-    ``U = z zbar``; ``custom`` supplies both callables.
-    """
-
-    kind: str = "quadratic"
-    u_zzbar: object = None
-    value: object = None
-
-    @classmethod
-    def quadratic(cls) -> "PotentialSpec":
-        return cls(kind="quadratic")
-
-    @classmethod
-    def custom(cls, u_zzbar, value=None) -> "PotentialSpec":
-        return cls(kind="custom", u_zzbar=u_zzbar, value=value)
-
-    def u_zzbar_at(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        if self.kind == "quadratic":
-            return np.ones(z.shape, dtype=float)
-        vals = np.asarray(self.u_zzbar(z, np.conj(z)), dtype=float)
-        return np.broadcast_to(vals, z.shape).astype(float)
-
-    def value_at(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        if self.kind == "quadratic":
-            return np.abs(z) ** 2
-        if self.value is None:
-            raise ValueError("custom potential has no value callable")
-        return np.asarray(self.value(z, np.conj(z)), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -107,8 +72,8 @@ class FlowSpec:
 class MomentVector:
     """t0 plus the exterior moments t_k and interior moments v_k, k = 1..order.
 
-    :func:`harmonic_moments` fills t0 and t, :func:`interior_moments` fills v,
-    and :func:`moment_vector` fills all three.  ``v0`` is deliberately absent:
+    :func:`harmonic_moments` fills t0 and t, and :func:`moment_vector` fills
+    all three.  ``v0`` is deliberately absent:
     only its t0-derivative is ever defined by the flow equations, not the
     quantity itself.
     """
@@ -159,12 +124,6 @@ def harmonic_moments(m: LaurentMap, order: int, n: int | None = None) -> MomentV
     return MomentVector(order=order, t0=mv.t0, t=mv.t)
 
 
-def interior_moments(m: LaurentMap, order: int, n: int | None = None) -> MomentVector:
-    """Interior moments ``v_k = (1/2 pi i) oint z^k zbar dz``, k = 1..order."""
-    _require_univalent(m, n, "interior_moments")
-    return MomentVector(order=order, v=_moments(m, order, n).v)
-
-
 def moment_vector(m: LaurentMap, order: int, n: int | None = None) -> MomentVector:
     """Both moment families of a map from one witness and one boundary pass."""
     _require_univalent(m, n, "moment_vector")
@@ -175,8 +134,8 @@ def orlov_shulman(m: LaurentMap, moments: MomentVector, w):
     """Truncated moment generating function on the boundary.
 
     ``M(w) = sum_k k t_k z^k(w) + t0 + sum_k v_k z^{-k}(w)`` with both sums
-    cut at ``moments.order``.  For the quadratic potential this approximates
-    ``|z|^2`` on the contour wherever the tail series converges.
+    cut at ``moments.order``.  It approximates ``|z|^2`` on the contour
+    wherever the tail series converges.
     """
     if moments.t0 is None or moments.t is None or moments.v is None:
         raise ValueError("orlov_shulman needs a full MomentVector (t0, t and v parts)")
@@ -196,13 +155,6 @@ def orlov_shulman(m: LaurentMap, moments: MomentVector, w):
     return out if out.ndim else complex(out)
 
 
-def green_function(m: LaurentMap, z: complex, z0: complex) -> float:
-    """Dirichlet Green function of the exterior domain, via the map inverse."""
-    wz = laurent.inverse_evaluate(m, z)
-    w0 = laurent.inverse_evaluate(m, z0)
-    return float(np.log(np.abs((wz - w0) / (1.0 - wz * np.conj(w0)))))
-
-
 @functools.lru_cache(maxsize=None)
 def _circle_nodes(n: int) -> np.ndarray:
     """The ``n``-point circle grid, built once per ``n`` and read-only."""
@@ -211,8 +163,7 @@ def _circle_nodes(n: int) -> np.ndarray:
     return w
 
 
-def _velocity_over_speed(m: LaurentMap, flow: FlowSpec, potential: PotentialSpec, n: int,
-                         grid=None):
+def _velocity_over_speed(m: LaurentMap, flow: FlowSpec, n: int, grid=None):
     """Return (V_n samples, h = V_n/|z'| samples, w z' samples) on the grid.
 
     ``grid`` is the map's ``(z, w z')`` samples when the caller already has them.
@@ -227,47 +178,32 @@ def _velocity_over_speed(m: LaurentMap, flow: FlowSpec, potential: PotentialSpec
             "undefined (slit-type evolution in todaflow.loewner may still apply)",
             theta=2 * np.pi * j / n,
         )
-    u = potential.u_zzbar_at(z)
-    if np.any(u <= 0):
-        raise ValueError("U_zzbar must be positive on the contour")
     if flow.kind == "t0_infinity":
-        vn = 1.0 / (2.0 * u * azp)
+        vn = 1.0 / (2.0 * azp)
     elif flow.kind == "t0_source":
         w0 = laurent.inverse_evaluate(m, flow.z0)
         wf = w / (w - w0) + w * np.conj(w0) / (1.0 - w * np.conj(w0))
         # outward-positive orientation: reduces to the source-at-infinity flow
         # as |z0| grows, and keeps d t0/dt = +1.
-        vn = -wf.real / (2.0 * u * azp)
+        vn = -wf.real / (2.0 * azp)
     elif flow.kind == "tk_real":
-        vn = laurent._phi_values(z, flow.k, w).real / (u * azp)
+        vn = laurent._phi_values(z, flow.k, w).real / azp
     elif flow.kind == "tk_imag":
-        vn = -laurent._phi_values(z, flow.k, w).imag / (u * azp)
+        vn = -laurent._phi_values(z, flow.k, w).imag / azp
     else:  # pragma: no cover
         raise ValueError(flow.kind)
     vn = flow.sign * vn
     return vn, vn / azp, wzp
 
 
-def normal_velocity(m: LaurentMap, flow: FlowSpec, potential: PotentialSpec,
-                    n: int | None = None) -> np.ndarray:
-    """Outward normal velocity of the contour for one flow direction.
-
-    Returns its real samples on the ``n``-point circle grid.
-    """
-    n = laurent._resolve_grid(m, n)
-    vn, _, _ = _velocity_over_speed(m, flow, potential, n)
-    return vn
-
-
-def _coefficient_rhs(m: LaurentMap, flow: FlowSpec, potential: PotentialSpec, n: int,
-                     grid=None):
+def _coefficient_rhs(m: LaurentMap, flow: FlowSpec, n: int, grid=None):
     """Time derivative of (r, a0..aM) plus the spectral-leakage diagnostic.
 
     All on the grid spectrum: ``Phi`` (the Schwarz extension of ``h``) keeps
     ``Re hhat_0`` at index 0 and ``2 hhat_-k`` at index ``-k`` for
     ``k = 1 .. n/2 - 1``, and ``dz/dt = w z' Phi`` is read off by one FFT.
     """
-    _, h, wzp = _velocity_over_speed(m, flow, potential, n, grid)
+    _, h, wzp = _velocity_over_speed(m, flow, n, grid)
     h_modes = np.fft.fft(h)
     phi_modes = np.zeros(n, dtype=complex)
     phi_modes[0] = h_modes[0].real
@@ -290,16 +226,15 @@ class StepDiagnostics:
     min_abs_zprime: float
 
 
-def _rk4_step(m: LaurentMap, flow: FlowSpec, potential: PotentialSpec, dt: float, n: int,
-              grid=None):
+def _rk4_step(m: LaurentMap, flow: FlowSpec, dt: float, n: int, grid=None):
     """One RK4 step and its diagnostics; ``grid`` is ``m``'s ``(z, w z')`` if known."""
 
     def rhs(r, a):
         probe = LaurentMap(r, a)
-        return _coefficient_rhs(probe, flow, potential, n)
+        return _coefficient_rhs(probe, flow, n)
 
     r0, a0 = m.r, np.asarray(m.coeffs, dtype=complex)
-    k1r, k1a, leak = _coefficient_rhs(m, flow, potential, n, grid)
+    k1r, k1a, leak = _coefficient_rhs(m, flow, n, grid)
     k2r, k2a, _ = rhs(r0 + 0.5 * dt * k1r.real, a0 + 0.5 * dt * k1a)
     k3r, k3a, _ = rhs(r0 + 0.5 * dt * k2r.real, a0 + 0.5 * dt * k2a)
     k4r, k4a, _ = rhs(r0 + dt * k3r.real, a0 + dt * k3a)
@@ -322,8 +257,7 @@ def _rk4_step(m: LaurentMap, flow: FlowSpec, potential: PotentialSpec, dt: float
     return new_map, StepDiagnostics(leakage=leak, r_imag_residual=r_imag, min_abs_zprime=min_zp)
 
 
-def step(m: LaurentMap, flow: FlowSpec, potential: PotentialSpec, dt: float,
-         n: int | None = None) -> LaurentMap:
+def step(m: LaurentMap, flow: FlowSpec, dt: float, n: int | None = None) -> LaurentMap:
     """Advance the map by one fixed RK4 step of the chosen flow.
 
     The updated leading coefficient is kept real (tiny imaginary residue is
@@ -333,7 +267,7 @@ def step(m: LaurentMap, flow: FlowSpec, potential: PotentialSpec, dt: float,
     if dt == 0:
         return m
     n = laurent._resolve_grid(m, n)
-    new_map, _ = _rk4_step(m, flow, potential, dt, n)
+    new_map, _ = _rk4_step(m, flow, dt, n)
     return new_map
 
 
@@ -359,7 +293,7 @@ class Trajectory:
         return self.records[-1].map
 
 
-def run(m: LaurentMap, schedule, potential: PotentialSpec, moment_order: int | None = None,
+def run(m: LaurentMap, schedule, moment_order: int | None = None,
         n: int | None = None) -> Trajectory:
     """Apply a schedule of ``(flow, duration, steps)`` legs.
 
@@ -389,7 +323,7 @@ def run(m: LaurentMap, schedule, potential: PotentialSpec, moment_order: int | N
         for _ in range(steps):
             index += 1
             try:
-                current, diag = _rk4_step(current, flow, potential, dt, n, grid)
+                current, diag = _rk4_step(current, flow, dt, n, grid)
             except (CuspError, NonUnivalentError) as exc:
                 wrapped = type(exc)(f"step {index} (leg {leg}): {exc}",
                                     getattr(exc, "theta", None))
@@ -407,12 +341,11 @@ def run(m: LaurentMap, schedule, potential: PotentialSpec, moment_order: int | N
     return Trajectory(tuple(records))
 
 
-def string_residual(m: LaurentMap, potential: PotentialSpec, dt0: float | None = None,
-                    n: int | None = None) -> float:
+def string_residual(m: LaurentMap, dt0: float | None = None, n: int | None = None) -> float:
     """Deviation of the map from the non-degenerate string equation.
 
     Embeds the map in its own source-at-infinity flow to give the bracket a
-    t0 axis and returns ``max |{z, zbar} U_zzbar - 1|`` over the grid.  Exact
+    t0 axis and returns ``max |{z, zbar} - 1|`` over the grid.  Exact
     smooth-growth families give a residual at the central-difference level
     ``O(dt0^2)``; slit-type families instead make the bracket itself vanish.
     ``dt0`` defaults to ``1e-4`` times the map's area clock.
@@ -424,9 +357,9 @@ def string_residual(m: LaurentMap, potential: PotentialSpec, dt0: float | None =
     n = laurent._resolve_grid(m, n)
     flow = FlowSpec.t0_infinity()
     snapshots = {
-        -1: step(m, flow, potential, -dt0, n),
+        -1: step(m, flow, -dt0, n),
         0: m,
-        1: step(m, flow, potential, dt0, n),
+        1: step(m, flow, dt0, n),
     }
 
     def z_fn(w, t):
@@ -438,5 +371,4 @@ def string_residual(m: LaurentMap, potential: PotentialSpec, dt0: float | None =
 
     w = circle_grid(n)
     bracket = laurent.poisson_bracket(z_fn, zbar_fn, w, 0.0, dt0)
-    u = potential.u_zzbar_at(laurent.evaluate(m, w))
-    return float(np.max(np.abs(bracket * u - 1.0)))
+    return float(np.max(np.abs(bracket - 1.0)))

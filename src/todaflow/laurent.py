@@ -243,7 +243,7 @@ def univalence_witness(m: LaurentMap, n: int | None = None):
 def _projection_grid(m: LaurentMap, k: int, n: int | None) -> int:
     """The grid for ``A_k`` of the map; refuses ``k < 1`` and unresolved powers."""
     if k < 1:
-        raise ValueError("ak_projection is defined for k >= 1")
+        raise ValueError("phi_k is defined for k >= 1")
     n = _resolve_grid(m, n)
     budget = n // 2 - 1
     if k > budget or k * m.order > budget:
@@ -268,18 +268,12 @@ def _phi_values(z: np.ndarray, k: int, w) -> np.ndarray:
     return np.polynomial.polynomial.polyval(w, _ak_coefficients(z, k) * np.arange(k + 1))
 
 
-def ak_projection(m: LaurentMap, k: int, n: int | None = None) -> np.polynomial.Polynomial:
-    """Flow generator ``A_k``: strictly positive powers of ``z**k`` plus half its free term.
-
-    Returns a degree-``k`` polynomial in ``w``.  ``A_0 = log w`` is a special
-    symbol and is never produced here; callers handle it themselves.
-    """
-    z, _ = _grid_values(m, _projection_grid(m, k, n))
-    return np.polynomial.Polynomial(_ak_coefficients(z, k))
-
-
 def phi_k(m: LaurentMap, k: int, w, n: int | None = None):
-    """Velocity generator ``phi_k(w) = w * d/dw A_k(w)``."""
+    """Velocity generator ``phi_k(w) = w * d/dw A_k(w)``.
+
+    ``A_k`` is the degree-``k`` polynomial in ``w`` holding the strictly
+    positive powers of ``z**k`` plus half its free term.
+    """
     z, _ = _grid_values(m, _projection_grid(m, k, n))
     out = _phi_values(z, k, np.asarray(w, dtype=complex))
     return out if out.ndim else complex(out)

@@ -32,11 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    InsufficientSamplesError,
-    IntegrationBreakdownError,
-    PointAbsorbedError,
-)
+from .errors import InsufficientSamplesError, IntegrationBreakdownError
 
 ABSORB_TOL = 1e-9
 DEFAULT_BASE_STEP = 1e-3
@@ -270,29 +266,13 @@ def _integrate(w0, q_from, q_to, driving, base_step=DEFAULT_BASE_STEP,
                          point_substeps=point_steps, substeps=steps)
 
 
-def advance_inverse(w, q_from: float, q_to: float, driving: DrivingFunction,
-                    base_step: float = DEFAULT_BASE_STEP):
-    """Integrate the inverse-map ODE from ``q_from`` to ``q_to``.
-
-    Accepts a scalar or an array of starting points with ``|w| > 1``.  A
-    swallowed point raises :class:`PointAbsorbedError` carrying the
-    absorption ``q`` (for arrays, the first absorbed point's).
-    """
-    scalar = np.isscalar(w) or np.asarray(w).ndim == 0
-    res = _integrate(w, q_from, q_to, driving, base_step)
-    if np.any(res.absorbed):
-        q_hit = float(np.nanmin(res.q_absorbed))
-        raise PointAbsorbedError(
-            f"point swallowed by the slit at q = {q_hit:.6f}", q_absorbed=q_hit
-        )
-    return complex(res.w[0]) if scalar else res.w
-
-
 def advance_many(w, q_from: float, q_to, driving: DrivingFunction,
                  base_step: float = DEFAULT_BASE_STEP) -> AdvanceResult:
-    """Batch variant of :func:`advance_inverse` reporting per-point absorption.
+    """Integrate the inverse-map ODE from ``q_from`` to ``q_to``, point by point.
 
-    ``q_to`` may be a per-point array, to advance each point to its own ``q``.
+    Starting points have ``|w| > 1``; ``q_to`` may be a per-point array, to
+    advance each point to its own ``q``.  A swallowed point is reported in
+    ``absorbed`` and ``q_absorbed``, not raised.
     """
     return _integrate(w, q_from, q_to, driving, base_step)
 

@@ -15,8 +15,6 @@ from scipy.linalg import eigvalsh_tridiagonal
 from todaflow import cli, dyson, growth, hydro, laurent, loewner
 from todaflow.errors import ShockError
 
-QUAD = growth.PotentialSpec.quadratic()
-
 
 def _report(num, name, detail):
     print(f"[criterion {num:02d}] {name}: PASS ({detail})")
@@ -28,7 +26,7 @@ def conservation_trajectory():
     m = laurent.LaurentMap(1.0, [0.0, 0.3]).with_order(16)
     t0_start = growth.harmonic_moments(m, 1).t0
     started = time.perf_counter()
-    traj = growth.run(m, [(growth.FlowSpec.t0_infinity(), t0_start, 800)], QUAD,
+    traj = growth.run(m, [(growth.FlowSpec.t0_infinity(), t0_start, 800)],
                       moment_order=16, n=128)
     return traj, time.perf_counter() - started
 
@@ -36,7 +34,7 @@ def conservation_trajectory():
 def test_criterion_01_circle_law():
     m = laurent.LaurentMap(1.0, np.zeros(17))  # M = 16
     started = time.perf_counter()
-    traj = growth.run(m, [(growth.FlowSpec.t0_infinity(), 3.0, 400)], QUAD,
+    traj = growth.run(m, [(growth.FlowSpec.t0_infinity(), 3.0, 400)],
                       moment_order=16, n=128)
     elapsed = time.perf_counter() - started
     err = abs(traj.final.r - 2.0)
@@ -58,10 +56,10 @@ def test_criterion_02_richardson_conservation(conservation_trajectory):
 def test_criterion_03_string_equation(conservation_trajectory):
     traj, _ = conservation_trajectory
     snapshots = [traj.records[i].map for i in (0, 200, 400, 600, 800)]
-    worst = max(growth.string_residual(m, QUAD, 2e-3) for m in snapshots)
+    worst = max(growth.string_residual(m, 2e-3) for m in snapshots)
     assert worst < 1e-4
     mid = snapshots[2]
-    ratio = growth.string_residual(mid, QUAD, 2e-3) / growth.string_residual(mid, QUAD, 1e-3)
+    ratio = growth.string_residual(mid, 2e-3) / growth.string_residual(mid, 1e-3)
     assert ratio == pytest.approx(4.0, abs=1.0)
     _report(3, "string equation", f"residual = {worst:.2e}, halving ratio = {ratio:.2f}")
 
@@ -72,7 +70,7 @@ def test_criterion_04_moment_response():
     h = 1e-3
     worst_rate, worst_cross, worst_t0 = 0.0, 0.0, 0.0
     for k in (1, 2):
-        after = growth.moment_vector(growth.step(m, growth.FlowSpec.tk_real(k), QUAD, h), 16)
+        after = growth.moment_vector(growth.step(m, growth.FlowSpec.tk_real(k), h), 16)
         worst_rate = max(worst_rate, abs((after.t[k - 1] - before.t[k - 1]).real / h - 1.0))
         cross = max(abs(after.t[j] - before.t[j]) for j in range(16) if j != k - 1)
         worst_cross = max(worst_cross, cross)
@@ -95,8 +93,8 @@ def test_criterion_05_flow_commutativity():
     flow1, flow2 = growth.FlowSpec.tk_real(1), growth.FlowSpec.tk_real(2)
 
     def defect(h):
-        fwd = growth.run(m, [(flow1, h, 4), (flow2, h, 4)], QUAD, moment_order=1, n=n).final
-        rev = growth.run(m, [(flow2, h, 4), (flow1, h, 4)], QUAD, moment_order=1, n=n).final
+        fwd = growth.run(m, [(flow1, h, 4), (flow2, h, 4)], moment_order=1, n=n).final
+        rev = growth.run(m, [(flow2, h, 4), (flow1, h, 4)], moment_order=1, n=n).final
         va = np.concatenate([[fwd.r], fwd.coeffs.real, fwd.coeffs.imag])
         vb = np.concatenate([[rev.r], rev.coeffs.real, rev.coeffs.imag])
         return float(np.linalg.norm(va - vb))
@@ -115,7 +113,7 @@ def test_criterion_06_m_identity():
     # substantial deformation well inside that class.
     m = laurent.LaurentMap(1.0, [0.0, 0.1]).with_order(4)
     t0_start = growth.harmonic_moments(m, 1).t0
-    traj = growth.run(m, [(growth.FlowSpec.t0_infinity(), t0_start, 100)], QUAD,
+    traj = growth.run(m, [(growth.FlowSpec.t0_infinity(), t0_start, 100)],
                       moment_order=16, n=128)
     w = laurent.circle_grid(128)
     worst = 0.0
@@ -169,7 +167,7 @@ def test_criterion_09_degeneracy_classifier():
     assert slit_worst < 1e-3
 
     m = laurent.LaurentMap(1.0, [0.0, 0.3]).with_order(16)
-    residual = growth.string_residual(m, QUAD, 1e-3)
+    residual = growth.string_residual(m, 1e-3)
     assert residual < 1e-4
     # the smooth-growth bracket sits at 1/U_zzbar = 1, the slit bracket at ~0
     smooth_magnitude = 1.0 - residual
@@ -238,7 +236,7 @@ def test_criterion_12_gas_growth_agreement():
     # growth route to the same moments: switch on t2, then grow the area
     m0 = laurent.LaurentMap(0.9, np.zeros(5))
     traj = growth.run(m0, [(growth.FlowSpec.tk_real(2), t2, 50),
-                           (growth.FlowSpec.t0_infinity(), 1.0 - 0.81, 100)], QUAD,
+                           (growth.FlowSpec.t0_infinity(), 1.0 - 0.81, 100)],
                       moment_order=4)
     final = traj.final
     moments = traj.records[-1].moments

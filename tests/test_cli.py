@@ -343,8 +343,7 @@ def test_grow_summary_folds_step_diagnostics(tmp_path):
     report = cli.run_scenario(cli.parse_config(json.dumps(raw)))
     summary = report.manifest["summary"]
     traj = growth.run(laurent.LaurentMap(1.0, [0, 0, 0.1 + 0.05j]),
-                      [(growth.FlowSpec.t0_infinity(), 0.2, 20)],
-                      growth.PotentialSpec.quadratic(), moment_order=4)
+                      [(growth.FlowSpec.t0_infinity(), 0.2, 20)], moment_order=4)
     diags = [rec.diagnostics for rec in traj.records[1:]]
     assert summary["rk4_steps"] == 20
     assert summary["max_leakage"] == max(d.leakage for d in diags)
@@ -512,6 +511,20 @@ def test_render_svg_points_and_empty():
         "hydro": {"profile": {"grid": [0, 1], "q_values": [0, 1]},
                   "speed": {"kind": "table", "q": q, "c": c}, "s": 0.1}}, "/hydro/speed/q")
       for q, c in [([1.0, 0.0], [0.6, 0.2]), ([0, 0.5, 0.5, 1], [0.2, 0.3, 0.4, 0.6])]],
+    # the single-value background keys are gone: each is an unknown key
+    ({"scenario": "grow",
+      "grow": {"map": {"r": 1.0}, "potential": {"kind": "quadratic"},
+               "flows": [{"kind": "t0_infinity", "duration": 0.1, "steps": 1}]}},
+     "/grow/potential"),
+    ({"scenario": "dyson",
+      "dyson": {"N": 8, "hbar": 0.1,
+                "measure": {"kind": "plane", "potential": {"kind": "quadratic"}}}},
+     "/dyson/measure/potential"),
+    ({"scenario": "dyson",
+      "dyson": {"N": 8, "hbar": 0.1,
+                "measure": {"kind": "curve", "curve": {"kind": "real_line"},
+                            "confine": {"kind": "quadratic_hbar", "coefficient": 2.0}}}},
+     "/dyson/measure/confine/kind"),
 ])
 def test_parse_rejects_non_finite_or_mistyped_number(raw, pointer):
     with pytest.raises(ConfigError) as err:
@@ -589,7 +602,7 @@ def test_parse_rejects_zero_ray_direction():
 
 
 def _curve_measure(curve, **confine):
-    return {"kind": "curve", "curve": curve, "confine": {"kind": "quadratic_hbar", **confine}}
+    return {"kind": "curve", "curve": curve, "confine": confine}
 
 
 _REAL_LINE = {"kind": "real_line"}

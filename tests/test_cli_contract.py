@@ -25,7 +25,6 @@ BASES = {
         "scenario": "grow", "seed": 1, "resolution": {"M": 4, "n": 32},
         "output": {"formats": ["csv", "json", "svg"]},
         "grow": {"map": {"r": 1.0, "coeffs": [[0.0, 0.0], [0.1, 0.0]]},
-                 "potential": {"kind": "quadratic"},
                  "flows": [{"kind": "t0_source", "z0": [4.0, 0.0], "sign": 1,
                             "duration": 0.05, "steps": 4},
                            {"kind": "tk_real", "k": 2, "duration": 0.01, "steps": 2}],
@@ -62,7 +61,7 @@ BASES = {
         "dyson": {"N": 6, "hbar": 1.0 / 6.0, "times": [[0.0, 0.0], [0.05, 0.0]],
                   "measure": {"kind": "curve",
                               "curve": {"kind": "ray", "z0": [0.0, 0.0], "direction": [1.0, 0.0]},
-                              "confine": {"kind": "quadratic_hbar", "coefficient": 1.0}},
+                              "confine": {"coefficient": 1.0}},
                   "mode": "metropolis", "sweeps": 3, "bins": 4, "schedule": {"burn_in": 1}},
     },
     "moments": {

@@ -10,6 +10,17 @@ from todaflow import dyson
 from todaflow.errors import InsufficientSamplesError
 
 
+def energy_gradient(state, cfg, gradient=True):
+    """The gas kernel on a state, or on plane positions given as a bare array."""
+    if isinstance(state, dyson.GasState):
+        return dyson._energy_gradient(state.positions, state.params, cfg, gradient)
+    return dyson._energy_gradient(np.asarray(state, dtype=complex), None, cfg, gradient)
+
+
+def energy(state, cfg):
+    return energy_gradient(state, cfg, gradient=False)[0]
+
+
 def hermite_gas_oracle(n_particles, hbar):
     """Exact 1D minimizer: scaled Gauss-Hermite points.
 
@@ -29,7 +40,7 @@ def test_schedule_rejects_invalid_settings(kwargs):
 
 def test_energy_two_charges():
     cfg = dyson.GasConfig(N=2, hbar=1.0, seed=0)
-    e = dyson.energy(np.array([1.0 + 0j, -1.0 + 0j]), cfg)
+    e = energy(np.array([1.0 + 0j, -1.0 + 0j]), cfg)
     assert_allclose(e, -2.0 * np.log(2.0) + 2.0, atol=1e-14)
 
 
@@ -37,9 +48,9 @@ def test_energy_single_particle_completed_square():
     t1 = 0.4 - 0.2j
     cfg = dyson.GasConfig(N=1, hbar=0.7, times=[t1], seed=0)
     z_star = np.conj(t1)
-    assert_allclose(dyson.energy(np.array([z_star]), cfg), -abs(t1) ** 2 / 0.7, atol=1e-14)
+    assert_allclose(energy(np.array([z_star]), cfg), -abs(t1) ** 2 / 0.7, atol=1e-14)
     # any other point costs more
-    assert dyson.energy(np.array([z_star + 0.3]), cfg) > dyson.energy(np.array([z_star]), cfg)
+    assert energy(np.array([z_star + 0.3]), cfg) > energy(np.array([z_star]), cfg)
 
 
 def test_energy_translation_covariance():
@@ -47,7 +58,7 @@ def test_energy_translation_covariance():
     cfg = dyson.GasConfig(N=5, hbar=0.5, seed=0)
     z = rng.normal(size=5) + 1j * rng.normal(size=5)
     c = 0.3 - 0.7j
-    lhs = dyson.energy(z + c, cfg) - dyson.energy(z, cfg)
+    lhs = energy(z + c, cfg) - energy(z, cfg)
     rhs = (2.0 * np.real(np.conj(c) * np.sum(z)) + 5 * abs(c) ** 2) / 0.5
     assert_allclose(lhs, rhs, atol=1e-10)
 
@@ -57,27 +68,27 @@ def test_energy_scaling_identity():
     cfg = dyson.GasConfig(N=6, hbar=0.3, seed=0)
     z = rng.normal(size=6) + 1j * rng.normal(size=6)
     lam = 1.7
-    pair0 = dyson.energy(z, cfg) - np.sum(np.abs(z) ** 2) / 0.3
+    pair0 = energy(z, cfg) - np.sum(np.abs(z) ** 2) / 0.3
     expected = pair0 - 6 * 5 * np.log(lam) + lam ** 2 * np.sum(np.abs(z) ** 2) / 0.3
-    assert_allclose(dyson.energy(lam * z, cfg), expected, atol=1e-9)
+    assert_allclose(energy(lam * z, cfg), expected, atol=1e-9)
 
 
 def test_energy_coincident_sentinel():
     cfg = dyson.GasConfig(N=2, hbar=1.0, seed=0)
-    assert dyson.energy(np.array([0.5 + 0j, 0.5 + 0j]), cfg) == np.inf
+    assert energy(np.array([0.5 + 0j, 0.5 + 0j]), cfg) == np.inf
 
 
 def test_forces_vanish_at_single_particle_minimum():
     t1 = 0.25 + 0.1j
     cfg = dyson.GasConfig(N=1, hbar=0.5, times=[t1], seed=0)
-    f = dyson.forces(np.array([np.conj(t1)]), cfg)
+    f = -energy_gradient(np.array([np.conj(t1)]), cfg)[1]
     assert_allclose(f, 0.0, atol=1e-14)
 
 
 def test_forces_antisymmetric_pair():
     cfg = dyson.GasConfig(N=2, hbar=0.5, seed=0)
     z = np.array([0.8 + 0j, -0.8 + 0j])
-    f = dyson.forces(z, cfg)
+    f = -energy_gradient(z, cfg)[1]
     assert_allclose(f[0], -f[1], atol=1e-14)
 
 
@@ -85,11 +96,11 @@ def test_forces_match_energy_finite_difference():
     rng = np.random.default_rng(11)
     cfg = dyson.GasConfig(N=6, hbar=0.5, times=[0.1, 0.05j], seed=0)
     z = rng.normal(size=6) + 1j * rng.normal(size=6)
-    grad = -dyson.forces(z, cfg)
+    grad = energy_gradient(z, cfg)[1]
     delta = rng.normal(size=6) + 1j * rng.normal(size=6)
     errs = []
     for eps in (1e-4, 5e-5):
-        lhs = dyson.energy(z + eps * delta, cfg) - dyson.energy(z, cfg)
+        lhs = energy(z + eps * delta, cfg) - energy(z, cfg)
         pred = 2.0 * np.real(eps * np.sum(delta * np.conj(grad)))
         errs.append(abs(lhs - pred))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.3)  # O(eps^2) remainder
@@ -102,14 +113,14 @@ def test_curve_forces_match_energy_finite_difference():
     hbar = 0.2
     cfg = dyson.GasConfig(N=4, hbar=hbar, times=[0.1j], curve=curve, seed=0)
     s = np.array([0.21, 0.79, 1.42, 2.13])
-    force = np.real(dyson.forces(dyson.GasState(curve.point(s), s), cfg) * np.conj(curve.direction))
+    force = dyson._wall_clamped(s, -dyson._energy_gradient(curve.point(s), s, cfg)[1], curve)
     eps = 1e-5
     for j in range(4):
         up, down = s.copy(), s.copy()
         up[j] += eps
         down[j] -= eps
-        slope = (dyson.energy(dyson.GasState(curve.point(up), up), cfg)
-                 - dyson.energy(dyson.GasState(curve.point(down), down), cfg)) / (2 * eps)
+        slope = (energy(dyson.GasState(curve.point(up), up), cfg)
+                 - energy(dyson.GasState(curve.point(down), down), cfg)) / (2 * eps)
         assert slope == pytest.approx(-force[j], rel=1e-5, abs=1e-6)
 
 
@@ -326,7 +337,7 @@ def test_segment_matches_the_real_line():
     s = np.array([-1.2, -0.4, 0.1, 0.8, 1.5])
     state_par = dyson.GasState(curve.point(s), s)
     state_line = dyson.GasState(s.astype(complex), s)
-    assert_allclose(dyson.energy(state_par, cfg_par), dyson.energy(state_line, cfg_line),
+    assert_allclose(energy(state_par, cfg_par), energy(state_line, cfg_line),
                     atol=1e-12)
     assert_allclose(curve.direction, 1.0 + 0j, atol=1e-9)
 
@@ -487,25 +498,23 @@ def test_forces_of_coincident_points_raise(measure):
         cfg = real_line_gas(3, seed=0)
         # GasState checks only its positions, so these parameters reach the kernel
         state = dyson.GasState(np.array([0.0, 1.0, 2.0]), s)
-    assert dyson.energy(state, cfg) == np.inf
-    with pytest.raises(ValueError, match="infinite energy has no forces"):
-        dyson.forces(state, cfg)
+    assert energy(state, cfg) == np.inf
+    assert energy_gradient(state, cfg)[1] is None
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("measure", ["plane", "curve"])
 def test_forces_of_an_overflowing_field_raise(measure):
     # the field energy overflows to inf while every pair term stays finite,
-    # so forces must refuse it rather than return the finite pair forces
+    # so the gradient must be refused rather than give the finite pair forces
     if measure == "plane":
         cfg, state = dyson.GasConfig(N=4, hbar=1.0), np.array([1e200, -1e200, 1e200j, -1e200j])
     else:
         s = np.array([-1e200, 1e200])
         cfg = dyson.GasConfig(N=2, hbar=1.0, curve=dyson.CurveSpec.real_line())
         state = dyson.GasState(s.astype(complex), s)
-    assert dyson.energy(state, cfg) == np.inf
-    with pytest.raises(ValueError, match="infinite energy has no forces"):
-        dyson.forces(state, cfg)
+    assert energy(state, cfg) == np.inf
+    assert energy_gradient(state, cfg)[1] is None
 
 
 @pytest.mark.parametrize("z, accepted", [
@@ -558,7 +567,7 @@ def test_proposal_delta_matches_the_energy_difference(make_config):
     else:
         s = None
         z = rng.normal(size=cfg.N) + 1j * rng.normal(size=cfg.N)
-    before = dyson.energy(dyson.GasState(z, s), cfg)
+    before = energy(dyson.GasState(z, s), cfg)
     for j in range(cfg.N):
         z_after = z.copy()
         if s is None:
@@ -568,7 +577,7 @@ def test_proposal_delta_matches_the_energy_difference(make_config):
             s_after = s.copy()
             s_new = s_after[j] = s[j] + 0.1 * rng.normal()
             z_after[j] = cfg.curve.point(s_new)
-        after = dyson.energy(dyson.GasState(z_after, s_after), cfg)
+        after = energy(dyson.GasState(z_after, s_after), cfg)
         assert delta(z.copy(), s, j, complex(z_after[j]), s_new) == pytest.approx(
             after - before, rel=1e-9)
     # a move onto another particle is never accepted

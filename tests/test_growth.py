@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 from todaflow import growth, laurent
 from todaflow.errors import CuspError, NonUnivalentError
 
-QUAD = growth.PotentialSpec.quadratic()
 FLOWS = [growth.FlowSpec.t0_infinity(), growth.FlowSpec.t0_source(3.0 + 1.0j),
          growth.FlowSpec.tk_real(2), growth.FlowSpec.tk_imag(1, sign=-1)]
 # boundary crosses itself, with every critical point inside the disk
@@ -57,15 +56,15 @@ def test_harmonic_moments_ellipse_against_quadrature_oracle():
 
 
 def test_interior_moments_disk_and_translate():
-    assert_allclose(growth.interior_moments(laurent.LaurentMap(1.5, []), 4).v, 0.0, atol=1e-13)
+    assert_allclose(growth.moment_vector(laurent.LaurentMap(1.5, []), 4).v, 0.0, atol=1e-13)
     c = 0.25 - 0.15j
-    mv = growth.interior_moments(laurent.LaurentMap(1.0, [c]), 3)
+    mv = growth.moment_vector(laurent.LaurentMap(1.0, [c]), 3)
     assert_allclose(mv.v[0], c, atol=1e-13)
     assert_allclose(mv.v[1], c * c, atol=1e-13)
 
 
 def test_interior_moments_ellipse_against_oracle():
-    mv = growth.interior_moments(laurent.LaurentMap(1.0, [0.0, 0.3]), 4)
+    mv = growth.moment_vector(laurent.LaurentMap(1.0, [0.0, 0.3]), 4)
     oracle = reference_interior_moment(1.0, [0.0, 0.3], 2)
     assert_allclose(mv.v[1], oracle, atol=1e-13)
     assert_allclose(mv.v[1], 0.273, atol=1e-13)  # u - u^3 in closed form
@@ -98,14 +97,13 @@ def test_one_pass_moments_match_separate_loops(m):
     assert_allclose(mv.t, t, rtol=0, atol=1e-13)
     assert_allclose(mv.v, v, rtol=0, atol=1e-13)
     assert_allclose(growth.harmonic_moments(m, 12, n).t, mv.t, rtol=0, atol=0)
-    assert_allclose(growth.interior_moments(m, 12, n).v, mv.v, rtol=0, atol=0)
 
 
 def test_moments_reject_self_crossing_boundary():
     # the quadrature alone would report a negative area, t0 = -0.01
     t0, _, _ = loop_moments(CROSSING, 1, 128)
     assert t0 == pytest.approx(-0.01, abs=1e-12)
-    for moments in (growth.harmonic_moments, growth.interior_moments, growth.moment_vector):
+    for moments in (growth.harmonic_moments, growth.moment_vector):
         with pytest.raises(NonUnivalentError):
             moments(CROSSING, 4)
 
@@ -143,32 +141,15 @@ def test_orlov_shulman_order_mismatch():
         growth.orlov_shulman(m, mv, 1.0)
 
 
-def test_green_function_boundary_and_closed_form():
-    m = laurent.LaurentMap(1.0, [])
-    # boundary value vanishes
-    assert abs(growth.green_function(m, np.exp(0.3j), 2.5)) < 1e-9
-    assert_allclose(growth.green_function(m, 2.0, 3.0), np.log(1.0 / 5.0), atol=1e-12)
-
-
-def test_green_function_symmetry():
-    m = laurent.LaurentMap(1.1, [0.2, 0.1 - 0.05j])
-    rng = np.random.default_rng(5)
-    for _ in range(5):
-        z1 = laurent.evaluate(m, rng.uniform(1.3, 2.5) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
-        z2 = laurent.evaluate(m, rng.uniform(1.3, 2.5) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
-        assert_allclose(growth.green_function(m, z1, z2), growth.green_function(m, z2, z1),
-                        atol=1e-10)
-
-
 def test_normal_velocity_circle_darcy():
     m = laurent.LaurentMap(2.0, [])
-    v = growth.normal_velocity(m, growth.FlowSpec.t0_infinity(), QUAD)
+    v = growth._velocity_over_speed(m, growth.FlowSpec.t0_infinity(), 128)[0]
     assert_allclose(v, 0.25, atol=1e-13)  # 1 / (2 r)
 
 
 def test_normal_velocity_tk_real_circle():
     m = laurent.LaurentMap(1.0, [])
-    v = growth.normal_velocity(m, growth.FlowSpec.tk_real(1), QUAD)
+    v = growth._velocity_over_speed(m, growth.FlowSpec.tk_real(1), 128)[0]
     theta = 2 * np.pi * np.arange(len(v)) / len(v)
     assert_allclose(v, np.cos(theta), atol=1e-13)
 
@@ -178,7 +159,7 @@ def test_normal_velocity_source_against_fd_oracle():
     # Green function, with the outward-positive orientation of this module
     m = laurent.LaurentMap(1.0, [])
     z0 = 2.0
-    v = growth.normal_velocity(m, growth.FlowSpec.t0_source(z0), QUAD)
+    v = growth._velocity_over_speed(m, growth.FlowSpec.t0_source(z0), 128)[0]
 
     def g(z):
         return np.log(np.abs((z - z0) / (1 - z * np.conj(z0))))
@@ -192,16 +173,16 @@ def test_normal_velocity_source_against_fd_oracle():
 
 def test_normal_velocity_source_far_limit():
     m = laurent.LaurentMap(1.2, [0.1, 0.2])
-    v_inf = growth.normal_velocity(m, growth.FlowSpec.t0_infinity(), QUAD)
-    v_far = growth.normal_velocity(m, growth.FlowSpec.t0_source(1000 * 1.2), QUAD)
+    v_inf = growth._velocity_over_speed(m, growth.FlowSpec.t0_infinity(), 128)[0]
+    v_far = growth._velocity_over_speed(m, growth.FlowSpec.t0_source(1000 * 1.2), 128)[0]
     rel = np.max(np.abs(v_far - v_inf)) / np.max(np.abs(v_inf))
     assert rel < 0.01
 
 
 def test_normal_velocity_cusp_rejected():
     with pytest.raises(CuspError):
-        growth.normal_velocity(laurent.LaurentMap(1.0, [0.0, 0.0, 0.5]),
-                               growth.FlowSpec.t0_infinity(), QUAD)
+        growth._velocity_over_speed(laurent.LaurentMap(1.0, [0.0, 0.0, 0.5]),
+                                    growth.FlowSpec.t0_infinity(), 128)
 
 
 class OuterSeries:
@@ -276,7 +257,7 @@ def reference_rhs(m, flow, n):
     """Coefficient RHS through the Horner derivative and the OuterSeries Phi."""
     w = laurent.circle_grid(n)
     zp = laurent.derivative(m, w)
-    h = growth.normal_velocity(m, flow, QUAD, n) / np.abs(zp)
+    h = growth._velocity_over_speed(m, flow, n)[0] / np.abs(zp)
     modes = np.fft.fft(w * zp * schwarz_extension(h)(w)) / n
     kept = np.zeros(n, dtype=bool)
     kept[[1, *(-np.arange(m.order + 1) % n)]] = True
@@ -288,7 +269,7 @@ def test_coefficient_rhs_matches_outer_series_reference(flow):
     # order 3 on a 128 grid: the source flow leaks past a3; the other flows keep
     # the polynomial form, so their leakage is roundoff
     m = laurent.LaurentMap(1.1, [0.05j, 0.1, -0.04 + 0.02j, 0.03])
-    r_dot, a_dot, leakage = growth._coefficient_rhs(m, flow, QUAD, 128)
+    r_dot, a_dot, leakage = growth._coefficient_rhs(m, flow, 128)
     ref_r, ref_a, ref_leakage = reference_rhs(m, flow, 128)
     assert_allclose(r_dot, ref_r, rtol=0, atol=1e-14)
     assert_allclose(a_dot, ref_a, rtol=0, atol=1e-14)
@@ -306,26 +287,26 @@ def test_run_witnesses_each_map_once(monkeypatch):
     monkeypatch.setattr(laurent, "univalence_witness", counted)
     m = laurent.LaurentMap(1.0, [0.0, 0.1]).with_order(8)
     schedule = [(growth.FlowSpec.t0_infinity(), 0.05, 4), (growth.FlowSpec.tk_real(2), 0.01, 3)]
-    traj = growth.run(m, schedule, QUAD)
+    traj = growth.run(m, schedule)
     assert len(calls) == 7 + 1
     assert [c is rec.map for c, rec in zip(calls, traj.records)] == [True] * 8
 
 
 def test_run_rejects_non_univalent_start():
     with pytest.raises(NonUnivalentError):
-        growth.run(CROSSING, [(growth.FlowSpec.t0_infinity(), 0.01, 1)], QUAD)
+        growth.run(CROSSING, [(growth.FlowSpec.t0_infinity(), 0.01, 1)])
 
 
 def test_step_circle_law_single_step():
     m = laurent.LaurentMap(1.0, [])
-    stepped = growth.step(m, growth.FlowSpec.t0_infinity(), QUAD, 0.01)
+    stepped = growth.step(m, growth.FlowSpec.t0_infinity(), 0.01)
     assert_allclose(stepped.r, np.sqrt(1.01), atol=1e-10)
     assert_allclose(stepped.coeffs, 0.0, atol=1e-12)
 
 
 def test_step_zero_dt_is_identity():
     m = laurent.LaurentMap(1.0, [0.1, 0.2j])
-    assert growth.step(m, growth.FlowSpec.t0_infinity(), QUAD, 0.0) is m
+    assert growth.step(m, growth.FlowSpec.t0_infinity(), 0.0) is m
 
 
 def test_step_conserves_higher_moments():
@@ -333,7 +314,7 @@ def test_step_conserves_higher_moments():
     m = laurent.LaurentMap(1.0, [0.0, 0.3]).with_order(8)
     before = growth.moment_vector(m, 8)
     h = 1e-3
-    after = growth.moment_vector(growth.step(m, growth.FlowSpec.t0_infinity(), QUAD, h), 8)
+    after = growth.moment_vector(growth.step(m, growth.FlowSpec.t0_infinity(), h), 8)
     assert abs((after.t0 - before.t0) / h - 1.0) < 1e-6
     assert np.max(np.abs(after.t - before.t)) < 1e-12
 
@@ -343,54 +324,42 @@ def test_step_moment_response_tk():
     before = growth.moment_vector(m, 8)
     h = 1e-3
     for k in (1, 2):
-        after = growth.moment_vector(growth.step(m, growth.FlowSpec.tk_real(k), QUAD, h), 8)
+        after = growth.moment_vector(growth.step(m, growth.FlowSpec.tk_real(k), h), 8)
         rate = (after.t[k - 1] - before.t[k - 1]) / h
         assert abs(rate - 1.0) < 1e-9
         assert abs(after.t0 - before.t0) < 1e-12
-    after = growth.moment_vector(growth.step(m, growth.FlowSpec.tk_imag(1), QUAD, h), 8)
+    after = growth.moment_vector(growth.step(m, growth.FlowSpec.tk_imag(1), h), 8)
     assert abs((after.t[0] - before.t[0]).imag / h - 1.0) < 1e-9
 
 
 def test_flow_sign_reverses_velocity():
     m = laurent.LaurentMap(1.0, [0.05])
-    fwd = growth.normal_velocity(m, growth.FlowSpec.t0_infinity(), QUAD)
-    bwd = growth.normal_velocity(m, growth.FlowSpec.t0_infinity(sign=-1), QUAD)
+    fwd = growth._velocity_over_speed(m, growth.FlowSpec.t0_infinity(), 128)[0]
+    bwd = growth._velocity_over_speed(m, growth.FlowSpec.t0_infinity(sign=-1), 128)[0]
     assert_allclose(bwd, -fwd)
 
 
 def test_run_empty_schedule():
     m = laurent.LaurentMap(1.0, [])
-    traj = growth.run(m, [], QUAD)
+    traj = growth.run(m, [])
     assert len(traj.records) == 1
     assert traj.final is m
 
 
 def test_run_circle_to_t0_four():
     m = laurent.LaurentMap(1.0, np.zeros(17))
-    traj = growth.run(m, [(growth.FlowSpec.t0_infinity(), 3.0, 400)], QUAD, moment_order=4)
+    traj = growth.run(m, [(growth.FlowSpec.t0_infinity(), 3.0, 400)], moment_order=4)
     assert abs(traj.final.r - 2.0) < 1e-6
     assert_allclose(traj.records[-1].moments.t0, 4.0, atol=1e-9)
 
 
 def test_run_records_diagnostics():
     m = laurent.LaurentMap(1.0, [0.0, 0.2]).with_order(4)
-    traj = growth.run(m, [(growth.FlowSpec.t0_infinity(), 0.05, 5)], QUAD)
+    traj = growth.run(m, [(growth.FlowSpec.t0_infinity(), 0.05, 5)])
     rec = traj.records[-1]
     assert rec.diagnostics is not None
     assert rec.diagnostics.leakage < 1e-20
     assert rec.diagnostics.min_abs_zprime > 0.5
-
-
-def test_run_custom_potential_string_equation():
-    # a non-quadratic potential still satisfies {z, zbar} U_zzbar = 1 along
-    # its own area flow
-    pot = growth.PotentialSpec.custom(
-        u_zzbar=lambda z, zb: 1.0 + 0.1 * (z * zb).real,
-        value=lambda z, zb: (z * zb).real + 0.05 * ((z * zb).real) ** 2,
-    )
-    m = laurent.LaurentMap(1.0, [0.0, 0.2]).with_order(4)
-    res = growth.string_residual(m, pot, 1e-3)
-    assert res < 1e-4
 
 
 def test_run_reports_cusp_with_step_index():
@@ -398,23 +367,23 @@ def test_run_reports_cusp_with_step_index():
     # so the critical points of z' reach the unit circle in finite time
     m = laurent.LaurentMap(1.0, [0.0, 0.0, 0.3]).with_order(4)
     with pytest.raises(CuspError) as err:
-        growth.run(m, [(growth.FlowSpec.t0_infinity(), 3.0, 300)], QUAD)
+        growth.run(m, [(growth.FlowSpec.t0_infinity(), 3.0, 300)])
     assert "step" in str(err.value)
 
 
 def test_string_residual_default_step():
     m = laurent.LaurentMap(1.0, [0.0, 0.2]).with_order(4)
-    assert growth.string_residual(m, QUAD) < 1e-4
+    assert growth.string_residual(m) < 1e-4
 
 
 def test_string_residual_circle_family():
     m = laurent.LaurentMap(1.3, np.zeros(3))
-    assert growth.string_residual(m, QUAD, 1e-4) < 1e-9
+    assert growth.string_residual(m, 1e-4) < 1e-9
 
 
 def test_string_residual_fd_convergence():
     m = laurent.LaurentMap(1.0, [0.0, 0.3]).with_order(8)
-    r1 = growth.string_residual(m, QUAD, 2e-3)
-    r2 = growth.string_residual(m, QUAD, 1e-3)
+    r1 = growth.string_residual(m, 2e-3)
+    r2 = growth.string_residual(m, 1e-3)
     assert r1 < 1e-4
     assert r1 / r2 == pytest.approx(4.0, abs=1.0)

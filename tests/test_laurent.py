@@ -46,43 +46,25 @@ def test_boundary_derivative_ellipse_minimum():
     assert np.argmin(np.abs(samples)) == 0
 
 
-def test_ak_projection_linear_map():
+def test_phi_k_linear_map():
+    # z**2 = 4 w**2, so A_2 = 4 w**2 and phi_2 = 8 w**2
     m = laurent.LaurentMap(2.0, [])
-    ak = laurent.ak_projection(m, 2)
-    assert_allclose(ak.coef, [0, 0, 4.0], atol=1e-12)
+    w = np.array([1.0, 0.7 + 0.2j, 1.5j])
+    assert_allclose(laurent.phi_k(m, 2, w), 8.0 * w ** 2, atol=1e-12)
 
 
-def test_ak_projection_half_free_term():
-    m = laurent.LaurentMap(1.0, [0.7])
-    ak = laurent.ak_projection(m, 1)
-    assert_allclose(ak.coef, [0.35, 1.0], atol=1e-12)
-
-
-def test_ak_projection_joukowski_square():
+def test_phi_k_joukowski_square():
     u = 0.3
     m = laurent.LaurentMap(1.0, [0.0, u])
-    ak = laurent.ak_projection(m, 2)
-    # z^2 = w^2 + 2u + u^2/w^2, keep w^2 plus half of 2u
-    assert_allclose(ak.coef, [u, 0.0, 1.0], atol=1e-12)
+    w = np.array([1.0, 0.7 + 0.2j, 1.5j])
+    # z^2 = w^2 + 2u + u^2/w^2: A_2 = w^2 + u, whose free term phi_2 drops
+    assert_allclose(laurent.phi_k(m, 2, w), 2.0 * w ** 2, atol=1e-12)
 
 
-def test_ak_projection_budget_error():
+def test_phi_k_budget_error():
     m = laurent.LaurentMap(1.0, np.full(17, 0.01))  # M = 16
     with pytest.raises(SeriesBudgetError):
-        laurent.ak_projection(m, 8, n=128)
-
-
-def test_projection_free_term_identity():
-    # free term of z^k equals twice the free term of A_k
-    rng = np.random.default_rng(42)
-    for _ in range(6):
-        coeffs = 0.2 * (rng.normal(size=4) + 1j * rng.normal(size=4)) / 4
-        m = laurent.LaurentMap(1.0 + rng.uniform(0, 1), coeffs)
-        for k in (1, 2, 3):
-            n = 128
-            free = np.fft.fft(laurent.evaluate(m, laurent.circle_grid(n)) ** k)[0] / n
-            ak = laurent.ak_projection(m, k, n=n)
-            assert_allclose(2.0 * ak.coef[0], free, atol=1e-12)
+        laurent.phi_k(m, 8, 1.0, n=128)
 
 
 def test_phi_k_values():

@@ -3,11 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from todaflow import loewner
-from todaflow.errors import (
-    InsufficientSamplesError,
-    IntegrationBreakdownError,
-    PointAbsorbedError,
-)
+from todaflow.errors import InsufficientSamplesError, IntegrationBreakdownError
 
 CONST = loewner.DrivingFunction.constant(0.0)
 
@@ -21,27 +17,29 @@ def exact_absorption_q(w0):
 
 
 def test_fixed_point_minus_eta():
-    w = loewner.advance_inverse(-1.0 + 0j, 0.0, 0.3, CONST)
-    assert_allclose(w, -1.0, atol=1e-12)
+    res = loewner.advance_many(-1.0 + 0j, 0.0, 0.3, CONST)
+    assert not res.absorbed[0]
+    assert_allclose(res.w[0], -1.0, atol=1e-12)
 
 
 def test_euler_microstep_consistency():
     dq = 1e-6
-    w = loewner.advance_inverse(2.0 + 0j, 0.0, dq, CONST, base_step=dq)
-    assert abs(w - (2.0 - 6e-6)) < 5e-12  # matches one Euler step to O(dq^2)
+    res = loewner.advance_many(2.0 + 0j, 0.0, dq, CONST, base_step=dq)
+    assert abs(res.w[0] - (2.0 - 6e-6)) < 5e-12  # matches one Euler step to O(dq^2)
 
 
 def test_real_axis_preserved():
-    w = loewner.advance_inverse(6.0 + 0j, 0.0, 0.4, CONST)
-    assert w.imag == 0.0
-    assert w.real > 1.0
+    res = loewner.advance_many(6.0 + 0j, 0.0, 0.4, CONST)
+    assert not res.absorbed[0]
+    assert res.w[0].imag == 0.0
+    assert res.w[0].real > 1.0
 
 
 def test_absorption_time_matches_closed_form():
     w0 = 1.5
-    with pytest.raises(PointAbsorbedError) as err:
-        loewner.advance_inverse(w0 + 0j, 0.0, 0.2, CONST)
-    assert abs(err.value.q_absorbed - exact_absorption_q(w0)) < 1e-5
+    res = loewner.advance_many(w0 + 0j, 0.0, 0.2, CONST)
+    assert res.absorbed[0]
+    assert abs(res.q_absorbed[0] - exact_absorption_q(w0)) < 1e-5
 
 
 def test_advance_many_reports_per_point():
