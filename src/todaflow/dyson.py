@@ -11,12 +11,13 @@ The eigenvalue integrand is carried around as an energy
 with ``t0 = hbar * N`` held finite and the coefficient ``c`` given as
 ``GasConfig.confine``; both fields and their forces are closed forms.
 Curves are straight, so their pair terms are real.  The equilibrium
-configuration is found deterministically by one L-BFGS-B minimizer: over
-the 2N coordinates in the plane, keeping the lowest of a few seeded starts,
-and over the curve parameters on a curve, with the curve's ends as box
-bounds.  A seeded Metropolis sampler provides the finite-hbar companion;
-each of its proposals costs O(N), from one distance row and a scalar field
-term.  The support of the minimizer reproduces the growing domains of the
+configuration is found deterministically: on a curve by damped projected
+Newton over the N curve parameters, on a dense explicit Hessian (8 N^2
+bytes, O(N^3) time per iteration), and in the plane by L-BFGS over the 2N
+coordinates, keeping the lowest of a few seeded starts.  A seeded
+Metropolis sampler provides the finite-hbar companion; each of its
+proposals costs O(N), from one distance row and a scalar field term.  The
+support of the minimizer reproduces the growing domains of the
 contour-dynamics module; its boundary is extracted by angular binning.
 
 Both measures score their pairs by one pass, ``_pair_pass``, over the
@@ -27,9 +28,11 @@ N(N-1)/2 distances into one buffer in ``triu`` order, summed in one
 ``np.sum``: the minimizers are sensitive to that order at the ulp level,
 and on the real line it makes real and complex input agree bit for bit.
 
-``scipy.optimize`` (the minimizer) and ``scipy.spatial`` (the separation
-check of ``GasState``) are imported where they are used, so that importing
-this module, as the CLI does for every scenario, loads neither.
+``scipy.linalg`` (the curve Newton's Cholesky factorization),
+``scipy.optimize`` (the plane minimizer) and ``scipy.spatial`` (the plane
+separation check of ``GasState``) are imported where they are used, so that
+importing this module, as the CLI does for every scenario, loads none of
+them, and a curve gas loads only ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -52,6 +55,13 @@ _PLANE_STARTS = 6
 # refaulted on every call
 _PAIR_BLOCK = 16384
 _BOUNDARY_MAP_ORDER = 8  # of the map fitted through a plane support's boundary
+# Curve Newton stops after a step whose decrement g^T H^-1 g is at most
+# this.  The decrement's roundoff level grows about as N^3: 4e-29 at N = 32,
+# 1.4e-26 at N = 256 and 7.5e-25 at N = 1024 on the real line.
+_NEWTON_FLOOR = 1e-20
+# shifted factorizations, and then step halvings, before a curve Newton
+# iteration gives up and ends the run
+_ATTEMPTS = 60
 
 
 @dataclass(frozen=True)
@@ -191,13 +201,15 @@ def _times_polynomial(times: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _times_polynomial_derivative(times: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """sum_k k t_k z^(k-1)."""
+def _times_polynomial_derivative(times: np.ndarray, z: np.ndarray, order: int = 1) -> np.ndarray:
+    """sum_k k (k-1) ... (k-order+1) t_k z^(k-order)."""
     out = np.zeros_like(z)
     p = np.ones_like(z)
     for k, tk in enumerate(times, start=1):
+        if k < order:
+            continue
         if tk != 0:
-            out = out + k * tk * p
+            out = out + math.perm(k, order) * tk * p
         p = p * z
     return out
 
@@ -208,8 +220,12 @@ class GasState:
 
     ``trace`` is the (iteration, energy, max force) record of the minimizer
     that produced the state, when one ran: row 0 is the start and row ``i``
-    the iterate after ``i`` iterations.  ``evaluations`` counts its energy
-    evaluations plus its force evaluations, over every start of a plane run.
+    the iterate after ``i`` iterations, Newton iterations on a curve and
+    L-BFGS iterations in the plane.  ``evaluations`` counts its energy
+    evaluations plus its force evaluations, plus its Hessian builds on a
+    curve, over every start of a plane run.  Particles closer than
+    ``MIN_SEPARATION`` are refused: a curve state's are found by sorting its
+    parameters, a plane state's with a k-d tree.
     """
 
     positions: np.ndarray
@@ -224,23 +240,28 @@ class GasState:
         pos = np.asarray(self.positions, dtype=complex).reshape(-1).copy()
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
+        par = self.params
+        if par is not None:
+            par = np.asarray(par, dtype=float).reshape(-1).copy()
+            par.setflags(write=False)
+            object.__setattr__(self, "params", par)
         # Non-finite positions are left to the caller: their separations
         # are undefined, and a k-d tree cannot hold them.
         if len(pos) > 1 and np.all(np.isfinite(pos)):
-            # imported here, not at module level, so that importing the CLI
-            # does not load scipy.spatial for scenarios without a gas
-            from scipy.spatial import cKDTree
+            if par is not None:
+                # on a straight curve |z_m - z_n| = |s_m - s_n|
+                gap = float(np.diff(np.sort(par)).min())
+            else:
+                # imported here, not at module level, so that only a plane
+                # gas loads scipy.spatial
+                from scipy.spatial import cKDTree
 
-            xy = np.column_stack((pos.real, pos.imag))
-            gap = float(cKDTree(xy).query(xy, k=2)[0][:, 1].min())
+                xy = np.column_stack((pos.real, pos.imag))
+                gap = float(cKDTree(xy).query(xy, k=2)[0][:, 1].min())
             if gap <= MIN_SEPARATION:
                 raise ValueError(
                     f"particle positions are not pairwise distinct (min separation {gap:.3e})"
                 )
-        if self.params is not None:
-            par = np.asarray(self.params, dtype=float).reshape(-1).copy()
-            par.setflags(write=False)
-            object.__setattr__(self, "params", par)
 
     @property
     def N(self) -> int:
@@ -334,30 +355,23 @@ def _initial_configuration(config: GasConfig, rng: np.random.Generator):
 def minimize(config: GasConfig) -> GasState:
     """Equilibrium configuration, deterministic for a given config and seed.
 
-    Both measures run one L-BFGS driver (see ``_lbfgs``): a curve measure
-    over the N curve parameters with the curve's ends as box bounds, the
-    plane over the 2N coordinates ``(Re z, Im z)`` with no bounds.  The plane
-    energy has metastable crystalline minima, so the plane keeps the lowest
-    energy of ``_PLANE_STARTS`` deterministic starts, the earlier start on a
-    tie (see ``_plane_starts``); ``iterations``, ``trace`` and ``converged``
-    describe the kept start, ``evaluations`` counts every start, and
-    ``max_iterations`` bounds each start.  Converged means
-    ``max |force| < tol`` with the default tolerance ``1e-8 * N / hbar``,
-    where a force pushing a particle into a curve wall counts as zero;
-    non-convergence is reported through the state's ``converged`` flag and a
-    warning log line, not an exception.
+    A curve measure runs damped projected Newton over its N parameters (see
+    ``_curve_newton``).  The plane runs L-BFGS over the 2N coordinates
+    ``(Re z, Im z)`` (see ``_lbfgs``); its energy has metastable crystalline
+    minima, so it keeps the lowest energy of ``_PLANE_STARTS`` deterministic
+    starts, the earlier start on a tie (see ``_plane_starts``).
+    ``iterations``, ``trace`` and ``converged`` describe the kept start,
+    ``evaluations`` counts every start, and ``max_iterations`` bounds each
+    start.  Converged means ``max |force| < tol`` with the default tolerance
+    ``1e-8 * N / hbar``, where a force pushing a particle into a curve wall
+    counts as zero; non-convergence is reported through the state's
+    ``converged`` flag and a warning log line, not an exception.
     """
     sched = config.schedule
     tol = sched.tolerance if sched.tolerance is not None else 1e-8 * config.N / config.hbar
     if config.measure == "curve":
-        curve = config.curve
-        bounds = [curve.bounds] * config.N
-        _, s0 = _initial_configuration(config, np.random.default_rng(config.seed))
-        s, trace, evaluations = _lbfgs(
-            lambda s: _energy_gradient(curve.point(s), s, config),
-            lambda s, grad: float(np.max(np.abs(_wall_clamped(s, -grad, curve)))),
-            s0, bounds, tol, sched.max_iterations)
-        z = curve.point(s)
+        s, trace, evaluations = _curve_newton(config, sched.max_iterations)
+        z = config.curve.point(s)
     else:
         n = config.N
         to_z = lambda x: x[:n] + 1j * x[n:]
@@ -368,7 +382,7 @@ def minimize(config: GasConfig) -> GasState:
 
         runs = [_lbfgs(plane_fun,
                        lambda x, grad: 0.5 * float(np.max(np.hypot(grad[:n], grad[n:]))),
-                       np.concatenate((z0.real, z0.imag)), None, tol, sched.max_iterations)
+                       np.concatenate((z0.real, z0.imag)), tol, sched.max_iterations)
                 for z0 in _plane_starts(config)]
         # min keeps the first of equal energies
         x, trace, _ = min(runs, key=lambda run: run[1][-1][1])
@@ -381,6 +395,110 @@ def minimize(config: GasConfig) -> GasState:
     return state
 
 
+def _curve_hessian(s: np.ndarray, z: np.ndarray, config: GasConfig, out: np.ndarray):
+    """Write the curve energy's Hessian in ``s`` into the N x N buffer ``out``.
+
+    Off the diagonal it is ``-2 / (s_m - s_n)^2``, the log-gas graph
+    Laplacian times 2; the diagonal is ``(c + W''(s_j)) / hbar`` minus the
+    rest of its row, with the drive's curvature
+    ``W'' = -2 Re sum_k k (k-1) t_k z^(k-2) direction^2``.
+    """
+    np.subtract(s[:, None], s, out=out)
+    out *= out
+    diagonal = out.reshape(-1)[::len(s) + 1]
+    diagonal[:] = np.inf
+    np.divide(-2.0, out, out=out)
+    drive = _times_polynomial_derivative(config.times, z, order=2) * config.curve.direction ** 2
+    diagonal[:] = (config.confine - 2.0 * np.real(drive)) / config.hbar - out.sum(axis=1)
+
+
+def _curve_newton(config: GasConfig, max_iterations: int):
+    """Damped projected Newton from the seeded start; returns the last iterate, trace and count.
+
+    Each iteration builds the Hessian H (``_curve_hessian``) and solves
+    ``H p = -g`` by Cholesky; where H is not positive definite, as under a
+    drive with ``W'' < 0``, a growing multiple of the identity is added
+    until the factorization succeeds.  The walls are handled by Bertsekas'
+    projected Newton: an end particle within epsilon of its wall and pushed
+    into it is active, its row and column leave H, and it steps straight to
+    the wall; epsilon is the longest diagonally scaled projected gradient
+    step, so it shrinks to 0 at a minimum.  The step ``clip(s + t p)``
+    backtracks from ``t = 1`` by halves until the particles keep their order
+    at least ``MIN_SEPARATION`` apart and the energy falls by a quarter of
+    the predicted ``t g.p``, give or take 4 ulps of roundoff in the energy.
+    The run goes on past convergence: it stops after the step whose Newton
+    decrement ``-g.p`` (``g^T H^-1 g`` without walls) is at most
+    ``_NEWTON_FLOOR``, after ``max_iterations`` iterations, or when no
+    factorization or no step is found in ``_ATTEMPTS`` tries.
+
+    Trace row ``i`` is the ``(i, energy, max wall-clamped force)`` of the
+    iterate after ``i`` Newton iterations, and the count is energy plus
+    gradient evaluations plus Hessian builds.
+    """
+    # imported here, not at module level, so that only a curve minimization
+    # pays for loading scipy.linalg
+    from scipy.linalg import LinAlgError, cho_factor, cho_solve
+
+    curve = config.curve
+    lo, hi = curve.bounds
+    z, s = _initial_configuration(config, np.random.default_rng(config.seed))
+    n = len(s)
+    hessian = np.empty((n, n))
+    diagonal = hessian.reshape(-1)[::n + 1]
+    e, g = _energy_gradient(z, s, config)
+    evaluations = 1 if g is None else 2
+
+    def residual(s, g):
+        return np.inf if g is None else float(np.max(np.abs(_wall_clamped(s, -g, curve))))
+
+    trace = [(0, e, residual(s, g))]
+    while g is not None and len(trace) <= max_iterations:
+        _curve_hessian(s, z, config, hessian)
+        evaluations += 1
+        epsilon = np.max(np.abs(s - np.clip(s - g / np.abs(diagonal), lo, hi)))
+        active = [(j, wall) for j, wall, push in ((0, lo, g[0]), (n - 1, hi, -g[-1]))
+                  if abs(s[j] - wall) <= epsilon and push > 0]
+        rhs = g.copy()
+        for j, wall in active:
+            rhs[j] = s[j] - wall
+        shift = 0.0
+        for _ in range(_ATTEMPTS):
+            diagonal += shift
+            for j, _ in active:
+                hessian[j, :] = hessian[:, j] = 0.0
+                diagonal[j] = 1.0
+            try:
+                # H is symmetric, so its transpose is a Fortran-ordered H
+                # that the factorization overwrites in place
+                factor = cho_factor(hessian.T, lower=True, overwrite_a=True, check_finite=False)
+                break
+            except LinAlgError:
+                _curve_hessian(s, z, config, hessian)
+                evaluations += 1
+                shift = max(4.0 * shift, 1e-3 * float(np.max(np.abs(diagonal))))
+        else:
+            break
+        step = -cho_solve(factor, rhs, check_finite=False)
+        slope = float(g @ step)
+        t = 1.0
+        for _ in range(_ATTEMPTS):
+            trial = np.clip(s + t * step, lo, hi)
+            if np.all(np.diff(trial) > MIN_SEPARATION):
+                z_trial = curve.point(trial)
+                e_trial, g_trial = _energy_gradient(z_trial, trial, config)
+                evaluations += 1 if g_trial is None else 2
+                if g_trial is not None and e_trial - e <= t * slope / 4.0 + 4.0 * np.spacing(abs(e)):
+                    break
+            t /= 2.0
+        else:
+            break
+        s, z, e, g = trial, z_trial, e_trial, g_trial
+        trace.append((len(trace), e, residual(s, g)))
+        if -slope <= _NEWTON_FLOOR:
+            break
+    return s, trace, evaluations
+
+
 def _plane_starts(config: GasConfig) -> list:
     """Start 0 draws from ``default_rng(seed)``, the others from ``SeedSequence(seed).spawn``."""
     children = np.random.SeedSequence(config.seed).spawn(_PLANE_STARTS - 1)
@@ -388,8 +506,8 @@ def _plane_starts(config: GasConfig) -> list:
     return [_initial_configuration(config, rng)[0] for rng in rngs]
 
 
-def _lbfgs(fun, residual, x0: np.ndarray, bounds, tol: float, max_iterations: int):
-    """L-BFGS-B from ``x0``; returns the last iterate, the trace and the evaluation count.
+def _lbfgs(fun, residual, x0: np.ndarray, tol: float, max_iterations: int):
+    """L-BFGS from ``x0``; returns the last iterate, the trace and the evaluation count.
 
     ``fun(x)`` is the energy and its gradient (None where the energy is not
     finite), and ``residual(x, gradient)`` the largest force.  Trace row 0
@@ -399,7 +517,7 @@ def _lbfgs(fun, residual, x0: np.ndarray, bounds, tol: float, max_iterations: in
     once the residual is below ``tol``, after ``max_iterations`` iterations,
     or when the line search can make no more progress.
     """
-    # imported here, not at module level, so that only a gas minimization
+    # imported here, not at module level, so that only a plane minimization
     # pays for loading scipy.optimize
     from scipy import optimize
 
@@ -417,14 +535,9 @@ def _lbfgs(fun, residual, x0: np.ndarray, bounds, tol: float, max_iterations: in
 
     def energy_and_gradient(x):
         e, grad = evaluate(x)
-        if grad is None:
-            # Coincident particles, which a projected step can put on a wall
-            # at once, give the +inf sentinel and no forces.  The line search
-            # interpolates and cannot bracket +inf (it stops at a zero step),
-            # so it gets the energy of the iterate it started from plus one
-            # ulp: never an acceptable step, and its interpolation shrinks it.
-            return np.nextafter(trace[-1][1], np.inf), np.zeros_like(x)
-        return e, grad
+        # coincident particles give the +inf sentinel, which the line search
+        # backs away from, and no forces
+        return e, np.zeros_like(x) if grad is None else grad
 
     trace = []
     iterate = [x0]
@@ -441,22 +554,12 @@ def _lbfgs(fun, residual, x0: np.ndarray, bounds, tol: float, max_iterations: in
         if record(intermediate_result.x):
             raise StopIteration
 
-    converged = record(x0)
-    # A line search that cannot lower the energy ends a scipy run early, as
-    # next to walls that several particles press against.  A fresh run from
-    # the last iterate drops the curvature memory that led there; a run that
-    # lowers the energy no further ends the minimization.
-    while not converged and len(trace) <= max_iterations:
-        start_energy = trace[-1][1]
-        remaining = max_iterations + 1 - len(trace)
-        optimize.minimize(energy_and_gradient, iterate[0], jac=True, method="L-BFGS-B",
-                          bounds=bounds, callback=callback,
+    if not record(x0):
+        optimize.minimize(energy_and_gradient, x0, jac=True, method="L-BFGS-B",
+                          callback=callback,
                           # at most 20 line-search evaluations per iteration
-                          options={"maxiter": remaining, "maxfun": 25 * remaining,
+                          options={"maxiter": max_iterations, "maxfun": 25 * max_iterations,
                                    "ftol": 0.0, "gtol": 0.0})
-        converged = trace[-1][2] < tol
-        if not trace[-1][1] < start_energy:
-            break
     return iterate[0], trace, evaluations
 
 

@@ -782,7 +782,7 @@ def test_metropolis_summary_records_tuning_windows(tmp_path):
     assert again.manifest["summary"] == summary
 
 
-# The scipy parts that only the gas (optimize, spatial) and hydro
+# The scipy parts that only the plane gas (optimize, spatial) and hydro
 # (interpolate) compute with; every other scenario must start without them.
 _DEFERRED_SCIPY = ("scipy.optimize", "scipy.interpolate", "scipy.spatial")
 _COLD_START = """
@@ -805,7 +805,10 @@ print(json.dumps(result))
     {"scenario": "loewner",
      "loewner": {"driving": {"kind": "constant", "theta0": 0.0}, "q_max": 0.2,
                  "trace_points": 5}},
-], ids=["import", "moments", "grow", "loewner"])
+    # a curve gas minimizes by Newton and checks its separations by sorting
+    {"scenario": "dyson",
+     "dyson": {"N": 16, "hbar": 0.0625, "measure": {"kind": "curve", "curve": {"kind": "real_line"}}}},
+], ids=["import", "moments", "grow", "loewner", "dyson"])
 def test_cold_start_loads_no_deferred_scipy_part(tmp_path, raw):
     argv = []
     if raw is not None:

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 from scipy.linalg import eigvalsh_tridiagonal
 
@@ -138,14 +139,53 @@ def real_line_gas(n_particles, seed, **schedule):
     )
 
 
+def driven_real_line_gas(n_particles, times):
+    return dyson.GasConfig(N=n_particles, hbar=1.0 / n_particles, times=times,
+                           curve=dyson.CurveSpec.real_line(), seed=7)
+
+
+# W'' = -2 Re sum_k k (k-1) t_k s^(k-2) changes sign on the line under both
+# drives.  The cubic's is -12 t3 s, but the confinement check keeps |t3| so
+# small that c + W'' < 0 only far outside the gas, so H stays positive
+# definite; the double well's -4 t2 + 24 |t4| s^2 makes H indefinite near 0,
+# where the Cholesky factorization needs its shift.
+CUBIC, DOUBLE_WELL = [0, 0, 0.004], [0, 1.0, 0, -0.01]
+
+
 @pytest.mark.parametrize("cfg", [
     dyson.GasConfig(N=32, hbar=1 / 32, seed=7),
     real_line_gas(32, seed=7),
-], ids=["plane", "real_line"])
+    driven_real_line_gas(32, CUBIC),
+    driven_real_line_gas(8, DOUBLE_WELL),
+], ids=["plane", "real_line", "real_line_cubic", "real_line_double_well"])
 def test_minimize_energy_monotone(cfg):
     state = dyson.minimize(cfg)
     energies = [e for _, e, _ in state.trace]
     assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
+
+
+@pytest.mark.parametrize("times, shifted", [(CUBIC, False), (DOUBLE_WELL, True)],
+                         ids=["cubic", "double_well"])
+def test_minimize_converges_under_a_drive_with_negative_curvature(monkeypatch, times, shifted):
+    factor, failures = scipy.linalg.cho_factor, []
+
+    def counted(*args, **kwargs):
+        try:
+            return factor(*args, **kwargs)
+        except scipy.linalg.LinAlgError:
+            failures.append(1)
+            raise
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", counted)
+    cfg = driven_real_line_gas(8, times)
+    state = dyson.minimize(cfg)
+    assert state.converged
+    assert state.trace[-1][2] < 1e-6 * (1e-8 * cfg.N / cfg.hbar)
+    assert bool(failures) == shifted
+    # a minimum: the Hessian at the final state is positive definite
+    s, hessian = state.params, np.empty((8, 8))
+    dyson._curve_hessian(s, state.positions, cfg, hessian)
+    assert np.linalg.eigvalsh(hessian).min() > 0
 
 
 @pytest.mark.parametrize("seed", [2, 7, 10, 11])
@@ -180,10 +220,11 @@ def test_minimize_semicircle_against_tridiagonal_oracle():
 
 
 def test_minimize_real_line_iteration_budget():
-    # steepest descent needed 585 iterations here; L-BFGS-B needs under 100
+    # steepest descent needed 585 iterations here and L-BFGS-B 80; Newton
+    # takes 11, the last two past convergence, down to its roundoff floor
     state = dyson.minimize(real_line_gas(128, seed=1))
     assert state.converged
-    assert state.iterations <= 400
+    assert state.iterations <= 20
     assert_allclose(np.sort(state.params), hermite_gas_oracle(128, 1.0 / 128), atol=1e-6)
 
 
@@ -203,8 +244,8 @@ def test_minimize_ray_wall_saturates():
         N=16, hbar=hbar, times=[-0.8], curve=dyson.CurveSpec.ray(0.5 + 0j, 1.0), seed=5,
         schedule=dyson.Schedule(max_iterations=30000, tolerance=1e-4 * 16 / hbar),
     )
-    # projected quasi-Newton steps put several particles on the wall at once
-    # here; such a trial point must cost +inf without a singular force kernel
+    # an unguarded projected step puts several particles on the wall at once
+    # here; such a trial point must be rejected without a singular force kernel
     state = dyson.minimize(cfg)
     assert state.converged
     gaps = np.abs(state.positions[:, None] - state.positions[None, :])[np.triu_indices(16, 1)]
@@ -226,6 +267,26 @@ def test_minimize_segment_walls():
     s = np.sort(state.params)
     assert s[0] == -0.5 and s[-1] == 0.5
     assert np.all(np.diff(s) > dyson.MIN_SEPARATION)
+
+
+def test_minimize_ray_reaches_the_default_tolerance():
+    # the first particle sits on the ray's end, 0.006 from its neighbour;
+    # L-BFGS-B stopped there at residual 1.6e-5 against the tolerance 3.2e-6
+    cfg = dyson.GasConfig(N=16, hbar=0.05, times=[-0.8], curve=dyson.CurveSpec.ray(0, 1),
+                          seed=5)
+    state = dyson.minimize(cfg)
+    assert state.converged
+    assert state.params[0] == 0.0
+
+
+def test_minimize_real_line_equals_the_hermite_points():
+    # criterion 13's gas: Newton reaches Stieltjes' minimum to roundoff
+    n_particles, hbar = 256, 1.0 / 256
+    cfg = dyson.GasConfig(N=n_particles, hbar=hbar, curve=dyson.CurveSpec.real_line(), seed=4,
+                          schedule=dyson.Schedule(max_iterations=60000))
+    state = dyson.minimize(cfg)
+    assert state.converged
+    assert_allclose(state.params, hermite_gas_oracle(n_particles, hbar), rtol=1e-12, atol=0)
 
 
 def test_metropolis_single_particle_variance():
@@ -493,13 +554,14 @@ def test_pair_pass_stops_at_coincident_points(x, forces):
 def test_forces_of_coincident_points_raise(measure):
     s = np.array([0.5, 0.5, 1.0])
     if measure == "plane":
-        cfg, state = dyson.GasConfig(N=3, hbar=0.5), s.astype(complex)
+        cfg, params = dyson.GasConfig(N=3, hbar=0.5), None
     else:
-        cfg = real_line_gas(3, seed=0)
-        # GasState checks only its positions, so these parameters reach the kernel
-        state = dyson.GasState(np.array([0.0, 1.0, 2.0]), s)
-    assert energy(state, cfg) == np.inf
-    assert energy_gradient(state, cfg)[1] is None
+        # a curve GasState refuses these parameters, so they go to the kernel
+        cfg, params = real_line_gas(3, seed=0), s
+        with pytest.raises(ValueError, match="not pairwise distinct"):
+            dyson.GasState(np.array([0.0, 1.0, 2.0]), s)
+    assert dyson._energy_gradient(s.astype(complex), params, cfg, gradient=False)[0] == np.inf
+    assert dyson._energy_gradient(s.astype(complex), params, cfg) == (np.inf, None)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
