@@ -629,8 +629,7 @@ def _run_hydro(cfg: ScenarioConfig, emit):
     else:
         profile = hydro.Profile(p["profile"]["grid"], p["profile"]["q_values"])
     speed = _build_speed(p["speed"], cfg.seed)
-    s_star = hydro.shock_time(profile, speed)
-    result = hydro._solve_characteristics(profile, speed, p["s"], s_star)
+    result = hydro.solve_characteristics(profile, speed, p["s"])
     if p["speed"]["kind"] == "family":  # its speed is clamped, so q must stay in range
         lo, hi = p["speed"]["q0"], p["speed"]["q_max"]
         for t0, q in zip(result.grid, result.q_values):
@@ -639,7 +638,7 @@ def _run_hydro(cfg: ScenarioConfig, emit):
                     f"node t0 = {t0} solved to q = {q} outside family range [{lo}, {hi}]")
     emit("profile.csv", (["t0", "q"],
                          [[float(a), float(b)] for a, b in zip(result.grid, result.q_values)]))
-    summary = {"s": p["s"], "s_star": None if np.isinf(s_star) else s_star}
+    summary = {"s": p["s"], "s_star": None if np.isinf(result.s_star) else result.s_star}
     emit("shock.json", summary)
     return summary
 

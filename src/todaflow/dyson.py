@@ -706,7 +706,6 @@ class SupportEstimate:
     kind: str
     boundary: np.ndarray | None = None
     fitted_map: LaurentMap | None = None
-    bin_angles: np.ndarray | None = None
     s_min: float | None = None
     s_max: float | None = None
     histogram: tuple | None = None
@@ -781,9 +780,7 @@ def support_boundary(state: GasState, config: GasConfig, bins: int = 32,
         half_cell = float(np.mean(np.abs(smoothed))) / math.sqrt(state.N)
         smoothed = smoothed * (1.0 + half_cell / np.abs(smoothed))
     fitted = _fit_boundary_map(smoothed)
-    bin_angles = -np.pi + (np.arange(bins) + 0.5) * 2.0 * np.pi / bins
-    return SupportEstimate(kind="plane", boundary=smoothed, fitted_map=fitted,
-                           bin_angles=bin_angles)
+    return SupportEstimate(kind="plane", boundary=smoothed, fitted_map=fitted)
 
 
 @dataclass(frozen=True)

@@ -72,16 +72,15 @@ class FlowSpec:
 class MomentVector:
     """t0 plus the exterior moments t_k and interior moments v_k, k = 1..order.
 
-    :func:`harmonic_moments` fills t0 and t, and :func:`moment_vector` fills
-    all three.  ``v0`` is deliberately absent:
-    only its t0-derivative is ever defined by the flow equations, not the
-    quantity itself.
+    :func:`moment_vector` fills all three from one boundary pass.  ``v0`` is
+    deliberately absent: only its t0-derivative is ever defined by the flow
+    equations, not the quantity itself.
     """
 
     order: int
-    t0: float | None = None
-    t: np.ndarray | None = None
-    v: np.ndarray | None = None
+    t0: float
+    t: np.ndarray
+    v: np.ndarray
 
 
 def _require_univalent(m: LaurentMap, n: int | None, context: str):
@@ -113,17 +112,6 @@ def _moments(m: LaurentMap, order: int, n: int | None, grid=None) -> MomentVecto
                         v=powers @ core / n)
 
 
-def harmonic_moments(m: LaurentMap, order: int, n: int | None = None) -> MomentVector:
-    """Exterior harmonic moments ``t_k = (1/2 pi i k) oint z^{-k} zbar dz`` and t0.
-
-    ``t0`` is the enclosed area divided by pi, computed from the same boundary
-    quadrature.  The grid quadrature is spectrally accurate for univalent maps.
-    """
-    _require_univalent(m, n, "harmonic_moments")
-    mv = _moments(m, order, n)
-    return MomentVector(order=order, t0=mv.t0, t=mv.t)
-
-
 def moment_vector(m: LaurentMap, order: int, n: int | None = None) -> MomentVector:
     """Both moment families of a map from one witness and one boundary pass."""
     _require_univalent(m, n, "moment_vector")
@@ -137,8 +125,6 @@ def orlov_shulman(m: LaurentMap, moments: MomentVector, w):
     cut at ``moments.order``.  It approximates ``|z|^2`` on the contour
     wherever the tail series converges.
     """
-    if moments.t0 is None or moments.t is None or moments.v is None:
-        raise ValueError("orlov_shulman needs a full MomentVector (t0, t and v parts)")
     K = moments.order
     if len(moments.t) != K or len(moments.v) != K:
         raise ValueError("moment order mismatch")
@@ -285,10 +271,6 @@ class Trajectory:
     records: tuple
 
     @property
-    def maps(self):
-        return [rec.map for rec in self.records]
-
-    @property
     def final(self) -> LaurentMap:
         return self.records[-1].map
 
@@ -345,30 +327,22 @@ def string_residual(m: LaurentMap, dt0: float | None = None, n: int | None = Non
     """Deviation of the map from the non-degenerate string equation.
 
     Embeds the map in its own source-at-infinity flow to give the bracket a
-    t0 axis and returns ``max |{z, zbar} - 1|`` over the grid.  Exact
+    t0 axis and returns ``max |{z, zbar} - 1|`` over the grid.  On the
+    circle ``w d/dw zbar = -conj(w z')``, so the bracket is
+    ``2 Re(w z' conj(dz/dt0))``: ``w z'`` is read off the map's modes and
+    ``dz/dt0`` is the central difference of its two t0-neighbours.  Exact
     smooth-growth families give a residual at the central-difference level
     ``O(dt0^2)``; slit-type families instead make the bracket itself vanish.
     ``dt0`` defaults to ``1e-4`` times the map's area clock.
     """
     if dt0 is None:
-        dt0 = 1e-4 * harmonic_moments(m, 1, n).t0
+        dt0 = 1e-4 * moment_vector(m, 1, n).t0
     if dt0 <= 0:
         raise ValueError("dt0 must be positive")
     n = laurent._resolve_grid(m, n)
     flow = FlowSpec.t0_infinity()
-    snapshots = {
-        -1: step(m, flow, -dt0, n),
-        0: m,
-        1: step(m, flow, dt0, n),
-    }
-
-    def z_fn(w, t):
-        key = int(round(t / dt0))
-        return laurent.evaluate(snapshots[key], w)
-
-    def zbar_fn(w, t):
-        return np.conj(z_fn(w, t))
-
-    w = circle_grid(n)
-    bracket = laurent.poisson_bracket(z_fn, zbar_fn, w, 0.0, dt0)
+    z_minus, _ = laurent._grid_values(step(m, flow, -dt0, n), n)
+    z_plus, _ = laurent._grid_values(step(m, flow, dt0, n), n)
+    _, wzp = laurent._grid_values(m, n)
+    bracket = 2.0 * (wzp * np.conj((z_plus - z_minus) / (2.0 * dt0))).real
     return float(np.max(np.abs(bracket - 1.0)))

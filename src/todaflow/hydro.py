@@ -113,6 +113,13 @@ class Profile:
         return self._deriv(t0)
 
 
+@dataclass(frozen=True)
+class Transported(Profile):
+    """A profile solved by :func:`solve_characteristics`, with the ``s*`` of its initial data."""
+
+    s_star: float
+
+
 def _speed_derivative(speed, q, h: float = _FD_STEP):
     return (speed(q + h) - speed(q - h)) / (2.0 * h)
 
@@ -171,9 +178,12 @@ def characteristic_speed(k: int, family: loewner.LoewnerFamily, q):
 def family_speed(k: int, family: loewner.LoewnerFamily):
     """Vectorized ``c_k(q)`` of a family, ``q`` clamped to ``[q0, q_max]``.
 
-    A cubic spline through ``b_j`` swept every ``base_step`` is combined with
-    the exact ``eta(q)``, which keeps the driving's kinks.
+    ``k = 1`` is the closed form of :func:`characteristic_speed`.  Higher
+    ``k`` combines a cubic spline through ``b_j`` swept every ``base_step``
+    with the exact ``eta(q)``, which keeps the driving's kinks.
     """
+    if k == 1:
+        return lambda q: characteristic_speed(1, family, np.clip(q, family.q0, family.q_max))
     n = int(np.ceil((family.q_max - family.q0) / family.base_step - 1e-6))
     nodes = np.append(family.q0 + family.base_step * np.arange(n), family.q_max)
     # imported here for the same reason as in Profile: only hydro uses it
@@ -223,20 +233,16 @@ def _bracket(g, t0, q, gq):
     return q, gq
 
 
-def solve_characteristics(initial: Profile, speed, s: float) -> Profile:
+def solve_characteristics(initial: Profile, speed, s: float) -> Transported:
     """Transport the profile by ``s`` along straight characteristics.
 
     One Newton iteration over the unconverged nodes solves
     ``q = q0(t0 + c(q) s)`` to ``_NEWTON_TOL``, bracketing where a step does
-    not reduce the residual.  Raises :class:`ShockError` (reporting the
-    critical ``s*``) if ``s`` reaches the gradient catastrophe or
-    characteristics cross.
+    not reduce the residual.  The result carries ``s* = shock_time(initial,
+    speed)``.  Raises :class:`ShockError` (reporting the critical ``s*``) if
+    ``s`` reaches the gradient catastrophe or characteristics cross.
     """
-    return _solve_characteristics(initial, speed, s, shock_time(initial, speed))
-
-
-def _solve_characteristics(initial: Profile, speed, s: float, s_star: float) -> Profile:
-    """:func:`solve_characteristics` given its ``s* = shock_time(initial, speed)``."""
+    s_star = shock_time(initial, speed)
     if s >= s_star:
         raise ShockError(
             f"requested s = {s} is past the gradient catastrophe s* = {s_star}", s_star=s_star
@@ -274,4 +280,4 @@ def _solve_characteristics(initial: Profile, speed, s: float, s_star: float) -> 
     if np.any(crossed):
         raise ShockError(f"characteristic crossing detected at node t0 = {grid[crossed][0]}",
                          s_star=s_star)
-    return Profile(grid.copy(), q)
+    return Transported(grid.copy(), q, s_star)

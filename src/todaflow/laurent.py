@@ -12,14 +12,14 @@ Conventions
 * grid nodes are ``theta_j = 2*pi*j/n``, ``w_j = exp(i*theta_j)``;
 * the Fourier coefficient of ``w**m`` of a sampled function is
   ``fft(samples)[m % n] / n``;
-* the angular derivative ``d/d(log w) = w d/dw`` is computed spectrally,
-  with a winding correction so that log-type samples differentiate exactly.
+* the angular derivative ``d/d(log w) = w d/dw`` of a map multiplies each
+  of its modes by the mode's index, so ``w z'`` is exact on the grid.
 
 Grid values of a map (``z`` and ``w z'`` on the circle grid) come from two
-inverse FFTs of its coefficient vector; the growth step, the univalence
-witness and the moment quadrature all read them that way.  Horner loops
-(:func:`evaluate` and :func:`derivative`) serve points off the grid only:
-Newton inversion, plotting and user queries.
+inverse FFTs of its coefficient vector; the growth step, the string
+residual, the univalence witness and the moment quadrature all read them
+that way.  Horner loops (:func:`evaluate` and :func:`derivative`) serve
+points off the grid only: Newton inversion, plotting and user queries.
 """
 
 from __future__ import annotations
@@ -277,62 +277,6 @@ def phi_k(m: LaurentMap, k: int, w, n: int | None = None):
     z, _ = _grid_values(m, _projection_grid(m, k, n))
     out = _phi_values(z, k, np.asarray(w, dtype=complex))
     return out if out.ndim else complex(out)
-
-
-def _winding_number(samples: np.ndarray) -> int:
-    """Net winding of the imaginary part, detected from wrapped increments."""
-    d = np.diff(np.concatenate([samples, samples[:1]])).imag
-    wrapped = (d + np.pi) % (2.0 * np.pi) - np.pi
-    return int(np.rint(np.sum(wrapped) / (2.0 * np.pi)))
-
-
-def log_derivative(samples: np.ndarray) -> np.ndarray:
-    """Spectral ``d/d(log w)`` of grid samples, exact for log-type data.
-
-    A sample set whose imaginary part winds ``W`` times around the circle
-    (e.g. ``log w`` itself, with ``W = 1``) is split into ``W * log w`` plus a
-    single-valued remainder before differentiating.
-    """
-    samples = np.asarray(samples, dtype=complex)
-    n = len(samples)
-    winding = _winding_number(samples)
-    if winding != 0:
-        theta = 2.0 * np.pi * np.arange(n) / n
-        ref = 1j * np.angle(np.exp(1j * theta))
-        samples = samples - winding * ref
-    modes = np.fft.fft(samples)
-    freqs = np.fft.fftfreq(n, d=1.0 / n)
-    freqs[n // 2] = 0.0
-    deriv = np.fft.ifft(modes * freqs)
-    return deriv + winding
-
-
-def poisson_bracket(f_fn, g_fn, w: np.ndarray, t0: float,
-                    dt0: float | None = None) -> np.ndarray:
-    """Finite-difference Poisson bracket ``{f, g}`` on the circle grid.
-
-    ``f_fn(w, t)`` and ``g_fn(w, t)`` must return boundary samples for the
-    grid ``w`` (1-D, power-of-two length) at deformation time ``t``.  The
-    angular derivative ``d/d(log w)`` is spectral; the ``t0`` derivative
-    uses central differences with step ``dt0`` (default
-    ``1e-4 * max(|t0|, 1)``).  Returns the bracket's grid samples.
-    """
-    if dt0 is None:
-        dt0 = 1e-4 * max(abs(t0), 1.0)
-    if dt0 <= 0:
-        raise ValueError("dt0 must be positive")
-    w = np.asarray(w, dtype=complex)
-    if w.ndim != 1 or not _is_power_of_two(len(w)):
-        raise ValueError(f"the grid must be 1-D with a power-of-two length, got shape {w.shape}")
-    f0 = np.asarray(f_fn(w, t0), dtype=complex)
-    g0 = np.asarray(g_fn(w, t0), dtype=complex)
-    df_dt = (np.asarray(f_fn(w, t0 + dt0), dtype=complex) - np.asarray(f_fn(w, t0 - dt0), dtype=complex)) / (
-        2.0 * dt0
-    )
-    dg_dt = (np.asarray(g_fn(w, t0 + dt0), dtype=complex) - np.asarray(g_fn(w, t0 - dt0), dtype=complex)) / (
-        2.0 * dt0
-    )
-    return log_derivative(f0) * dg_dt - df_dt * log_derivative(g0)
 
 
 def inverse_evaluate(m: LaurentMap, z: complex, tol: float = INVERSION_TOL,

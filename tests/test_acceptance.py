@@ -24,7 +24,7 @@ def _report(num, name, detail):
 def conservation_trajectory():
     """Criterion-2 run, shared by criteria 2 and 3."""
     m = laurent.LaurentMap(1.0, [0.0, 0.3]).with_order(16)
-    t0_start = growth.harmonic_moments(m, 1).t0
+    t0_start = growth.moment_vector(m, 1).t0
     started = time.perf_counter()
     traj = growth.run(m, [(growth.FlowSpec.t0_infinity(), t0_start, 800)],
                       moment_order=16, n=128)
@@ -112,7 +112,7 @@ def test_criterion_06_m_identity():
     # of minimal boundary modulus (u/r < 3 - 2 sqrt(2)); u = 0.1 r is a
     # substantial deformation well inside that class.
     m = laurent.LaurentMap(1.0, [0.0, 0.1]).with_order(4)
-    t0_start = growth.harmonic_moments(m, 1).t0
+    t0_start = growth.moment_vector(m, 1).t0
     traj = growth.run(m, [(growth.FlowSpec.t0_infinity(), t0_start, 100)],
                       moment_order=16, n=128)
     w = laurent.circle_grid(128)

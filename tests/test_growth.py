@@ -34,21 +34,21 @@ def reference_interior_moment(r, coeffs, k, n=4096):
 
 
 def test_harmonic_moments_centered_disk():
-    mv = growth.harmonic_moments(laurent.LaurentMap(2.0, []), 6)
+    mv = growth.moment_vector(laurent.LaurentMap(2.0, []), 6)
     assert_allclose(mv.t0, 4.0, atol=1e-13)
     assert_allclose(mv.t, 0.0, atol=1e-13)
 
 
 def test_harmonic_moments_translated_disk():
     c = 0.3 + 0.1j
-    mv = growth.harmonic_moments(laurent.LaurentMap(1.0, [c]), 5)
+    mv = growth.moment_vector(laurent.LaurentMap(1.0, [c]), 5)
     assert_allclose(mv.t0, 1.0, atol=1e-13)
     assert_allclose(mv.t[0], np.conj(c), atol=1e-13)
     assert_allclose(mv.t[1:], 0.0, atol=1e-13)
 
 
 def test_harmonic_moments_ellipse_against_quadrature_oracle():
-    mv = growth.harmonic_moments(laurent.LaurentMap(1.0, [0.0, 0.3]), 4)
+    mv = growth.moment_vector(laurent.LaurentMap(1.0, [0.0, 0.3]), 4)
     oracle = reference_exterior_moment(1.0, [0.0, 0.3], 2)
     assert_allclose(mv.t[1], oracle, atol=1e-13)
     assert_allclose(mv.t[1], 0.15, atol=1e-13)  # u / 2 for the r=1 ellipse
@@ -96,16 +96,14 @@ def test_one_pass_moments_match_separate_loops(m):
     assert_allclose(mv.t0, t0, rtol=0, atol=1e-13)
     assert_allclose(mv.t, t, rtol=0, atol=1e-13)
     assert_allclose(mv.v, v, rtol=0, atol=1e-13)
-    assert_allclose(growth.harmonic_moments(m, 12, n).t, mv.t, rtol=0, atol=0)
 
 
 def test_moments_reject_self_crossing_boundary():
     # the quadrature alone would report a negative area, t0 = -0.01
     t0, _, _ = loop_moments(CROSSING, 1, 128)
     assert t0 == pytest.approx(-0.01, abs=1e-12)
-    for moments in (growth.harmonic_moments, growth.moment_vector):
-        with pytest.raises(NonUnivalentError):
-            moments(CROSSING, 4)
+    with pytest.raises(NonUnivalentError):
+        growth.moment_vector(CROSSING, 4)
 
 
 def test_orlov_shulman_centered_disk():
@@ -136,8 +134,9 @@ def test_orlov_shulman_matches_squared_modulus():
 
 def test_orlov_shulman_order_mismatch():
     m = laurent.LaurentMap(1.0, [])
-    mv = growth.harmonic_moments(m, 4)  # v part missing
-    with pytest.raises(ValueError):
+    full = growth.moment_vector(m, 4)
+    mv = growth.MomentVector(order=4, t0=full.t0, t=full.t[:3], v=full.v)  # t one short
+    with pytest.raises(ValueError, match="moment order mismatch"):
         growth.orlov_shulman(m, mv, 1.0)
 
 
@@ -379,6 +378,27 @@ def test_string_residual_default_step():
 def test_string_residual_circle_family():
     m = laurent.LaurentMap(1.3, np.zeros(3))
     assert growth.string_residual(m, 1e-4) < 1e-9
+
+
+def test_string_residual_disk_at_default_step():
+    # z = sqrt(t0) w brackets to exactly 1; only the t0 difference errs
+    assert growth.string_residual(laurent.LaurentMap(1.3, [])) <= 1e-8
+
+
+def test_string_residual_matches_a_horner_bracket():
+    # {z, zbar} = w z_w (zbar)_t0 - z_t0 w (zbar)_w, with z and z' summed by
+    # Horner off the modes, and w (zbar)_w = -conj(w z') on |w| = 1
+    m = laurent.LaurentMap(1.0, [0.0, 0.3]).with_order(16)
+    dt0, n = 2e-3, 128
+    w = laurent.circle_grid(n)
+    flow = growth.FlowSpec.t0_infinity()
+    z_minus, z_plus = (laurent.evaluate(growth.step(m, flow, h, n), w) for h in (-dt0, dt0))
+    z_t0 = (z_plus - z_minus) / (2.0 * dt0)
+    wz_w = w * laurent.derivative(m, w)
+    wzbar_w = -np.conj(wz_w)
+    bracket = wz_w * np.conj(z_t0) - z_t0 * wzbar_w
+    reference = float(np.max(np.abs(bracket - 1.0)))
+    assert abs(growth.string_residual(m, dt0, n) - reference) <= 1e-12
 
 
 def test_string_residual_fd_convergence():

@@ -58,6 +58,8 @@ def test_burgers_exact_solution():
     prof = hydro.Profile(grid, grid.copy())
     out = hydro.solve_characteristics(prof, lambda q: q, 0.5)
     assert_allclose(out.q_values, grid / 0.5, atol=1e-10)
+    # the solve reports the s* it was bounded by
+    assert out.s_star == hydro.shock_time(prof, lambda q: q)
 
 
 def test_burgers_against_upwind_oracle():
@@ -194,6 +196,21 @@ def test_family_speed_sweeps_a_long_straight_slit():
     speed = hydro.family_speed(2, family)
     qs = np.array([1.0, 2.0, 2.45])
     assert np.max(np.abs(speed(qs) - hydro.characteristic_speed(2, family, qs))) < 1e-6
+
+
+def test_family_speed_k1_is_the_closed_form_without_a_sweep(monkeypatch):
+    driving = loewner.DrivingFunction.piecewise_linear([(0.0, 0.0), (0.25, 0.4), (0.5, 0.1)])
+    family = loewner.default_family(0.0, 0.5, driving)
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the k = 1 speed swept the Loewner flow")
+
+    monkeypatch.setattr(loewner, "advance_many", no_sweep)
+    speed = hydro.family_speed(1, family)
+    qs = np.random.default_rng(9).uniform(-0.5, 1.0, 40)
+    assert np.any(qs < 0.0) and np.any(qs > 0.5)
+    expected = hydro.characteristic_speed(1, family, np.clip(qs, 0.0, 0.5))
+    assert np.array_equal(speed(qs), expected)
 
 
 def test_speed_sweep_takes_one_substep_per_node(monkeypatch):

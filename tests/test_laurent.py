@@ -77,56 +77,6 @@ def test_phi_k_values():
     assert_allclose(laurent.phi_k(m3, 3, 1j), 24j * 1j ** 2, atol=1e-11)
 
 
-def test_poisson_bracket_canonical_pair():
-    n = 128
-    w = laurent.circle_grid(n)
-    br = laurent.poisson_bracket(
-        lambda w_, t: np.log(w_), lambda w_, t: np.full(len(w_), t), w, 0.4, 1e-4
-    )
-    assert_allclose(br, 1.0, atol=1e-12)
-
-
-def test_poisson_bracket_growing_circle():
-    w = laurent.circle_grid(64)
-    br = laurent.poisson_bracket(
-        lambda w_, t: np.sqrt(t) * w_, lambda w_, t: np.sqrt(t) / w_, w, 1.7, 1e-5
-    )
-    assert_allclose(br, 1.0, atol=1e-9)
-
-
-def test_poisson_bracket_product_rule():
-    w = laurent.circle_grid(64)
-    t0 = 0.9
-    br = laurent.poisson_bracket(
-        lambda w_, t: w_ ** 2, lambda w_, t: np.full(len(w_), t * t), w, t0, 1e-6
-    )
-    assert_allclose(br, 4.0 * t0 * w ** 2, atol=1e-9)
-
-
-def test_poisson_bracket_rejects_bad_step():
-    w = laurent.circle_grid(16)
-    with pytest.raises(ValueError):
-        laurent.poisson_bracket(lambda w_, t: w_, lambda w_, t: w_, w, 0.0, 0.0)
-    # and a grid that is not 1-D with a power-of-two length
-    for bad in (w[:12], w.reshape(4, 4)):
-        with pytest.raises(ValueError, match="power-of-two"):
-            laurent.poisson_bracket(lambda w_, t: w_, lambda w_, t: w_, bad, 0.0, 1e-4)
-
-
-def test_poisson_bracket_fd_convergence():
-    # residual of {log w, sqrt-family} halves twice when dt0 halves
-    w = laurent.circle_grid(64)
-
-    def resid(dt0):
-        br = laurent.poisson_bracket(
-            lambda w_, t: np.sqrt(t) * w_, lambda w_, t: np.sqrt(t) / w_, w, 1.0, dt0
-        )
-        return np.max(np.abs(br - 1.0))
-
-    r1, r2 = resid(2e-3), resid(1e-3)
-    assert r1 / r2 == pytest.approx(4.0, rel=0.2)
-
-
 def test_inverse_evaluate_examples():
     assert_allclose(laurent.inverse_evaluate(laurent.LaurentMap(2.0, []), 4.0), 2.0)
     c = 0.3 + 0.2j
