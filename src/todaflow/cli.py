@@ -42,6 +42,7 @@ from .errors import (
     NonFiniteResultError,
     NonUnivalentError,
     RootFindError,
+    SeriesBudgetError,
     ShockError,
 )
 
@@ -509,13 +510,6 @@ def _run_grow(cfg: ScenarioConfig, emit):
         schedule.append((flow, f["duration"], f["steps"]))
     order = p["moment_order"] if p["moment_order"] is not None else m.order
     n = laurent._resolve_grid(m, cfg.grid_n)
-    budget = n // 2 - 1
-    too_deep = [(f"/grow/flows/{i}/k", f"z**{k} spans powers [{-k * m.order}, {k}] but the "
-                 f"grid of size {n} resolves only |m| <= {budget}")
-                for i, k in enumerate(f.get("k", 0) for f in p["flows"])
-                if max(k, k * m.order) > budget]
-    if too_deep:
-        raise ConfigError(too_deep)
     pending = None
     try:
         traj = growth.run(m, schedule, moment_order=order, n=n)
@@ -525,6 +519,8 @@ def _run_grow(cfg: ScenarioConfig, emit):
         if traj is None or not traj.records:
             raise
         pending = exc
+    except SeriesBudgetError as exc:
+        raise ConfigError([(f"/grow/flows/{exc.leg}/k", str(exc))]) from exc
     except ValueError as exc:
         if not hasattr(exc, "leg"):
             raise
@@ -577,34 +573,30 @@ def _run_loewner(cfg: ScenarioConfig, emit):
     else:
         family = loewner.default_family(p["q0"], p["q_max"], driving)
     q_grid = np.linspace(p["q0"], p["q_max"], p["trace_points"])
-    # the one gated artifact: its snapshots ride in the tips' integration
-    # and add to the summary
-    snap_q = (p["q0"], 0.5 * (p["q0"] + p["q_max"]), p["q_max"]) if "json" in cfg.formats else ()
+    # the snapshots ride in the tips' integration, whatever the formats
+    snap_q = (p["q0"], 0.5 * (p["q0"] + p["q_max"]), p["q_max"])
     tips, tracked = loewner.trace_and_track(family, q_grid, snap_q)
-    summary = {"final_tip": [float(tips[-1].real), float(tips[-1].imag)],
-               "capacity_range": [p["q0"], p["q_max"]]}
     emit("trace.csv", (["q", "re_tip", "im_tip"],
                        [[float(q), float(t.real), float(t.imag)] for q, t in zip(q_grid, tips)]))
-    if snap_q:
-        z0 = np.asarray(family.z_samples, dtype=complex)
-        snaps = []
-        for q, ws, dead_at in zip(snap_q, tracked.w.reshape(3, -1),
-                                  tracked.absorbed.reshape(3, -1)):
-            pairs = [
-                [[float(z.real), float(z.imag)], [float(w.real), float(w.imag)]]
-                for z, w, dead in zip(z0, ws, dead_at) if not dead
-            ]
-            snaps.append({"q": float(q), "pairs": pairs})
-        emit("family.json", snaps)
-        # the tracked copies' own counters: the q_max copy carries every
-        # tracked point's whole run, so its flags count the swallowed points
-        summary["tracked"] = {
-            "substeps": tracked.substeps,
-            "absorbed": int(np.count_nonzero(tracked.absorbed[2 * len(z0):])),
-            "min_eta_distance": float(np.min(tracked.min_eta_distance)) if len(z0) else None}
+    z0 = np.asarray(family.z_samples, dtype=complex)
+    snaps = []
+    for q, ws, dead_at in zip(snap_q, tracked.w.reshape(3, -1), tracked.absorbed.reshape(3, -1)):
+        pairs = [
+            [[float(z.real), float(z.imag)], [float(w.real), float(w.imag)]]
+            for z, w, dead in zip(z0, ws, dead_at) if not dead
+        ]
+        snaps.append({"q": float(q), "pairs": pairs})
+    emit("family.json", snaps)
     emit("trace.svg", [("polyline", family.r0 * laurent.circle_grid(128), {"closed": True}),
                        ("polyline", tips, {"stroke": "#b3402a"})])
-    return summary
+    # the tracked copies' own counters: the q_max copy carries every tracked
+    # point's whole run, so its flags count the swallowed points
+    return {"final_tip": [float(tips[-1].real), float(tips[-1].imag)],
+            "capacity_range": [p["q0"], p["q_max"]],
+            "tracked": {
+                "substeps": tracked.substeps,
+                "absorbed": int(np.count_nonzero(tracked.absorbed[2 * len(z0):])),
+                "min_eta_distance": float(np.min(tracked.min_eta_distance)) if len(z0) else None}}
 
 
 def _build_speed(spec: dict, seed: int):

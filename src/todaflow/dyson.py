@@ -734,15 +734,13 @@ def _fit_boundary_map(points: np.ndarray) -> LaurentMap:
     return LaurentMap(r, coeffs)
 
 
-def support_boundary(state: GasState, config: GasConfig, bins: int = 32,
-                     edge_correction: bool = True) -> SupportEstimate:
+def support_boundary(state: GasState, config: GasConfig, bins: int = 32) -> SupportEstimate:
     """Support estimate from a converged or well-mixed configuration.
 
     Plane: outermost particle per angular bin, smoothed once with a circular
     [1, 2, 1]/4 stencil, plus a least-squares truncated-map fit.  Particle
-    centers tile the droplet, so with ``edge_correction`` the polyline is
-    pushed out by the half-cell width of the uniform density (mean radius
-    over sqrt(N)); turn it off to get the raw outermost-particle hull.
+    centers tile the droplet, so the polyline is then pushed out by the
+    half-cell width of the uniform density (mean radius over sqrt(N)).
     Curve: occupied parameter range and a density histogram.  A plane
     estimate needs ``bins >= 4`` and ``N >= 4``; a plane state that leaves
     a bin empty at every count down to 4 raises
@@ -776,9 +774,8 @@ def support_boundary(state: GasState, config: GasConfig, bins: int = 32,
         members = z[idx == b]
         boundary[b] = members[np.argmax(np.abs(members))]
     smoothed = 0.25 * (np.roll(boundary, 1) + 2.0 * boundary + np.roll(boundary, -1))
-    if edge_correction:
-        half_cell = float(np.mean(np.abs(smoothed))) / math.sqrt(state.N)
-        smoothed = smoothed * (1.0 + half_cell / np.abs(smoothed))
+    half_cell = float(np.mean(np.abs(smoothed))) / math.sqrt(state.N)
+    smoothed = smoothed * (1.0 + half_cell / np.abs(smoothed))
     fitted = _fit_boundary_map(smoothed)
     return SupportEstimate(kind="plane", boundary=smoothed, fitted_map=fitted)
 

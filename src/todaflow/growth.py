@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import laurent
-from .errors import CuspError, NonUnivalentError
+from .errors import CuspError, NonUnivalentError, SeriesBudgetError
 from .laurent import LaurentMap, circle_grid
 
 log = logging.getLogger(__name__)
@@ -288,8 +288,18 @@ def run(m: LaurentMap, schedule, moment_order: int | None = None,
     message and the trajectory up to the failure attached as
     ``exc.partial``; a ``ValueError`` from a step (say a leading coefficient
     driven below zero) carries the failing leg's index as ``exc.leg``.
+    Before any step, each harmonic leg is checked against the grid: a leg
+    whose ``z**k`` the grid cannot resolve raises :class:`SeriesBudgetError`,
+    also with ``exc.leg`` set.
     """
     n = laurent._resolve_grid(m, n)
+    for leg, (flow, _, _) in enumerate(schedule):
+        if flow.kind in ("tk_real", "tk_imag"):
+            try:
+                laurent._projection_grid(m, flow.k, n)
+            except SeriesBudgetError as exc:
+                exc.leg = leg
+                raise
     if moment_order is None:
         moment_order = m.order
     _require_univalent(m, n, "run")

@@ -132,7 +132,7 @@ def _phi_coefficients(k: int, family: loewner.LoewnerFamily, q_values) -> np.nda
     straddles a kink of ``eta``.  A hull of capacity ``exp(q)`` lies in
     ``|z| <= 4 exp(q)``, and a straight slit's tip reaches that bound, so the
     circle keeps clear of it; its points also keep ``|eta - w| >= 4``, where
-    ``loewner``'s substep is the whole ``base_step``.
+    the integration substep is the whole ``loewner.BASE_STEP``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -143,7 +143,7 @@ def _phi_coefficients(k: int, family: loewner.LoewnerFamily, q_values) -> np.nda
     w, q = z / family.r0, family.q0
     out = np.empty((len(nodes), k), dtype=complex)
     for i, q_next in enumerate(nodes):
-        res = loewner.advance_many(w, q, q_next, family.driving, family.base_step)
+        res = loewner.advance_many(w, q, q_next, family.driving)
         w, q = res.w, q_next
         # phi_k(eta)/k is the z^-k mode of eta / (w(z) - eta); a DFT over the
         # roots of unity gives the b_j, and b_0 != 0 means the circle fails
@@ -179,13 +179,14 @@ def family_speed(k: int, family: loewner.LoewnerFamily):
     """Vectorized ``c_k(q)`` of a family, ``q`` clamped to ``[q0, q_max]``.
 
     ``k = 1`` is the closed form of :func:`characteristic_speed`.  Higher
-    ``k`` combines a cubic spline through ``b_j`` swept every ``base_step``
-    with the exact ``eta(q)``, which keeps the driving's kinks.
+    ``k`` combines a cubic spline through ``b_j`` swept every
+    ``loewner.BASE_STEP`` with the exact ``eta(q)``, which keeps the
+    driving's kinks.
     """
     if k == 1:
         return lambda q: characteristic_speed(1, family, np.clip(q, family.q0, family.q_max))
-    n = int(np.ceil((family.q_max - family.q0) / family.base_step - 1e-6))
-    nodes = np.append(family.q0 + family.base_step * np.arange(n), family.q_max)
+    n = int(np.ceil((family.q_max - family.q0) / loewner.BASE_STEP - 1e-6))
+    nodes = np.append(family.q0 + loewner.BASE_STEP * np.arange(n), family.q_max)
     # imported here for the same reason as in Profile: only hydro uses it
     from scipy.interpolate import CubicSpline
 

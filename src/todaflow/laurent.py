@@ -24,7 +24,6 @@ points off the grid only: Newton inversion, plotting and user queries.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +33,8 @@ from .errors import RootFindError, SeriesBudgetError
 DEFAULT_ORDER = 16
 DEFAULT_GRID = 128
 
-#: Relative tolerance of the Newton inversion in :func:`inverse_evaluate`.
+#: Relative tolerance and iteration cap of the Newton inversion in
+#: :func:`inverse_evaluate`.
 INVERSION_TOL = 1e-12
 INVERSION_MAX_ITER = 60
 
@@ -97,18 +97,6 @@ class LaurentMap:
             "r": self.r,
             "coeffs": [[float(c.real), float(c.imag)] for c in self.coeffs],
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "LaurentMap":
-        coeffs = np.array([complex(re, im) for re, im in obj.get("coeffs", [])], dtype=complex)
-        return cls(float(obj["r"]), coeffs)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
-
-    @classmethod
-    def loads(cls, text: str) -> "LaurentMap":
-        return cls.from_json(json.loads(text))
 
 
 def _resolve_grid(m: LaurentMap, n: int | None) -> int:
@@ -279,8 +267,7 @@ def phi_k(m: LaurentMap, k: int, w, n: int | None = None):
     return out if out.ndim else complex(out)
 
 
-def inverse_evaluate(m: LaurentMap, z: complex, tol: float = INVERSION_TOL,
-                     max_iter: int = INVERSION_MAX_ITER) -> complex:
+def inverse_evaluate(m: LaurentMap, z: complex) -> complex:
     """Invert the map at an exterior point by damped Newton iteration.
 
     Seeded at ``z / r``; the damping factor halves whenever a full step would
@@ -293,8 +280,8 @@ def inverse_evaluate(m: LaurentMap, z: complex, tol: float = INVERSION_TOL,
         w = 1.5 + 0.0j
     resid = evaluate(m, w) - z
     scale = max(1.0, abs(z))
-    for _ in range(max_iter):
-        if abs(resid) <= tol * scale:
+    for _ in range(INVERSION_MAX_ITER):
+        if abs(resid) <= INVERSION_TOL * scale:
             break
         dz = derivative(m, w)
         if dz == 0:
@@ -316,7 +303,8 @@ def inverse_evaluate(m: LaurentMap, z: complex, tol: float = INVERSION_TOL,
         w, resid = w_try, resid_try
     else:
         raise RootFindError(
-            f"Newton inversion did not converge in {max_iter} iterations (residual {abs(resid):.3e})"
+            f"Newton inversion did not converge in {INVERSION_MAX_ITER} iterations "
+            f"(residual {abs(resid):.3e})"
         )
     if abs(w) < 1.0 - 1e-9:
         raise RootFindError(f"inverse landed at |w|={abs(w):.6f} < 1; z={z} is not exterior")

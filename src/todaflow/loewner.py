@@ -9,15 +9,17 @@ the disk of radius ``exp(q0)`` (where ``z = exp(q0) * w``) and grows a slit
 whose tip is the image of the driving point ``eta(q)``.  Forward maps are
 recovered by integrating the same ODE backward along characteristics.
 
-Integration is RK4 with substeps shrunk in proportion to the distance from
-the driving singularity; a tracked point that comes within ``ABSORB_TOL`` of
-``eta`` has been swallowed by the slit.  Every point carries its own capacity
-range (start and end ``q``, either direction, possibly empty), so each query
--- a slit trace together with snapshots of the tracked points, the far-field
-radius, a Poisson-bracket stencil, the driving estimate from tracked points
--- is one vectorized integration call.  Points are integrated independently
-(no cross-point state, and each point keeps its own substep count), so
-results do not depend on how they are batched.
+One routine, :func:`advance_many`, integrates: RK4 with substeps of
+``BASE_STEP`` shrunk in proportion to the distance from the driving
+singularity; a tracked point that comes within ``ABSORB_TOL`` of ``eta`` has
+been swallowed by the slit.  Every point carries its own capacity range
+(start and end ``q``, either direction, possibly empty), so each query -- a
+slit trace together with snapshots of the tracked points, the far-field
+radius, a Poisson-bracket stencil -- is one vectorized integration call.
+The driving estimate from tracked points is three chained calls, ``q0`` to
+``q - dq`` to ``q`` to ``q + dq``.  Points are integrated independently (no
+cross-point state, and each point keeps its own substep count), so results
+do not depend on how they are batched.
 
 A substep costs a fixed number of small numpy calls, whatever the batch
 size, so the loop keeps that number down: the points still moving stay in
@@ -35,8 +37,9 @@ import numpy as np
 from .errors import InsufficientSamplesError, IntegrationBreakdownError
 
 ABSORB_TOL = 1e-9
-DEFAULT_BASE_STEP = 1e-3
+BASE_STEP = 1e-3  # the substep far from eta; advance_many reads it at every call
 TIP_OFFSET = 1e-4
+ETA_DQ = 5e-4  # extract_eta's central-difference step in q
 _MAX_SUBSTEPS = 5_000_000  # per integration call; more is a breakdown
 # default_family's ring: tracked points, first angle, radius over the initial one
 _RING_POINTS, _RING_ANGLE, _RING_RADIUS = 12, 0.37, 3.0
@@ -59,9 +62,6 @@ class DrivingFunction:
                  q_range=(0.0, 1.0)):
         self.kind = kind
         self.theta0 = float(theta0)
-        self.kappa = float(kappa)
-        self.seed = int(seed)
-        self.dq_grid = float(dq_grid)
         if kind == "constant":
             self._knot_q = np.empty(0)
         elif kind == "piecewise_linear":
@@ -76,10 +76,11 @@ class DrivingFunction:
             lo, hi = float(q_range[0]), float(q_range[1])
             if hi <= lo:
                 raise ValueError("empty q range for the Brownian grid")
-            n = int(np.ceil((hi - lo) / self.dq_grid)) + 1
-            rng = np.random.default_rng(self.seed)
-            increments = rng.normal(0.0, np.sqrt(self.kappa * self.dq_grid), size=n)
-            self._knot_q = lo + self.dq_grid * np.arange(n + 1)
+            kappa, dq_grid = float(kappa), float(dq_grid)
+            n = int(np.ceil((hi - lo) / dq_grid)) + 1
+            rng = np.random.default_rng(int(seed))
+            increments = rng.normal(0.0, np.sqrt(kappa * dq_grid), size=n)
+            self._knot_q = lo + dq_grid * np.arange(n + 1)
             self._knot_th = self.theta0 + np.concatenate([[0.0], np.cumsum(increments)])
         else:
             raise ValueError(f"unknown driving kind {kind!r}")
@@ -116,7 +117,6 @@ class LoewnerFamily:
     q_max: float
     driving: DrivingFunction
     z_samples: tuple = field(default_factory=tuple)
-    base_step: float = DEFAULT_BASE_STEP
 
     def __post_init__(self):
         if self.q_max <= self.q0:
@@ -163,21 +163,19 @@ def _loewner_rhs(w, eta):
     return w * (eta + w) / (eta - w)
 
 
-def _integrate(w0, q_from, q_to, driving, base_step=DEFAULT_BASE_STEP,
-               stops=()) -> AdvanceResult:
-    """March every point independently, with per-point adaptive substeps.
+def advance_many(w0, q_from, q_to, driving: DrivingFunction) -> AdvanceResult:
+    """Integrate the inverse-map ODE point by point, with per-point adaptive substeps.
 
-    ``q_from`` and ``q_to`` are scalars or per-point arrays, so one call
-    can carry each point over its own capacity range, forward, backward or
-    of zero length.  Absorption fires when a point enters the ``ABSORB_TOL``
-    ball around the driving point, or when a step carries it inside the unit
-    disk (the step law ``h ~ |eta - w|`` decrements the distance by a fixed
-    amount per step near the singularity, so a swallowed trajectory crosses
-    rather than converges); in the first case the reported absorption ``q``
-    includes the asymptotic time-to-contact ``|eta - w|^2 / 4``.
-
-    No substep crosses a capacity in ``stops``: a point lands on it and
-    goes on, exactly as if a second call had restarted it there.
+    Starting points have ``|w| > 1``.  ``q_from`` and ``q_to`` are scalars
+    or per-point arrays, so one call can carry each point over its own
+    capacity range, forward, backward or of zero length.  A swallowed point
+    is reported in ``absorbed`` and ``q_absorbed``, not raised.  Absorption
+    fires when a point enters the ``ABSORB_TOL`` ball around the driving
+    point, or when a step carries it inside the unit disk (the step law
+    ``h ~ |eta - w|`` decrements the distance by a fixed amount per step
+    near the singularity, so a swallowed trajectory crosses rather than
+    converges); in the first case the reported absorption ``q`` includes the
+    asymptotic time-to-contact ``|eta - w|^2 / 4``.
 
     The active points (range not yet covered, not absorbed) live in compact
     arrays between substeps.  They are gathered from the full arrays, and
@@ -229,12 +227,7 @@ def _integrate(w0, q_from, q_to, driving, base_step=DEFAULT_BASE_STEP,
                 q_abs[idx[hit]] = qi[hit] + di[hit] * dist[hit] ** 2 / 4.0
                 gather = True
                 continue
-        h = base_step * np.minimum(1.0, dist / 4.0)
-        h = np.minimum(h, remaining)
-        for stop in stops:
-            ahead = (stop - qi) * di
-            h = np.where(ahead > 1e-15, np.minimum(h, ahead), h)
-        h = h * di
+        h = np.minimum(BASE_STEP * np.minimum(1.0, dist / 4.0), remaining) * di
         half = 0.5 * h
         q_new = qi + h
         eta_stages = driving.eta(np.concatenate([qi + half, q_new]))
@@ -266,17 +259,6 @@ def _integrate(w0, q_from, q_to, driving, base_step=DEFAULT_BASE_STEP,
                          point_substeps=point_steps, substeps=steps)
 
 
-def advance_many(w, q_from: float, q_to, driving: DrivingFunction,
-                 base_step: float = DEFAULT_BASE_STEP) -> AdvanceResult:
-    """Integrate the inverse-map ODE from ``q_from`` to ``q_to``, point by point.
-
-    Starting points have ``|w| > 1``; ``q_to`` may be a per-point array, to
-    advance each point to its own ``q``.  A swallowed point is reported in
-    ``absorbed`` and ``q_absorbed``, not raised.
-    """
-    return _integrate(w, q_from, q_to, driving, base_step)
-
-
 def _check_capacities(q, family: LoewnerFamily):
     q = np.asarray(q, dtype=float)
     outside = ~((family.q0 <= q) & (q <= family.q_max + 1e-12))
@@ -285,29 +267,19 @@ def _check_capacities(q, family: LoewnerFamily):
                          f"[{family.q0}, {family.q_max}]")
 
 
-def _pull_back(w, q, family: LoewnerFamily) -> np.ndarray:
-    """``z(w, q)`` for scalar or per-point ``q``, in one integration call.
+def forward_map(w, q, family: LoewnerFamily):
+    """Forward map ``z(w, q)`` for scalar or per-point ``q``, in one integration call.
 
-    Each point is carried backward along its characteristic from its own
-    ``q`` down to ``q0`` (zero length at ``q = q0``) and then pushed through
-    the initial map ``z = exp(q0) * w``.
+    ``z(w, q0) = exp(q0) * w``; each point is carried backward along its
+    characteristic from its own ``q`` down to ``q0`` (zero length at
+    ``q = q0``) and then pushed through the initial map.
     """
     _check_capacities(q, family)
-    res = _integrate(w, q, family.q0, family.driving, family.base_step)
+    res = advance_many(w, q, family.q0, family.driving)
     if np.any(res.absorbed):
         raise IntegrationBreakdownError("backward characteristic hit the driving point")
-    return family.r0 * res.w
-
-
-def forward_map(w, q: float, family: LoewnerFamily):
-    """Forward map ``z(w, q)``: backward characteristics down to the initial disk.
-
-    ``z(w, q0) = exp(q0) * w``; for ``q > q0`` the point is carried backward
-    by the inverse ODE and then pushed through the initial map.
-    """
-    scalar = np.isscalar(w) or np.asarray(w).ndim == 0
-    z = _pull_back(w, q, family)
-    return complex(z[0]) if scalar else z
+    z = family.r0 * res.w
+    return complex(z[0]) if np.ndim(w) == 0 else z
 
 
 def trace_and_track(family: LoewnerFamily, q_grid, snapshot_q=()):
@@ -330,12 +302,12 @@ def trace_and_track(family: LoewnerFamily, q_grid, snapshot_q=()):
     eta = family.driving.eta(q_grid)
     w0 = np.asarray(family.z_samples, dtype=complex) / family.r0
     n_tips, n_copies = 2 * len(q_grid), len(snapshot_q) * len(w0)
-    res = _integrate(
+    res = advance_many(
         np.concatenate([eta * (1.0 + TIP_OFFSET), eta * (1.0 + 0.5 * TIP_OFFSET),
                         np.tile(w0, len(snapshot_q))]),
         np.concatenate([np.tile(q_grid, 2), np.full(n_copies, family.q0)]),
         np.concatenate([np.full(n_tips, family.q0), np.repeat(snapshot_q, len(w0))]),
-        family.driving, family.base_step)
+        family.driving)
     if np.any(res.absorbed[:n_tips]):
         raise IntegrationBreakdownError("backward characteristic hit the driving point")
     t1, t2 = np.split(family.r0 * res.w[:n_tips], 2)
@@ -360,41 +332,42 @@ def slit_trace(family: LoewnerFamily, q_grid) -> np.ndarray:
 class EtaEstimate:
     eta: complex
     spread: float
-    n_alive: int
 
 
-def extract_eta(family: LoewnerFamily, q: float, dq: float = 1e-3) -> EtaEstimate:
+def extract_eta(family: LoewnerFamily, q: float) -> EtaEstimate:
     """Recover the driving value at ``q`` from the tracked exterior points.
 
     For each surviving tracked point, ``d log w / dq`` is estimated by a
-    central difference and inverted through
+    central difference of step ``ETA_DQ`` and inverted through
 
         eta = -w (1 + d log w/dq) / (1 - d log w/dq),
 
     which must come out the same for every point; the spread over points is
     returned as a consistency diagnostic.
     """
+    dq = ETA_DQ
     if not family.z_samples:
         raise InsufficientSamplesError("family tracks no points")
     if not (family.q0 < q - dq and q + dq <= family.q_max + 1e-12):
         raise ValueError("q +/- dq must lie inside the family range")
-    w0 = np.asarray(family.z_samples, dtype=complex) / family.r0
-    # three copies of the tracked points, carried to q - dq, q and q + dq; the
-    # stops keep the copies on one step sequence, so the difference quotient
-    # compares points that share their whole history up to q - dq
-    res = _integrate(np.tile(w0, 3), family.q0, np.repeat([q - dq, q, q + dq], len(w0)),
-                     family.driving, family.base_step, stops=(q - dq, q))
-    lo, mid, hi = res.w.reshape(3, -1)
-    alive = ~res.absorbed.reshape(3, -1).any(axis=0)
+    # three chained integrations q0 -> q - dq -> q -> q + dq, so the
+    # difference quotient compares points that share their whole history up
+    # to q - dq; a swallowed point stays where it was absorbed
+    w = np.asarray(family.z_samples, dtype=complex) / family.r0
+    alive, q_from, legs = np.ones(len(w), dtype=bool), family.q0, []
+    for q_to in (q - dq, q, q + dq):
+        res = advance_many(w, q_from, np.where(alive, q_to, q_from), family.driving)
+        w, alive, q_from = res.w, alive & ~res.absorbed, q_to
+        legs.append(w)
     if np.count_nonzero(alive) < 2:
         raise InsufficientSamplesError(
             f"only {np.count_nonzero(alive)} tracked points survive at q = {q}"
         )
-    dlogw = np.log(hi[alive] / lo[alive]) / (2.0 * dq)
-    eta_pts = -mid[alive] * (1.0 + dlogw) / (1.0 - dlogw)
+    lo, mid, hi = (leg[alive] for leg in legs)
+    dlogw = np.log(hi / lo) / (2.0 * dq)
+    eta_pts = -mid * (1.0 + dlogw) / (1.0 - dlogw)
     eta_hat = complex(np.mean(eta_pts))
-    spread = float(np.max(np.abs(eta_pts - eta_hat)))
-    return EtaEstimate(eta=eta_hat, spread=spread, n_alive=int(np.count_nonzero(alive)))
+    return EtaEstimate(eta=eta_hat, spread=float(np.max(np.abs(eta_pts - eta_hat))))
 
 
 def fitted_radius(family: LoewnerFamily, q: float) -> float:
@@ -422,8 +395,8 @@ def boundary_bracket(family: LoewnerFamily, q: float):
     theta = 2.0 * np.pi * np.arange(n) / n
     # the four stencils (theta +/- dtheta at q, theta at q +/- dt0) as 4n points
     starts = np.exp(1j * np.concatenate([theta + dtheta, theta - dtheta, theta, theta]))
-    res = _integrate(starts, np.repeat([q, q, q + dt0, q - dt0], n), family.q0,
-                     family.driving, family.base_step)
+    res = advance_many(starts, np.repeat([q, q, q + dt0, q - dt0], n), family.q0,
+                       family.driving)
     z_tp, z_tm, z_qp, z_qm = (family.r0 * res.w).reshape(4, n)
     valid = ~(res.absorbed | (res.min_eta_distance < _BRACKET_SAFETY)).reshape(4, n).any(axis=0)
     for _ in range(_BRACKET_ERODE):

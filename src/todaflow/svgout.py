@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 _PRECISION = 6
+_WIDTH = 640  # pixels; the height follows the data's aspect ratio
 
 
 def _fmt(x: float) -> str:
@@ -30,7 +31,7 @@ def _bounds(layers):
     return min(xs), max(xs), min(ys), max(ys)
 
 
-def render_svg(layers, width: int = 640) -> str:
+def render_svg(layers) -> str:
     """Render layered geometry to an SVG document string.
 
     ``layers`` is a sequence of ``(kind, points, style)`` with ``kind`` in
@@ -42,7 +43,7 @@ def render_svg(layers, width: int = 640) -> str:
     box = _bounds(layers)
     if box is None:
         return (
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{width}" '
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_WIDTH}" '
             f'viewBox="0 0 1 1"><!-- warning: empty input --></svg>\n'
         )
     xmin, xmax, ymin, ymax = box
@@ -51,9 +52,9 @@ def render_svg(layers, width: int = 640) -> str:
     xmin, xmax = xmin - margin, xmax + margin
     ymin, ymax = ymin - margin, ymax + margin
     w_box, h_box = xmax - xmin, ymax - ymin
-    height = int(round(width * h_box / w_box))
+    height = int(round(_WIDTH * h_box / w_box))
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{height}" '
         f'viewBox="{_fmt(xmin)} {_fmt(-ymax)} {_fmt(w_box)} {_fmt(h_box)}">'
     ]
     # the y axis is flipped so that the mathematical orientation is preserved

@@ -134,7 +134,7 @@ def test_criterion_07_eta_round_trip():
     for drv in drivings:
         family = loewner.default_family(0.0, 0.5, drv)
         for q in np.linspace(0.05, 0.45, 10):
-            est = loewner.extract_eta(family, float(q), 5e-4)
+            est = loewner.extract_eta(family, float(q))
             worst_spread = max(worst_spread, est.spread)
             worst_err = max(worst_err, abs(est.eta - np.exp(1j * drv.theta(q))))
     elapsed = time.perf_counter() - started

@@ -161,9 +161,9 @@ def test_loewner_run_matches_separate_trace_and_snapshot_calls(tmp_path, monkeyp
                        "tracked": tracked}}
     if formats is not None:
         raw["output"] = {"formats": formats}
-    trace_and_track, integrate, calls = loewner.trace_and_track, loewner._integrate, []
-    monkeypatch.setattr(loewner, "_integrate",
-                        lambda *args, **kwargs: calls.append(args) or integrate(*args, **kwargs))
+    trace_and_track, advance_many, calls = loewner.trace_and_track, loewner.advance_many, []
+    monkeypatch.setattr(loewner, "advance_many",
+                        lambda *args: calls.append(args) or advance_many(*args))
     merged = cli.run_scenario(cli.parse_config(json.dumps(raw)), out_dir=tmp_path / "merged")
     assert merged.exit_code == 0 and len(calls) == 1
 
@@ -172,8 +172,7 @@ def test_loewner_run_matches_separate_trace_and_snapshot_calls(tmp_path, monkeyp
         tips = trace_and_track(family, q_grid)[0]
         w0 = np.asarray(family.z_samples, dtype=complex) / family.r0
         res = loewner.advance_many(np.tile(w0, len(snapshot_q)), family.q0,
-                                   np.repeat(snapshot_q, len(w0)), family.driving,
-                                   family.base_step)
+                                   np.repeat(snapshot_q, len(w0)), family.driving)
         return tips, res
 
     monkeypatch.setattr(loewner, "trace_and_track", separate_calls)
@@ -188,9 +187,7 @@ def test_loewner_run_matches_separate_trace_and_snapshot_calls(tmp_path, monkeyp
             a, b = json.loads(a), json.loads(b)
             a.pop("wall_time_s"), b.pop("wall_time_s")
         assert a == b, name
-    if formats != ["csv"]:
-        assert merged.manifest["summary"]["tracked"]["absorbed"] == (
-            3 if kind == "constant" else 1)
+    assert merged.manifest["summary"]["tracked"]["absorbed"] == (3 if kind == "constant" else 1)
 
 
 def test_hydro_scenario_breakdown_exit_code(tmp_path):
@@ -358,17 +355,19 @@ def _grow_legs(flows, coeffs=(), **extra):
 
 
 _T0 = {"kind": "t0_infinity", "duration": 0.1, "steps": 4}
+_K70 = {"kind": "tk_real", "k": 70, "duration": 0.01, "steps": 1}
 
 
 @pytest.mark.parametrize("raw, pointer", [
     # z**k spans powers [-k M, k]; a 128 grid resolves only |m| <= 63
     (_grow_legs([{"kind": "tk_real", "k": 4, "duration": 0.01, "steps": 1}], [[0, 0], [0.1, 0]],
                 resolution={"M": 16, "n": 128}), "/grow/flows/0/k"),
-    (_grow_legs([_T0, {"kind": "tk_real", "k": 70, "duration": 0.01, "steps": 1}]),
-     "/grow/flows/1/k"),
+    (_grow_legs([_T0, _K70]), "/grow/flows/1/k"),
     # the leading coefficient driven below zero
     (_grow_legs([{**_T0, "duration": -2}]), "/grow/flows/0/duration"),
     (_grow_legs([_T0, {**_T0, "duration": -2}]), "/grow/flows/1/duration"),
+    # two legs alias: the first one is reported
+    (_grow_legs([_T0, _K70, {**_K70, "k": 80}]), "/grow/flows/1/k"),
 ])
 def test_grow_leg_error_is_reported_at_its_leg(tmp_path, raw, pointer):
     with pytest.raises(ConfigError) as err:

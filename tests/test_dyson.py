@@ -323,19 +323,17 @@ def test_metropolis_concentrates_at_small_hbar():
 
 
 def test_support_boundary_synthetic_ring():
-    radius = 1.7
-    n_pts = 96
-    z = radius * np.exp(2j * np.pi * np.arange(n_pts) / n_pts)
-    cfg = dyson.GasConfig(N=n_pts, hbar=1.0 / n_pts, seed=0)
-    state = dyson.GasState(z)
-    raw = dyson.support_boundary(state, cfg, edge_correction=False)
-    # within bin tolerance: the [1,2,1]/4 smoothing of ring points pulls the
-    # polyline inward by at most ~(bin angle)^2/4
-    assert_allclose(np.abs(raw.boundary), radius, rtol=2e-2)
-    corrected = dyson.support_boundary(state, cfg)
-    assert_allclose(np.abs(corrected.boundary),
-                    np.abs(raw.boundary) + np.mean(np.abs(raw.boundary)) / np.sqrt(n_pts),
-                    rtol=1e-12)
+    # one point at the centre of each of 32 angular bins at radius R, and one
+    # at R / 2 under it: the [1, 2, 1] / 4 smoothing of the outer ring gives
+    # R (1 + cos(2 pi / 32)) / 2, and the half-cell push multiplies that by
+    # 1 + 1 / sqrt(N)
+    radius, bins = 1.7, 32
+    ring = np.exp(1j * (-np.pi + 2.0 * np.pi * (np.arange(bins) + 0.5) / bins))
+    z = np.concatenate([radius * ring, 0.5 * radius * ring])
+    cfg = dyson.GasConfig(N=len(z), hbar=1.0 / len(z), seed=0)
+    est = dyson.support_boundary(dyson.GasState(z), cfg, bins=bins)
+    expected = radius * (1.0 + np.cos(2.0 * np.pi / bins)) / 2.0 * (1.0 + 1.0 / np.sqrt(len(z)))
+    assert_allclose(np.abs(est.boundary), expected, rtol=0, atol=1e-12)
 
 
 def test_support_boundary_bin_reduction():

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from todaflow import growth, laurent
-from todaflow.errors import CuspError, NonUnivalentError
+from todaflow.errors import CuspError, NonUnivalentError, SeriesBudgetError
 
 FLOWS = [growth.FlowSpec.t0_infinity(), growth.FlowSpec.t0_source(3.0 + 1.0j),
          growth.FlowSpec.tk_real(2), growth.FlowSpec.tk_imag(1, sign=-1)]
@@ -294,6 +294,20 @@ def test_run_witnesses_each_map_once(monkeypatch):
 def test_run_rejects_non_univalent_start():
     with pytest.raises(NonUnivalentError):
         growth.run(CROSSING, [(growth.FlowSpec.t0_infinity(), 0.01, 1)])
+
+
+def test_run_refuses_a_harmonic_leg_the_grid_cannot_resolve(monkeypatch):
+    # z**4 of an order-16 map spans powers [-64, 4]; a 128 grid resolves
+    # only |m| <= 63, so the leg would alias: refused before any step
+    m = laurent.LaurentMap(1.0, [0.0, 0.1]).with_order(16)
+    steps = []
+    monkeypatch.setattr(growth, "_rk4_step", lambda *args: steps.append(args))
+    schedule = [(growth.FlowSpec.t0_infinity(), 0.01, 1), (growth.FlowSpec.tk_real(4), 0.01, 1)]
+    with pytest.raises(SeriesBudgetError, match=r"z\*\*4 spans powers \[-64, 4\]") as err:
+        growth.run(m, schedule, n=128)
+    assert err.value.leg == 1 and steps == []
+    with pytest.raises(SeriesBudgetError):
+        laurent.phi_k(m, 4, 1.0, n=128)
 
 
 def test_step_circle_law_single_step():

@@ -158,7 +158,7 @@ def test_characteristic_speed_k2_generating_oracle():
     radius = 3.0 * np.exp(q)
     nfft = 256
     zs = radius * np.exp(2j * np.pi * np.arange(nfft) / nfft)
-    res = loewner.advance_many(zs / fam.r0, fam.q0, q, drv, fam.base_step)
+    res = loewner.advance_many(zs / fam.r0, fam.q0, q, drv)
     eta = drv.eta(q)
     modes = np.fft.fft(eta / (res.w - eta)) / nfft
     for k in (2, 3):

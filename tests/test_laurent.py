@@ -212,13 +212,6 @@ def test_grid_values_match_horner(order, n):
         assert_allclose(wzp, w * laurent.derivative(m, w), rtol=0, atol=1e-13)
 
 
-def test_map_json_roundtrip():
-    m = laurent.LaurentMap(1.25, [0.1 - 0.2j, 0.05])
-    back = laurent.LaurentMap.loads(m.dumps())
-    assert back.r == m.r
-    assert_allclose(back.coeffs, m.coeffs)
-
-
 def test_grid_validation():
     with pytest.raises(ValueError):
         laurent.circle_grid(100)  # not a power of two

@@ -22,9 +22,10 @@ def test_fixed_point_minus_eta():
     assert_allclose(res.w[0], -1.0, atol=1e-12)
 
 
-def test_euler_microstep_consistency():
+def test_euler_microstep_consistency(monkeypatch):
     dq = 1e-6
-    res = loewner.advance_many(2.0 + 0j, 0.0, dq, CONST, base_step=dq)
+    monkeypatch.setattr(loewner, "BASE_STEP", dq)
+    res = loewner.advance_many(2.0 + 0j, 0.0, dq, CONST)
     assert abs(res.w[0] - (2.0 - 6e-6)) < 5e-12  # matches one Euler step to O(dq^2)
 
 
@@ -104,13 +105,13 @@ def test_brownian_reproducible_from_seed():
 
 def test_extract_eta_constant_and_rotating():
     fam = loewner.default_family(0.0, 0.5, CONST)
-    est = loewner.extract_eta(fam, 0.25, 5e-4)
+    est = loewner.extract_eta(fam, 0.25)
     assert abs(est.eta - 1.0) < 1e-4
     assert est.spread < 1e-5
 
     rot = loewner.DrivingFunction.piecewise_linear([(0.0, 0.0), (1.0, 1.0)])
     fam2 = loewner.default_family(0.0, 0.5, rot)
-    est2 = loewner.extract_eta(fam2, 0.25, 5e-4)
+    est2 = loewner.extract_eta(fam2, 0.25)
     assert abs(est2.eta - np.exp(0.25j)) < 1e-4
     assert abs(abs(est2.eta) - 1.0) < 1e-6
 
@@ -119,7 +120,16 @@ def test_extract_eta_needs_survivors():
     # both tracked points sit on the slit path and get swallowed
     fam = loewner.LoewnerFamily(0.0, 0.5, CONST, z_samples=(1.2 + 0j, 1.3 + 0j))
     with pytest.raises(InsufficientSamplesError):
-        loewner.extract_eta(fam, 0.4, 1e-3)
+        loewner.extract_eta(fam, 0.4)
+
+
+def test_extract_eta_skips_swallowed_points():
+    # the two points on the slit's ray are swallowed before q - dq; the
+    # estimate is the one the survivors alone give
+    survivors = (2.0 + 2.0j, -1.7 + 0.8j, 0.5 - 3.0j)
+    fam = loewner.LoewnerFamily(0.0, 0.5, CONST, z_samples=(1.2 + 0j, *survivors, 1.3 + 0j))
+    alone = loewner.LoewnerFamily(0.0, 0.5, CONST, z_samples=survivors)
+    assert loewner.extract_eta(fam, 0.4) == loewner.extract_eta(alone, 0.4)
 
 
 def test_tracked_points_never_collide():
@@ -132,13 +142,18 @@ def test_tracked_points_never_collide():
     assert dist.min() > 1e-8
 
 
-def test_integrator_convergence_order():
+def test_integrator_convergence_order(monkeypatch):
     # halving the base step cuts the endpoint error by about 2^4
     drv = loewner.DrivingFunction.piecewise_linear([(0.0, 0.0), (1.0, 1.0)])
     w0 = np.array([2.0 + 2.0j, -1.7 + 0.8j])
-    ref = loewner.advance_many(w0, 0.0, 0.4, drv, base_step=1.25e-3).w
-    e1 = np.max(np.abs(loewner.advance_many(w0, 0.0, 0.4, drv, base_step=2e-2).w - ref))
-    e2 = np.max(np.abs(loewner.advance_many(w0, 0.0, 0.4, drv, base_step=1e-2).w - ref))
+
+    def endpoint(base_step):
+        monkeypatch.setattr(loewner, "BASE_STEP", base_step)
+        return loewner.advance_many(w0, 0.0, 0.4, drv).w
+
+    ref = endpoint(1.25e-3)
+    e1 = np.max(np.abs(endpoint(2e-2) - ref))
+    e2 = np.max(np.abs(endpoint(1e-2) - ref))
     assert e1 / e2 == pytest.approx(16.0, rel=0.35)
 
 
@@ -158,7 +173,7 @@ def test_family_validation():
 
 
 def _one_point(w, q_from, q_to, driving):
-    res = loewner._integrate(w, q_from, q_to, driving)
+    res = loewner.advance_many(w, q_from, q_to, driving)
     return res.w[0], res.absorbed[0], res.q_absorbed[0], res.min_eta_distance[0]
 
 
@@ -169,7 +184,7 @@ def test_per_point_ranges_match_single_point_calls():
     w0 = np.array([2.0 + 1.0j, -1.5 + 0.5j, 3.0j, 1.8 - 1.8j, 2.5 + 0j, 1.5 + 0j])
     q_from = np.array([0.0, 0.3, 0.1, 0.2, 0.25, 0.0])
     q_to = np.array([0.3, 0.0, 0.1, 0.45, 0.25, 0.4])
-    batch = loewner._integrate(w0, q_from, q_to, drv)
+    batch = loewner.advance_many(w0, q_from, q_to, drv)
     assert batch.absorbed.tolist() == [False] * 5 + [True]
     assert batch.w[2] == w0[2] and batch.w[4] == w0[4]
     for i in range(len(w0)):
@@ -202,9 +217,10 @@ def test_advance_many_takes_per_point_end_capacities():
     loewner.DrivingFunction.piecewise_linear([(0.0, 0.3), (0.15, -0.2), (0.3, 0.4)]),
     loewner.DrivingFunction.brownian(0.5, seed=3, dq_grid=1e-3, q_range=(0.0, 0.3)),
 ], ids=["constant", "piecewise_linear", "brownian"])
-def test_slit_trace_matches_per_point_forward_map(driving):
+def test_slit_trace_matches_per_point_forward_map(driving, monkeypatch):
     # a coarse base step keeps the 128 one-point reference integrations cheap
-    fam = loewner.LoewnerFamily(0.0, 0.3, driving, base_step=2e-2)
+    monkeypatch.setattr(loewner, "BASE_STEP", 2e-2)
+    fam = loewner.LoewnerFamily(0.0, 0.3, driving)
     qs = np.linspace(0.0, 0.3, 64)
     ref = []
     for q in qs:
@@ -220,23 +236,22 @@ def test_extract_eta_matches_chained_integrations():
     # three chained integrations q0 -> q - dq -> q -> q + dq do
     drv = loewner.DrivingFunction.brownian(0.5, seed=1, dq_grid=1e-3, q_range=(0.0, 0.5))
     fam = loewner.default_family(0.0, 0.5, drv)
-    q, dq = 0.25, 1e-3
+    q, dq = 0.25, loewner.ETA_DQ
     w0 = np.asarray(fam.z_samples, dtype=complex) / fam.r0
-    lo = loewner._integrate(w0, 0.0, q - dq, drv).w
-    mid = loewner._integrate(lo, q - dq, q, drv).w
-    hi = loewner._integrate(mid, q, q + dq, drv).w
+    lo = loewner.advance_many(w0, 0.0, q - dq, drv).w
+    mid = loewner.advance_many(lo, q - dq, q, drv).w
+    hi = loewner.advance_many(mid, q, q + dq, drv).w
     dlogw = np.log(hi / lo) / (2.0 * dq)
     eta_pts = -mid * (1.0 + dlogw) / (1.0 - dlogw)
-    est = loewner.extract_eta(fam, q, dq)
+    est = loewner.extract_eta(fam, q)
     assert abs(est.eta - np.mean(eta_pts)) <= 1e-15
     assert est.spread == pytest.approx(np.max(np.abs(eta_pts - est.eta)), rel=1e-12, abs=1e-15)
 
 
-def integrate_reference(w0, q_from, q_to, driving, base_step=loewner.DEFAULT_BASE_STEP,
-                        stops=()):
-    """The gather-every-substep loop that ``_integrate`` must reproduce exactly:
-    returns ``(w, absorbed, q_absorbed, min_eta_distance, point_substeps,
-    substeps)``."""
+def integrate_reference(w0, q_from, q_to, driving):
+    """The gather-every-substep loop that ``advance_many`` must reproduce
+    exactly, at the current ``loewner.BASE_STEP``: returns ``(w, absorbed,
+    q_absorbed, min_eta_distance, point_substeps, substeps)``."""
     ABSORB_TOL, _MAX_SUBSTEPS = loewner.ABSORB_TOL, loewner._MAX_SUBSTEPS
     _loewner_rhs = loewner._loewner_rhs
     w = np.atleast_1d(np.asarray(w0, dtype=complex)).copy()
@@ -265,11 +280,8 @@ def integrate_reference(w0, q_from, q_to, driving, base_step=loewner.DEFAULT_BAS
             idx, wi, qi, eta_i, dist = idx[keep], wi[keep], qi[keep], eta_i[keep], dist[keep]
             if len(idx) == 0:
                 continue
-        h = base_step * np.minimum(1.0, dist / 4.0)
+        h = loewner.BASE_STEP * np.minimum(1.0, dist / 4.0)
         h = np.minimum(h, np.abs(q_to[idx] - qi))
-        for stop in stops:
-            ahead = (stop - qi) * direction[idx]
-            h = np.where(ahead > 1e-15, np.minimum(h, ahead), h)
         h = h * direction[idx]
         eta_mid = driving.eta(qi + 0.5 * h)
         k1 = _loewner_rhs(wi, eta_i)
@@ -296,35 +308,34 @@ BROWNIAN = loewner.DrivingFunction.brownian(0.5, seed=7, dq_grid=1e-3, q_range=(
 # far points, points that cross into the disk and points that pass close to the slit
 SPREAD = np.array([3.0 + 0j, -2.0 + 1.0j, 1.5 + 0j, 1.2 + 0.05j, 1.05 - 0.02j, 0.3 + 1.4j,
                    1.01 * np.exp(0.25j), 2.0 * np.exp(-2.5j)])
+# each case runs at its own base step
 REFERENCE_CASES = {
-    "constant": (SPREAD, 0.0, 0.4, CONST, {}),
-    "piecewise_linear": (SPREAD, 0.0, 0.4, PL, {}),
-    "brownian": (SPREAD, 0.0, 0.4, BROWNIAN, {}),
+    "constant": (SPREAD, 0.0, 0.4, CONST, loewner.BASE_STEP),
+    "piecewise_linear": (SPREAD, 0.0, 0.4, PL, loewner.BASE_STEP),
+    "brownian": (SPREAD, 0.0, 0.4, BROWNIAN, loewner.BASE_STEP),
     "mixed_ranges": (np.array([2.0 + 1.0j, -1.5 + 0.5j, 3.0j, 1.8 - 1.8j, 2.5 + 0j, 1.5 + 0j]),
                      np.array([0.0, 0.3, 0.1, 0.2, 0.25, 0.0]),
-                     np.array([0.3, 0.0, 0.1, 0.45, 0.25, 0.4]), PL, {}),
+                     np.array([0.3, 0.0, 0.1, 0.45, 0.25, 0.4]), PL, loewner.BASE_STEP),
     # within ABSORB_TOL of eta at the start, forward and backward, beside
     # points that step inside the unit disk and points that finish
     "absorbed": (np.array([1 + 5e-10, 2.0 + 2.0j, 1.5 + 0j, 1 + 2e-10j, -1.7 + 0.8j]),
                  np.array([0.0, 0.0, 0.0, 0.3, 0.3]), np.array([0.3, 0.3, 0.3, 0.0, 0.0]),
-                 CONST, {}),
+                 CONST, loewner.BASE_STEP),
     # a base step small enough that a point walks into the ABSORB_TOL ball
     # two substeps in, while the others keep going
     "absorbed_mid_run": (np.array([3.0 + 1.0j, 1 + 2e-9, -2.0 + 0.5j]), 0.0, 1e-8, CONST,
-                         {"base_step": 1e-9}),
-    "stops": (np.tile(np.asarray(loewner.default_family().z_samples), 3), 0.0,
-              np.repeat([0.249, 0.25, 0.251], 12), BROWNIAN, {"stops": (0.249, 0.25)}),
-    "circle_256": (1.3 * np.exp(2j * np.pi * np.arange(256) / 256), 0.0, 0.2, PL,
-                   {"base_step": 4e-3}),
+                         1e-9),
+    "circle_256": (1.3 * np.exp(2j * np.pi * np.arange(256) / 256), 0.0, 0.2, PL, 4e-3),
 }
 
 
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
-def test_integrate_matches_gather_every_substep_reference(case):
-    w0, q_from, q_to, driving, kwargs = REFERENCE_CASES[case]
+def test_integrate_matches_gather_every_substep_reference(case, monkeypatch):
+    w0, q_from, q_to, driving, base_step = REFERENCE_CASES[case]
+    monkeypatch.setattr(loewner, "BASE_STEP", base_step)
     w, absorbed, q_abs, min_dist, point_steps, steps = integrate_reference(
-        w0, q_from, q_to, driving, **kwargs)
-    res = loewner._integrate(w0, q_from, q_to, driving, **kwargs)
+        w0, q_from, q_to, driving)
+    res = loewner.advance_many(w0, q_from, q_to, driving)
     assert np.array_equal(res.w, w)
     assert np.array_equal(res.absorbed, absorbed)
     assert np.array_equal(res.q_absorbed, q_abs, equal_nan=True)
@@ -356,19 +367,19 @@ def mixed_batch(case):
 
 
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
-def test_merged_call_parts_match_their_own_calls(case):
+def test_merged_call_parts_match_their_own_calls(case, monkeypatch):
     # the CLI puts backward tip starts and forward tracked copies in one call:
     # each part of it must get what a call holding only that part gets
-    w0, q_from, q_to, driving, kwargs = REFERENCE_CASES[case]
+    w0, q_from, q_to, driving, base_step = REFERENCE_CASES[case]
+    monkeypatch.setattr(loewner, "BASE_STEP", base_step)
     n = len(w0)
     w1, q_from1, q_to1 = mixed_batch(case)
-    merged = loewner._integrate(np.concatenate([w0, w1]),
-                                np.concatenate([np.broadcast_to(q_from, (n,)), q_from1]),
-                                np.concatenate([np.broadcast_to(q_to, (n,)), q_to1]),
-                                driving, **kwargs)
-    for part, alone in ((slice(0, n), loewner._integrate(w0, q_from, q_to, driving, **kwargs)),
-                        (slice(n, None), loewner._integrate(w1, q_from1, q_to1, driving,
-                                                            **kwargs))):
+    merged = loewner.advance_many(np.concatenate([w0, w1]),
+                                  np.concatenate([np.broadcast_to(q_from, (n,)), q_from1]),
+                                  np.concatenate([np.broadcast_to(q_to, (n,)), q_to1]),
+                                  driving)
+    for part, alone in ((slice(0, n), loewner.advance_many(w0, q_from, q_to, driving)),
+                        (slice(n, None), loewner.advance_many(w1, q_from1, q_to1, driving))):
         assert np.array_equal(merged.w[part], alone.w)
         assert np.array_equal(merged.absorbed[part], alone.absorbed)
         assert np.array_equal(merged.q_absorbed[part], alone.q_absorbed, equal_nan=True)
@@ -385,7 +396,7 @@ def slit_trace_reference(family, q_grid):
     eta = family.driving.eta(q_grid)
     starts = np.concatenate([eta * (1.0 + loewner.TIP_OFFSET),
                              eta * (1.0 + 0.5 * loewner.TIP_OFFSET)])
-    t1, t2 = np.split(loewner._pull_back(starts, np.tile(q_grid, 2), family), 2)
+    t1, t2 = np.split(loewner.forward_map(starts, np.tile(q_grid, 2), family), 2)
     tips = ((4.0 * t2 - t1).view(float) / 3.0).view(complex)
     return np.where(q_grid == family.q0, family.r0 * eta, tips)
 
@@ -407,12 +418,12 @@ def test_trace_and_track_matches_separate_calls(kind, monkeypatch):
     driving, tracked = TRACKED_DRIVINGS[kind]
     fam = loewner.LoewnerFamily(0.0, 0.3, driving, tracked)
     qs, snap_q = np.linspace(0.0, 0.3, 7), (0.0, 0.15, 0.3)
-    calls, integrate = [], loewner._integrate
-    monkeypatch.setattr(loewner, "_integrate",
-                        lambda *args, **kwargs: calls.append(args) or integrate(*args, **kwargs))
+    calls, advance_many = [], loewner.advance_many
+    monkeypatch.setattr(loewner, "advance_many",
+                        lambda *args: calls.append(args) or advance_many(*args))
     tips, res = loewner.trace_and_track(fam, qs, snap_q)
     assert len(calls) == 1
-    monkeypatch.setattr(loewner, "_integrate", integrate)
+    monkeypatch.setattr(loewner, "advance_many", advance_many)
     assert np.array_equal(tips, slit_trace_reference(fam, qs))
     assert np.array_equal(loewner.slit_trace(fam, qs), tips)
     w0 = np.asarray(tracked) / fam.r0
