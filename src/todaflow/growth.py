@@ -248,11 +248,15 @@ def step(m: LaurentMap, flow: FlowSpec, dt: float, n: int | None = None) -> Laur
 
     The updated leading coefficient is kept real (tiny imaginary residue is
     zeroed); losing univalence raises :class:`CuspError` with the offending
-    angle.  ``dt = 0`` returns the map unchanged.
+    angle.  A harmonic flow whose ``z**k`` the grid cannot resolve raises
+    :class:`SeriesBudgetError`, as :func:`run` does.  ``dt = 0`` returns the
+    map unchanged.
     """
     if dt == 0:
         return m
     n = laurent._resolve_grid(m, n)
+    if flow.kind in ("tk_real", "tk_imag"):
+        laurent._projection_grid(m, flow.k, n)
     new_map, _ = _rk4_step(m, flow, dt, n)
     return new_map
 

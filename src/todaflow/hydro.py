@@ -29,6 +29,7 @@ from .errors import IntegrationBreakdownError, ShockError
 _FD_STEP = 1e-6
 _NEWTON_TOL, _NEWTON_ITERATIONS = 1e-12, 50  # solve_characteristics' residual and cap
 _HULL_RADIUS = 6.0  # speed sweep circle radius over exp(max q)
+_SPEED_NODE_STEP = 1e-3  # family_speed's tabulation spacing in q
 
 
 def _read_two_columns(path, names):
@@ -128,16 +129,13 @@ def _phi_coefficients(k: int, family: loewner.LoewnerFamily, q_values) -> np.nda
     """``b_1..b_k`` of ``phi_k = sum_j b_j eta^j`` at each of ``q_values``.
 
     One circle ``|z| = 6 exp(max q)`` is carried forward from ``q0`` through
-    the ``q_values``, stopping at the driving's knots so that no substep
-    straddles a kink of ``eta``.  A hull of capacity ``exp(q)`` lies in
+    the ``q_values``.  A hull of capacity ``exp(q)`` lies in
     ``|z| <= 4 exp(q)``, and a straight slit's tip reaches that bound, so the
-    circle keeps clear of it; its points also keep ``|eta - w| >= 4``, where
-    the integration substep is the whole ``loewner.BASE_STEP``.
+    circle keeps clear of it.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    knots = family.driving._knot_q
-    nodes = np.union1d(knots[(knots > family.q0) & (knots < np.max(q_values))], q_values)
+    nodes = np.unique(q_values)
     z = _HULL_RADIUS * np.exp(nodes[-1]) * laurent.circle_grid(256)
     roots = np.exp(2j * np.pi * np.arange(k + 1) / (k + 1))[:, None]
     w, q = z / family.r0, family.q0
@@ -180,13 +178,13 @@ def family_speed(k: int, family: loewner.LoewnerFamily):
 
     ``k = 1`` is the closed form of :func:`characteristic_speed`.  Higher
     ``k`` combines a cubic spline through ``b_j`` swept every
-    ``loewner.BASE_STEP`` with the exact ``eta(q)``, which keeps the
+    ``_SPEED_NODE_STEP`` with the exact ``eta(q)``, which keeps the
     driving's kinks.
     """
     if k == 1:
         return lambda q: characteristic_speed(1, family, np.clip(q, family.q0, family.q_max))
-    n = int(np.ceil((family.q_max - family.q0) / loewner.BASE_STEP - 1e-6))
-    nodes = np.append(family.q0 + loewner.BASE_STEP * np.arange(n), family.q_max)
+    n = int(np.ceil((family.q_max - family.q0) / _SPEED_NODE_STEP - 1e-6))
+    nodes = np.append(family.q0 + _SPEED_NODE_STEP * np.arange(n), family.q_max)
     # imported here for the same reason as in Profile: only hydro uses it
     from scipy.interpolate import CubicSpline
 

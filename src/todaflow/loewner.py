@@ -9,23 +9,17 @@ the disk of radius ``exp(q0)`` (where ``z = exp(q0) * w``) and grows a slit
 whose tip is the image of the driving point ``eta(q)``.  Forward maps are
 recovered by integrating the same ODE backward along characteristics.
 
-One routine, :func:`advance_many`, integrates: RK4 with substeps of
-``BASE_STEP`` shrunk in proportion to the distance from the driving
-singularity; a tracked point that comes within ``ABSORB_TOL`` of ``eta`` has
-been swallowed by the slit.  Every point carries its own capacity range
-(start and end ``q``, either direction, possibly empty), so each query -- a
-slit trace together with snapshots of the tracked points, the far-field
-radius, a Poisson-bracket stencil -- is one vectorized integration call.
-The driving estimate from tracked points is three chained calls, ``q0`` to
-``q - dq`` to ``q`` to ``q + dq``.  Points are integrated independently (no
-cross-point state, and each point keeps its own substep count), so results
-do not depend on how they are batched.
-
-A substep costs a fixed number of small numpy calls, whatever the batch
-size, so the loop keeps that number down: the points still moving stay in
-compact arrays, gathered again only when one of them finishes or is
-absorbed, and each substep makes one ``eta`` call (its mid and end stages;
-the end stage is the next substep's first).
+One routine, :func:`advance_many`, integrates, exactly: every driving is
+linear in ``theta`` between knots, and on a piece of slope ``kappa`` the point
+``u = w exp(-i theta(q))`` obeys ``du/dq = u (a + b u) / (1 - u)``, ``a, b =
+1 -+ i kappa``, so ``G(u) = log(u) / a - 2 log(a + b u) / (a b)`` grows by
+exactly ``q - q_a`` (Kager, Nienhuis & Kadanoff, J. Stat. Phys. 115, 2004).
+Ranges are cut at the knots and into sub-steps of at most ``BASE_STEP``, each
+one vectorized piece solve: a predictor, then Newton on ``G`` in principal
+logs of ratios, which keeps the branches continuous.  ``G'(1) = 0`` and
+``G''(1) = -1/2``: a point is absorbed when ``G(u)`` reaches ``G(1)``, and a
+tip leaves the driving point backward as ``u = 1 + 2 sqrt(h) + ...``.  Points
+have their own capacity ranges and share no state: results ignore batching.
 """
 
 from __future__ import annotations
@@ -36,11 +30,15 @@ import numpy as np
 
 from .errors import InsufficientSamplesError, IntegrationBreakdownError
 
-ABSORB_TOL = 1e-9
-BASE_STEP = 1e-3  # the substep far from eta; advance_many reads it at every call
-TIP_OFFSET = 1e-4
+ABSORB_TOL = 1e-9  # a start this close to eta is absorbed forward, a tip start backward
+BASE_STEP = 0.05  # the longest sub-step in q, over max(1, |theta'|) on a piece
 ETA_DQ = 5e-4  # extract_eta's central-difference step in q
-_MAX_SUBSTEPS = 5_000_000  # per integration call; more is a breakdown
+_NEWTON_STEPS, _NEAR = 3, 4.0  # Newton cap; normal-form predictor where |u - 1|^2 < _NEAR |dq|
+# a solve is kept if its last Newton step is below _SETTLED |u - 1| + _ROUNDOFF
+# |du/dq|; a sub-step refused down to _MIN_STEP is a breakdown
+_SETTLED, _ROUNDOFF, _MIN_STEP = 1e-8, 1e-14, 1e-12
+_SERIES_EXACT = 1e-4  # |S| (1 + |kappa|) below which the normal-form series is exact
+_TAU_TOL = 1e-14  # |Im (G(1) - G(u))| below which u reaches the driving point
 # default_family's ring: tracked points, first angle, radius over the initial one
 _RING_POINTS, _RING_ANGLE, _RING_RADIUS = 12, 0.37, 3.0
 _FAR_FIELD = (1e2, 1e3)  # the two w at which fitted_radius reads z(w, q)
@@ -63,7 +61,7 @@ class DrivingFunction:
         self.kind = kind
         self.theta0 = float(theta0)
         if kind == "constant":
-            self._knot_q = np.empty(0)
+            self._knot_q = self._knot_th = np.empty(0)
         elif kind == "piecewise_linear":
             knots = sorted((float(q), float(th)) for q, th in knots)
             if len(knots) < 2:
@@ -143,13 +141,9 @@ def default_family(q0=0.0, q_max=0.5, driving=None) -> LoewnerFamily:
 
 @dataclass
 class AdvanceResult:
-    """Batch integration outcome: final points, absorption flags and times,
-    each point's closest approach to the driving point, each point's substep
-    count, and the call's substep count.
-
-    A point's count is the number of substeps it took part in, which does
-    not depend on the batch; the call's count is the largest of them.
-    """
+    """Batch outcome: final points, absorption flags and times, each point's
+    closest sampled approach to the driving point, each point's count of
+    piece solves (independent of the batch), and the largest such count."""
 
     w: np.ndarray
     absorbed: np.ndarray
@@ -159,101 +153,128 @@ class AdvanceResult:
     substeps: int
 
 
-def _loewner_rhs(w, eta):
-    return w * (eta + w) / (eta - w)
+def _solve_piece(u0, dq, kappa, coef, dist):
+    """``(u, tau, good)`` of carrying ``u0`` by ``dq``; ``coef`` is ``a, b, 1/a, 2/(ab)``.
+
+    Newton on ``G`` from one RK4 step, or near the singularity from the normal
+    form ``S^2 = 4 (G(1) - G(u))`` (exactly linear in ``q``, ``u - 1`` a series
+    in ``S``).  ``tau = G(1) - G(u0)`` is ``None`` if no point can reach
+    ``u = 1`` within its sub-step; ``good`` marks settled solves."""
+    a, b, inv_a, c = coef
+    base = a + b * u0
+
+    def rhs(u, a=a, b=b):
+        return u * (a + b * u) / (1.0 - u)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k1 = rhs(u0)
+        k2 = rhs(u0 + 0.5 * dq * k1)
+        k3 = rhs(u0 + 0.5 * dq * k2)
+        guess = u0 + dq * (k1 + 2.0 * k2 + 2.0 * k3 + rhs(u0 + dq * k3)) / 6.0
+        tau, reach = None, dist * dist < 2.0 * _NEAR * np.abs(dq) + ABSORB_TOL ** 2
+        if reach.any():
+            tau = c * np.log(0.5 * base) - inv_a * np.log(u0)
+            s0 = (u0 - 1.0) * np.sqrt(4.0 * tau / (u0 - 1.0) ** 2)  # the branch S ~ u - 1
+            s1 = np.where(u0 == 1.0, 2.0 * np.sqrt(-dq + 0j), s0 * np.sqrt(1.0 - dq / tau))
+            series = 1.0 + s1 * (1.0 + s1 * ((3.0 + 1j * kappa) / 6.0 + s1 * (
+                3.0 / 16.0 + 1j * kappa / 6.0 - kappa * kappa / 144.0)))
+            near = (dist * dist < _NEAR * np.abs(dq)) & (dist * (1.0 + np.abs(kappa)) < 1.0)
+            guess = np.where(near, series, guess)
+
+        def settled(u, step, slope):
+            return np.abs(step) <= _SETTLED * np.abs(u - 1.0) + _ROUNDOFF * np.abs(slope)
+
+        def newton(u, u0, a, b, inv_a, c, base, dq):
+            slope = rhs(u, a, b)
+            step = (inv_a * np.log(u / u0) - c * np.log((a + b * u) / base) - dq) * slope
+            return u - step, step, slope
+
+        args = (u0, a, b, inv_a, c, base, dq)  # after one step only unsettled points go on
+        u, step, slope = newton(guess, *args)
+        for _ in range(_NEWTON_STEPS - 1):
+            todo = np.flatnonzero(~settled(u, step, slope))
+            if len(todo) == 0:
+                break
+            u[todo], step[todo], slope[todo] = newton(u[todo], *(x[todo] for x in args))
+        good = settled(u, step, slope)
+        if tau is not None:
+            # so close to 1 the series is exact to roundoff, and G cannot tell
+            exact = reach & (np.abs(s1) * (1.0 + np.abs(kappa)) < _SERIES_EXACT)
+            u, good, tau = np.where(exact, guess, u), good | exact, np.where(reach, tau, np.inf)
+    still = base == 0  # the fixed point -a/b
+    return np.where(still, u0, u), tau, good | still
 
 
 def advance_many(w0, q_from, q_to, driving: DrivingFunction) -> AdvanceResult:
-    """Integrate the inverse-map ODE point by point, with per-point adaptive substeps.
+    """Carry points with ``|w| > 1`` from ``q_from`` to ``q_to`` (scalars or per point).
 
-    Starting points have ``|w| > 1``.  ``q_from`` and ``q_to`` are scalars
-    or per-point arrays, so one call can carry each point over its own
-    capacity range, forward, backward or of zero length.  A swallowed point
-    is reported in ``absorbed`` and ``q_absorbed``, not raised.  Absorption
-    fires when a point enters the ``ABSORB_TOL`` ball around the driving
-    point, or when a step carries it inside the unit disk (the step law
-    ``h ~ |eta - w|`` decrements the distance by a fixed amount per step
-    near the singularity, so a swallowed trajectory crosses rather than
-    converges); in the first case the reported absorption ``q`` includes the
-    asymptotic time-to-contact ``|eta - w|^2 / 4``.
-
-    The active points (range not yet covered, not absorbed) live in compact
-    arrays between substeps.  They are gathered from the full arrays, and
-    the compact state written back, only when the set changes: when a
-    substep's reductions (min ``|eta - w|``, min and max ``|w_new|``, min
-    remaining range) show that a point was absorbed, died or finished.  A
-    substep's end-stage ``eta`` is the next substep's first stage, because
-    the new ``q`` is the same float ``q + h``; the mid and end stages come
-    from one ``eta`` call on the concatenated capacities.  Each point sees
-    exactly the arithmetic of a loop that gathers every substep, and its
-    substep count is added up at those write-backs.  Every point starts on
-    the first substep and the active set only shrinks, so the call's count
-    is the largest point count: a subset of a call reports what a call
-    holding only that subset would.
-    """
+    A start within ``ABSORB_TOL`` of the driving point is absorbed forward
+    (at ``q + |eta - w|^2 / 4``) and a tip start backward; a point whose ``G``
+    reaches ``G(1)`` is absorbed at ``eta(q_absorbed)``, reported, not raised.
+    ``min_eta_distance`` is sampled at every sub-step end.  A solve that does
+    not settle is retried on a quarter of its sub-step.  Active points live in
+    compact arrays, gathered again when one finishes or is absorbed."""
     w = np.atleast_1d(np.asarray(w0, dtype=complex)).copy()
     npts = len(w)
     q = np.broadcast_to(np.asarray(q_from, dtype=float), (npts,)).copy()
     q_to = np.broadcast_to(np.asarray(q_to, dtype=float), (npts,))
     direction = np.where(q_to >= q, 1.0, -1.0)
-    absorbed = np.zeros(npts, dtype=bool)
-    q_abs = np.full(npts, np.nan)
-    min_dist = np.full(npts, np.inf)
+    absorbed, q_abs = np.zeros(npts, dtype=bool), np.full(npts, np.nan)
+    min_dist, limit = np.full(npts, np.inf), np.full(npts, BASE_STEP)
     point_steps = np.zeros(npts, dtype=np.int64)
-    steps = 0
-    gather = True
+    # piece j lies between knots j - 1 and j; the two unbounded ends are flat
+    knots = driving._knot_q
+    with np.errstate(divide="ignore", invalid="ignore"):  # a repeated knot is a jump
+        kappa = np.concatenate([[0.0], np.diff(driving._knot_th) / np.diff(knots), [0.0]])
+        a, b = 1.0 - 1j * kappa, 1.0 + 1j * kappa
+        coef = np.stack([a, b, 1.0 / a, 2.0 / (a * b)])
+    piece_step = BASE_STEP / np.maximum(1.0, np.abs(kappa))
+    lower, upper = np.append(-np.inf, knots), np.append(knots, np.inf)
+    steps, gather = 0, True
     while True:
         if gather:
             idx = np.flatnonzero((np.abs(q_to - q) > 1e-15) & ~absorbed)
             if len(idx) == 0:
                 break
             wi, qi, ti, di, md = w[idx], q[idx], q_to[idx], direction[idx], min_dist[idx]
-            gathered_at = steps
-            eta_i = driving.eta(qi)
-            remaining = np.abs(ti - qi)
-            gather = False
-        dist = np.abs(eta_i - wi)
+            li, forward, remaining = limit[idx], di > 0, np.abs(ti - qi)
+            gathered_at, eta_i, gather = steps, driving.eta(qi), False
+        u0 = wi * np.conj(eta_i)
+        dist = np.abs(u0 - 1.0)
         np.minimum(md, dist, out=md)
-        # each reduction only screens for the exact test below it; the tests
-        # are written so that a NaN also falls through to the exact test
-        if not dist.min() >= ABSORB_TOL:
-            hit = dist < ABSORB_TOL
-            if np.any(hit):
-                # the survivors redo this substep from a fresh gather, which
-                # recomputes the same eta and distance
-                w[idx], q[idx], min_dist[idx] = wi, qi, md
-                point_steps[idx] += steps - gathered_at
-                absorbed[idx[hit]] = True
-                q_abs[idx[hit]] = qi[hit] + di[hit] * dist[hit] ** 2 / 4.0
-                gather = True
-                continue
-        h = np.minimum(BASE_STEP * np.minimum(1.0, dist / 4.0), remaining) * di
-        half = 0.5 * h
-        q_new = qi + h
-        eta_stages = driving.eta(np.concatenate([qi + half, q_new]))
-        eta_mid, eta_end = eta_stages[:len(idx)], eta_stages[len(idx):]
-        k1 = _loewner_rhs(wi, eta_i)
-        k2 = _loewner_rhs(wi + half * k1, eta_mid)
-        k3 = _loewner_rhs(wi + half * k2, eta_mid)
-        k4 = _loewner_rhs(wi + h * k3, eta_end)
-        w_new = wi + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+        ball = dist < ABSORB_TOL  # absorbed forward, a tip start backward
+        u0 = np.where(ball, 1.0 + 0j, u0) if ball.any() else u0
+        j = np.where(forward, np.searchsorted(knots, qi, "right"),
+                     np.searchsorted(knots, qi, "left"))
+        step = np.minimum(np.minimum(li, piece_step[j]),
+                          np.abs(np.where(forward, upper[j], lower[j]) - qi))
+        q_new = np.where(step < remaining, qi + di * step, ti)
+        dq = q_new - qi
+        u, tau, good = _solve_piece(u0, dq, kappa[j], coef[:, j], dist)
         steps += 1
-        if steps > _MAX_SUBSTEPS:
-            raise IntegrationBreakdownError(f"integration exceeded {_MAX_SUBSTEPS} substeps")
-        modulus = np.abs(w_new)
+        hit = ball & forward
+        if tau is not None:
+            hit |= (tau.real / dq > 0.0) & (tau.real / dq <= 1.0) & (np.abs(tau.imag) <= _TAU_TOL)
+        good |= hit
+        if not good.all():
+            q_new = np.where(good, q_new, qi)
+            if not np.all(step[~good] >= 4.0 * _MIN_STEP):
+                raise IntegrationBreakdownError(f"no piece solve settles at q = {qi[~good][0]}")
+        li = np.where(good, np.minimum(2.0 * li, BASE_STEP), 0.25 * step)
+        eta_end = driving.eta(q_new)
+        w_new = np.where(good, u * eta_end, wi)
         remaining = np.abs(ti - q_new)
-        if modulus.min() >= 1.0 - 1e-6 and modulus.max() < np.inf and remaining.min() > 1e-15:
+        if remaining.min() > 1e-15 and not hit.any():
             wi, qi, eta_i = w_new, q_new, eta_end
             continue
-        dead = ~np.isfinite(w_new) | (modulus < 1.0 - 1e-6)
-        w[idx] = np.where(dead, wi, w_new)
-        q[idx] = np.where(dead, qi, q_new)
-        min_dist[idx] = md
+        np.minimum(md, np.abs(w_new * np.conj(eta_end) - 1.0), out=md)
+        w[idx], q[idx], min_dist[idx], limit[idx] = w_new, q_new, md, li
         point_steps[idx] += steps - gathered_at
-        if np.any(dead):
-            absorbed[idx[dead]] = True
-            q_abs[idx[dead]] = qi[dead]
-            min_dist[idx[dead]] = 0.0
+        if hit.any():
+            absorbed[idx[hit]] = True
+            q_abs[idx[hit]] = qi[hit] + np.where(ball, dist ** 2 / 4.0, tau.real)[hit]
+            w[idx[hit]] = np.where(ball, wi, driving.eta(q_abs[idx]))[hit]
+            min_dist[idx[hit]] = np.where(ball, md, 0.0)[hit]
         gather = True
     return AdvanceResult(w=w, absorbed=absorbed, q_absorbed=q_abs, min_eta_distance=min_dist,
                          point_substeps=point_steps, substeps=steps)
@@ -268,12 +289,8 @@ def _check_capacities(q, family: LoewnerFamily):
 
 
 def forward_map(w, q, family: LoewnerFamily):
-    """Forward map ``z(w, q)`` for scalar or per-point ``q``, in one integration call.
-
-    ``z(w, q0) = exp(q0) * w``; each point is carried backward along its
-    characteristic from its own ``q`` down to ``q0`` (zero length at
-    ``q = q0``) and then pushed through the initial map.
-    """
+    """Forward map ``z(w, q)`` for scalar or per-point ``q``, in one integration call:
+    each point is carried back from its own ``q`` to ``q0``, where ``z = exp(q0) w``."""
     _check_capacities(q, family)
     res = advance_many(w, q, family.q0, family.driving)
     if np.any(res.absorbed):
@@ -285,41 +302,27 @@ def forward_map(w, q, family: LoewnerFamily):
 def trace_and_track(family: LoewnerFamily, q_grid, snapshot_q=()):
     """Slit tips along ``q_grid`` and the tracked points at each ``snapshot_q``.
 
-    Returns ``(tips, tracked)``.  The tip at each ``q > q0`` is evaluated at
-    two small radial offsets from ``eta(q)``, carried backward to ``q0`` and
-    Richardson-extrapolated (the offset enters quadratically at a simple
-    critical point).  At ``q = q0`` the map is the linear ``z = exp(q0) w``,
-    with no critical point, so the tip is ``exp(q0) eta(q0)``.  ``tracked``
-    is the :class:`AdvanceResult` of one copy of ``w = z / exp(q0)`` per
-    snapshot and tracked point (snapshot-major), carried forward from ``q0``;
-    its ``substeps`` is the copies' own count.  The tip starts and the
-    tracked copies share one integration call, and each gets the result a
-    call of its own would give.
-    """
+    Returns ``(tips, tracked)``: the forward map at ``eta(q)`` itself, from
+    the singular start, and the :class:`AdvanceResult` (with the copies' own
+    ``substeps``) of one copy of ``w = z / exp(q0)`` per snapshot and tracked
+    point, snapshot-major.  Both share one call, each part getting what a
+    call of its own would give."""
     q_grid = np.atleast_1d(np.asarray(q_grid, dtype=float))
     snapshot_q = np.atleast_1d(np.asarray(snapshot_q, dtype=float))
     _check_capacities(np.concatenate([q_grid, snapshot_q]), family)
-    eta = family.driving.eta(q_grid)
     w0 = np.asarray(family.z_samples, dtype=complex) / family.r0
-    n_tips, n_copies = 2 * len(q_grid), len(snapshot_q) * len(w0)
+    n_tips, n_copies = len(q_grid), len(snapshot_q) * len(w0)
     res = advance_many(
-        np.concatenate([eta * (1.0 + TIP_OFFSET), eta * (1.0 + 0.5 * TIP_OFFSET),
-                        np.tile(w0, len(snapshot_q))]),
-        np.concatenate([np.tile(q_grid, 2), np.full(n_copies, family.q0)]),
+        np.concatenate([family.driving.eta(q_grid), np.tile(w0, len(snapshot_q))]),
+        np.concatenate([q_grid, np.full(n_copies, family.q0)]),
         np.concatenate([np.full(n_tips, family.q0), np.repeat(snapshot_q, len(w0))]),
         family.driving)
     if np.any(res.absorbed[:n_tips]):
         raise IntegrationBreakdownError("backward characteristic hit the driving point")
-    t1, t2 = np.split(family.r0 * res.w[:n_tips], 2)
-    # divide the real and imaginary parts by 3: numpy's complex division
-    # multiplies by 1/3 instead, which rounds differently from a scalar tip
-    tips = ((4.0 * t2 - t1).view(float) / 3.0).view(complex)
-    counts = res.point_substeps[n_tips:]
-    tracked = AdvanceResult(w=res.w[n_tips:], absorbed=res.absorbed[n_tips:],
-                            q_absorbed=res.q_absorbed[n_tips:],
-                            min_eta_distance=res.min_eta_distance[n_tips:],
-                            point_substeps=counts, substeps=int(counts.max(initial=0)))
-    return np.where(q_grid == family.q0, family.r0 * eta, tips), tracked
+    parts = (res.w, res.absorbed, res.q_absorbed, res.min_eta_distance, res.point_substeps)
+    tracked = AdvanceResult(*(part[n_tips:] for part in parts),
+                            int(res.point_substeps[n_tips:].max(initial=0)))
+    return family.r0 * res.w[:n_tips], tracked
 
 
 def slit_trace(family: LoewnerFamily, q_grid) -> np.ndarray:
@@ -380,14 +383,12 @@ def fitted_radius(family: LoewnerFamily, q: float) -> float:
 def boundary_bracket(family: LoewnerFamily, q: float):
     """Poisson bracket ``{z, zbar}`` of the family on the unit circle.
 
-    The capacity is used as the t0 axis (``dq/dt0 = 1``).  Boundary nodes
-    whose backward characteristics pass within ``_BRACKET_SAFETY`` of the
-    driving point are masked out: those are the slit points, where the
-    history of the parametrization runs into the tip singularity.  The valid
-    set is then eroded by ``_BRACKET_ERODE`` grid slots, because
-    finite-difference stencils adjacent to the slit arc straddle the critical
-    trajectory and produce junk derivatives.  Returns ``(bracket values,
-    valid mask)`` over the ``_BRACKET_NODES``-point grid; masked entries are NaN.
+    The capacity is the t0 axis (``dq/dt0 = 1``).  Nodes whose backward
+    characteristics are absorbed or sampled within ``_BRACKET_SAFETY`` of the
+    driving point are the slit's, and are masked out; the valid set is then
+    eroded by ``_BRACKET_ERODE`` slots, since stencils beside the slit arc
+    straddle the critical trajectory.  Returns ``(bracket values, valid
+    mask)`` over the ``_BRACKET_NODES``-point grid; masked entries are NaN.
     """
     dt0, dtheta, n = _BRACKET_DT0, _BRACKET_DTHETA, _BRACKET_NODES
     if not (family.q0 < q - dt0 and q + dt0 <= family.q_max + 1e-12):

@@ -310,6 +310,22 @@ def test_run_refuses_a_harmonic_leg_the_grid_cannot_resolve(monkeypatch):
         laurent.phi_k(m, 4, 1.0, n=128)
 
 
+def test_step_refuses_a_harmonic_flow_the_grid_cannot_resolve(monkeypatch):
+    # the single step of run's refused leg: it used to return an aliased map
+    # with r = 1.00397 instead of raising
+    m = laurent.LaurentMap(1.0, [0.0, 0.1]).with_order(16)
+    steps = []
+    monkeypatch.setattr(growth, "_rk4_step", lambda *args: steps.append(args))
+    for flow in (growth.FlowSpec.tk_real(4), growth.FlowSpec.tk_imag(4)):
+        with pytest.raises(SeriesBudgetError, match=r"z\*\*4 spans powers \[-64, 4\]"):
+            growth.step(m, flow, 0.01, n=128)
+    assert steps == []
+    monkeypatch.undo()
+    # a power the grid resolves still steps
+    stepped = growth.step(m, growth.FlowSpec.tk_real(1), 0.01, n=128)
+    assert not np.array_equal(stepped.coeffs, m.coeffs)
+
+
 def test_step_circle_law_single_step():
     m = laurent.LaurentMap(1.0, [])
     stepped = growth.step(m, growth.FlowSpec.t0_infinity(), 0.01)

@@ -223,7 +223,8 @@ def test_speed_sweep_takes_one_substep_per_node(monkeypatch):
 
     monkeypatch.setattr(loewner, "advance_many", counted)
     hydro.family_speed(2, loewner.default_family(0.0, 0.5, loewner.DrivingFunction.constant(0.7)))
-    # the first node is q0 itself, a zero-length advance
+    # each 1e-3 advance is one exact piece solve; the first node is q0
+    # itself, a zero-length advance
     assert len(substeps) == 501 and sum(substeps) == 500
 
 

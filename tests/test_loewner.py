@@ -11,9 +11,10 @@ CONST = loewner.DrivingFunction.constant(0.0)
 def exact_absorption_q(w0):
     """Capacity at which a real point w0 > 1 meets the eta = 1 driving point.
 
-    Separating dw/dq = w(1+w)/(1-w) gives q(w) = log w - 2 log(1+w) + const.
+    Separating dw/dq = w(1+w)/(1-w) gives q(w) = log w - 2 log(1+w) + const,
+    so the point arrives after log((1 + w0)^2 / (4 w0)).
     """
-    return (0.0 - 2 * np.log(2.0)) - (np.log(w0) - 2 * np.log(1.0 + w0))
+    return np.log((1.0 + w0) ** 2 / (4.0 * w0))
 
 
 def test_fixed_point_minus_eta():
@@ -22,9 +23,8 @@ def test_fixed_point_minus_eta():
     assert_allclose(res.w[0], -1.0, atol=1e-12)
 
 
-def test_euler_microstep_consistency(monkeypatch):
+def test_euler_microstep_consistency():
     dq = 1e-6
-    monkeypatch.setattr(loewner, "BASE_STEP", dq)
     res = loewner.advance_many(2.0 + 0j, 0.0, dq, CONST)
     assert abs(res.w[0] - (2.0 - 6e-6)) < 5e-12  # matches one Euler step to O(dq^2)
 
@@ -37,10 +37,12 @@ def test_real_axis_preserved():
 
 
 def test_absorption_time_matches_closed_form():
+    # G(u) = log u - 2 log(1 + u) reaches G(1) exactly at the closed-form time
     w0 = 1.5
     res = loewner.advance_many(w0 + 0j, 0.0, 0.2, CONST)
-    assert res.absorbed[0]
-    assert abs(res.q_absorbed[0] - exact_absorption_q(w0)) < 1e-5
+    assert res.absorbed[0] and res.w[0] == 1.0
+    assert exact_absorption_q(w0) == pytest.approx(0.0408219945, abs=1e-10)
+    assert abs(res.q_absorbed[0] - exact_absorption_q(w0)) < 1e-15
 
 
 def test_advance_many_reports_per_point():
@@ -142,19 +144,21 @@ def test_tracked_points_never_collide():
     assert dist.min() > 1e-8
 
 
-def test_integrator_convergence_order(monkeypatch):
-    # halving the base step cuts the endpoint error by about 2^4
-    drv = loewner.DrivingFunction.piecewise_linear([(0.0, 0.0), (1.0, 1.0)])
-    w0 = np.array([2.0 + 2.0j, -1.7 + 0.8j])
-
-    def endpoint(base_step):
-        monkeypatch.setattr(loewner, "BASE_STEP", base_step)
-        return loewner.advance_many(w0, 0.0, 0.4, drv).w
-
-    ref = endpoint(1.25e-3)
-    e1 = np.max(np.abs(endpoint(2e-2) - ref))
-    e2 = np.max(np.abs(endpoint(1e-2) - ref))
-    assert e1 / e2 == pytest.approx(16.0, rel=0.35)
+def test_integrator_convergence_order():
+    # a point caught beside the tip (at the attracting fixed point -a/b of
+    # the fast pieces) winds once around the slit while the driving turns by
+    # 8 rad; the reference RK4 loop closes in on the exact flow as h^4, so
+    # the gap shrinks about 16-fold per halving of h
+    drv = loewner.DrivingFunction.piecewise_linear([(0.0, 0.0), (0.1, 0.3), (0.4, 8.0)])
+    w0 = 1.2 + 0.05j
+    qs = np.linspace(0.0, 0.4, 401)
+    path = loewner.advance_many(np.full(len(qs), w0), 0.0, qs, drv).w
+    turns = np.unwrap(np.angle(path)) / (2.0 * np.pi)
+    assert turns[-1] - turns[0] > 1.0
+    end = path[-1]
+    gaps = [abs(integrate_reference(w0, 0.0, 0.4, drv, h)[0][0] - end) for h in (8e-3, 4e-3, 2e-3)]
+    assert gaps[0] / gaps[1] == pytest.approx(16.0, rel=0.35)
+    assert gaps[1] / gaps[2] == pytest.approx(16.0, rel=0.35)
 
 
 def test_boundary_bracket_vanishes_for_slit_families():
@@ -217,18 +221,13 @@ def test_advance_many_takes_per_point_end_capacities():
     loewner.DrivingFunction.piecewise_linear([(0.0, 0.3), (0.15, -0.2), (0.3, 0.4)]),
     loewner.DrivingFunction.brownian(0.5, seed=3, dq_grid=1e-3, q_range=(0.0, 0.3)),
 ], ids=["constant", "piecewise_linear", "brownian"])
-def test_slit_trace_matches_per_point_forward_map(driving, monkeypatch):
-    # a coarse base step keeps the 128 one-point reference integrations cheap
-    monkeypatch.setattr(loewner, "BASE_STEP", 2e-2)
+def test_slit_trace_matches_per_point_forward_map(driving):
+    # each tip is the forward map at the driving point itself, from the
+    # singular start
     fam = loewner.LoewnerFamily(0.0, 0.3, driving)
     qs = np.linspace(0.0, 0.3, 64)
-    ref = []
-    for q in qs:
-        eta = driving.eta(q)
-        t1 = loewner.forward_map(eta * (1.0 + loewner.TIP_OFFSET), q, fam)
-        t2 = loewner.forward_map(eta * (1.0 + 0.5 * loewner.TIP_OFFSET), q, fam)
-        ref.append(fam.r0 * eta if q == fam.q0 else (4.0 * t2 - t1) / 3.0)
-    assert np.max(np.abs(loewner.slit_trace(fam, qs) - np.array(ref))) <= 1e-14
+    ref = [loewner.forward_map(driving.eta(q), q, fam) for q in qs]
+    assert np.array_equal(loewner.slit_trace(fam, qs), np.array(ref))
 
 
 def test_extract_eta_matches_chained_integrations():
@@ -248,12 +247,15 @@ def test_extract_eta_matches_chained_integrations():
     assert est.spread == pytest.approx(np.max(np.abs(eta_pts - est.eta)), rel=1e-12, abs=1e-15)
 
 
-def integrate_reference(w0, q_from, q_to, driving):
-    """The gather-every-substep loop that ``advance_many`` must reproduce
-    exactly, at the current ``loewner.BASE_STEP``: returns ``(w, absorbed,
-    q_absorbed, min_eta_distance, point_substeps, substeps)``."""
-    ABSORB_TOL, _MAX_SUBSTEPS = loewner.ABSORB_TOL, loewner._MAX_SUBSTEPS
-    _loewner_rhs = loewner._loewner_rhs
+def integrate_reference(w0, q_from, q_to, driving, base_step):
+    """A plain RK4 loop, gathering every substep, against which the exact
+    piece solves of ``advance_many`` are checked: substeps of ``base_step``
+    shrunk in proportion to the distance from the driving point, absorption
+    in the ``ABSORB_TOL`` ball or on a step into the unit disk.  Returns
+    ``(w, absorbed, q_absorbed)``."""
+    def rhs(w, eta):
+        return w * (eta + w) / (eta - w)
+
     w = np.atleast_1d(np.asarray(w0, dtype=complex)).copy()
     npts = len(w)
     q = np.broadcast_to(np.asarray(q_from, dtype=float), (npts,)).copy()
@@ -261,9 +263,6 @@ def integrate_reference(w0, q_from, q_to, driving):
     direction = np.where(q_to >= q, 1.0, -1.0)
     absorbed = np.zeros(npts, dtype=bool)
     q_abs = np.full(npts, np.nan)
-    min_dist = np.full(npts, np.inf)
-    point_steps = np.zeros(npts, dtype=int)
-    steps = 0
     while True:
         idx = np.flatnonzero((np.abs(q_to - q) > 1e-15) & ~absorbed)
         if len(idx) == 0:
@@ -271,8 +270,7 @@ def integrate_reference(w0, q_from, q_to, driving):
         wi, qi = w[idx], q[idx]
         eta_i = driving.eta(qi)
         dist = np.abs(eta_i - wi)
-        min_dist[idx] = np.minimum(min_dist[idx], dist)
-        hit = dist < ABSORB_TOL
+        hit = dist < loewner.ABSORB_TOL
         if np.any(hit):
             absorbed[idx[hit]] = True
             q_abs[idx[hit]] = qi[hit] + direction[idx[hit]] * dist[hit] ** 2 / 4.0
@@ -280,82 +278,78 @@ def integrate_reference(w0, q_from, q_to, driving):
             idx, wi, qi, eta_i, dist = idx[keep], wi[keep], qi[keep], eta_i[keep], dist[keep]
             if len(idx) == 0:
                 continue
-        h = loewner.BASE_STEP * np.minimum(1.0, dist / 4.0)
+        h = base_step * np.minimum(1.0, dist / 4.0)
         h = np.minimum(h, np.abs(q_to[idx] - qi))
         h = h * direction[idx]
         eta_mid = driving.eta(qi + 0.5 * h)
-        k1 = _loewner_rhs(wi, eta_i)
-        k2 = _loewner_rhs(wi + 0.5 * h * k1, eta_mid)
-        k3 = _loewner_rhs(wi + 0.5 * h * k2, eta_mid)
-        k4 = _loewner_rhs(wi + h * k3, driving.eta(qi + h))
+        k1 = rhs(wi, eta_i)
+        k2 = rhs(wi + 0.5 * h * k1, eta_mid)
+        k3 = rhs(wi + 0.5 * h * k2, eta_mid)
+        k4 = rhs(wi + h * k3, driving.eta(qi + h))
         w_new = wi + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
         dead = ~np.isfinite(w_new) | (np.abs(w_new) < 1.0 - 1e-6)
         if np.any(dead):
             absorbed[idx[dead]] = True
             q_abs[idx[dead]] = qi[dead]
-            min_dist[idx[dead]] = 0.0
         w[idx] = np.where(dead, wi, w_new)
         q[idx] = np.where(dead, qi, qi + h)
-        point_steps[idx] += 1
-        steps += 1
-        if steps > _MAX_SUBSTEPS:
-            raise IntegrationBreakdownError(f"integration exceeded {_MAX_SUBSTEPS} substeps")
-    return w, absorbed, q_abs, min_dist, point_steps, steps
+    return w, absorbed, q_abs
 
 
 PL = loewner.DrivingFunction.piecewise_linear([(0.0, 0.0), (0.1, 0.3), (0.2, -0.2), (0.4, 0.5)])
 BROWNIAN = loewner.DrivingFunction.brownian(0.5, seed=7, dq_grid=1e-3, q_range=(0.0, 0.4))
-# far points, points that cross into the disk and points that pass close to the slit
+# far points, points on the slit's path and points that pass close to the slit
 SPREAD = np.array([3.0 + 0j, -2.0 + 1.0j, 1.5 + 0j, 1.2 + 0.05j, 1.05 - 0.02j, 0.3 + 1.4j,
                    1.01 * np.exp(0.25j), 2.0 * np.exp(-2.5j)])
-# each case runs at its own base step
+# each case runs the reference at its own base step, and agrees to its own
+# tolerance: the reference's RK4 error
 REFERENCE_CASES = {
-    "constant": (SPREAD, 0.0, 0.4, CONST, loewner.BASE_STEP),
-    "piecewise_linear": (SPREAD, 0.0, 0.4, PL, loewner.BASE_STEP),
-    "brownian": (SPREAD, 0.0, 0.4, BROWNIAN, loewner.BASE_STEP),
+    "constant": (SPREAD, 0.0, 0.4, CONST, 1e-3, 1e-12),
+    "piecewise_linear": (SPREAD, 0.0, 0.4, PL, 1e-3, 1e-6),
+    "brownian": (SPREAD, 0.0, 0.4, BROWNIAN, 1e-3, 5e-5),
     "mixed_ranges": (np.array([2.0 + 1.0j, -1.5 + 0.5j, 3.0j, 1.8 - 1.8j, 2.5 + 0j, 1.5 + 0j]),
                      np.array([0.0, 0.3, 0.1, 0.2, 0.25, 0.0]),
-                     np.array([0.3, 0.0, 0.1, 0.45, 0.25, 0.4]), PL, loewner.BASE_STEP),
-    # within ABSORB_TOL of eta at the start, forward and backward, beside
-    # points that step inside the unit disk and points that finish
+                     np.array([0.3, 0.0, 0.1, 0.45, 0.25, 0.4]), PL, 1e-3, 1e-6),
+    # within ABSORB_TOL of eta at the start, forward and backward, beside a
+    # point on the slit's path and points that finish
     "absorbed": (np.array([1 + 5e-10, 2.0 + 2.0j, 1.5 + 0j, 1 + 2e-10j, -1.7 + 0.8j]),
                  np.array([0.0, 0.0, 0.0, 0.3, 0.3]), np.array([0.3, 0.3, 0.3, 0.0, 0.0]),
-                 CONST, loewner.BASE_STEP),
-    # a base step small enough that a point walks into the ABSORB_TOL ball
-    # two substeps in, while the others keep going
+                 CONST, 2.5e-4, 1e-8),
+    # a point that reaches the driving point two reference substeps in, while
+    # the others keep going
     "absorbed_mid_run": (np.array([3.0 + 1.0j, 1 + 2e-9, -2.0 + 0.5j]), 0.0, 1e-8, CONST,
-                         1e-9),
-    "circle_256": (1.3 * np.exp(2j * np.pi * np.arange(256) / 256), 0.0, 0.2, PL, 4e-3),
+                         1e-9, 1e-14),
+    "circle_256": (1.3 * np.exp(2j * np.pi * np.arange(256) / 256), 0.0, 0.2, PL, 1e-3, 1e-6),
 }
 
 
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
-def test_integrate_matches_gather_every_substep_reference(case, monkeypatch):
-    w0, q_from, q_to, driving, base_step = REFERENCE_CASES[case]
-    monkeypatch.setattr(loewner, "BASE_STEP", base_step)
-    w, absorbed, q_abs, min_dist, point_steps, steps = integrate_reference(
-        w0, q_from, q_to, driving)
+def test_integrate_matches_gather_every_substep_reference(case):
+    w0, q_from, q_to, driving, base_step, tol = REFERENCE_CASES[case]
+    w, absorbed, q_abs = integrate_reference(w0, q_from, q_to, driving, base_step)
     res = loewner.advance_many(w0, q_from, q_to, driving)
-    assert np.array_equal(res.w, w)
-    assert np.array_equal(res.absorbed, absorbed)
-    assert np.array_equal(res.q_absorbed, q_abs, equal_nan=True)
-    assert np.array_equal(res.min_eta_distance, min_dist)
-    assert np.array_equal(res.point_substeps, point_steps)
-    assert res.substeps == steps == point_steps.max(initial=0)
+    alive = ~absorbed
     if case == "absorbed":
-        # both absorption rules fire: the ABSORB_TOL ball (forward and
-        # backward) and a step into the unit disk
+        # the ball and G(1) absorb the forward points as the reference does;
+        # a backward start within ABSORB_TOL of eta, which the reference
+        # absorbs, is a tip start: it ends on the straight slit's tip
         assert absorbed.tolist() == [True, False, True, True, False]
-        assert np.all(min_dist[[0, 3]] < loewner.ABSORB_TOL) and min_dist[2] == 0.0
+        assert not res.absorbed[3] and abs(res.w[3] - exact_constant_tip(0.3, 0.0, 0.0)) < 1e-13
+        assert res.min_eta_distance[0] < loewner.ABSORB_TOL and res.min_eta_distance[2] == 0.0
+        absorbed[3] = False
     if case == "absorbed_mid_run":
-        assert absorbed.tolist() == [False, True, False] and q_abs[1] > 0.0
-        assert min_dist[1] < loewner.ABSORB_TOL
+        assert absorbed.tolist() == [False, True, False] and res.q_absorbed[1] > 0.0
+    assert np.array_equal(res.absorbed, absorbed)
+    assert np.max(np.abs(res.w[alive] - w[alive])) <= tol
+    assert np.all(np.abs(res.q_absorbed[absorbed] - q_abs[absorbed]) <= max(tol, 1e-5))
+    assert np.all(res.min_eta_distance[alive] > 0.0)
+    assert res.substeps == res.point_substeps.max(initial=0)
 
 
 def mixed_batch(case):
     """Backward tip-like starts near the driving point and forward tracked
     copies to two capacities, over the case's own capacity span."""
-    w0, q_from, q_to, driving, _ = REFERENCE_CASES[case]
+    w0, q_from, q_to, driving, _, _ = REFERENCE_CASES[case]
     lo = float(min(np.min(q_from), np.min(q_to)))
     hi = float(max(np.max(q_from), np.max(q_to)))
     ring = np.asarray(loewner.default_family().z_samples)[:4]
@@ -367,11 +361,10 @@ def mixed_batch(case):
 
 
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
-def test_merged_call_parts_match_their_own_calls(case, monkeypatch):
+def test_merged_call_parts_match_their_own_calls(case):
     # the CLI puts backward tip starts and forward tracked copies in one call:
     # each part of it must get what a call holding only that part gets
-    w0, q_from, q_to, driving, base_step = REFERENCE_CASES[case]
-    monkeypatch.setattr(loewner, "BASE_STEP", base_step)
+    w0, q_from, q_to, driving, _, _ = REFERENCE_CASES[case]
     n = len(w0)
     w1, q_from1, q_to1 = mixed_batch(case)
     merged = loewner.advance_many(np.concatenate([w0, w1]),
@@ -393,12 +386,7 @@ def slit_trace_reference(family, q_grid):
     """Tips from their own integration call, as the trace was computed
     before the tracked copies joined it."""
     q_grid = np.atleast_1d(np.asarray(q_grid, dtype=float))
-    eta = family.driving.eta(q_grid)
-    starts = np.concatenate([eta * (1.0 + loewner.TIP_OFFSET),
-                             eta * (1.0 + 0.5 * loewner.TIP_OFFSET)])
-    t1, t2 = np.split(loewner.forward_map(starts, np.tile(q_grid, 2), family), 2)
-    tips = ((4.0 * t2 - t1).view(float) / 3.0).view(complex)
-    return np.where(q_grid == family.q0, family.r0 * eta, tips)
+    return loewner.forward_map(family.driving.eta(q_grid), q_grid, family)
 
 
 # tracked points on the straight slit's path are swallowed; a curved slit
@@ -447,7 +435,7 @@ def test_trace_and_track_checks_the_snapshot_range():
 
 def test_far_point_takes_one_substep_per_base_step():
     res = loewner.advance_many(np.array([50.0 + 0j]), 0.0, 0.1, CONST)
-    assert res.substeps == 100
+    assert res.substeps == round(0.1 / loewner.BASE_STEP) == 2
     again = loewner.advance_many(np.array([50.0 + 0j]), 0.0, 0.1, CONST)
     assert again.substeps == res.substeps
     assert np.array_equal(again.min_eta_distance, res.min_eta_distance)
@@ -464,5 +452,16 @@ def test_slit_trace_matches_closed_form_straight_slit(q0, theta0):
     fam = loewner.default_family(q0, q0 + 0.5, loewner.DrivingFunction.constant(theta0))
     qs = np.linspace(q0, q0 + 0.5, 11)
     tips = loewner.slit_trace(fam, qs)
-    assert np.max(np.abs(tips - exact_constant_tip(qs, q0, theta0))) <= 1e-7
+    assert np.max(np.abs(tips - exact_constant_tip(qs, q0, theta0))) <= 1e-13
     assert tips[0] == fam.r0 * fam.driving.eta(q0)
+
+
+def test_straight_slit_tip_is_exact():
+    # the singular start u = 1 + 2 sqrt(h) + ... and Newton on G leave only
+    # roundoff: the tip from 1 is (e^(q/2) + sqrt(e^q - 1))^2
+    qs = np.array([0.05, 0.2, 0.4])
+    tips = loewner.slit_trace(loewner.default_family(0.0, 0.4, CONST), qs)
+    exact = (np.exp(qs / 2.0) + np.sqrt(np.exp(qs) - 1.0)) ** 2
+    assert np.max(np.abs(tips - exact)) <= 1e-13
+    # one piece solve per BASE_STEP, none refused, even on the first sub-step
+    assert loewner.advance_many(np.ones(3), qs, 0.0, CONST).substeps == 8
