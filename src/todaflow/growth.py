@@ -182,27 +182,29 @@ def _velocity_over_speed(m: LaurentMap, flow: FlowSpec, n: int, grid=None):
     return vn, vn / azp, wzp
 
 
-def _coefficient_rhs(m: LaurentMap, flow: FlowSpec, n: int, grid=None):
-    """Time derivative of (r, a0..aM) plus the spectral-leakage diagnostic.
+def _coefficient_rhs(m: LaurentMap, flow: FlowSpec, n: int, grid=None) -> np.ndarray:
+    """Grid spectrum of ``dz/dt``: ``r'`` at index 1 and ``a_j'`` at index ``-j``.
 
-    All on the grid spectrum: ``Phi`` (the Schwarz extension of ``h``) keeps
-    ``Re hhat_0`` at index 0 and ``2 hhat_-k`` at index ``-k`` for
-    ``k = 1 .. n/2 - 1``, and ``dz/dt = w z' Phi`` is read off by one FFT.
+    ``Phi`` (the Schwarz extension of ``h``) keeps ``Re hhat_0`` at index 0
+    and ``2 hhat_-k`` at index ``-k`` for ``k = 1 .. n/2 - 1``, and
+    ``dz/dt = w z' Phi`` is read off by one FFT.  Every other index is
+    spectral leakage (:func:`_leakage`).
     """
     _, h, wzp = _velocity_over_speed(m, flow, n, grid)
     h_modes = np.fft.fft(h)
     phi_modes = np.zeros(n, dtype=complex)
     phi_modes[0] = h_modes[0].real
     phi_modes[n // 2 + 1:] = 2.0 * h_modes[n // 2 + 1:]
-    modes = np.fft.fft(wzp * np.fft.ifft(phi_modes)) / n
-    kept_index = -np.arange(m.order + 1) % n
-    r_dot = modes[1]
-    a_dot = modes[kept_index]
+    return np.fft.fft(wzp * np.fft.ifft(phi_modes)) / n
+
+
+def _leakage(modes: np.ndarray, order: int) -> float:
+    """Energy of the ``dz/dt`` modes that a map of truncation ``order`` cannot hold."""
+    n = len(modes)
     kept = np.zeros(n, dtype=bool)
     kept[1] = True
-    kept[kept_index] = True
-    leakage = float(np.sum(np.abs(modes[~kept]) ** 2))
-    return r_dot, a_dot, leakage
+    kept[-np.arange(order + 1) % n] = True
+    return float(np.sum(np.abs(modes[~kept]) ** 2))
 
 
 @dataclass(frozen=True)
@@ -213,19 +215,21 @@ class StepDiagnostics:
 
 
 def _rk4_step(m: LaurentMap, flow: FlowSpec, dt: float, n: int, grid=None):
-    """One RK4 step and its diagnostics; ``grid`` is ``m``'s ``(z, w z')`` if known."""
+    """One RK4 step and its diagnostics; ``grid`` is ``m``'s ``(z, w z')`` if known.
 
-    def rhs(r, a):
-        probe = LaurentMap(r, a)
-        return _coefficient_rhs(probe, flow, n)
+    Each stage is the grid spectrum of ``dz/dt``; the leakage is read from the first."""
+    kept = -np.arange(m.order + 1) % n  # the a_j's indices; r's is 1
 
-    r0, a0 = m.r, np.asarray(m.coeffs, dtype=complex)
-    k1r, k1a, leak = _coefficient_rhs(m, flow, n, grid)
-    k2r, k2a, _ = rhs(r0 + 0.5 * dt * k1r.real, a0 + 0.5 * dt * k1a)
-    k3r, k3a, _ = rhs(r0 + 0.5 * dt * k2r.real, a0 + 0.5 * dt * k2a)
-    k4r, k4a, _ = rhs(r0 + dt * k3r.real, a0 + dt * k3a)
-    r_incr = dt * (k1r + 2 * k2r + 2 * k3r + k4r) / 6.0
-    a_new = a0 + dt * (k1a + 2 * k2a + 2 * k3a + k4a) / 6.0
+    def rhs(k, h):
+        return _coefficient_rhs(LaurentMap(m.r + h * k[1].real, a0 + h * k[kept]), flow, n)
+
+    a0 = np.asarray(m.coeffs, dtype=complex)
+    k1 = _coefficient_rhs(m, flow, n, grid)
+    k2 = rhs(k1, 0.5 * dt)
+    k3 = rhs(k2, 0.5 * dt)
+    k4 = rhs(k3, dt)
+    incr = dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+    r_incr, a_new = incr[1], a0 + incr[kept]
     r_imag = abs(r_incr.imag)
     if r_imag >= 1e-10:
         raise CuspError(
@@ -233,14 +237,15 @@ def _rk4_step(m: LaurentMap, flow: FlowSpec, dt: float, n: int, grid=None):
         )
     if r_imag > 0:
         log.debug("zeroed imaginary residue %.3e on the leading coefficient", r_imag)
-    new_map = LaurentMap(r0 + r_incr.real, a_new)
+    new_map = LaurentMap(m.r + r_incr.real, a_new)
     ok, _, min_zp, theta = laurent.univalence_witness(new_map, n)
     if not ok:
         raise CuspError(
             f"univalence lost after step dt={dt} (min |z'| {min_zp:.3e} near theta={theta:.4f})",
             theta=theta,
         )
-    return new_map, StepDiagnostics(leakage=leak, r_imag_residual=r_imag, min_abs_zprime=min_zp)
+    return new_map, StepDiagnostics(leakage=_leakage(k1, m.order), r_imag_residual=r_imag,
+                                    min_abs_zprime=min_zp)
 
 
 def step(m: LaurentMap, flow: FlowSpec, dt: float, n: int | None = None) -> LaurentMap:

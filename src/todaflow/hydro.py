@@ -11,9 +11,10 @@ initial value at ``t0 + c(q) s``, found for all nodes by one masked Newton
 iteration (speeds are vectorized).  Characteristic crossing (the gradient
 catastrophe) ends the classical solution; the solver refuses to run past it.
 
-``scipy.interpolate`` (the profile's PCHIP and the family speed's spline)
-is imported where it is used, so that importing this module, as the CLI
-does for every scenario, does not load it.
+``scipy.interpolate`` (the profile's PCHIP) is imported where it is used,
+so that importing this module, as the CLI does for every scenario, does not
+load it.  A Loewner family's speed needs no table: its ``phi_k`` comes from
+the slit's Laurent modes, exact on every piece of the driving.
 """
 
 from __future__ import annotations
@@ -24,12 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import laurent, loewner
-from .errors import IntegrationBreakdownError, ShockError
+from .errors import ShockError
 
 _FD_STEP = 1e-6
 _NEWTON_TOL, _NEWTON_ITERATIONS = 1e-12, 50  # solve_characteristics' residual and cap
-_HULL_RADIUS = 6.0  # speed sweep circle radius over exp(max q)
-_SPEED_NODE_STEP = 1e-3  # family_speed's tabulation spacing in q
 
 
 def _read_two_columns(path, names):
@@ -125,76 +124,52 @@ def _speed_derivative(speed, q, h: float = _FD_STEP):
     return (speed(q + h) - speed(q - h)) / (2.0 * h)
 
 
-def _phi_coefficients(k: int, family: loewner.LoewnerFamily, q_values) -> np.ndarray:
-    """``b_1..b_k`` of ``phi_k = sum_j b_j eta^j`` at each of ``q_values``.
-
-    One circle ``|z| = 6 exp(max q)`` is carried forward from ``q0`` through
-    the ``q_values``.  A hull of capacity ``exp(q)`` lies in
-    ``|z| <= 4 exp(q)``, and a straight slit's tip reaches that bound, so the
-    circle keeps clear of it.
-    """
+def _mode_speed(k: int, family: loewner.LoewnerFamily):
+    """``c_k(q) = 2 Re phi_k(eta(q))``, vectorized over ``q`` in the
+    family's range: ``phi_k`` of the map ``exp(q) (w + sum_n a_n w^-n)``, whose
+    first ``k - 1`` modes (all that ``phi_k`` reads) :func:`loewner.slit_modes`
+    gives exactly."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    nodes = np.unique(q_values)
-    z = _HULL_RADIUS * np.exp(nodes[-1]) * laurent.circle_grid(256)
-    roots = np.exp(2j * np.pi * np.arange(k + 1) / (k + 1))[:, None]
-    w, q = z / family.r0, family.q0
-    out = np.empty((len(nodes), k), dtype=complex)
-    for i, q_next in enumerate(nodes):
-        res = loewner.advance_many(w, q, q_next, family.driving)
-        w, q = res.w, q_next
-        # phi_k(eta)/k is the z^-k mode of eta / (w(z) - eta); a DFT over the
-        # roots of unity gives the b_j, and b_0 != 0 means the circle fails
-        b = np.fft.fft(k * np.mean(roots / (w - roots) * z ** k, axis=1)) / (k + 1)
-        if np.any(res.absorbed) or abs(b[0]) > 1e-8 * np.max(np.abs(b)):
-            raise IntegrationBreakdownError(
-                f"the speed sweep does not resolve the map at q = {q} (|b_0| = {abs(b[0]):.3e})")
-        out[i] = b[1:]
-    return out[np.searchsorted(nodes, q_values)]
+    modes = loewner.slit_modes(family, k - 1)
 
+    def speed(q):
+        q = np.asarray(q, dtype=float)
+        r = np.exp(q)
+        phi = laurent.phi_k_many(r, r[..., None] * modes(q), k, family.driving.eta(q))
+        return 2.0 * phi.real
 
-def _speed_from_coefficients(b, eta):
-    """``2 Re sum_j b_j eta^j`` over the last axis of ``b``."""
-    powers = np.asarray(eta)[..., None] ** np.arange(1, b.shape[-1] + 1)
-    return 2.0 * np.sum(b * powers, axis=-1).real
+    return speed
 
 
 def characteristic_speed(k: int, family: loewner.LoewnerFamily, q):
     """Transport speed ``c_k(q) = 2 Re phi_k(eta(q))`` of the k-th real flow.
 
     ``k = 1`` needs no map data (``phi_1 = r w`` exactly); higher ``k`` reads
-    ``phi_k`` off one forward sweep from ``q0`` through every ``q`` (an array).
+    ``phi_k`` off the slit's Laurent modes at every ``q`` (an array; a float
+    for a scalar ``q``).
     """
     if k == 1:
         return 2.0 * np.exp(q) * np.cos(family.driving.theta(q))
     q = np.asarray(q, dtype=float)
     if np.any((q < family.q0) | (q > family.q_max + 1e-12)):
         raise ValueError(f"q = {q} outside family range [{family.q0}, {family.q_max}]")
-    return _speed_from_coefficients(_phi_coefficients(k, family, q), family.driving.eta(q))
+    c = _mode_speed(k, family)(q)
+    return float(c) if c.ndim == 0 else c
 
 
 def family_speed(k: int, family: loewner.LoewnerFamily):
     """Vectorized ``c_k(q)`` of a family, ``q`` clamped to ``[q0, q_max]``.
 
     ``k = 1`` is the closed form of :func:`characteristic_speed`.  Higher
-    ``k`` combines a cubic spline through ``b_j`` swept every
-    ``_SPEED_NODE_STEP`` with the exact ``eta(q)``, which keeps the
-    driving's kinks.
+    ``k`` is exact at every ``q``: the slit's modes are carried through the
+    driving's knots once, and each call applies the piece's exponentials
+    from the last knot below ``q``.
     """
     if k == 1:
         return lambda q: characteristic_speed(1, family, np.clip(q, family.q0, family.q_max))
-    n = int(np.ceil((family.q_max - family.q0) / _SPEED_NODE_STEP - 1e-6))
-    nodes = np.append(family.q0 + _SPEED_NODE_STEP * np.arange(n), family.q_max)
-    # imported here for the same reason as in Profile: only hydro uses it
-    from scipy.interpolate import CubicSpline
-
-    spline = CubicSpline(nodes, _phi_coefficients(k, family, nodes))
-
-    def speed(q):
-        q = np.clip(q, family.q0, family.q_max)
-        return _speed_from_coefficients(spline(q), family.driving.eta(q))
-
-    return speed
+    speed = _mode_speed(k, family)
+    return lambda q: speed(np.clip(q, family.q0, family.q_max))
 
 
 def shock_time(initial: Profile, speed) -> float:

@@ -118,11 +118,20 @@ def _grid_values(m: LaurentMap, n: int):
     mode at its own signed index.
     """
     modes = np.zeros((2, n), dtype=complex)
-    modes[0, 1] = m.r
-    modes[0, -np.arange(len(m.coeffs)) % n] = m.coeffs
+    modes[0] = _spectrum(m.r, m.coeffs, n)
     modes[1] = modes[0] * np.fft.fftfreq(n, 1.0 / n)
     z, wzp = np.fft.ifft(modes, norm="forward")
     return z, wzp
+
+
+def _spectrum(r, coeffs, n):
+    """The ``n`` Fourier modes of maps ``r w + sum_j coeffs[..., j] w**-j``, one
+    per leading index of ``coeffs`` (and of ``r``)."""
+    coeffs = np.asarray(coeffs)
+    modes = np.zeros(coeffs.shape[:-1] + (n,), dtype=complex)
+    modes[..., 1] = r
+    modes[..., -np.arange(coeffs.shape[-1]) % n] = coeffs
+    return modes
 
 
 def evaluate(m: LaurentMap, w):
@@ -243,17 +252,21 @@ def _projection_grid(m: LaurentMap, k: int, n: int | None) -> int:
 
 
 def _ak_coefficients(z: np.ndarray, k: int) -> np.ndarray:
-    """``A_k``'s coefficients (ascending powers of ``w``) from the grid samples ``z``."""
-    modes = np.fft.fft(z ** k) / len(z)
-    coeffs = np.zeros(k + 1, dtype=complex)
-    coeffs[0] = 0.5 * modes[0]
-    coeffs[1 : k + 1] = modes[1 : k + 1]
+    """``A_k``'s coefficients (ascending powers of ``w``) from the grid samples ``z``
+    (last axis), one map per leading index."""
+    modes = np.fft.fft(z ** k, axis=-1) / z.shape[-1]
+    coeffs = np.zeros(z.shape[:-1] + (k + 1,), dtype=complex)
+    coeffs[..., 0] = 0.5 * modes[..., 0]
+    coeffs[..., 1 : k + 1] = modes[..., 1 : k + 1]
     return coeffs
 
 
 def _phi_values(z: np.ndarray, k: int, w) -> np.ndarray:
-    """``phi_k`` at ``w`` from the grid samples ``z``: Horner on ``w d/dw A_k``."""
-    return np.polynomial.polynomial.polyval(w, _ak_coefficients(z, k) * np.arange(k + 1))
+    """``phi_k`` at ``w`` from the grid samples ``z``: Horner on ``w d/dw A_k``.
+
+    ``z`` holds one map per leading index, and ``w`` broadcasts against them."""
+    weighted = np.moveaxis(_ak_coefficients(z, k) * np.arange(k + 1), -1, 0)
+    return np.polynomial.polynomial.polyval(w, weighted, tensor=False)
 
 
 def phi_k(m: LaurentMap, k: int, w, n: int | None = None):
@@ -265,6 +278,22 @@ def phi_k(m: LaurentMap, k: int, w, n: int | None = None):
     z, _ = _grid_values(m, _projection_grid(m, k, n))
     out = _phi_values(z, k, np.asarray(w, dtype=complex))
     return out if out.ndim else complex(out)
+
+
+def phi_k_many(r, coeffs, k: int, w):
+    """:func:`phi_k` of many maps: the map ``r[i] w + sum_j coeffs[i, j] w**-j``
+    at ``w[i]``, for every leading index ``i`` of ``r``, ``coeffs`` and ``w``.
+
+    All maps share the smallest grid that holds ``z**k`` without aliasing.
+    """
+    if k < 1:
+        raise ValueError("phi_k is defined for k >= 1")
+    order = np.shape(coeffs)[-1] - 1
+    n = 4
+    while n < 4 * (order + 1) or n // 2 - 1 < k * max(order, 1):
+        n *= 2
+    z = np.fft.ifft(_spectrum(r, coeffs, n), norm="forward")
+    return _phi_values(z, k, np.asarray(w, dtype=complex))
 
 
 def inverse_evaluate(m: LaurentMap, z: complex) -> complex:

@@ -20,6 +20,10 @@ logs of ratios, which keeps the branches continuous.  ``G'(1) = 0`` and
 ``G''(1) = -1/2``: a point is absorbed when ``G(u)`` reaches ``G(1)``, and a
 tip leaves the driving point backward as ``u = 1 + 2 sqrt(h) + ...``.  Points
 have their own capacity ranges and share no state: results ignore batching.
+
+The forward map itself has Laurent modes, ``z = exp(q) (w + sum_n a_n
+w^-n)``, and on each piece they obey a triangular linear ODE;
+:func:`slit_modes` solves it exactly, with no points to carry.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ _TAU_TOL = 1e-14  # |Im (G(1) - G(u))| below which u reaches the driving point
 # default_family's ring: tracked points, first angle, radius over the initial one
 _RING_POINTS, _RING_ANGLE, _RING_RADIUS = 12, 0.37, 3.0
 _FAR_FIELD = (1e2, 1e3)  # the two w at which fitted_radius reads z(w, q)
+_TAYLOR_DEGREE = 16  # slit_modes' matrix exponential series, at 1-norm 1/2
 # boundary_bracket's steps in q and theta, nodes, slit mask distance, erosion
 _BRACKET_DT0, _BRACKET_DTHETA, _BRACKET_NODES = 1e-3, 1e-4, 128
 _BRACKET_SAFETY, _BRACKET_ERODE = 0.05, 3
@@ -105,6 +110,13 @@ class DrivingFunction:
 
     def eta(self, q):
         return np.exp(1j * np.asarray(self.theta(q)))
+
+    def _slopes(self):
+        """``theta'`` on each piece: piece ``j`` lies between knots ``j - 1`` and
+        ``j``, and the two unbounded ends are flat.  A repeated knot, a jump,
+        gives a zero-length piece of infinite or undefined slope."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.concatenate([[0.0], np.diff(self._knot_th) / np.diff(self._knot_q), [0.0]])
 
 
 @dataclass(frozen=True)
@@ -222,10 +234,8 @@ def advance_many(w0, q_from, q_to, driving: DrivingFunction) -> AdvanceResult:
     absorbed, q_abs = np.zeros(npts, dtype=bool), np.full(npts, np.nan)
     min_dist, limit = np.full(npts, np.inf), np.full(npts, BASE_STEP)
     point_steps = np.zeros(npts, dtype=np.int64)
-    # piece j lies between knots j - 1 and j; the two unbounded ends are flat
-    knots = driving._knot_q
+    knots, kappa = driving._knot_q, driving._slopes()
     with np.errstate(divide="ignore", invalid="ignore"):  # a repeated knot is a jump
-        kappa = np.concatenate([[0.0], np.diff(driving._knot_th) / np.diff(knots), [0.0]])
         a, b = 1.0 - 1j * kappa, 1.0 + 1j * kappa
         coef = np.stack([a, b, 1.0 / a, 2.0 / (a * b)])
     piece_step = BASE_STEP / np.maximum(1.0, np.abs(kappa))
@@ -329,6 +339,74 @@ def slit_trace(family: LoewnerFamily, q_grid) -> np.ndarray:
     """Tip positions along the run, the images of the driving point:
     :func:`trace_and_track` with no snapshots."""
     return trace_and_track(family, q_grid)[0]
+
+
+def _expm(a):
+    """``exp`` of each matrix in the stack ``a``: the degree-``_TAYLOR_DEGREE``
+    Taylor series of ``a / 2^s``, squared ``s`` times, where ``s`` is the least
+    that brings every matrix to a 1-norm of 1/2 (series remainder below 1e-19)."""
+    norm = float(np.max(np.abs(a).sum(axis=-2), initial=0.0))
+    s = max(0, int(np.ceil(np.log2(2.0 * norm)))) if norm > 0.0 else 0
+    a = a / 2.0 ** s
+    term = out = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape)
+    for i in range(1, _TAYLOR_DEGREE + 1):
+        term = np.einsum("...ij,...jk->...ik", term, a) / i
+        out = out + term
+    for _ in range(s):
+        out = np.einsum("...ij,...jk->...ik", out, out)
+    return out
+
+
+def slit_modes(family: LoewnerFamily, order: int):
+    """The family's Laurent modes as a function of ``q``, exact on every piece.
+
+    Write ``z(w, q) = exp(q) (w + sum_n a_n w^-n)``.  The Loewner equation
+    ``dz/dq = w z' (w + eta) / (w - eta)`` makes the rotated modes
+    ``alpha_n = a_n eta^-(n+1)`` obey the linear ODE ``alpha' = M alpha + 2``
+    on a piece of slope ``kappa``, where ``M`` is lower triangular and
+    constant: ``M[n, n] = -(n + 1)(1 + i kappa)`` and ``M[n, j] = -2 j`` for
+    ``1 <= j < n``.  A piece of length ``h`` is therefore one ``exp(A h)`` of
+    the augmented matrix ``A = [[M, 2], [0, 0]]`` acting on ``(alpha, 1)``.
+    The exponential is taken by scaling and squaring, not in ``M``'s
+    eigenbasis: that basis is exact in theory, but its sums of exponentials
+    cancel, and at 16 modes under constant driving they lose eight digits.
+
+    ``alpha = 0`` at ``q0``; it is carried through the knots once, and
+    continuously (a jump in ``theta`` turns it, ``a`` is kept).  The returned
+    callable maps ``q`` (any shape, in the family's range) to ``a_0 ..
+    a_{order-1}`` along a new last axis, each ``q`` one exponential from the
+    last knot below it.  Under constant driving ``alpha`` tends to the fixed
+    point ``-M^-1 2 = (2, 1, 0, ...)``, the ray map.
+    """
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    driving, q0 = family.driving, family.q0
+    knots, th = driving._knot_q, driving._knot_th
+    inner = np.unique(knots[(knots > q0) & (knots < family.q_max)])
+    starts = np.concatenate([[q0], inner])
+    kappa = driving._slopes()[np.searchsorted(knots, starts, "right")]
+    powers = np.arange(1, order + 1)
+    aug = np.zeros((len(starts), order + 1, order + 1), dtype=complex)
+    aug[:, :order, order] = 2.0
+    aug[:, :order, :order] = np.tril(np.broadcast_to(-2.0 * np.arange(order), (order, order)), -1)
+    aug[:, powers - 1, powers - 1] = -powers * (1.0 + 1j * kappa[:, None])
+    # theta's jump at each inner knot, 0.0 exactly where it is continuous
+    jump = th[np.searchsorted(knots, inner, "right") - 1] - th[np.searchsorted(knots, inner, "left")]
+    steps = _expm(aug[:-1] * np.diff(starts)[:, None, None])
+    state = np.zeros((len(starts), order + 1), dtype=complex)
+    state[0, order] = 1.0
+    for j in range(len(inner)):
+        state[j + 1] = steps[j] @ state[j]
+        state[j + 1, :order] *= np.exp(-1j * jump[j] * powers)
+
+    def modes(q):
+        q = np.asarray(q, dtype=float)
+        j = np.maximum(np.searchsorted(starts, q, "right") - 1, 0)
+        step = _expm(aug[j] * (q - starts[j])[..., None, None])
+        alpha = np.einsum("...nm,...m->...n", step, state[j])[..., :order]
+        return alpha * driving.eta(q)[..., None] ** powers
+
+    return modes
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from todaflow import loewner
+from todaflow import laurent, loewner
+from todaflow.laurent import LaurentMap
 from todaflow.errors import InsufficientSamplesError, IntegrationBreakdownError
 
 CONST = loewner.DrivingFunction.constant(0.0)
@@ -465,3 +466,90 @@ def test_straight_slit_tip_is_exact():
     assert np.max(np.abs(tips - exact)) <= 1e-13
     # one piece solve per BASE_STEP, none refused, even on the first sub-step
     assert loewner.advance_many(np.ones(3), qs, 0.0, CONST).substeps == 8
+
+
+def mode_rhs(a, eta):
+    """a_n' = -(n+1) a_n + 2 eta^(n+1) - 2 sum_{j=1}^{n-1} j a_j eta^(n-j), the Loewner
+    equation dz/dq = w z' (w + eta)/(w - eta) read off z = e^q (w + sum_n a_n w^-n)."""
+    n = np.arange(len(a))
+    lag = n[:, None] - n[None, :]
+    mix = np.where((n[None, :] >= 1) & (lag >= 1), n[None, :] * eta ** lag, 0.0)
+    return -(n + 1) * a + 2.0 * eta ** (n + 1) - 2.0 * mix @ a
+
+
+def rk4_modes(pieces, order, q_end, steps_per_unit):
+    """The modes a_n at q_end by RK4 on each linear piece (q_a, q_b, theta_a, theta_b)."""
+    a = np.zeros(order, dtype=complex)
+    for q_a, q_b, th_a, th_b in pieces:
+        kappa = (th_b - th_a) / (q_b - q_a)
+        q_b = min(q_b, q_end)
+        if q_b <= q_a:
+            break
+        steps = int(np.ceil((q_b - q_a) * steps_per_unit))
+        h = (q_b - q_a) / steps
+        eta = lambda q: np.exp(1j * (th_a + kappa * (q - q_a)))  # noqa: E731
+        for i in range(steps):
+            q = q_a + i * h
+            k1 = mode_rhs(a, eta(q))
+            k2 = mode_rhs(a + 0.5 * h * k1, eta(q + 0.5 * h))
+            k3 = mode_rhs(a + 0.5 * h * k2, eta(q + 0.5 * h))
+            k4 = mode_rhs(a + h * k3, eta(q + h))
+            a = a + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    return a
+
+
+MODE_DRIVINGS = {
+    # (knots, the same driving as linear pieces (q_a, q_b, theta_a, theta_b))
+    "kinks": ([(0.0, 0.0), (0.1, 0.3), (0.25, -0.2), (0.5, 0.1)],
+              [(0.0, 0.1, 0.0, 0.3), (0.1, 0.25, 0.3, -0.2), (0.25, 0.5, -0.2, 0.1)]),
+    # a repeated knot is a jump of theta from its first value to its last
+    "jump": ([(0.0, 0.0), (0.2, 0.6), (0.2, 1.1), (0.5, 0.9)],
+             [(0.0, 0.2, 0.0, 0.6), (0.2, 0.5, 1.1, 0.9)]),
+}
+
+
+@pytest.mark.parametrize("knots, pieces", MODE_DRIVINGS.values(), ids=MODE_DRIVINGS)
+def test_slit_modes_match_a_fine_rk4(knots, pieces):
+    family = loewner.default_family(0.0, 0.5, loewner.DrivingFunction.piecewise_linear(knots))
+    modes = loewner.slit_modes(family, 16)
+    for q in (0.15, 0.35):
+        reference = rk4_modes(pieces, 16, q, 10000)
+        assert_allclose(modes(q), reference, rtol=0, atol=1e-12)
+
+
+def test_slit_modes_under_constant_driving():
+    # a_0 = 2 eta (1 - e^-(q - q0)); the fixed point is the ray map w + 2 + 1/w, rotated
+    theta0, q0 = 0.7, 0.3
+    family = loewner.default_family(q0, 45.0, loewner.DrivingFunction.constant(theta0))
+    modes = loewner.slit_modes(family, 6)
+    qs = np.array([0.3, 0.5, 2.0])
+    eta = np.exp(1j * theta0)
+    assert_allclose(modes(qs)[:, 0], 2.0 * eta * (1.0 - np.exp(-(qs - q0))), rtol=1e-14, atol=0)
+    assert np.all(modes(q0) == 0.0)
+    rotated = modes(45.0) * eta ** -np.arange(1, 7)
+    assert_allclose(rotated, [2, 1, 0, 0, 0, 0], rtol=0, atol=1e-12)
+    ray = LaurentMap(1.0, [2.0, 1.0])
+    assert laurent.phi_k(ray, 1, 1.0) == pytest.approx(1.0, abs=1e-15)
+    assert laurent.phi_k(ray, 2, 1.0) == pytest.approx(6.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_slit_modes_satisfy_the_toda_reduction(k):
+    # d/dq A_k(w) = (phi_k(w) - phi_k(eta)) (w + eta) / (w - eta), free term included,
+    # with dz/dq from the mode equation itself
+    driving = loewner.DrivingFunction.piecewise_linear([(0.0, 0.2), (0.3, -0.4), (0.6, 0.5)])
+    family = loewner.default_family(0.0, 0.6, driving)
+    q, n = 0.37, 64
+    a = loewner.slit_modes(family, k)(q)
+    eta = driving.eta(q)
+    grid = laurent.circle_grid(n)
+    z = np.exp(q) * (grid + sum(a_j * grid ** -j for j, a_j in enumerate(a)))
+    dz = z + np.exp(q) * sum(d_j * grid ** -j for j, d_j in enumerate(mode_rhs(a, eta)))
+    spectrum = np.fft.fft(k * z ** (k - 1) * dz) / n
+    dak = np.concatenate([[0.5 * spectrum[0]], spectrum[1:k + 1]])
+    the_map = LaurentMap(np.exp(q), np.exp(q) * a)
+    w = np.array([1.7 * np.exp(0.4j), 2.5 * np.exp(-2.0j), 0.6 - 0.9j])
+    lhs = np.polynomial.polynomial.polyval(w, dak)
+    rhs = ((laurent.phi_k(the_map, k, w) - laurent.phi_k(the_map, k, eta))
+           * (w + eta) / (w - eta))
+    assert_allclose(lhs, rhs, rtol=1e-13, atol=0)
