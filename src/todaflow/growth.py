@@ -83,8 +83,8 @@ class MomentVector:
     v: np.ndarray
 
 
-def _require_univalent(m: LaurentMap, n: int | None, context: str):
-    ok, min_sep, min_zp, theta = laurent.univalence_witness(m, n)
+def _require_univalent(m: LaurentMap, n: int | None, context: str, grid=None):
+    ok, min_sep, min_zp, theta = laurent.univalence_witness(m, n, grid)
     if not ok:
         raise NonUnivalentError(
             f"{context}: univalence witness failed (min separation {min_sep:.3e}, "
@@ -113,9 +113,12 @@ def _moments(m: LaurentMap, order: int, n: int | None, grid=None) -> MomentVecto
 
 
 def moment_vector(m: LaurentMap, order: int, n: int | None = None) -> MomentVector:
-    """Both moment families of a map from one witness and one boundary pass."""
-    _require_univalent(m, n, "moment_vector")
-    return _moments(m, order, n)
+    """Both moment families of a map from one witness and one boundary pass,
+    which share the map's grid samples."""
+    n = laurent._resolve_grid(m, n)
+    grid = laurent._grid_values(m, n)
+    _require_univalent(m, n, "moment_vector", grid)
+    return _moments(m, order, n, grid)
 
 
 def orlov_shulman(m: LaurentMap, moments: MomentVector, w):
@@ -215,13 +218,21 @@ class StepDiagnostics:
 
 
 def _rk4_step(m: LaurentMap, flow: FlowSpec, dt: float, n: int, grid=None):
-    """One RK4 step and its diagnostics; ``grid`` is ``m``'s ``(z, w z')`` if known.
+    """One RK4 step, its diagnostics and the new map's ``(z, w z')``; ``grid`` is
+    ``m``'s ``(z, w z')`` if known.
 
-    Each stage is the grid spectrum of ``dz/dt``; the leakage is read from the first."""
+    Each stage is the grid spectrum of ``dz/dt``; the leakage is read from the
+    first.  A later stage's modes are the map's plus ``h`` times the previous
+    stage's (``r``'s kept real), read on the grid by one inverse FFT; only a
+    finite source, whose velocity inverts the stage map, builds a map."""
     kept = -np.arange(m.order + 1) % n  # the a_j's indices; r's is 1
 
     def rhs(k, h):
-        return _coefficient_rhs(LaurentMap(m.r + h * k[1].real, a0 + h * k[kept]), flow, n)
+        r, a = m.r + h * k[1].real, a0 + h * k[kept]
+        laurent._check_modes(r, a)
+        stage = LaurentMap(r, a) if flow.kind == "t0_source" else None
+        grid = laurent._spectrum_values(laurent._spectrum(r, a, n))
+        return _coefficient_rhs(stage, flow, n, grid)
 
     a0 = np.asarray(m.coeffs, dtype=complex)
     k1 = _coefficient_rhs(m, flow, n, grid)
@@ -238,14 +249,15 @@ def _rk4_step(m: LaurentMap, flow: FlowSpec, dt: float, n: int, grid=None):
     if r_imag > 0:
         log.debug("zeroed imaginary residue %.3e on the leading coefficient", r_imag)
     new_map = LaurentMap(m.r + r_incr.real, a_new)
-    ok, _, min_zp, theta = laurent.univalence_witness(new_map, n)
+    new_grid = laurent._grid_values(new_map, n)
+    ok, _, min_zp, theta = laurent.univalence_witness(new_map, n, new_grid)
     if not ok:
         raise CuspError(
             f"univalence lost after step dt={dt} (min |z'| {min_zp:.3e} near theta={theta:.4f})",
             theta=theta,
         )
     return new_map, StepDiagnostics(leakage=_leakage(k1, m.order), r_imag_residual=r_imag,
-                                    min_abs_zprime=min_zp)
+                                    min_abs_zprime=min_zp), new_grid
 
 
 def step(m: LaurentMap, flow: FlowSpec, dt: float, n: int | None = None) -> LaurentMap:
@@ -262,7 +274,7 @@ def step(m: LaurentMap, flow: FlowSpec, dt: float, n: int | None = None) -> Laur
     n = laurent._resolve_grid(m, n)
     if flow.kind in ("tk_real", "tk_imag"):
         laurent._projection_grid(m, flow.k, n)
-    new_map, _ = _rk4_step(m, flow, dt, n)
+    new_map, _, _ = _rk4_step(m, flow, dt, n)
     return new_map
 
 
@@ -291,12 +303,15 @@ def run(m: LaurentMap, schedule, moment_order: int | None = None,
     Records the map (with moments and step diagnostics) after every step;
     the initial state is record 0.  Each map is witnessed once: record 0
     here, every later one by the RK4 step that made it, so the moments of
-    the records skip the witness of :func:`moment_vector`, and each map's
-    grid samples serve both its moments and the first stage of the next
-    step.  Step failures are re-raised with the failing step index in the
-    message and the trajectory up to the failure attached as
-    ``exc.partial``; a ``ValueError`` from a step (say a leading coefficient
-    driven below zero) carries the failing leg's index as ``exc.leg``.
+    the records skip the witness of :func:`moment_vector`.  Each map's grid
+    samples are built once and serve its witness, its moments and the first
+    stage of the next step; the later stages read their grids from their
+    modes, and the witness settles most maps' critical points by a bound
+    (:func:`laurent.univalence_witness`).  Step failures are re-raised with
+    the failing step index in the message and the trajectory up to the
+    failure attached as ``exc.partial``; a ``ValueError`` from a step (say a
+    leading coefficient driven below zero) carries the failing leg's index as
+    ``exc.leg``.
     Before any step, each harmonic leg is checked against the grid: a leg
     whose ``z**k`` the grid cannot resolve raises :class:`SeriesBudgetError`,
     also with ``exc.leg`` set.
@@ -311,8 +326,8 @@ def run(m: LaurentMap, schedule, moment_order: int | None = None,
                 raise
     if moment_order is None:
         moment_order = m.order
-    _require_univalent(m, n, "run")
     grid = laurent._grid_values(m, n)
+    _require_univalent(m, n, "run", grid)
     records = [TrajectoryRecord(0, 0.0, m, _moments(m, moment_order, n, grid), None)]
     current = m
     time = 0.0
@@ -324,7 +339,7 @@ def run(m: LaurentMap, schedule, moment_order: int | None = None,
         for _ in range(steps):
             index += 1
             try:
-                current, diag = _rk4_step(current, flow, dt, n, grid)
+                current, diag, grid = _rk4_step(current, flow, dt, n, grid)
             except (CuspError, NonUnivalentError) as exc:
                 wrapped = type(exc)(f"step {index} (leg {leg}): {exc}",
                                     getattr(exc, "theta", None))
@@ -334,7 +349,6 @@ def run(m: LaurentMap, schedule, moment_order: int | None = None,
                 exc.leg = leg
                 raise
             time += dt
-            grid = laurent._grid_values(current, n)
             records.append(
                 TrajectoryRecord(index, time, current, _moments(current, moment_order, n, grid),
                                  diag)

@@ -18,12 +18,18 @@ Conventions
 Grid values of a map (``z`` and ``w z'`` on the circle grid) come from two
 inverse FFTs of its coefficient vector; the growth step, the string
 residual, the univalence witness and the moment quadrature all read them
-that way.  Horner loops (:func:`evaluate` and :func:`derivative`) serve
+that way, and a caller that already has a map's grid hands it to the
+witness.  The witness compares each unordered pair of grid points once, and
+settles the critical points without a Schur-Cohn recursion whenever
+``r - rho^-(M+1) sum_j j |a_j|``, a lower bound of ``|z'|`` on ``|w| >= rho``,
+is positive.  Horner loops (:func:`evaluate` and :func:`derivative`) serve
 points off the grid only: Newton inversion, plotting and user queries.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +64,14 @@ def circle_grid(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(n) / n)
 
 
+def _check_modes(r, coeffs):
+    """Refuse a non-positive or non-finite ``r`` and non-finite ``a_j``."""
+    if not (math.isfinite(r) and r > 0.0):
+        raise ValueError(f"leading coefficient must be positive, got {r}")
+    if not np.isfinite(coeffs).all():
+        raise ValueError("map coefficients must be finite")
+
+
 @dataclass(frozen=True)
 class LaurentMap:
     """Exterior conformal map ``z(w) = r*w + a0 + a1/w + ... + aM/w**M``.
@@ -71,11 +85,8 @@ class LaurentMap:
 
     def __post_init__(self):
         r = float(self.r)
-        if not np.isfinite(r) or r <= 0.0:
-            raise ValueError(f"leading coefficient must be positive, got {self.r}")
         coeffs = np.asarray(self.coeffs, dtype=complex).reshape(-1).copy()
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("map coefficients must be finite")
+        _check_modes(r, coeffs)
         coeffs.setflags(write=False)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "coeffs", coeffs)
@@ -117,11 +128,34 @@ def _grid_values(m: LaurentMap, n: int):
     Any grid that passes ``_resolve_grid`` (``n >= 4 (M + 1)``) holds every
     mode at its own signed index.
     """
-    modes = np.zeros((2, n), dtype=complex)
-    modes[0] = _spectrum(m.r, m.coeffs, n)
-    modes[1] = modes[0] * np.fft.fftfreq(n, 1.0 / n)
+    return _spectrum_values(_spectrum(m.r, m.coeffs, n))
+
+
+def _spectrum_values(spectrum):
+    """``z`` and ``w z'`` on the grid from a map's modes (:func:`_spectrum`),
+    by one two-row inverse FFT."""
+    modes = np.empty((2, len(spectrum)), dtype=complex)
+    modes[0] = spectrum
+    modes[1] = spectrum * _mode_index(len(spectrum))
     z, wzp = np.fft.ifft(modes, norm="forward")
     return z, wzp
+
+
+@functools.lru_cache(maxsize=None)
+def _mode_index(n: int) -> np.ndarray:
+    """The signed mode index of each FFT slot, ``fftfreq(n, 1/n)``, built once per ``n``."""
+    index = np.fft.fftfreq(n, 1.0 / n)
+    index.setflags(write=False)
+    return index
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_offsets(n: int) -> np.ndarray:
+    """``(i + k) % n`` at row ``k - 1`` and column ``i``, for ``k = 1 .. n/2``:
+    with column ``i`` it names every unordered pair of grid nodes."""
+    offsets = (np.arange(n) + np.arange(1, n // 2 + 1)[:, None]) % n
+    offsets.setflags(write=False)
+    return offsets
 
 
 def _spectrum(r, coeffs, n):
@@ -203,34 +237,48 @@ def _zeros_inside(coeffs: np.ndarray, radius: float) -> bool:
     return True
 
 
-def univalence_witness(m: LaurentMap, n: int | None = None):
+def _critical_bound(m: LaurentMap, radius: float) -> bool:
+    """Whether ``r - radius^-(M+1) sum_j j |a_j|``, a lower bound of ``|z'(w)|`` on
+    ``|w| >= radius`` for ``radius <= 1``, is positive, so that every critical
+    point lies in ``|w| < radius``.  The sum is held to a relative margin of
+    1e-12, far above its rounding."""
+    weight = float(np.arange(len(m.coeffs)) @ np.abs(m.coeffs))
+    return (1.0 + 1e-12) * weight < m.r * radius ** (m.order + 1)
+
+
+def univalence_witness(m: LaurentMap, n: int | None = None, grid=None):
     """Check the univalence invariant of the boundary map.
 
     The exact enclosed area over pi, ``r**2 - sum_j j |a_j|**2``, must be
-    positive (Gronwall's area theorem for univalent maps); it costs no grid
-    work and catches boundaries that cross themselves, which the separation
-    test can miss.  The sampled part requires pairwise-distinct boundary
-    images and ``|z'| > 0`` on the grid.  Since the series is truncated, the
-    critical points of the map are also checked exactly: a Schur-Cohn
-    recursion on the coefficients of ``w^(M+1) z'(w)`` decides whether every
-    zero of ``z'`` lies in ``|w| < 1 - 1e-9``, and only a map that fails it
-    pays for :func:`critical_points` (``np.roots``) to locate the escaped
-    point.  Returns ``(ok, min_separation, min_derivative, theta_worst)``
-    with ``theta_worst`` locating the worst derivative or the outermost
-    critical point.
+    positive (Gronwall's area theorem for univalent maps).  It costs no grid
+    work, but it is necessary and not sufficient: a boundary that crosses
+    itself can still enclose a positive area.  The sampled part requires
+    pairwise-distinct boundary images and ``|z'| > 0`` on the grid; the
+    separations are taken over each unordered pair once, as ``|z[i + k] -
+    z[i]|`` for ``k = 1 .. n/2``, whose minimum is the full matrix's to the
+    bit.  Since the series is truncated, the critical points of the map are
+    also checked exactly: all of them must lie in ``|w| < rho = 1 - 1e-9``.
+    On ``|w| >= rho``, ``|z'(w)| >= r - rho^-(M+1) sum_j j |a_j|``, so a map
+    whose bound is positive (:func:`_critical_bound`) passes at once.  Any
+    other map runs a Schur-Cohn recursion on the coefficients of
+    ``w^(M+1) z'(w)``, and only a map that fails it pays for
+    :func:`critical_points` (``np.roots``) to locate the escaped point.
+    ``grid`` is the map's ``(z, w z')`` samples when the caller already has
+    them.  Returns ``(ok, min_separation, min_derivative, theta_worst)`` with
+    ``theta_worst`` locating the worst derivative or the outermost critical
+    point.
     """
     n = _resolve_grid(m, n)
-    z, wzp = _grid_values(m, n)
+    z, wzp = _grid_values(m, n) if grid is None else grid
     zp = np.abs(wzp)
     imin = int(np.argmin(zp))
     theta_worst = 2.0 * np.pi * imin / n
-    dist = np.abs(z[:, None] - z[None, :])
-    np.fill_diagonal(dist, np.inf)
-    min_sep = float(dist.min())
+    min_sep = float(np.abs(z[_pair_offsets(n)] - z).min())
     sep_floor = 1e-9 * max(m.r, 1.0)
     area = m.r ** 2 - float(np.sum(np.arange(len(m.coeffs)) * np.abs(m.coeffs) ** 2))
     ok = (area > 0.0) and (min_sep > sep_floor) and (zp[imin] > 1e-8)
-    if ok and m.order > 0 and not _zeros_inside(_critical_polynomial(m), 1.0 - 1e-9):
+    rho = 1.0 - 1e-9
+    if ok and not _critical_bound(m, rho) and not _zeros_inside(_critical_polynomial(m), rho):
         ok = False
         crit = critical_points(m)
         theta_worst = float(np.angle(crit[np.argmax(np.abs(crit))]))

@@ -87,6 +87,7 @@ class DrivingFunction:
             self._knot_th = self.theta0 + np.concatenate([[0.0], np.cumsum(increments)])
         else:
             raise ValueError(f"unknown driving kind {kind!r}")
+        self._jumps = bool(np.any(np.diff(self._knot_q) == 0.0))
 
     @classmethod
     def constant(cls, theta0=0.0):
@@ -110,6 +111,16 @@ class DrivingFunction:
 
     def eta(self, q):
         return np.exp(1j * np.asarray(self.theta(q)))
+
+    def _eta_on(self, j, q):
+        """``eta`` at ``q`` as piece ``j`` (see :meth:`_slopes`) sees it: :meth:`eta`,
+        except at a repeated knot, a jump, where :meth:`eta` is the jump's last
+        value and the piece that ends there keeps the first."""
+        if not self._jumps:
+            return self.eta(q)
+        k = np.minimum(j, len(self._knot_q) - 1)
+        at_end = (j < len(self._knot_q)) & (q == self._knot_q[k])
+        return np.exp(1j * np.where(at_end, self._knot_th[k], self.theta(q)))
 
     def _slopes(self):
         """``theta'`` on each piece: piece ``j`` lies between knots ``j - 1`` and
@@ -248,18 +259,23 @@ def advance_many(w0, q_from, q_to, driving: DrivingFunction) -> AdvanceResult:
                 break
             wi, qi, ti, di, md = w[idx], q[idx], q_to[idx], direction[idx], min_dist[idx]
             li, forward, remaining = limit[idx], di > 0, np.abs(ti - qi)
-            gathered_at, eta_i, gather = steps, driving.eta(qi), False
-        u0 = wi * np.conj(eta_i)
-        dist = np.abs(u0 - 1.0)
-        np.minimum(md, dist, out=md)
-        ball = dist < ABSORB_TOL  # absorbed forward, a tip start backward
-        u0 = np.where(ball, 1.0 + 0j, u0) if ball.any() else u0
+            gathered_at, eta_i, gather = steps, None, False
         j = np.where(forward, np.searchsorted(knots, qi, "right"),
                      np.searchsorted(knots, qi, "left"))
         step = np.minimum(np.minimum(li, piece_step[j]),
                           np.abs(np.where(forward, upper[j], lower[j]) - qi))
         q_new = np.where(step < remaining, qi + di * step, ti)
         dq = q_new - qi
+        # both ends in the piece's own frame: past a jump the next piece starts
+        # in another frame than the last one ended in
+        if eta_i is None or driving._jumps:
+            eta_i = driving._eta_on(j, qi)
+        eta_end = driving._eta_on(j, q_new)
+        u0 = wi * np.conj(eta_i)
+        dist = np.abs(u0 - 1.0)
+        np.minimum(md, dist, out=md)
+        ball = dist < ABSORB_TOL  # absorbed forward, a tip start backward
+        u0 = np.where(ball, 1.0 + 0j, u0) if ball.any() else u0
         u, tau, good = _solve_piece(u0, dq, kappa[j], coef[:, j], dist)
         steps += 1
         hit = ball & forward
@@ -267,11 +283,10 @@ def advance_many(w0, q_from, q_to, driving: DrivingFunction) -> AdvanceResult:
             hit |= (tau.real / dq > 0.0) & (tau.real / dq <= 1.0) & (np.abs(tau.imag) <= _TAU_TOL)
         good |= hit
         if not good.all():
-            q_new = np.where(good, q_new, qi)
+            q_new, eta_end = np.where(good, q_new, qi), np.where(good, eta_end, eta_i)
             if not np.all(step[~good] >= 4.0 * _MIN_STEP):
                 raise IntegrationBreakdownError(f"no piece solve settles at q = {qi[~good][0]}")
         li = np.where(good, np.minimum(2.0 * li, BASE_STEP), 0.25 * step)
-        eta_end = driving.eta(q_new)
         w_new = np.where(good, u * eta_end, wi)
         remaining = np.abs(ti - q_new)
         if remaining.min() > 1e-15 and not hit.any():
@@ -313,7 +328,8 @@ def trace_and_track(family: LoewnerFamily, q_grid, snapshot_q=()):
     """Slit tips along ``q_grid`` and the tracked points at each ``snapshot_q``.
 
     Returns ``(tips, tracked)``: the forward map at ``eta(q)`` itself, from
-    the singular start, and the :class:`AdvanceResult` (with the copies' own
+    the singular start (at a jump of ``theta``, ``eta`` from below: the tip of
+    the branch the jump ends), and the :class:`AdvanceResult` (with the copies' own
     ``substeps``) of one copy of ``w = z / exp(q0)`` per snapshot and tracked
     point, snapshot-major.  Both share one call, each part getting what a
     call of its own would give."""
@@ -322,11 +338,13 @@ def trace_and_track(family: LoewnerFamily, q_grid, snapshot_q=()):
     _check_capacities(np.concatenate([q_grid, snapshot_q]), family)
     w0 = np.asarray(family.z_samples, dtype=complex) / family.r0
     n_tips, n_copies = len(q_grid), len(snapshot_q) * len(w0)
+    driving = family.driving
+    eta = driving._eta_on(np.searchsorted(driving._knot_q, q_grid, "left"), q_grid)
     res = advance_many(
-        np.concatenate([family.driving.eta(q_grid), np.tile(w0, len(snapshot_q))]),
+        np.concatenate([eta, np.tile(w0, len(snapshot_q))]),
         np.concatenate([q_grid, np.full(n_copies, family.q0)]),
         np.concatenate([np.full(n_tips, family.q0), np.repeat(snapshot_q, len(w0))]),
-        family.driving)
+        driving)
     if np.any(res.absorbed[:n_tips]):
         raise IntegrationBreakdownError("backward characteristic hit the driving point")
     parts = (res.w, res.absorbed, res.q_absorbed, res.min_eta_distance, res.point_substeps)

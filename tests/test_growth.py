@@ -281,9 +281,12 @@ def test_run_witnesses_each_map_once(monkeypatch):
     calls = []
     witness = laurent.univalence_witness
 
-    def counted(m, n=None):
+    def counted(m, n=None, grid=None):
+        # every map comes with its own grid samples, built once by the caller
+        z, wzp = laurent._grid_values(m, n)
+        assert np.array_equal(grid[0], z) and np.array_equal(grid[1], wzp)
         calls.append(m)
-        return witness(m, n)
+        return witness(m, n, grid)
 
     monkeypatch.setattr(laurent, "univalence_witness", counted)
     m = laurent.LaurentMap(1.0, [0.0, 0.1]).with_order(8)
@@ -291,6 +294,17 @@ def test_run_witnesses_each_map_once(monkeypatch):
     traj = growth.run(m, schedule)
     assert len(calls) == 7 + 1
     assert [c is rec.map for c, rec in zip(calls, traj.records)] == [True] * 8
+
+
+@pytest.mark.parametrize("flow", [growth.FlowSpec.t0_infinity(-1),
+                                  growth.FlowSpec.t0_source(4.0, -1)])
+def test_rk4_stage_refuses_a_non_positive_leading_coefficient(flow):
+    # the stages build no map (except under a source), yet keep the map's check:
+    # either sink takes the unit circle's t0 = r^2 down at unit rate, so dr/dt = -1/2
+    # and the half-step stage of dt = 10 has r = -1.5
+    m = laurent.LaurentMap(1.0, [0.0]).with_order(4)
+    with pytest.raises(ValueError, match="leading coefficient must be positive, got -"):
+        growth._rk4_step(m, flow, 10.0, 128)
 
 
 def test_run_rejects_non_univalent_start():

@@ -177,6 +177,59 @@ def test_schur_cohn_keeps_the_margin_inside_the_circle():
     assert not laurent._zeros_inside(poly, 1.0 - 1e-9)
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 8, 16, 33, 64])
+def test_critical_bound_implies_the_schur_cohn_decision(order):
+    # the witness skips Schur-Cohn wherever r - rho^-(M+1) sum_j j |a_j| > 0;
+    # maps with sum_j j |a_j| from 0.2 r to 1.5 r, and maps 1e-11 inside and
+    # outside the bound: a lone top term (critical points on a circle) and
+    # aligned real terms (a critical point on the real axis), the tight cases
+    rho = 1.0 - 1e-9
+    limit = rho ** (order + 1) / (1.0 + 1e-12)  # the largest sum_j j |a_j| / r that passes
+    rng = np.random.default_rng(order)
+    j = np.arange(1, order + 1)
+    lone = np.zeros(order)
+    lone[-1] = 1.0 / order
+    cases = []
+    for share in rng.uniform(0.2, 1.5, 200):
+        tail = rng.dirichlet(np.ones(order)) / j * np.exp(2j * np.pi * rng.uniform(size=order))
+        cases.append((share, tail, None))
+    for tail in (lone * np.exp(0.7j), rng.dirichlet(np.ones(order)) / j):
+        cases += [(limit * (1.0 - 1e-11), tail, True), (limit * (1.0 + 1e-11), tail, False)]
+    held = 0
+    for share, tail, expected in cases:
+        r = rng.uniform(0.5, 2.0)
+        m = laurent.LaurentMap(r, np.concatenate([rng.normal(size=1), share * r * tail]))
+        bound = laurent._critical_bound(m, rho)
+        assert expected is None or bound is expected
+        if bound:
+            held += 1
+            assert laurent._zeros_inside(laurent._critical_polynomial(m), rho), m
+    assert 40 < held < 180
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_witness_separation_is_the_all_pairs_minimum(n):
+    # each unordered pair once, |z[i + k] - z[i]| for k = 1 .. n/2, against the
+    # full matrix: |a - b| == |b - a| exactly, so the minima agree to the bit;
+    # tails up to twice the univalence bound give crossings and near-collisions,
+    # and the hourglass w - 0.9/w - 0.099/w^3 has its 0.002 wide waist between
+    # opposite nodes (k = n/2)
+    rng = np.random.default_rng(n)
+    maps = [laurent.LaurentMap(1.0, [0.0, -0.9, 0.0, -0.099])]
+    for _ in range(30):
+        order = int(rng.integers(0, n // 4))
+        r = rng.uniform(0.5, 2.0)
+        tail = rng.dirichlet(np.ones(order)) * rng.uniform(0.0, 2.0) * r / np.arange(1, order + 1)
+        coeffs = np.concatenate([rng.normal(size=1), tail]) * np.exp(
+            2j * np.pi * rng.uniform(size=order + 1))
+        maps.append(laurent.LaurentMap(r, coeffs))
+    for m in maps:
+        z, _ = laurent._grid_values(m, n)
+        dist = np.abs(z[:, None] - z[None, :])
+        np.fill_diagonal(dist, np.inf)
+        assert laurent.univalence_witness(m, n)[1] == dist.min()
+
+
 def test_witness_locates_the_escaped_critical_point_only_on_failure(monkeypatch):
     calls = []
     roots = laurent.critical_points

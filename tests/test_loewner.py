@@ -553,3 +553,35 @@ def test_slit_modes_satisfy_the_toda_reduction(k):
     rhs = ((laurent.phi_k(the_map, k, w) - laurent.phi_k(the_map, k, eta))
            * (w + eta) / (w - eta))
     assert_allclose(lhs, rhs, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("knots", [knots for knots, _ in MODE_DRIVINGS.values()],
+                         ids=MODE_DRIVINGS)
+def test_far_points_follow_the_mode_series(knots):
+    # z = e^q (w + sum_n a_n w^-n) both ways: forward_map carries w back to q0,
+    # advance_many carries z / r0 forward; each crosses the jump's knot at q = 0.2
+    family = loewner.default_family(0.0, 0.5, loewner.DrivingFunction.piecewise_linear(knots))
+    modes = loewner.slit_modes(family, 48)
+    w = 10.0 * np.exp(2j * np.pi * np.arange(8) / 8 + 0.3j)
+
+    def series(w, q):
+        return np.exp(q) * (w + np.polynomial.polynomial.polyval(1.0 / w, modes(q)))
+
+    for q in (0.15, 0.2, 0.35):
+        assert_allclose(loewner.forward_map(w, q, family), series(w, q), rtol=1e-13, atol=0)
+        forward = loewner.advance_many(w, 0.0, q, family.driving)
+        assert_allclose(series(forward.w, q), w, rtol=1e-13, atol=0)
+
+
+def test_a_jump_grows_a_new_branch_from_the_old_slit():
+    # theta jumps from 0.6 to 1.1 at q = 0.2.  The hull at q = 0.2 is still the
+    # old slit, whose tip is the trace's left limit; just after the jump a new
+    # branch grows from the old slit's side, at the point the old tip passed when
+    # it swallowed the circle point exp(1.1 i), a branch of length ~ sqrt(q - 0.2)
+    driving = loewner.DrivingFunction.piecewise_linear(MODE_DRIVINGS["jump"][0])
+    family = loewner.default_family(0.0, 0.5, driving)
+    side = loewner.advance_many(np.exp(1.1j), 0.2, 0.0, driving)
+    assert side.absorbed[0] and 0.05 < side.q_absorbed[0] < 0.06
+    tips = loewner.slit_trace(family, [side.q_absorbed[0], 0.2 - 1e-12, 0.2, 0.2 + 1e-12])
+    assert abs(tips[2] - tips[1]) < 1e-10
+    assert abs(tips[3] - tips[0]) < 1e-4 and abs(tips[3] - tips[2]) > 0.5
