@@ -44,7 +44,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InsufficientSamplesError
-from .laurent import LaurentMap
+from .laurent import LaurentMap, _horner
 
 log = logging.getLogger(__name__)
 
@@ -190,28 +190,12 @@ def _check_confining(config: GasConfig):
                          "the harmonic drive wins in the far field")
 
 
-def _times_polynomial(times: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """sum_k t_k z^k with t = times[0..K-1]."""
-    out = np.zeros_like(z)
-    p = np.ones_like(z)
-    for tk in times:
-        p = p * z
-        if tk != 0:
-            out = out + tk * p
-    return out
-
-
-def _times_polynomial_derivative(times: np.ndarray, z: np.ndarray, order: int = 1) -> np.ndarray:
-    """sum_k k (k-1) ... (k-order+1) t_k z^(k-order)."""
-    out = np.zeros_like(z)
-    p = np.ones_like(z)
-    for k, tk in enumerate(times, start=1):
-        if k < order:
-            continue
-        if tk != 0:
-            out = out + math.perm(k, order) * tk * p
-        p = p * z
-    return out
+def _times_polynomial(times: np.ndarray, z, order: int = 0):
+    """The drive ``W(z) = sum_k t_k z^k`` with ``t = times[0..K-1]``, or with
+    ``order`` its ``order``-th derivative ``sum_k k (k-1) ... (k-order+1) t_k
+    z^(k-order)``, by Horner's rule; 0 where that sum is empty."""
+    coeffs = [math.perm(k, order) * t for k, t in enumerate([0j, *times.tolist()])]
+    return _horner(coeffs[order:], z)
 
 
 @dataclass(frozen=True)
@@ -325,7 +309,7 @@ def _energy_gradient(z: np.ndarray, s, config: GasConfig, gradient: bool = True)
         e = -pair + (float(np.sum(np.abs(z) ** 2)) - drive) / hbar
     if not (gradient and e < np.inf):
         return e, None
-    drive_slope = _times_polynomial_derivative(config.times, z)
+    drive_slope = _times_polynomial(config.times, z, order=1)
     if on_curve:
         drive_force = 2.0 * np.real(drive_slope * config.curve.direction)
         return e, c * s / hbar - 2.0 * repulsion - drive_force / hbar
@@ -408,7 +392,7 @@ def _curve_hessian(s: np.ndarray, z: np.ndarray, config: GasConfig, out: np.ndar
     diagonal = out.reshape(-1)[::len(s) + 1]
     diagonal[:] = np.inf
     np.divide(-2.0, out, out=out)
-    drive = _times_polynomial_derivative(config.times, z, order=2) * config.curve.direction ** 2
+    drive = _times_polynomial(config.times, z, order=2) * config.curve.direction ** 2
     diagonal[:] = (config.confine - 2.0 * np.real(drive)) / config.hbar - out.sum(axis=1)
 
 
@@ -585,24 +569,25 @@ def _particle_field(config: GasConfig):
     """``field(z, s)``: one particle's field energy as a Python float.
 
     A configuration's energy is its pair term plus this summed over its
-    particles: ``(|z|^2 - 2 Re sum_k t_k z^k) / hbar`` in the plane and
-    ``c s^2 / (2 hbar) - 2 Re sum_k t_k z^k / hbar`` on a curve.  All of it
-    is Python float and complex arithmetic, the harmonic sum a Horner loop;
-    ``s * s`` rounds as numpy's ``s ** 2`` does.
+    particles: ``(|z|^2 - 2 Re W(z)) / hbar`` in the plane and
+    ``c s^2 / (2 hbar) - 2 Re W(z) / hbar`` on a curve, with the drive
+    ``W(z) = z sum_k t_k z^(k-1)``.  All of it is Python float and complex
+    arithmetic: the drive's coefficients are built once as Python complex
+    numbers and evaluated by one ``_horner`` call per field, with no Horner
+    step for the zero free term; a zero drive (a gas without times) is left
+    out, which is exact.  ``s * s`` rounds as numpy's ``s ** 2`` does.
     """
-    times = [complex(t) for t in config.times[::-1]]
+    times = config.times.tolist()
     hbar = config.hbar
-
-    def drive(z):
-        acc = 0j
-        for t in times:
-            acc = (acc + t) * z
-        return 2.0 * acc.real
-
+    c = config.confine
+    if not any(times):
+        if config.measure == "curve":
+            return lambda z, s: c * (s * s) / (2.0 * hbar)
+        return lambda z, s: (z.real * z.real + z.imag * z.imag) / hbar
     if config.measure == "curve":
-        c = config.confine
-        return lambda z, s: c * (s * s) / (2.0 * hbar) - drive(z) / hbar
-    return lambda z, s: (z.real * z.real + z.imag * z.imag - drive(z)) / hbar
+        return lambda z, s: c * (s * s) / (2.0 * hbar) - 2.0 * (z * _horner(times, z)).real / hbar
+    return lambda z, s: (z.real * z.real + z.imag * z.imag
+                         - 2.0 * (z * _horner(times, z)).real) / hbar
 
 
 def _proposal_delta(config: GasConfig):

@@ -131,16 +131,9 @@ def orlov_shulman(m: LaurentMap, moments: MomentVector, w):
     K = moments.order
     if len(moments.t) != K or len(moments.v) != K:
         raise ValueError("moment order mismatch")
-    w = np.asarray(w, dtype=complex)
     z = laurent.evaluate(m, w)
-    out = np.full(z.shape, moments.t0, dtype=complex)
-    p = np.ones_like(z)
-    zinv = 1.0 / z
-    q = np.ones_like(z)
-    for k in range(1, K + 1):
-        p = p * z
-        q = q * zinv
-        out = out + k * moments.t[k - 1] * p + moments.v[k - 1] * q
+    out = (laurent._horner(np.concatenate([[moments.t0], np.arange(1, K + 1) * moments.t]), z)
+           + laurent._horner(np.concatenate([[0.0], moments.v]), 1.0 / z))
     return out if out.ndim else complex(out)
 
 

@@ -128,7 +128,8 @@ def _mode_speed(k: int, family: loewner.LoewnerFamily):
     """``c_k(q) = 2 Re phi_k(eta(q))``, vectorized over ``q`` in the
     family's range: ``phi_k`` of the map ``exp(q) (w + sum_n a_n w^-n)``, whose
     first ``k - 1`` modes (all that ``phi_k`` reads) :func:`loewner.slit_modes`
-    gives exactly."""
+    gives exactly, one map per ``q`` in the batched kernel behind
+    :func:`laurent.phi_k`."""
     if k < 1:
         raise ValueError("k must be >= 1")
     modes = loewner.slit_modes(family, k - 1)
@@ -136,7 +137,7 @@ def _mode_speed(k: int, family: loewner.LoewnerFamily):
     def speed(q):
         q = np.asarray(q, dtype=float)
         r = np.exp(q)
-        phi = laurent.phi_k_many(r, r[..., None] * modes(q), k, family.driving.eta(q))
+        phi = laurent._phi_k_many(r, r[..., None] * modes(q), k, family.driving.eta(q))
         return 2.0 * phi.real
 
     return speed

@@ -22,8 +22,10 @@ that way, and a caller that already has a map's grid hands it to the
 witness.  The witness compares each unordered pair of grid points once, and
 settles the critical points without a Schur-Cohn recursion whenever
 ``r - rho^-(M+1) sum_j j |a_j|``, a lower bound of ``|z'|`` on ``|w| >= rho``,
-is positive.  Horner loops (:func:`evaluate` and :func:`derivative`) serve
-points off the grid only: Newton inversion, plotting and user queries.
+is positive.  Every truncated series evaluated at given points goes through
+one Horner evaluator, :func:`_horner`: the map and its derivative in ``1/w``
+(Newton inversion, plotting and user queries), ``phi_k`` in ``w``, the
+Orlov-Shulman function and the gas drive.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ import numpy as np
 
 from .errors import RootFindError, SeriesBudgetError
 
-DEFAULT_ORDER = 16
 DEFAULT_GRID = 128
 
 #: Relative tolerance and iteration cap of the Newton inversion in
@@ -168,6 +169,18 @@ def _spectrum(r, coeffs, n):
     return modes
 
 
+def _horner(coeffs, x):
+    """``sum_j coeffs[j] x**j`` by Horner's rule over the first axis of ``coeffs``.
+
+    ``x`` may be a Python scalar or an array, and the later axes of
+    ``coeffs`` broadcast against it.  Empty ``coeffs`` give 0.
+    """
+    out = 0
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
+
+
 def evaluate(m: LaurentMap, w):
     """Evaluate ``z(w) = r*w + sum_j a_j w**(-j)``.
 
@@ -176,14 +189,7 @@ def evaluate(m: LaurentMap, w):
     w = np.asarray(w, dtype=complex)
     if np.any(w == 0):
         raise ValueError("the map is not defined at w = 0")
-    out = m.r * w
-    if len(m.coeffs):
-        iw = 1.0 / w
-        p = np.ones_like(w)
-        for j, a in enumerate(m.coeffs):
-            if j > 0:
-                p = p * iw
-            out = out + a * p
+    out = m.r * w + _horner(m.coeffs, 1.0 / w)
     return out if out.ndim else out[()]
 
 
@@ -192,14 +198,8 @@ def derivative(m: LaurentMap, w):
     w = np.asarray(w, dtype=complex)
     if np.any(w == 0):
         raise ValueError("the map is not defined at w = 0")
-    out = np.full(w.shape, m.r, dtype=complex)
     iw = 1.0 / w
-    p = iw.copy()
-    for j, a in enumerate(m.coeffs):
-        if j == 0:
-            continue
-        p = p * iw
-        out = out - j * a * p
+    out = m.r - iw * _horner(np.arange(len(m.coeffs)) * m.coeffs, iw)
     return out if out.ndim else out[()]
 
 
@@ -285,50 +285,39 @@ def univalence_witness(m: LaurentMap, n: int | None = None, grid=None):
     return ok, min_sep, float(zp[imin]), theta_worst
 
 
-def _projection_grid(m: LaurentMap, k: int, n: int | None) -> int:
-    """The grid for ``A_k`` of the map; refuses ``k < 1`` and unresolved powers."""
+def _projection_grid(m: LaurentMap, k: int, n: int):
+    """Refuse ``k < 1`` and a ``z**k`` whose powers the ``n``-point grid cannot resolve."""
     if k < 1:
         raise ValueError("phi_k is defined for k >= 1")
-    n = _resolve_grid(m, n)
     budget = n // 2 - 1
     if k > budget or k * m.order > budget:
         raise SeriesBudgetError(
             f"z**{k} spans powers [{-k * m.order}, {k}] but the grid of size {n} "
             f"resolves only |m| <= {budget}"
         )
-    return n
-
-
-def _ak_coefficients(z: np.ndarray, k: int) -> np.ndarray:
-    """``A_k``'s coefficients (ascending powers of ``w``) from the grid samples ``z``
-    (last axis), one map per leading index."""
-    modes = np.fft.fft(z ** k, axis=-1) / z.shape[-1]
-    coeffs = np.zeros(z.shape[:-1] + (k + 1,), dtype=complex)
-    coeffs[..., 0] = 0.5 * modes[..., 0]
-    coeffs[..., 1 : k + 1] = modes[..., 1 : k + 1]
-    return coeffs
 
 
 def _phi_values(z: np.ndarray, k: int, w) -> np.ndarray:
-    """``phi_k`` at ``w`` from the grid samples ``z``: Horner on ``w d/dw A_k``.
+    """``phi_k`` at ``w`` from the grid samples ``z`` (last axis): Horner on
+    ``w d/dw A_k = sum_j j c_j w**j``, with ``c_j`` the modes of ``z**k``.
 
     ``z`` holds one map per leading index, and ``w`` broadcasts against them."""
-    weighted = np.moveaxis(_ak_coefficients(z, k) * np.arange(k + 1), -1, 0)
-    return np.polynomial.polynomial.polyval(w, weighted, tensor=False)
+    modes = np.fft.fft(z ** k, axis=-1)[..., : k + 1] / z.shape[-1]
+    return _horner(np.moveaxis(modes * np.arange(k + 1), -1, 0), w)
 
 
-def phi_k(m: LaurentMap, k: int, w, n: int | None = None):
+def phi_k(m: LaurentMap, k: int, w):
     """Velocity generator ``phi_k(w) = w * d/dw A_k(w)``.
 
     ``A_k`` is the degree-``k`` polynomial in ``w`` holding the strictly
-    positive powers of ``z**k`` plus half its free term.
+    positive powers of ``z**k`` plus half its free term.  ``w`` may be a
+    scalar or an array; this is :func:`_phi_k_many` of one map.
     """
-    z, _ = _grid_values(m, _projection_grid(m, k, n))
-    out = _phi_values(z, k, np.asarray(w, dtype=complex))
+    out = _phi_k_many(m.r, m.coeffs, k, w)
     return out if out.ndim else complex(out)
 
 
-def phi_k_many(r, coeffs, k: int, w):
+def _phi_k_many(r, coeffs, k: int, w):
     """:func:`phi_k` of many maps: the map ``r[i] w + sum_j coeffs[i, j] w**-j``
     at ``w[i]``, for every leading index ``i`` of ``r``, ``coeffs`` and ``w``.
 

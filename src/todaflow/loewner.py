@@ -68,7 +68,8 @@ class DrivingFunction:
         if kind == "constant":
             self._knot_q = self._knot_th = np.empty(0)
         elif kind == "piecewise_linear":
-            knots = sorted((float(q), float(th)) for q, th in knots)
+            # on q alone, and stably, so a repeated q keeps its jump's direction
+            knots = sorted(((float(q), float(th)) for q, th in knots), key=lambda knot: knot[0])
             if len(knots) < 2:
                 raise ValueError("piecewise-linear driving needs at least two knots")
             self._knot_q = np.array([q for q, _ in knots])

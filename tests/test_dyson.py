@@ -644,13 +644,29 @@ def test_proposal_delta_matches_the_energy_difference(make_config):
     assert delta(z.copy(), s, 0, complex(z[1]), None if s is None else s[1]) == np.inf
 
 
+def drive_reference(times, z):
+    """W(z) = sum_k t_k z^k written out as z (t_1 + z (t_2 + ...)), the kernel's rounding order."""
+    out = np.zeros_like(z)
+    for t in times[::-1]:
+        out = (out + t) * z
+    return out
+
+
+def drive_slope_reference(times, z):
+    """W'(z) = sum_k k t_k z^(k-1) written out as t_1 + z (2 t_2 + z (3 t_3 + ...))."""
+    out = np.zeros_like(z)
+    for k in range(len(times), 0, -1):
+        out = out * z + k * times[k - 1]
+    return out
+
+
 def curve_energy_gradient_reference(z, s, config):
     """E and dE/ds from the complex reference kernels, as curves used before their real pass."""
     c, hbar = config.confine, config.hbar
-    drive = 2.0 * np.real(np.sum(dyson._times_polynomial(config.times, z)))
+    drive = 2.0 * np.real(np.sum(drive_reference(config.times, z)))
     e = -pair_log_sum_reference(z) + float(np.sum(c * s ** 2 / (2.0 * hbar))) - drive / hbar
     pull = (repulsion_reference(z)
-            + np.conj(dyson._times_polynomial_derivative(config.times, z)) / hbar)
+            + np.conj(drive_slope_reference(config.times, z)) / hbar)
     force = 2.0 * np.real(pull * np.conj(config.curve.direction)) - c * s / hbar
     return e, -force
 
@@ -658,9 +674,9 @@ def curve_energy_gradient_reference(z, s, config):
 def plane_energy_gradient_reference(z, config):
     """E and dE/dzbar from the complex reference kernels, in the plane's rounding order."""
     hbar = config.hbar
-    drive = 2.0 * np.real(np.sum(dyson._times_polynomial(config.times, z)))
+    drive = 2.0 * np.real(np.sum(drive_reference(config.times, z)))
     e = -pair_log_sum_reference(z) + (float(np.sum(np.abs(z) ** 2)) - drive) / hbar
-    slope = np.conj(dyson._times_polynomial_derivative(config.times, z))
+    slope = np.conj(drive_slope_reference(config.times, z))
     return e, (z - slope) / hbar - repulsion_reference(z)
 
 
@@ -739,8 +755,8 @@ def metropolis_reference(config, sweeps):
             return np.inf
         pair = -2.0 * (np.sum(np.log(d_new)) - np.sum(np.log(d_old))) if len(others) else 0.0
         drive = 2.0 * np.real(
-            dyson._times_polynomial(config.times, np.array([z_new_j]))
-            - dyson._times_polynomial(config.times, np.array([z[j]]))
+            drive_reference(config.times, np.array([z_new_j]))
+            - drive_reference(config.times, np.array([z[j]]))
         )[0]
         if on_curve:
             conf = float(confinement(np.array([s_new_j]))[0] - confinement(np.array([s[j]]))[0])
@@ -749,7 +765,7 @@ def metropolis_reference(config, sweeps):
         return pair + (u - drive) / config.hbar
 
     def energy(z, s):
-        drive = 2.0 * np.real(np.sum(dyson._times_polynomial(config.times, z)))
+        drive = 2.0 * np.real(np.sum(drive_reference(config.times, z)))
         if on_curve:
             return (-pair_log_sum_reference(z) + float(np.sum(confinement(s)))
                     - drive / config.hbar)
@@ -793,8 +809,9 @@ def metropolis_reference(config, sweeps):
     (dyson.GasConfig(N=1, hbar=0.5, times=[0.3], seed=21,
                      schedule=dyson.Schedule(proposal_scale=0.5)), 400),
     (dyson.GasConfig(N=24, hbar=1 / 24, times=[0.1, 0.05j], seed=9), 60),
+    (dyson.GasConfig(N=24, hbar=1 / 24, seed=9), 60),
     (real_line_gas(24, seed=2), 60),
-], ids=["plane-1", "plane-24", "real_line-24"])
+], ids=["plane-1", "plane-24", "plane-24-no-times", "real_line-24"])
 def test_metropolis_chain_equals_the_reference_sampler(cfg, sweeps):
     run = dyson.metropolis(cfg, sweeps)
     samples, acceptance, scale = metropolis_reference(cfg, sweeps)

@@ -322,8 +322,6 @@ def test_run_refuses_a_harmonic_leg_the_grid_cannot_resolve(monkeypatch):
     with pytest.raises(SeriesBudgetError, match=r"z\*\*4 spans powers \[-64, 4\]") as err:
         growth.run(m, schedule, n=128)
     assert err.value.leg == 1 and steps == []
-    with pytest.raises(SeriesBudgetError):
-        laurent.phi_k(m, 4, 1.0, n=128)
 
 
 def test_step_refuses_a_harmonic_flow_the_grid_cannot_resolve(monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from todaflow import laurent
-from todaflow.errors import RootFindError, SeriesBudgetError
+from todaflow.errors import RootFindError
 
 
 def test_evaluate_linear_map():
@@ -61,10 +61,22 @@ def test_phi_k_joukowski_square():
     assert_allclose(laurent.phi_k(m, 2, w), 2.0 * w ** 2, atol=1e-12)
 
 
-def test_phi_k_budget_error():
-    m = laurent.LaurentMap(1.0, np.full(17, 0.01))  # M = 16
-    with pytest.raises(SeriesBudgetError):
-        laurent.phi_k(m, 8, 1.0, n=128)
+def test_phi_k_resolves_every_power_of_z_k():
+    # z**8 of an order-16 map spans powers [-128, 8], beyond the map's default
+    # 128 grid; phi_k takes a grid that holds them, so a finer one agrees
+    m = laurent.LaurentMap(1.0, np.full(17, 0.01))
+    w = np.array([1.0, 0.7 + 0.2j, 1.5j])
+    z = np.fft.ifft(laurent._spectrum(m.r, m.coeffs, 2048), norm="forward")
+    assert_allclose(laurent.phi_k(m, 8, w), laurent._phi_values(z, 8, w), rtol=1e-13)
+
+
+def test_phi_k_is_the_batched_kernel_of_one_map():
+    m = laurent.LaurentMap(1.3, [0.4, 0.1j, -0.05])
+    w = np.array([1.0, 0.7 + 0.2j, 1.5j])
+    for k in (1, 2, 5):
+        many = laurent._phi_k_many(m.r, m.coeffs, k, w)
+        assert np.array_equal(laurent.phi_k(m, k, w), many)
+        assert laurent.phi_k(m, k, w[1]) == many[1]
 
 
 def test_phi_k_values():
@@ -75,6 +87,25 @@ def test_phi_k_values():
     assert_allclose(laurent.phi_k(mj, 2, 1.0), 2.0, atol=1e-12)
     m3 = laurent.LaurentMap(2.0, [])
     assert_allclose(laurent.phi_k(m3, 3, 1j), 24j * 1j ** 2, atol=1e-11)
+
+
+@pytest.mark.parametrize("x", [0.7 - 0.4j, np.array([0.5, -1.2 + 0.3j, 2j])],
+                         ids=["python-complex", "array"])
+def test_horner_matches_the_power_sum(x):
+    coeffs = [0.3, -1.0 + 0.5j, 0.25j, 2.0]
+    explicit = sum(c * x ** j for j, c in enumerate(coeffs))
+    assert_allclose(laurent._horner(coeffs, x), explicit, rtol=1e-14)
+    assert laurent._horner([], x) == 0
+
+
+def test_horner_broadcasts_batched_coefficients():
+    # column i holds the coefficients of the polynomial evaluated at x[i]
+    rng = np.random.default_rng(4)
+    coeffs = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+    x = np.array([0.9, -0.4 + 1.1j, 0.3j])
+    explicit = [sum(coeffs[j, i] * x[i] ** j for j in range(5)) for i in range(3)]
+    assert_allclose(laurent._horner(coeffs, x), explicit, rtol=1e-14)
+    assert laurent._horner(np.zeros((0, 3)), x) == 0
 
 
 def test_inverse_evaluate_examples():

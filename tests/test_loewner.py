@@ -162,6 +162,13 @@ def test_integrator_convergence_order():
     assert gaps[1] / gaps[2] == pytest.approx(16.0, rel=0.35)
 
 
+def test_a_downward_jump_keeps_its_direction():
+    # a repeated knot sorted as (q, theta) pairs turned 1.1 -> 0.6 into 0.6 -> 1.1
+    drv = loewner.DrivingFunction.piecewise_linear([(0.0, 0.0), (0.2, 1.1), (0.2, 0.6), (0.5, 0.9)])
+    assert drv.theta(0.2 - 1e-12) == pytest.approx(1.1, abs=1e-9)
+    assert drv.theta(0.2 + 1e-12) == pytest.approx(0.6, abs=1e-9)
+
+
 def test_boundary_bracket_vanishes_for_slit_families():
     for drv in (CONST, loewner.DrivingFunction.piecewise_linear([(0.0, 0.0), (1.0, 1.0)])):
         fam = loewner.LoewnerFamily(0.0, 0.5, drv)
