@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -616,32 +617,70 @@ def _stiff_ray():
                            curve=dyson.CurveSpec.ray(0.5 + 0.5j, 1.0 + 1.0j), confine=2.5)
 
 
+def _log_row(x, j, x_new):
+    """log|x - x_new| with entry j masked to 0, the sampler's one distance row."""
+    d = np.abs(x - x_new)
+    d[j] = 1.0
+    return np.log(d)
+
+
 @pytest.mark.parametrize("make_config", [_plane_with_times, _ray, _segment, _stiff_ray])
 def test_proposal_delta_matches_the_energy_difference(make_config):
+    # the sampler's energy change -2 (S - L_j) + field(new) - field_j from its caches;
+    # every move is taken, and the caches follow it by the sampler's accept rule
     cfg = make_config()
     rng = np.random.default_rng(3)
-    delta = dyson._proposal_delta(cfg)
+    field = dyson._particle_field(cfg)
     if cfg.measure == "curve":
         s = np.sort(rng.uniform(0.0, 1.8, cfg.N))
         z = cfg.curve.point(s)
     else:
         s = None
         z = rng.normal(size=cfg.N) + 1j * rng.normal(size=cfg.N)
-    before = energy(dyson.GasState(z, s), cfg)
+    potential = dyson._log_potentials(z if s is None else s)
+    fields = [field(complex(z[j]), None if s is None else s[j]) for j in range(cfg.N)]
     for j in range(cfg.N):
+        before = energy(dyson.GasState(z, s), cfg)
         z_after = z.copy()
         if s is None:
             s_new, s_after = None, None
             z_after[j] = z[j] + 0.3 * (rng.normal() + 1j * rng.normal())
+            x, x_new = z, z_after[j]
         else:
             s_after = s.copy()
             s_new = s_after[j] = s[j] + 0.1 * rng.normal()
             z_after[j] = cfg.curve.point(s_new)
+            x, x_new = s, s_new
+        log_new = _log_row(x, j, x_new)
+        pair = float(log_new.sum())
+        field_new = field(complex(z_after[j]), s_new)
+        delta = -2.0 * (pair - potential[j]) + field_new - fields[j]
         after = energy(dyson.GasState(z_after, s_after), cfg)
-        assert delta(z.copy(), s, j, complex(z_after[j]), s_new) == pytest.approx(
-            after - before, rel=1e-9)
-    # a move onto another particle is never accepted
-    assert delta(z.copy(), s, 0, complex(z[1]), None if s is None else s[1]) == np.inf
+        assert delta == pytest.approx(after - before, rel=1e-9)
+        potential += log_new - _log_row(x, j, x[j])
+        potential[j] = pair
+        fields[j] = field_new
+        z, s = z_after, s_after
+    x = z if s is None else s
+    fresh = dyson._log_potentials(x)
+    assert np.max(np.abs(potential - fresh)) <= 1e-13 * np.max(np.abs(fresh))
+    # a move onto another particle costs +inf
+    with np.errstate(divide="ignore"):
+        assert -2.0 * (_log_row(x, 0, x[1]).sum() - potential[0]) == np.inf
+
+
+@pytest.mark.parametrize("n_particles", [1, 2, 3, 127, 128, 129, 1025])
+def test_log_potentials_sum_to_the_pair_energy(n_particles):
+    rng = np.random.default_rng(n_particles)
+    plane = rng.normal(size=n_particles) + 1j * rng.normal(size=n_particles)
+    curve = np.sort(rng.uniform(0.0, 4.0, n_particles))
+    for x in (plane, curve):
+        potentials = dyson._log_potentials(x)
+        pair, _ = dyson._pair_pass(x, forces=False)
+        assert abs(float(np.sum(potentials)) - pair) <= 1e-13 * abs(pair)
+        rows = [float(np.sum(_log_row(x, j, x[j]))) for j in range(n_particles)]
+        assert np.max(np.abs(potentials - rows), initial=0.0) <= (
+            1e-13 * np.max(np.abs(potentials), initial=0.0))
 
 
 def drive_reference(times, z):
@@ -748,21 +787,23 @@ def metropolis_reference(config, sweeps):
     burn_in = min(max(20, sweeps // 5), sweeps - 1)
 
     def delta_energy(j, z_new_j, s_new_j):
+        """The energy change, and whether the move lands closer than MIN_SEPARATION."""
         others = np.delete(z, j)
         d_new = np.abs(z_new_j - others)
         d_old = np.abs(z[j] - others)
-        if len(others) and d_new.min() < dyson.MIN_SEPARATION:
-            return np.inf
-        pair = -2.0 * (np.sum(np.log(d_new)) - np.sum(np.log(d_old))) if len(others) else 0.0
+        too_close = bool(len(others)) and d_new.min() < dyson.MIN_SEPARATION
+        with np.errstate(divide="ignore"):
+            pair = (-2.0 * (np.sum(np.log(d_new)) - np.sum(np.log(d_old))) if len(others)
+                    else 0.0)
         drive = 2.0 * np.real(
             drive_reference(config.times, np.array([z_new_j]))
             - drive_reference(config.times, np.array([z[j]]))
         )[0]
         if on_curve:
             conf = float(confinement(np.array([s_new_j]))[0] - confinement(np.array([s[j]]))[0])
-            return pair + conf - drive / config.hbar
+            return pair + conf - drive / config.hbar, too_close
         u = float(potential(np.array([z_new_j]))[0] - potential(np.array([z[j]]))[0])
-        return pair + (u - drive) / config.hbar
+        return pair + (u - drive) / config.hbar, too_close
 
     def energy(z, s):
         drive = 2.0 * np.real(np.sum(drive_reference(config.times, z)))
@@ -773,6 +814,8 @@ def metropolis_reference(config, sweeps):
                                              - drive) / config.hbar
 
     samples, accepted, proposed, tune_acc, tune_prop = [], 0, 0, 0, 0
+    # moves rejected for landing too close, by the sign of their energy change
+    too_close_hits = {"dE <= 0": 0, "dE > 0": 0}
     lo, hi = config.curve.bounds if on_curve else (None, None)
     for sweep in range(1, sweeps + 1):
         for j in range(config.N):
@@ -786,7 +829,15 @@ def metropolis_reference(config, sweeps):
             else:
                 s_new = None
                 z_new = z[j] + scale * (rng.normal() + 1j * rng.normal())
-            dE = delta_energy(j, z_new, s_new)
+            dE, too_close = delta_energy(j, z_new, s_new)
+            if too_close:
+                # one uniform per such move, whatever its energy change
+                u = rng.uniform()
+                if dE <= 0:
+                    too_close_hits["dE <= 0"] += 1
+                elif u < math.exp(-min(dE, 700.0)):
+                    too_close_hits["dE > 0"] += 1
+                continue
             if dE <= 0 or rng.uniform() < math.exp(-min(dE, 700.0)):
                 z[j] = z_new
                 if on_curve:
@@ -802,7 +853,19 @@ def metropolis_reference(config, sweeps):
             tune_acc = tune_prop = 0
         if sweep > burn_in:
             samples.append((z.copy(), energy(z, s)))
-    return samples, accepted / proposed, scale
+    return samples, accepted / proposed, scale, too_close_hits
+
+
+def assert_chain_equals_the_reference(cfg, sweeps, energy_rel=0.0):
+    """Run both samplers; return the reference's too-close counts."""
+    run = dyson.metropolis(cfg, sweeps)
+    samples, acceptance, scale, too_close_hits = metropolis_reference(cfg, sweeps)
+    assert run.acceptance == acceptance and run.proposal_scale == scale
+    assert len(run.samples) == len(samples)
+    for sample, (z, e) in zip(run.samples, samples):
+        assert np.array_equal(sample.positions, z)
+        assert sample.energy == pytest.approx(e, rel=energy_rel, abs=0)
+    return too_close_hits
 
 
 @pytest.mark.parametrize("cfg, sweeps", [
@@ -811,13 +874,23 @@ def metropolis_reference(config, sweeps):
     (dyson.GasConfig(N=24, hbar=1 / 24, times=[0.1, 0.05j], seed=9), 60),
     (dyson.GasConfig(N=24, hbar=1 / 24, seed=9), 60),
     (real_line_gas(24, seed=2), 60),
-], ids=["plane-1", "plane-24", "plane-24-no-times", "real_line-24"])
+    (replace(_ray(), N=24, seed=4), 60),
+    (replace(_segment(), N=24, seed=5), 60),
+    # 40 sweeps of 128 particles, so that the cached log potentials drift
+    (dyson.GasConfig(N=128, hbar=1 / 128, seed=6), 40),
+], ids=["plane-1", "plane-24", "plane-24-no-times", "real_line-24", "ray-24", "segment-24",
+        "plane-128"])
 def test_metropolis_chain_equals_the_reference_sampler(cfg, sweeps):
-    run = dyson.metropolis(cfg, sweeps)
-    samples, acceptance, scale = metropolis_reference(cfg, sweeps)
-    assert run.acceptance == acceptance and run.proposal_scale == scale
-    assert len(run.samples) == len(samples)
-    for sample, (z, e) in zip(run.samples, samples):
-        assert np.array_equal(sample.positions, z)
-        assert sample.energy == e
+    # the reference scores a slanted curve's pairs by |z_m - z_n|, the sampler by
+    # |s_m - s_n|: their energies agree to roundoff
+    slanted = cfg.curve is not None and cfg.curve.direction != 1
+    assert_chain_equals_the_reference(cfg, sweeps, energy_rel=1e-12 if slanted else 0.0)
+
+
+def test_metropolis_rejects_moves_closer_than_the_separation(monkeypatch):
+    # at this separation some too-close moves would be taken at dE <= 0 and some
+    # at dE > 0; each draws one uniform and is rejected
+    monkeypatch.setattr(dyson, "MIN_SEPARATION", 0.2)
+    hits = assert_chain_equals_the_reference(dyson.GasConfig(N=24, hbar=1 / 24, seed=9), 60)
+    assert hits["dE <= 0"] > 0 and hits["dE > 0"] > 0
 
