@@ -661,7 +661,7 @@ def _run_dyson(cfg: ScenarioConfig, emit):
         trace = state.trace
     else:
         run_result = dyson.metropolis(config, p["sweeps"])
-        state = run_result.samples[-1]
+        state = run_result.state
         extra = {"acceptance": run_result.acceptance,
                  "proposal_scale": run_result.proposal_scale,
                  "energy": float(state.energy),

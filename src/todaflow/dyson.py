@@ -10,30 +10,28 @@ The eigenvalue integrand is carried around as an energy
 
 with ``t0 = hbar * N`` held finite and the coefficient ``c`` given as
 ``GasConfig.confine``; both fields and their forces are closed forms.
-Curves are straight, so their pair terms are real.  The equilibrium
-configuration is found deterministically: on a curve by damped projected
-Newton over the N curve parameters, on a dense explicit Hessian (8 N^2
-bytes, O(N^3) time per iteration), and in the plane by L-BFGS over the 2N
-coordinates, keeping the lowest of a few seeded starts.  A seeded
-Metropolis sampler provides the finite-hbar companion.  It caches each
-particle's log potential ``sum_{m != j} log|z_m - z_j|`` and field, built
-once per chain in O(N^2), so a proposal costs O(N): one distance row and a
-scalar field term; an accepted move updates the caches from that row and
-the particle's old one.  Only a move that would be accepted is tested for
-a partner closer than ``MIN_SEPARATION``; it is then rejected, having
-drawn one uniform, as a move of infinite energy change would.  The
-cached potentials drift from a fresh sum by about 2e-12 over 30 sweeps at
-N = 1024, where they reach 507.  The support of the minimizer reproduces
-the growing domains of the contour-dynamics module; its boundary is
-extracted by angular binning.
+Curves are straight, so their pair terms are real.
 
-Both measures score their pairs by one pass, ``_pair_pass``, over the
-curve parameters or the plane positions: one call gives the pair energy
-and, when asked, every pair force.  It works in row blocks of at most
-``_PAIR_BLOCK`` = 16,384 differences, with no N x N matrix, and fills the
-N(N-1)/2 distances into one buffer in ``triu`` order, summed in one
-``np.sum``: the minimizers are sensitive to that order at the ulp level,
-and on the real line it makes real and complex input agree bit for bit.
+Every kernel works on one coordinate vector ``x``: the curve parameters
+``s`` on a curve and the positions ``z`` in the plane; a curve's
+``z = curve.point(s)`` is formed only for the drive terms and for the
+``GasState`` a run returns.  The equilibrium configuration is found
+deterministically: on a curve by damped projected Newton over ``s``, on a
+dense explicit Hessian (8 N^2 bytes, O(N^3) time per iteration), and in
+the plane by L-BFGS over the 2N coordinates, keeping the lowest of a few
+seeded starts.  A seeded Metropolis sampler provides the finite-hbar
+companion, at O(N) per proposal from cached per-particle log potentials
+(see ``metropolis``).  The support of the minimizer reproduces the growing
+domains of the contour-dynamics module; its boundary is extracted by
+angular binning.
+
+Both measures score their pairs by one pass, ``_pair_pass``, over ``x``:
+one call gives the pair energy and, when asked, every pair force.  It
+works in row blocks of at most ``_PAIR_BLOCK`` = 16,384 differences, with
+no N x N matrix, and fills the N(N-1)/2 distances into one buffer in
+``triu`` order, summed in one ``np.sum``: the minimizers are sensitive to
+that order at the ulp level, and on the real line it makes real and
+complex input agree bit for bit.
 
 ``scipy.linalg`` (the curve Newton's Cholesky factorization),
 ``scipy.optimize`` (the plane minimizer) and ``scipy.spatial`` (the plane
@@ -292,26 +290,27 @@ def _pair_pass(x: np.ndarray, forces: bool = True):
     return 2.0 * float(np.sum(np.log(d, out=d))), repulsion
 
 
-def _energy_gradient(z: np.ndarray, s, config: GasConfig, gradient: bool = True):
+def _energy_gradient(x: np.ndarray, config: GasConfig, gradient: bool = True):
     """Energy and, with ``gradient``, ``dE/ds`` on a curve or ``dE/dzbar`` in the plane.
 
-    The pair terms come from one ``_pair_pass`` over ``s`` on a curve and
-    ``z`` in the plane; the field's part of ``dE/dzbar`` is ``z`` and of
-    ``dE/ds`` is ``c s``, over ``hbar``.  Coincident particles give the
-    ``+inf`` sentinel; the gradient is None where the energy is not finite.
+    ``x`` is the curve parameters ``s`` on a curve and the positions ``z``
+    in the plane.  The pair terms come from one ``_pair_pass`` over ``x``
+    and the drive from ``z``, on a curve ``curve.point(s)``; the field's
+    part of ``dE/dzbar`` is ``z`` and of ``dE/ds`` is ``c s``, over
+    ``hbar``.  Coincident particles give the ``+inf`` sentinel; the
+    gradient is None where the energy is not finite.
     """
-    on_curve = config.measure == "curve"
-    if on_curve and s is None:
-        raise ValueError("a curve-measure gas needs the parameter vector")
-    pair, repulsion = _pair_pass(s if on_curve else z, forces=gradient)
+    pair, repulsion = _pair_pass(x, forces=gradient)
     if pair == -np.inf:
         log.debug("coincident particles: energy sentinel +inf")
         return np.inf, None
     hbar = config.hbar
+    on_curve = config.measure == "curve"
+    z = config.curve.point(x) if on_curve else x
     drive = 2.0 * np.real(np.sum(_times_polynomial(config.times, z)))
     if on_curve:
         c = config.confine
-        e = -pair + float(np.sum(c * s ** 2 / (2.0 * hbar))) - drive / hbar
+        e = -pair + float(np.sum(c * x ** 2 / (2.0 * hbar))) - drive / hbar
     else:
         e = -pair + (float(np.sum(np.abs(z) ** 2)) - drive) / hbar
     if not (gradient and e < np.inf):
@@ -319,7 +318,7 @@ def _energy_gradient(z: np.ndarray, s, config: GasConfig, gradient: bool = True)
     drive_slope = _times_polynomial(config.times, z, order=1)
     if on_curve:
         drive_force = 2.0 * np.real(drive_slope * config.curve.direction)
-        return e, c * s / hbar - 2.0 * repulsion - drive_force / hbar
+        return e, c * x / hbar - 2.0 * repulsion - drive_force / hbar
     return e, (z - np.conj(drive_slope)) / hbar - repulsion
 
 
@@ -329,18 +328,25 @@ def _wall_clamped(s: np.ndarray, f_s: np.ndarray, curve: CurveSpec) -> np.ndarra
     return np.where(pushed, 0.0, f_s)
 
 
-def _initial_configuration(config: GasConfig, rng: np.random.Generator):
+def _initial_configuration(config: GasConfig, rng: np.random.Generator) -> np.ndarray:
+    """Seeded start coordinates: positions in the plane, sorted parameters on a curve."""
     if config.measure == "plane":
         radius = math.sqrt(config.t0)
         rho = radius * np.sqrt(rng.uniform(0.0, 1.0, config.N))
         ang = rng.uniform(0.0, 2.0 * np.pi, config.N)
-        return rho * np.exp(1j * ang), None
+        return rho * np.exp(1j * ang)
     span = 2.0 * math.sqrt(config.t0)
     lo, hi = config.curve.bounds
     a = lo if np.isfinite(lo) else -span
     b = min(hi, a + 2.0 * span)
-    s = np.sort(rng.uniform(a, b, config.N))
-    return config.curve.point(s), s
+    return np.sort(rng.uniform(a, b, config.N))
+
+
+def _state(config: GasConfig, x: np.ndarray, **outcome) -> GasState:
+    """The ``GasState`` of coordinates ``x``, at ``z = curve.point(x)`` on a curve."""
+    if config.measure == "curve":
+        return GasState(config.curve.point(x), x, **outcome)
+    return GasState(x, **outcome)
 
 
 def minimize(config: GasConfig) -> GasState:
@@ -350,7 +356,8 @@ def minimize(config: GasConfig) -> GasState:
     ``_curve_newton``).  The plane runs L-BFGS over the 2N coordinates
     ``(Re z, Im z)`` (see ``_lbfgs``); its energy has metastable crystalline
     minima, so it keeps the lowest energy of ``_PLANE_STARTS`` deterministic
-    starts, the earlier start on a tie (see ``_plane_starts``).
+    starts, the earlier start on a tie: start 0 draws from
+    ``default_rng(seed)``, the others from ``SeedSequence(seed).spawn``.
     ``iterations``, ``trace`` and ``converged`` describe the kept start,
     ``evaluations`` counts every start, and ``max_iterations`` bounds each
     start.  Converged means ``max |force| < tol`` with the default tolerance
@@ -361,44 +368,37 @@ def minimize(config: GasConfig) -> GasState:
     sched = config.schedule
     tol = sched.tolerance if sched.tolerance is not None else 1e-8 * config.N / config.hbar
     if config.measure == "curve":
-        s, trace, evaluations = _curve_newton(config, sched.max_iterations)
-        z = config.curve.point(s)
+        x, trace, evaluations = _curve_newton(config, sched.max_iterations)
     else:
-        n = config.N
-        to_z = lambda x: x[:n] + 1j * x[n:]
-
-        def plane_fun(x):
-            e, grad = _energy_gradient(to_z(x), None, config)
-            return e, None if grad is None else 2.0 * np.concatenate((grad.real, grad.imag))
-
-        runs = [_lbfgs(plane_fun,
-                       lambda x, grad: 0.5 * float(np.max(np.hypot(grad[:n], grad[n:]))),
-                       np.concatenate((z0.real, z0.imag)), tol, sched.max_iterations)
-                for z0 in _plane_starts(config)]
+        children = np.random.SeedSequence(config.seed).spawn(_PLANE_STARTS - 1)
+        rngs = [np.random.default_rng(config.seed)] + [np.random.default_rng(c) for c in children]
+        runs = [_lbfgs(config, _initial_configuration(config, rng), tol, sched.max_iterations)
+                for rng in rngs]
         # min keeps the first of equal energies
         x, trace, _ = min(runs, key=lambda run: run[1][-1][1])
-        z, s, evaluations = to_z(x), None, sum(run[2] for run in runs)
-    state = GasState(z, s, energy=trace[-1][1], converged=trace[-1][2] < tol,
-                     iterations=len(trace) - 1, trace=tuple(trace), evaluations=evaluations)
+        evaluations = sum(run[2] for run in runs)
+    state = _state(config, x, energy=trace[-1][1], converged=trace[-1][2] < tol,
+                   iterations=len(trace) - 1, trace=tuple(trace), evaluations=evaluations)
     if not state.converged:
         log.warning("minimize did not converge: residual force %.3e after %d iterations",
                     state.trace[-1][2], state.iterations)
     return state
 
 
-def _curve_hessian(s: np.ndarray, z: np.ndarray, config: GasConfig, out: np.ndarray):
+def _curve_hessian(s: np.ndarray, config: GasConfig, out: np.ndarray):
     """Write the curve energy's Hessian in ``s`` into the N x N buffer ``out``.
 
     Off the diagonal it is ``-2 / (s_m - s_n)^2``, the log-gas graph
     Laplacian times 2; the diagonal is ``(c + W''(s_j)) / hbar`` minus the
     rest of its row, with the drive's curvature
-    ``W'' = -2 Re sum_k k (k-1) t_k z^(k-2) direction^2``.
+    ``W'' = -2 Re sum_k k (k-1) t_k z^(k-2) direction^2`` at ``z = curve.point(s)``.
     """
     np.subtract(s[:, None], s, out=out)
     out *= out
     diagonal = out.reshape(-1)[::len(s) + 1]
     diagonal[:] = np.inf
     np.divide(-2.0, out, out=out)
+    z = config.curve.point(s)
     drive = _times_polynomial(config.times, z, order=2) * config.curve.direction ** 2
     diagonal[:] = (config.confine - 2.0 * np.real(drive)) / config.hbar - out.sum(axis=1)
 
@@ -432,11 +432,11 @@ def _curve_newton(config: GasConfig, max_iterations: int):
 
     curve = config.curve
     lo, hi = curve.bounds
-    z, s = _initial_configuration(config, np.random.default_rng(config.seed))
+    s = _initial_configuration(config, np.random.default_rng(config.seed))
     n = len(s)
     hessian = np.empty((n, n))
     diagonal = hessian.reshape(-1)[::n + 1]
-    e, g = _energy_gradient(z, s, config)
+    e, g = _energy_gradient(s, config)
     evaluations = 1 if g is None else 2
 
     def residual(s, g):
@@ -444,7 +444,7 @@ def _curve_newton(config: GasConfig, max_iterations: int):
 
     trace = [(0, e, residual(s, g))]
     while g is not None and len(trace) <= max_iterations:
-        _curve_hessian(s, z, config, hessian)
+        _curve_hessian(s, config, hessian)
         evaluations += 1
         epsilon = np.max(np.abs(s - np.clip(s - g / np.abs(diagonal), lo, hi)))
         active = [(j, wall) for j, wall, push in ((0, lo, g[0]), (n - 1, hi, -g[-1]))
@@ -464,7 +464,7 @@ def _curve_newton(config: GasConfig, max_iterations: int):
                 factor = cho_factor(hessian.T, lower=True, overwrite_a=True, check_finite=False)
                 break
             except LinAlgError:
-                _curve_hessian(s, z, config, hessian)
+                _curve_hessian(s, config, hessian)
                 evaluations += 1
                 shift = max(4.0 * shift, 1e-3 * float(np.max(np.abs(diagonal))))
         else:
@@ -475,43 +475,37 @@ def _curve_newton(config: GasConfig, max_iterations: int):
         for _ in range(_ATTEMPTS):
             trial = np.clip(s + t * step, lo, hi)
             if np.all(np.diff(trial) > MIN_SEPARATION):
-                z_trial = curve.point(trial)
-                e_trial, g_trial = _energy_gradient(z_trial, trial, config)
+                e_trial, g_trial = _energy_gradient(trial, config)
                 evaluations += 1 if g_trial is None else 2
                 if g_trial is not None and e_trial - e <= t * slope / 4.0 + 4.0 * np.spacing(abs(e)):
                     break
             t /= 2.0
         else:
             break
-        s, z, e, g = trial, z_trial, e_trial, g_trial
+        s, e, g = trial, e_trial, g_trial
         trace.append((len(trace), e, residual(s, g)))
         if -slope <= _NEWTON_FLOOR:
             break
     return s, trace, evaluations
 
 
-def _plane_starts(config: GasConfig) -> list:
-    """Start 0 draws from ``default_rng(seed)``, the others from ``SeedSequence(seed).spawn``."""
-    children = np.random.SeedSequence(config.seed).spawn(_PLANE_STARTS - 1)
-    rngs = [np.random.default_rng(config.seed)] + [np.random.default_rng(c) for c in children]
-    return [_initial_configuration(config, rng)[0] for rng in rngs]
+def _lbfgs(config: GasConfig, z0: np.ndarray, tol: float, max_iterations: int):
+    """Plane L-BFGS from ``z0``; returns the last positions, the trace and the evaluation count.
 
-
-def _lbfgs(fun, residual, x0: np.ndarray, tol: float, max_iterations: int):
-    """L-BFGS from ``x0``; returns the last iterate, the trace and the evaluation count.
-
-    ``fun(x)`` is the energy and its gradient (None where the energy is not
-    finite), and ``residual(x, gradient)`` the largest force.  Trace row 0
-    is the start and row ``i`` the ``(i, energy, residual)`` of the iterate
-    after ``i`` quasi-Newton iterations; the evaluation count is energy plus
-    gradient evaluations.  scipy's own stopping tests are off: the run stops
-    once the residual is below ``tol``, after ``max_iterations`` iterations,
-    or when the line search can make no more progress.
+    The iterate is the 2N-vector ``x = (Re z, Im z)``, the energy's gradient
+    in it ``2 (Re, Im) dE/dzbar``, and the residual the largest force
+    ``|dE/dzbar_j|``.  Trace row 0 is the start and row ``i`` the ``(i,
+    energy, residual)`` of the iterate after ``i`` quasi-Newton iterations;
+    the evaluation count is energy plus gradient evaluations.  scipy's own
+    stopping tests are off: the run stops once the residual is below
+    ``tol``, after ``max_iterations`` iterations, or when the line search
+    can make no more progress.
     """
     # imported here, not at module level, so that only a plane minimization
     # pays for loading scipy.optimize
     from scipy import optimize
 
+    n = config.N
     last = {"x": None}
     evaluations = 0
 
@@ -519,9 +513,10 @@ def _lbfgs(fun, residual, x0: np.ndarray, tol: float, max_iterations: int):
         """Energy and gradient at ``x``, computed once per distinct ``x``."""
         nonlocal evaluations
         if not np.array_equal(x, last["x"]):
-            e, grad = fun(x)
+            e, grad = _energy_gradient(x[:n] + 1j * x[n:], config)
             evaluations += 1 if grad is None else 2
-            last.update(x=x.copy(), e=e, grad=grad)
+            last.update(x=x.copy(), e=e, grad=None if grad is None
+                        else 2.0 * np.concatenate((grad.real, grad.imag)))
         return last["e"], last["grad"]
 
     def energy_and_gradient(x):
@@ -530,6 +525,7 @@ def _lbfgs(fun, residual, x0: np.ndarray, tol: float, max_iterations: int):
         # backs away from, and no forces
         return e, np.zeros_like(x) if grad is None else grad
 
+    x0 = np.concatenate((z0.real, z0.imag))
     trace = []
     iterate = [x0]
 
@@ -538,8 +534,9 @@ def _lbfgs(fun, residual, x0: np.ndarray, tol: float, max_iterations: int):
         e, grad = evaluate(x)
         iterate[0] = x.copy()
         # only a start can have no gradient: no accepted step raises the energy
-        trace.append((len(trace), e, np.inf if grad is None else residual(x, grad)))
-        return trace[-1][2] < tol
+        residual = np.inf if grad is None else 0.5 * float(np.max(np.hypot(grad[:n], grad[n:])))
+        trace.append((len(trace), e, residual))
+        return residual < tol
 
     def callback(intermediate_result):
         if record(intermediate_result.x):
@@ -551,20 +548,25 @@ def _lbfgs(fun, residual, x0: np.ndarray, tol: float, max_iterations: int):
                           # at most 20 line-search evaluations per iteration
                           options={"maxiter": max_iterations, "maxfun": 25 * max_iterations,
                                    "ftol": 0.0, "gtol": 0.0})
-    return iterate[0], trace, evaluations
+    x = iterate[0]
+    return x[:n] + 1j * x[n:], trace, evaluations
 
 
 @dataclass(frozen=True)
 class MetropolisRun:
-    """Kept samples of one chain and its acceptance record.
+    """Final state of one chain, its kept coordinates and its acceptance record.
 
+    ``state`` is the configuration after the last sweep, with its energy.
+    ``samples`` is a read-only ``(kept, N)`` array of the coordinates ``x``
+    after each sweep past the burn-in; its last row, if any, is ``state``'s.
     ``proposals`` counts every proposal, one that leaves a curve's parameter
     range included, and ``accepted`` the accepted ones.  ``windows`` has one
     ``(sweep, acceptance, proposal_scale)`` row per burn-in tuning window:
     its last sweep, its acceptance, and the scale after tuning.
     """
 
-    samples: tuple
+    state: GasState
+    samples: np.ndarray
     acceptance: float
     proposal_scale: float
     proposals: int
@@ -573,7 +575,7 @@ class MetropolisRun:
 
 
 def _particle_field(config: GasConfig):
-    """``field(z, s)``: one particle's field energy as a Python float.
+    """``field(x)``: one particle's field energy as a Python float, at its ``s`` or ``z``.
 
     A configuration's energy is its pair term plus this summed over its
     particles: ``(|z|^2 - 2 Re W(z)) / hbar`` in the plane and
@@ -582,19 +584,24 @@ def _particle_field(config: GasConfig):
     arithmetic: the drive's coefficients are built once as Python complex
     numbers and evaluated by one ``_horner`` call per field, with no Horner
     step for the zero free term; a zero drive (a gas without times) is left
-    out, which is exact.  ``s * s`` rounds as numpy's ``s ** 2`` does.
+    out, which is exact.  ``s * s`` rounds as ``s ** 2`` does, and
+    ``z0 + direction * s`` as ``curve.point(s)``.
     """
-    times = config.times.tolist()
-    hbar = config.hbar
-    c = config.confine
+    times, hbar, c = config.times.tolist(), config.hbar, config.confine
+    if config.measure == "plane":
+        if not any(times):
+            return lambda z: (z.real * z.real + z.imag * z.imag) / hbar
+        return lambda z: (z.real * z.real + z.imag * z.imag
+                          - 2.0 * (z * _horner(times, z)).real) / hbar
+    z0, direction = config.curve.z0, config.curve.direction
     if not any(times):
-        if config.measure == "curve":
-            return lambda z, s: c * (s * s) / (2.0 * hbar)
-        return lambda z, s: (z.real * z.real + z.imag * z.imag) / hbar
-    if config.measure == "curve":
-        return lambda z, s: c * (s * s) / (2.0 * hbar) - 2.0 * (z * _horner(times, z)).real / hbar
-    return lambda z, s: (z.real * z.real + z.imag * z.imag
-                         - 2.0 * (z * _horner(times, z)).real) / hbar
+        return lambda s: c * (s * s) / (2.0 * hbar)
+
+    def curve_field(s):
+        z = z0 + direction * s
+        return c * (s * s) / (2.0 * hbar) - 2.0 * (z * _horner(times, z)).real / hbar
+
+    return curve_field
 
 
 def _log_potentials(x: np.ndarray) -> np.ndarray:
@@ -627,26 +634,27 @@ def metropolis(config: GasConfig, sweeps: int) -> MetropolisRun:
     config)``.  A post-tuning acceptance outside [1%, 99%] logs a
     diagnostics warning.
 
-    The chain caches each particle's log potential ``L_j = sum_{m != j}
-    log|x_m - x_j|`` (``_log_potentials``, once per chain, O(N^2)) and its
-    field (``_particle_field``), with ``x`` the curve parameters on a curve
-    and the positions in the plane.  A proposal moving particle j to
-    ``x_new`` builds one distance row ``|x - x_new|``, entry j masked to 1,
-    and sums its logs to ``S``; its energy change is ``-2 (S - L_j) +
-    field(new) - field_j``.  An accepted move adds the new row's logs minus
-    the old row's to every ``L``, and sets ``L_j = S``.  Over 30 sweeps at
-    N = 1024 (seeds 1, 2, 7 and 12345) the cache drifted from a fresh
-    ``_log_potentials`` by at most 1.9e-12 to 2.5e-12, with ``|L|`` up to
-    507.  Only a move that would be accepted is tested for a partner closer
-    than ``MIN_SEPARATION``, and it is then rejected; one at ``dE <= 0``
-    draws and discards the uniform that a move at ``dE > 0`` draws, so each
-    such move takes one uniform, as a move of infinite energy change does.
-    An exact coincidence gives ``S = -inf`` and ``dE = +inf``, and is
-    rejected.  Kept samples carry their full energy from
-    ``_energy_gradient``.
+    The chain moves ``x`` alone, the curve parameters on a curve and the
+    positions in the plane, and caches each particle's log potential
+    ``L_j = sum_{m != j} log|x_m - x_j|`` (``_log_potentials``, once per
+    chain, O(N^2)) and its field (``_particle_field``).  A proposal moving
+    particle j to ``x_new`` builds one distance row ``|x - x_new|``, entry j
+    masked to 1, and sums its logs to ``S``; its energy change is
+    ``-2 (S - L_j) + field(new) - field_j``.  An accepted move adds the new
+    row's logs minus the old row's to every ``L`` and sets ``L_j = S``; over
+    30 sweeps at N = 1024 the cache drifts from a fresh ``_log_potentials``
+    by about 2e-12, with ``|L|`` up to 507.  Only a move that would be
+    accepted is tested for a partner closer than ``MIN_SEPARATION``, and it
+    is then rejected; one at ``dE <= 0`` draws and discards the uniform that
+    a move at ``dE > 0`` draws, so each such move takes one uniform, as a
+    move of infinite energy change does.  An exact coincidence gives
+    ``S = -inf`` and ``dE = +inf``, and is rejected.  Each sweep past the
+    burn-in copies ``x`` into a row of ``samples``; its final value is
+    ``state``, whose energy is the chain's one full ``_energy_gradient``
+    call.
     """
     rng = np.random.default_rng(config.seed)
-    z, s = _initial_configuration(config, rng)
+    x = _initial_configuration(config, rng)
     on_curve = config.measure == "curve"
     scale = config.schedule.proposal_scale
     burn_in = config.schedule.burn_in
@@ -656,18 +664,15 @@ def metropolis(config: GasConfig, sweeps: int) -> MetropolisRun:
     # the same draws as rng.normal() and rng.uniform(), with less call overhead
     normal, uniform = rng.standard_normal, rng.random
     field = _particle_field(config)
-    x = s if on_curve else z
-    fields = [field(complex(z[j]), None if s is None else float(s[j])) for j in range(config.N)]
+    fields = [field(value) for value in x.tolist()]
     diff = np.empty(config.N, dtype=x.dtype)
     d_row = np.empty(config.N)
     log_new = np.empty(config.N)
 
     samples, windows = [], []
     accepted = proposed = tune_acc = tune_prop = 0
-    if on_curve:
-        # an unbounded end is +-inf, which no proposal crosses
-        lo, hi = config.curve.bounds
-        z0, direction = config.curve.z0, config.curve.direction
+    # an unbounded end is +-inf, which no proposal crosses
+    lo, hi = config.curve.bounds if on_curve else (None, None)
     with np.errstate(divide="ignore"):
         potential = _log_potentials(x)
         for sweep in range(1, sweeps + 1):
@@ -675,18 +680,15 @@ def metropolis(config: GasConfig, sweeps: int) -> MetropolisRun:
                 proposed += 1
                 tune_prop += 1
                 if on_curve:
-                    s_new = float(s[j]) + scale * normal()
-                    if s_new < lo or s_new > hi:
+                    x_new = x.item(j) + scale * normal()
+                    if x_new < lo or x_new > hi:
                         continue
-                    z_new = z0 + direction * s_new
-                    x_new = s_new
                 else:
-                    s_new = None
-                    z_new = x_new = complex(z[j]) + scale * (normal() + 1j * normal())
+                    x_new = x.item(j) + scale * (normal() + 1j * normal())
                 np.abs(np.subtract(x, x_new, out=diff), out=d_row)
                 d_row[j] = 1.0
                 pair = float(np.log(d_row, out=log_new).sum())
-                field_new = field(z_new, s_new)
+                field_new = field(x_new)
                 dE = -2.0 * (pair - potential.item(j)) + field_new - fields[j]
                 if dE <= 0 or uniform() < math.exp(-min(dE, 700.0)):
                     if d_row.min() < MIN_SEPARATION:
@@ -700,9 +702,7 @@ def metropolis(config: GasConfig, sweeps: int) -> MetropolisRun:
                     potential += np.subtract(log_new, d_row, out=d_row)
                     potential[j] = pair
                     fields[j] = field_new
-                    z[j] = z_new
-                    if on_curve:
-                        s[j] = s_new
+                    x[j] = x_new
                     accepted += 1
                     tune_acc += 1
             if sweep <= burn_in and sweep % 20 == 0 and tune_prop:
@@ -714,12 +714,14 @@ def metropolis(config: GasConfig, sweeps: int) -> MetropolisRun:
                 windows.append((sweep, rate, scale))
                 tune_acc = tune_prop = 0
             if sweep > burn_in:
-                samples.append(GasState(z.copy(), None if s is None else s.copy(),
-                                        energy=_energy_gradient(z, s, config, gradient=False)[0]))
+                samples.append(x.copy())
     rate = accepted / max(proposed, 1)
     if not 0.01 <= rate <= 0.99:
         log.warning("metropolis acceptance %.3f outside [0.01, 0.99] after tuning", rate)
-    return MetropolisRun(samples=tuple(samples), acceptance=rate, proposal_scale=scale,
+    samples = np.array(samples, dtype=x.dtype).reshape(len(samples), config.N)
+    samples.setflags(write=False)
+    state = _state(config, x, energy=_energy_gradient(x, config, gradient=False)[0])
+    return MetropolisRun(state=state, samples=samples, acceptance=rate, proposal_scale=scale,
                          proposals=proposed, accepted=accepted, windows=tuple(windows))
 
 

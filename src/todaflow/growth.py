@@ -305,18 +305,20 @@ def run(m: LaurentMap, schedule, moment_order: int | None = None,
     failure attached as ``exc.partial``; a ``ValueError`` from a step (say a
     leading coefficient driven below zero) carries the failing leg's index as
     ``exc.leg``.
-    Before any step, each harmonic leg is checked against the grid: a leg
-    whose ``z**k`` the grid cannot resolve raises :class:`SeriesBudgetError`,
-    also with ``exc.leg`` set.
+    Every leg is checked before any step, and a bad one raises with ``exc.leg``
+    set: ``ValueError`` for no steps, :class:`SeriesBudgetError` for a
+    harmonic leg whose ``z**k`` the grid cannot resolve.
     """
     n = laurent._resolve_grid(m, n)
-    for leg, (flow, _, _) in enumerate(schedule):
-        if flow.kind in ("tk_real", "tk_imag"):
-            try:
+    for leg, (flow, _, steps) in enumerate(schedule):
+        try:
+            if steps < 1:
+                raise ValueError(f"leg {leg}: steps must be >= 1")
+            if flow.kind in ("tk_real", "tk_imag"):
                 laurent._projection_grid(m, flow.k, n)
-            except SeriesBudgetError as exc:
-                exc.leg = leg
-                raise
+        except (ValueError, SeriesBudgetError) as exc:
+            exc.leg = leg
+            raise
     if moment_order is None:
         moment_order = m.order
     grid = laurent._grid_values(m, n)
@@ -326,8 +328,6 @@ def run(m: LaurentMap, schedule, moment_order: int | None = None,
     time = 0.0
     index = 0
     for leg, (flow, duration, steps) in enumerate(schedule):
-        if steps < 1:
-            raise ValueError(f"leg {leg}: steps must be >= 1")
         dt = duration / steps
         for _ in range(steps):
             index += 1

@@ -14,7 +14,8 @@ catastrophe) ends the classical solution; the solver refuses to run past it.
 ``scipy.interpolate`` (the profile's PCHIP) is imported where it is used,
 so that importing this module, as the CLI does for every scenario, does not
 load it.  A Loewner family's speed needs no table: its ``phi_k`` comes from
-the slit's Laurent modes, exact on every piece of the driving.
+the slit's Laurent modes, exact on every piece of the driving, at every
+``k`` by one path.
 """
 
 from __future__ import annotations
@@ -129,7 +130,8 @@ def _mode_speed(k: int, family: loewner.LoewnerFamily):
     family's range: ``phi_k`` of the map ``exp(q) (w + sum_n a_n w^-n)``, whose
     first ``k - 1`` modes (all that ``phi_k`` reads) :func:`loewner.slit_modes`
     gives exactly, one map per ``q`` in the batched kernel behind
-    :func:`laurent.phi_k`."""
+    :func:`laurent.phi_k`.  At ``k = 1`` there are no modes and
+    ``phi_1 = r w``, so ``c_1 = 2 e^q cos theta(q)`` to the bit."""
     if k < 1:
         raise ValueError("k must be >= 1")
     modes = loewner.slit_modes(family, k - 1)
@@ -146,12 +148,11 @@ def _mode_speed(k: int, family: loewner.LoewnerFamily):
 def characteristic_speed(k: int, family: loewner.LoewnerFamily, q):
     """Transport speed ``c_k(q) = 2 Re phi_k(eta(q))`` of the k-th real flow.
 
-    ``k = 1`` needs no map data (``phi_1 = r w`` exactly); higher ``k`` reads
-    ``phi_k`` off the slit's Laurent modes at every ``q`` (an array; a float
-    for a scalar ``q``).
+    ``phi_k`` is read off the slit's first ``k - 1`` Laurent modes at every
+    ``q`` (an array; a float for a scalar ``q``), which at ``k = 1`` is
+    ``phi_1 = r w`` with no modes.  A ``q`` outside the family's range is
+    refused.
     """
-    if k == 1:
-        return 2.0 * np.exp(q) * np.cos(family.driving.theta(q))
     q = np.asarray(q, dtype=float)
     if np.any((q < family.q0) | (q > family.q_max + 1e-12)):
         raise ValueError(f"q = {q} outside family range [{family.q0}, {family.q_max}]")
@@ -162,13 +163,10 @@ def characteristic_speed(k: int, family: loewner.LoewnerFamily, q):
 def family_speed(k: int, family: loewner.LoewnerFamily):
     """Vectorized ``c_k(q)`` of a family, ``q`` clamped to ``[q0, q_max]``.
 
-    ``k = 1`` is the closed form of :func:`characteristic_speed`.  Higher
-    ``k`` is exact at every ``q``: the slit's modes are carried through the
-    driving's knots once, and each call applies the piece's exponentials
-    from the last knot below ``q``.
+    Exact at every ``q``: the slit's modes are carried through the driving's
+    knots once, and each call applies the piece's exponentials from the last
+    knot below ``q``; ``k = 1`` reads no mode.
     """
-    if k == 1:
-        return lambda q: characteristic_speed(1, family, np.clip(q, family.q0, family.q_max))
     speed = _mode_speed(k, family)
     return lambda q: speed(np.clip(q, family.q0, family.q_max))
 

@@ -13,10 +13,11 @@ from todaflow.errors import InsufficientSamplesError
 
 
 def energy_gradient(state, cfg, gradient=True):
-    """The gas kernel on a state, or on plane positions given as a bare array."""
+    """The gas kernel on a state's coordinates, or on plane positions given as a bare array."""
     if isinstance(state, dyson.GasState):
-        return dyson._energy_gradient(state.positions, state.params, cfg, gradient)
-    return dyson._energy_gradient(np.asarray(state, dtype=complex), None, cfg, gradient)
+        x = state.positions if state.params is None else state.params
+        return dyson._energy_gradient(x, cfg, gradient)
+    return dyson._energy_gradient(np.asarray(state, dtype=complex), cfg, gradient)
 
 
 def energy(state, cfg):
@@ -115,7 +116,7 @@ def test_curve_forces_match_energy_finite_difference():
     hbar = 0.2
     cfg = dyson.GasConfig(N=4, hbar=hbar, times=[0.1j], curve=curve, seed=0)
     s = np.array([0.21, 0.79, 1.42, 2.13])
-    force = dyson._wall_clamped(s, -dyson._energy_gradient(curve.point(s), s, cfg)[1], curve)
+    force = dyson._wall_clamped(s, -dyson._energy_gradient(s, cfg)[1], curve)
     eps = 1e-5
     for j in range(4):
         up, down = s.copy(), s.copy()
@@ -184,8 +185,8 @@ def test_minimize_converges_under_a_drive_with_negative_curvature(monkeypatch, t
     assert state.trace[-1][2] < 1e-6 * (1e-8 * cfg.N / cfg.hbar)
     assert bool(failures) == shifted
     # a minimum: the Hessian at the final state is positive definite
-    s, hessian = state.params, np.empty((8, 8))
-    dyson._curve_hessian(s, state.positions, cfg, hessian)
+    hessian = np.empty((8, 8))
+    dyson._curve_hessian(state.params, cfg, hessian)
     assert np.linalg.eigvalsh(hessian).min() > 0
 
 
@@ -294,7 +295,7 @@ def test_metropolis_single_particle_variance():
     cfg = dyson.GasConfig(N=1, hbar=0.5, seed=21,
                           schedule=dyson.Schedule(proposal_scale=0.5))
     run = dyson.metropolis(cfg, 6000)
-    vals = np.array([abs(s.positions[0]) ** 2 for s in run.samples])
+    vals = np.abs(run.samples[:, 0]) ** 2
     assert vals.mean() == pytest.approx(0.5, rel=0.1)  # Gaussian oracle: mean = hbar
     assert 0.01 <= run.acceptance <= 0.99
 
@@ -304,7 +305,8 @@ def test_metropolis_reproducible():
     a = dyson.metropolis(cfg, 60)
     b = dyson.metropolis(cfg, 60)
     assert a.acceptance == b.acceptance
-    assert all(np.array_equal(x.positions, y.positions) for x, y in zip(a.samples, b.samples))
+    assert np.array_equal(a.samples, b.samples)
+    assert np.array_equal(a.state.positions, b.state.positions) and a.state.energy == b.state.energy
 
 
 def test_metropolis_concentrates_at_small_hbar():
@@ -317,7 +319,7 @@ def test_metropolis_concentrates_at_small_hbar():
         run = dyson.metropolis(cfg, 150)
         dists = []
         for sample in run.samples[-30:]:
-            d = np.abs(sample.positions[:, None] - ref.positions[None, :])
+            d = np.abs(sample[:, None] - ref.positions[None, :])
             dists.append(np.mean(d.min(axis=1)))
         spreads[hbar] = np.mean(dists)
     assert spreads[0.02] < spreads[0.1]
@@ -553,14 +555,14 @@ def test_pair_pass_stops_at_coincident_points(x, forces):
 def test_forces_of_coincident_points_raise(measure):
     s = np.array([0.5, 0.5, 1.0])
     if measure == "plane":
-        cfg, params = dyson.GasConfig(N=3, hbar=0.5), None
+        cfg, x = dyson.GasConfig(N=3, hbar=0.5), s.astype(complex)
     else:
         # a curve GasState refuses these parameters, so they go to the kernel
-        cfg, params = real_line_gas(3, seed=0), s
+        cfg, x = real_line_gas(3, seed=0), s
         with pytest.raises(ValueError, match="not pairwise distinct"):
             dyson.GasState(np.array([0.0, 1.0, 2.0]), s)
-    assert dyson._energy_gradient(s.astype(complex), params, cfg, gradient=False)[0] == np.inf
-    assert dyson._energy_gradient(s.astype(complex), params, cfg) == (np.inf, None)
+    assert dyson._energy_gradient(x, cfg, gradient=False)[0] == np.inf
+    assert dyson._energy_gradient(x, cfg) == (np.inf, None)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -632,36 +634,27 @@ def test_proposal_delta_matches_the_energy_difference(make_config):
     rng = np.random.default_rng(3)
     field = dyson._particle_field(cfg)
     if cfg.measure == "curve":
-        s = np.sort(rng.uniform(0.0, 1.8, cfg.N))
-        z = cfg.curve.point(s)
+        x, step = np.sort(rng.uniform(0.0, 1.8, cfg.N)), lambda: 0.1 * rng.normal()
     else:
-        s = None
-        z = rng.normal(size=cfg.N) + 1j * rng.normal(size=cfg.N)
-    potential = dyson._log_potentials(z if s is None else s)
-    fields = [field(complex(z[j]), None if s is None else s[j]) for j in range(cfg.N)]
+        x = rng.normal(size=cfg.N) + 1j * rng.normal(size=cfg.N)
+        step = lambda: 0.3 * (rng.normal() + 1j * rng.normal())
+    potential = dyson._log_potentials(x)
+    fields = [field(value) for value in x.tolist()]
     for j in range(cfg.N):
-        before = energy(dyson.GasState(z, s), cfg)
-        z_after = z.copy()
-        if s is None:
-            s_new, s_after = None, None
-            z_after[j] = z[j] + 0.3 * (rng.normal() + 1j * rng.normal())
-            x, x_new = z, z_after[j]
-        else:
-            s_after = s.copy()
-            s_new = s_after[j] = s[j] + 0.1 * rng.normal()
-            z_after[j] = cfg.curve.point(s_new)
-            x, x_new = s, s_new
+        before = dyson._energy_gradient(x, cfg, gradient=False)[0]
+        x_after = x.copy()
+        x_after[j] = x[j] + step()
+        x_new = x_after.item(j)
         log_new = _log_row(x, j, x_new)
         pair = float(log_new.sum())
-        field_new = field(complex(z_after[j]), s_new)
+        field_new = field(x_new)
         delta = -2.0 * (pair - potential[j]) + field_new - fields[j]
-        after = energy(dyson.GasState(z_after, s_after), cfg)
+        after = dyson._energy_gradient(x_after, cfg, gradient=False)[0]
         assert delta == pytest.approx(after - before, rel=1e-9)
         potential += log_new - _log_row(x, j, x[j])
         potential[j] = pair
         fields[j] = field_new
-        z, s = z_after, s_after
-    x = z if s is None else s
+        x = x_after
     fresh = dyson._log_potentials(x)
     assert np.max(np.abs(potential - fresh)) <= 1e-13 * np.max(np.abs(fresh))
     # a move onto another particle costs +inf
@@ -731,8 +724,9 @@ def test_curve_kernel_equals_the_complex_reference(make_config):
     else:
         s = np.sort(rng.uniform(0.0, 1.8, cfg.N))
         z = cfg.curve.point(s)
-    e, grad = dyson._energy_gradient(z, s, cfg)
-    assert dyson._energy_gradient(z, s, cfg, gradient=False) == (e, None)
+    x = z if s is None else s
+    e, grad = dyson._energy_gradient(x, cfg)
+    assert dyson._energy_gradient(x, cfg, gradient=False) == (e, None)
     if cfg.measure == "plane":
         e_ref, grad_ref = plane_energy_gradient_reference(z, cfg)
         assert e == e_ref
@@ -781,8 +775,9 @@ def metropolis_reference(config, sweeps):
         return np.abs(z) ** 2
 
     rng = np.random.default_rng(config.seed)
-    z, s = dyson._initial_configuration(config, rng)
     on_curve = config.measure == "curve"
+    start = dyson._initial_configuration(config, rng)
+    z, s = (config.curve.point(start), start) if on_curve else (start, None)
     scale = config.schedule.proposal_scale
     burn_in = min(max(20, sweeps // 5), sweeps - 1)
 
@@ -852,19 +847,23 @@ def metropolis_reference(config, sweeps):
                 scale *= 1.3
             tune_acc = tune_prop = 0
         if sweep > burn_in:
-            samples.append((z.copy(), energy(z, s)))
-    return samples, accepted / proposed, scale, too_close_hits
+            samples.append((z.copy(), None if s is None else s.copy()))
+    return samples, energy(z, s), accepted / proposed, scale, too_close_hits
 
 
 def assert_chain_equals_the_reference(cfg, sweeps, energy_rel=0.0):
     """Run both samplers; return the reference's too-close counts."""
     run = dyson.metropolis(cfg, sweeps)
-    samples, acceptance, scale, too_close_hits = metropolis_reference(cfg, sweeps)
+    samples, final_energy, acceptance, scale, too_close_hits = metropolis_reference(cfg, sweeps)
     assert run.acceptance == acceptance and run.proposal_scale == scale
-    assert len(run.samples) == len(samples)
-    for sample, (z, e) in zip(run.samples, samples):
-        assert np.array_equal(sample.positions, z)
-        assert sample.energy == pytest.approx(e, rel=energy_rel, abs=0)
+    assert run.samples.shape == (len(samples), cfg.N)
+    for sample, (z, s) in zip(run.samples, samples):
+        if s is None:
+            assert np.array_equal(sample, z)
+        else:
+            assert np.array_equal(sample, s) and np.array_equal(cfg.curve.point(sample), z)
+    assert np.array_equal(run.state.positions, samples[-1][0])
+    assert run.state.energy == pytest.approx(final_energy, rel=energy_rel, abs=0)
     return too_close_hits
 
 
@@ -894,3 +893,61 @@ def test_metropolis_rejects_moves_closer_than_the_separation(monkeypatch):
     hits = assert_chain_equals_the_reference(dyson.GasConfig(N=24, hbar=1 / 24, seed=9), 60)
     assert hits["dE <= 0"] > 0 and hits["dE > 0"] > 0
 
+
+
+CHAIN_RESULT_CASES = {
+    "plane": dyson.GasConfig(N=24, hbar=1 / 24, times=[0.1, 0.05j], seed=9),
+    "real_line": real_line_gas(24, seed=2),
+    "ray": replace(_ray(), N=24, seed=4),
+}
+
+
+@pytest.mark.parametrize("cfg", CHAIN_RESULT_CASES.values(), ids=CHAIN_RESULT_CASES)
+def test_metropolis_makes_one_full_energy_and_one_state(monkeypatch, cfg):
+    # each of the 40 kept sweeps used to build a GasState with a full O(N^2) energy
+    energies, states = [], []
+    kernel = dyson._energy_gradient
+
+    def counted_energy(*args, **kwargs):
+        energies.append(args)
+        return kernel(*args, **kwargs)
+
+    class CountedState(dyson.GasState):
+        def __post_init__(self):
+            states.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(dyson, "_energy_gradient", counted_energy)
+    monkeypatch.setattr(dyson, "GasState", CountedState)
+    run = dyson.metropolis(cfg, 60)
+    assert len(run.samples) == 40
+    assert len(energies) == 1 and states == [run.state]
+
+
+@pytest.mark.parametrize("cfg", CHAIN_RESULT_CASES.values(), ids=CHAIN_RESULT_CASES)
+def test_metropolis_samples_are_a_read_only_array_ending_at_the_state(cfg):
+    run = dyson.metropolis(cfg, 60)
+    assert run.samples.shape == (40, cfg.N)
+    assert run.samples.dtype == (complex if cfg.curve is None else float)
+    with pytest.raises(ValueError, match="read-only"):
+        run.samples[0, 0] = 0.0
+    if cfg.curve is None:
+        assert np.array_equal(run.samples[-1], run.state.positions)
+    else:
+        assert np.array_equal(run.samples[-1], run.state.params)
+        assert np.array_equal(cfg.curve.point(run.samples[-1]), run.state.positions)
+    assert run.state.energy == energy(run.state, cfg)
+
+
+@pytest.mark.parametrize("burn_in", [30, 45])
+def test_metropolis_with_a_burn_in_over_every_sweep_keeps_no_sample(burn_in):
+    cfg = dyson.GasConfig(N=24, hbar=1 / 24, seed=9, schedule=dyson.Schedule(burn_in=burn_in))
+    run = dyson.metropolis(cfg, 30)
+    assert run.samples.shape == (0, 24) and run.samples.dtype == complex
+    # tuning stops at sweep 20 under every burn-in from 20 on, so the chain
+    # that keeps its last sweep is the same chain and ends in the same state
+    kept = dyson.metropolis(replace(cfg, schedule=dyson.Schedule(burn_in=29)), 30)
+    assert kept.samples.shape == (1, 24)
+    assert np.array_equal(run.state.positions, kept.samples[-1])
+    assert run.state.energy == kept.state.energy and np.isfinite(run.state.energy)
+    assert run.windows == kept.windows and run.acceptance == kept.acceptance

@@ -324,6 +324,20 @@ def test_run_refuses_a_harmonic_leg_the_grid_cannot_resolve(monkeypatch):
     assert err.value.leg == 1 and steps == []
 
 
+@pytest.mark.parametrize("bad_steps", [0, -2])
+def test_run_refuses_a_leg_without_steps_before_any_step(monkeypatch, bad_steps):
+    # a later leg with no steps was refused only after the earlier legs had
+    # run, and without its leg index
+    m = laurent.LaurentMap(1.0, [0.0, 0.1]).with_order(4)
+    steps = []
+    monkeypatch.setattr(growth, "_rk4_step", lambda *args: steps.append(args))
+    schedule = [(growth.FlowSpec.t0_infinity(), 0.01, 2), (growth.FlowSpec.tk_real(2), 0.01, 1),
+                (growth.FlowSpec.t0_infinity(), 0.01, bad_steps)]
+    with pytest.raises(ValueError, match="leg 2: steps must be >= 1") as err:
+        growth.run(m, schedule, n=128)
+    assert err.value.leg == 2 and steps == []
+
+
 def test_step_refuses_a_harmonic_flow_the_grid_cannot_resolve(monkeypatch):
     # the single step of run's refused leg: it used to return an aliased map
     # with r = 1.00397 instead of raising

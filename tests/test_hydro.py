@@ -118,6 +118,15 @@ def test_characteristic_speed_k1_closed_form():
         assert got == 2.0 * np.exp(q) * np.cos(drv.theta(q))
 
 
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("q", [-0.1, 0.6, np.array([0.2, 0.7])])
+def test_characteristic_speed_refuses_q_outside_the_family(k, q):
+    # k = 1 had its own closed form, which evaluated any q
+    fam = loewner.default_family(0.0, 0.5, loewner.DrivingFunction.constant(0.3))
+    with pytest.raises(ValueError, match="outside family range"):
+        hydro.characteristic_speed(k, fam, q)
+
+
 def test_characteristic_speed_k1_quarter_turn_vanishes():
     drv = loewner.DrivingFunction.constant(np.pi / 2)
     fam = loewner.default_family(0.0, 0.5, drv)
@@ -224,8 +233,9 @@ def test_family_speed_k1_is_the_closed_form_without_a_sweep(monkeypatch):
     speed = hydro.family_speed(1, family)
     qs = np.random.default_rng(9).uniform(-0.5, 1.0, 40)
     assert np.any(qs < 0.0) and np.any(qs > 0.5)
-    expected = hydro.characteristic_speed(1, family, np.clip(qs, 0.0, 0.5))
-    assert np.array_equal(speed(qs), expected)
+    # the mode path at k = 1, phi_1 = r w, gives the closed form's bits
+    clamped = np.clip(qs, 0.0, 0.5)
+    assert np.array_equal(speed(qs), 2.0 * np.exp(clamped) * np.cos(driving.theta(clamped)))
 
 
 def _bisect_reference(g, q_seed, g_seed):
