@@ -329,7 +329,17 @@ def _wall_clamped(s: np.ndarray, f_s: np.ndarray, curve: CurveSpec) -> np.ndarra
 
 
 def _initial_configuration(config: GasConfig, rng: np.random.Generator) -> np.ndarray:
-    """Seeded start coordinates: positions in the plane, sorted parameters on a curve."""
+    """Seeded start coordinates: positions in the plane, parameters on a curve.
+
+    The plane start is uniform on the disk of radius ``sqrt(t0)``.  A curve
+    start is stratified over ``[a, b]``, the curve's finite ends or a window
+    of width ``4 sqrt(t0)`` from ``-2 sqrt(t0)`` or from its one finite end:
+    particle k starts at ``a + (b - a) (k + u_k) / N`` with ``u_k`` uniform
+    on ``[1/4, 3/4]``, so the start is sorted and every gap is at least
+    ``(b - a) / (2 N)``.  The curve Newton needs such gaps: a full Newton
+    step on the log barrier can at most double a gap, and N sorted uniform
+    draws leave a closest pair about ``(b - a) / N^2`` apart.
+    """
     if config.measure == "plane":
         radius = math.sqrt(config.t0)
         rho = radius * np.sqrt(rng.uniform(0.0, 1.0, config.N))
@@ -339,7 +349,8 @@ def _initial_configuration(config: GasConfig, rng: np.random.Generator) -> np.nd
     lo, hi = config.curve.bounds
     a = lo if np.isfinite(lo) else -span
     b = min(hi, a + 2.0 * span)
-    return np.sort(rng.uniform(a, b, config.N))
+    n = config.N
+    return a + (b - a) * ((np.arange(n) + rng.uniform(0.25, 0.75, n)) / n)
 
 
 def _state(config: GasConfig, x: np.ndarray, **outcome) -> GasState:
@@ -419,8 +430,11 @@ def _curve_newton(config: GasConfig, max_iterations: int):
     the predicted ``t g.p``, give or take 4 ulps of roundoff in the energy.
     The run goes on past convergence: it stops after the step whose Newton
     decrement ``-g.p`` (``g^T H^-1 g`` without walls) is at most
-    ``_NEWTON_FLOOR``, after ``max_iterations`` iterations, or when no
-    factorization or no step is found in ``_ATTEMPTS`` tries.
+    ``_NEWTON_FLOOR``, after ``max_iterations`` iterations, when no
+    factorization or no step is found in ``_ATTEMPTS`` tries, or when the
+    accepted step leaves ``s`` as it was: under a weak field the energy's
+    roundoff can hide a decrement above the floor, the backtracking then
+    halves the step to nothing, and every later iteration would repeat it.
 
     Trace row ``i`` is the ``(i, energy, max wall-clamped force)`` of the
     iterate after ``i`` Newton iterations, and the count is energy plus
@@ -481,6 +495,9 @@ def _curve_newton(config: GasConfig, max_iterations: int):
                     break
             t /= 2.0
         else:
+            break
+        if np.array_equal(trial, s):
+            # the accepted step rounded away, so every later iteration would repeat this one
             break
         s, e, g = trial, e_trial, g_trial
         trace.append((len(trace), e, residual(s, g)))
@@ -627,12 +644,13 @@ def _log_potentials(x: np.ndarray) -> np.ndarray:
 def metropolis(config: GasConfig, sweeps: int) -> MetropolisRun:
     """Metropolis-Hastings sampling of the gas measure at finite hbar.
 
-    Gaussian single-particle proposals, each costing O(N); the scale is
-    tuned to 30-50 percent acceptance in windows of 20 sweeps during burn-in
-    and then frozen, and every window is recorded in
-    ``MetropolisRun.windows``.  Chains are bit-reproducible from ``(seed,
-    config)``.  A post-tuning acceptance outside [1%, 99%] logs a
-    diagnostics warning.
+    Runs ``sweeps >= 1`` sweeps of N Gaussian single-particle proposals,
+    each costing O(N); the scale is tuned to 30-50 percent acceptance in
+    windows of 20 sweeps during burn-in and then frozen, and every window is
+    recorded in ``MetropolisRun.windows``.  Chains are bit-reproducible from
+    ``(seed, config)``; a curve chain starts from ``_initial_configuration``,
+    as the curve Newton does.  A post-tuning acceptance outside [1%, 99%]
+    logs a diagnostics warning.
 
     The chain moves ``x`` alone, the curve parameters on a curve and the
     positions in the plane, and caches each particle's log potential
@@ -653,6 +671,8 @@ def metropolis(config: GasConfig, sweeps: int) -> MetropolisRun:
     ``state``, whose energy is the chain's one full ``_energy_gradient``
     call.
     """
+    if sweeps < 1:
+        raise ValueError(f"metropolis needs sweeps >= 1, got sweeps = {sweeps}")
     rng = np.random.default_rng(config.seed)
     x = _initial_configuration(config, rng)
     on_curve = config.measure == "curve"

@@ -223,7 +223,7 @@ def test_minimize_semicircle_against_tridiagonal_oracle():
 
 def test_minimize_real_line_iteration_budget():
     # steepest descent needed 585 iterations here and L-BFGS-B 80; Newton
-    # takes 11, the last two past convergence, down to its roundoff floor
+    # takes 7, the last two past convergence, down to its roundoff floor
     state = dyson.minimize(real_line_gas(128, seed=1))
     assert state.converged
     assert state.iterations <= 20
@@ -951,3 +951,86 @@ def test_metropolis_with_a_burn_in_over_every_sweep_keeps_no_sample(burn_in):
     assert np.array_equal(run.state.positions, kept.samples[-1])
     assert run.state.energy == kept.state.energy and np.isfinite(run.state.energy)
     assert run.windows == kept.windows and run.acceptance == kept.acceptance
+
+
+@pytest.mark.parametrize("sweeps", [0, -3])
+def test_metropolis_rejects_fewer_than_one_sweep(sweeps):
+    with pytest.raises(ValueError, match="sweeps"):
+        dyson.metropolis(dyson.GasConfig(N=4, hbar=0.25), sweeps)
+
+
+# the start windows [a, b]: 4 sqrt(t0) wide from -2 sqrt(t0) on the real line
+# and from the ray's end, and the segment itself when it is narrower
+START_CASES = {
+    "real_line": (real_line_gas(64, seed=3), -2.0, 2.0),
+    "ray": (replace(_ray(), N=40, seed=3), 0.0, 4.0 * math.sqrt(8.0)),
+    "segment": (dyson.GasConfig(N=20, hbar=1 / 20, curve=dyson.CurveSpec.segment(-0.5, 0.5),
+                                seed=3), -0.5, 0.5),
+}
+
+
+@pytest.mark.parametrize("cfg, a, b", START_CASES.values(), ids=START_CASES)
+def test_curve_start_is_stratified(cfg, a, b):
+    start = dyson._initial_configuration(cfg, np.random.default_rng(cfg.seed))
+    assert start.shape == (cfg.N,) and start.dtype == float
+    assert a <= start[0] and start[-1] <= b
+    assert np.all(np.diff(start) >= (b - a) / (2 * cfg.N))
+    again = dyson._initial_configuration(cfg, np.random.default_rng(cfg.seed))
+    other = dyson._initial_configuration(cfg, np.random.default_rng(cfg.seed + 1))
+    assert np.array_equal(start, again) and not np.array_equal(start, other)
+
+
+def test_plane_start_keeps_its_draws():
+    # the plane start of seed 0, on which the plane minimizer and sampler depend
+    start = dyson._initial_configuration(dyson.GasConfig(N=4, hbar=0.25),
+                                         np.random.default_rng(0))
+    assert np.array_equal(start, [0.3089840283448992 - 0.7358604198822035j,
+                                  0.4433050386779363 - 0.2706794348424418j,
+                                  -0.1586589868308847 - 0.1257014313124232j,
+                                  -0.016516194629257474 - 0.1274945129936876j])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_minimize_gas_ground_iteration_budget(seed):
+    # the benchmark's ground state, which Newton reaches in 7
+    state = dyson.minimize(real_line_gas(256, seed=seed))
+    assert state.converged
+    assert state.iterations <= 8
+
+
+@pytest.mark.parametrize("cfg", [
+    dyson.GasConfig(N=64, hbar=1 / 64, curve=dyson.CurveSpec.real_line(), confine=0.2, seed=4),
+    dyson.GasConfig(N=64, hbar=1 / 64, curve=dyson.CurveSpec.real_line(), confine=0.2, seed=8),
+    # c s^2 / 2 - 2 t2 s^2 is the field of c = 1 - 4 t2 = 0.2
+    replace(driven_real_line_gas(64, [0, 0.2]), seed=0),
+], ids=["confine-seed4", "confine-seed8", "t2-seed0"])
+def test_minimize_stops_when_the_step_rounds_away(cfg):
+    # under this weak field the energy's roundoff hides the last decrement,
+    # so the line search halves the step to nothing; the run must end there,
+    # not repeat that iterate until max_iterations
+    state = dyson.minimize(replace(cfg, schedule=dyson.Schedule(max_iterations=200)))
+    assert state.converged
+    assert state.iterations <= 20
+    exact = real_line_minimum_energy(64, 1 / 64, 0.2)
+    assert abs(state.energy - exact) <= 1e-12 * abs(exact)
+
+
+WARD_CASES = {
+    "real_line": real_line_gas(256, seed=4),
+    "ray": _ray(),
+    "quartic": replace(driven_real_line_gas(64, [0, 0, 0, -0.02]), seed=2),
+}
+
+
+@pytest.mark.parametrize("cfg", WARD_CASES.values(), ids=WARD_CASES)
+def test_curve_minimum_satisfies_the_ward_identity(cfg):
+    # s_j times the stationarity condition V'(s_j) / hbar = 2 sum_{m != j} 1 / (s_j - s_m),
+    # summed over j, pairs the repulsions into sum_j s_j V'(s_j) = hbar N (N - 1); a
+    # particle on the ray's end sits at s = 0, where its wall force drops out
+    state = dyson.minimize(cfg)
+    assert state.converged
+    s, z = state.params, state.positions
+    slope = drive_slope_reference(cfg.times, z)
+    v_prime = cfg.confine * s - 2.0 * np.real(slope * cfg.curve.direction)
+    exact = cfg.hbar * cfg.N * (cfg.N - 1)
+    assert abs(float(np.sum(s * v_prime)) - exact) <= 1e-12 * exact

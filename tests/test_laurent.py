@@ -89,6 +89,18 @@ def test_phi_k_values():
     assert_allclose(laurent.phi_k(m3, 3, 1j), 24j * 1j ** 2, atol=1e-11)
 
 
+def test_phi_k_on_the_line_map():
+    # z = w + 1/w maps the exterior disk onto the plane cut along [-2, 2]:
+    # A_2 = w^2 + 1, A_3 = w^3 + 3w and A_4 = w^4 + 4w^2 + 3 from
+    # z^2 = w^2 + 2 + ..., z^3 = w^3 + 3w + ... and z^4 = w^4 + 4w^2 + 6 + ...;
+    # at the slit's ends w = +-1, phi_2, phi_3 and phi_4 are 2, +-6 and 12
+    m = laurent.LaurentMap(1.0, [0.0, 1.0])
+    w = np.array([1.0, -1.0, 0.7 + 0.2j, 1.5j])
+    assert_allclose(laurent.phi_k(m, 2, w), 2 * w ** 2, atol=1e-12)
+    assert_allclose(laurent.phi_k(m, 3, w), 3 * w ** 3 + 3 * w, atol=1e-12)
+    assert_allclose(laurent.phi_k(m, 4, w), 4 * w ** 4 + 8 * w ** 2, atol=1e-12)
+
+
 @pytest.mark.parametrize("x", [0.7 - 0.4j, np.array([0.5, -1.2 + 0.3j, 2j])],
                          ids=["python-complex", "array"])
 def test_horner_matches_the_power_sum(x):
