@@ -685,9 +685,7 @@ def _run_dyson(cfg: ScenarioConfig, emit):
     layers = [("points", state.positions, {})]
     if support.kind == "plane":
         payload["boundary"] = _complex_list(support.boundary)
-        payload["fitted_map"] = support.fitted_map.to_json()
         layers.append(("polyline", support.boundary, {"closed": True}))
-        extra["fitted_r"] = support.fitted_map.r
     else:
         payload["s_min"] = extra["s_min"] = support.s_min
         payload["s_max"] = extra["s_max"] = support.s_max
@@ -772,9 +770,11 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> ExitReport:
         "breakdown": breakdown,
         "summary": summary,
         "files": sorted(files, key=lambda f: f["name"]),  # by name, not write order
-        "wall_time_s": time.perf_counter() - started,
     }
     (out / "manifest.json").write_bytes(_encode("manifest.json", manifest))
+    # wall time goes to the log, not the manifest, so that reruns write the same bytes
+    log.info("run_scenario %s", json.dumps({"scenario": cfg.scenario, "status": status,
+                                            "wall_time_s": time.perf_counter() - started}))
     return ExitReport(status=status, exit_code=0 if status == "ok" else 2,
                       out_dir=out, manifest=manifest)
 

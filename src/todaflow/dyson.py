@@ -22,8 +22,8 @@ the plane by L-BFGS over the 2N coordinates, keeping the lowest of a few
 seeded starts.  A seeded Metropolis sampler provides the finite-hbar
 companion, at O(N) per proposal from cached per-particle log potentials
 (see ``metropolis``).  The support of the minimizer reproduces the growing
-domains of the contour-dynamics module; its boundary is extracted by
-angular binning.
+domains of the contour-dynamics module; in the plane its boundary is
+extracted by angular binning, as a polyline.
 
 Both measures score their pairs by one pass, ``_pair_pass``, over ``x``:
 one call gives the pair energy and, when asked, every pair force.  It
@@ -33,11 +33,11 @@ no N x N matrix, and fills the N(N-1)/2 distances into one buffer in
 that order at the ulp level, and on the real line it makes real and
 complex input agree bit for bit.
 
-``scipy.linalg`` (the curve Newton's Cholesky factorization),
-``scipy.optimize`` (the plane minimizer) and ``scipy.spatial`` (the plane
-separation check of ``GasState``) are imported where they are used, so that
-importing this module, as the CLI does for every scenario, loads none of
-them, and a curve gas loads only ``scipy.linalg``.
+``scipy.linalg`` (the curve Newton's Cholesky factorization) and
+``scipy.optimize`` (the plane minimizer) are imported where they are used,
+so that importing this module, as the CLI does for every scenario, loads
+neither: a curve minimization loads only ``scipy.linalg``, a plane
+minimization ``scipy.optimize``, and a Metropolis run no scipy part.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InsufficientSamplesError
-from .laurent import LaurentMap, _horner
+from .laurent import _horner
 
 log = logging.getLogger(__name__)
 
@@ -59,7 +59,6 @@ _PLANE_STARTS = 6
 # differences per row block of the pair pass: at 65536 its pages were
 # refaulted on every call
 _PAIR_BLOCK = 16384
-_BOUNDARY_MAP_ORDER = 8  # of the map fitted through a plane support's boundary
 # Curve Newton stops after a step whose decrement g^T H^-1 g is at most
 # this.  The decrement's roundoff level grows about as N^3: 4e-29 at N = 32,
 # 1.4e-26 at N = 256 and 7.5e-25 at N = 1024 on the real line.
@@ -133,6 +132,11 @@ class Schedule:
             raise ValueError("max_iterations must be at least 1")
         if self.burn_in is not None and self.burn_in < 0:
             raise ValueError("burn_in must be >= 0")
+        # not (v > 0) also refuses NaN
+        if self.tolerance is not None and not self.tolerance > 0:
+            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if not self.proposal_scale > 0:
+            raise ValueError(f"proposal_scale must be positive, got {self.proposal_scale}")
 
 
 @dataclass(frozen=True)
@@ -214,7 +218,7 @@ class GasState:
     evaluations plus its force evaluations, plus its Hessian builds on a
     curve, over every start of a plane run.  Particles closer than
     ``MIN_SEPARATION`` are refused: a curve state's are found by sorting its
-    parameters, a plane state's with a k-d tree.
+    parameters, a plane state's by one distance row per particle.
     """
 
     positions: np.ndarray
@@ -235,18 +239,14 @@ class GasState:
             par.setflags(write=False)
             object.__setattr__(self, "params", par)
         # Non-finite positions are left to the caller: their separations
-        # are undefined, and a k-d tree cannot hold them.
+        # are undefined.
         if len(pos) > 1 and np.all(np.isfinite(pos)):
             if par is not None:
                 # on a straight curve |z_m - z_n| = |s_m - s_n|
                 gap = float(np.diff(np.sort(par)).min())
             else:
-                # imported here, not at module level, so that only a plane
-                # gas loads scipy.spatial
-                from scipy.spatial import cKDTree
-
-                xy = np.column_stack((pos.real, pos.imag))
-                gap = float(cKDTree(xy).query(xy, k=2)[0][:, 1].min())
+                # each particle against the later ones, in O(N) memory
+                gap = min(float(np.abs(pos[j + 1:] - pos[j]).min()) for j in range(len(pos) - 1))
             if gap <= MIN_SEPARATION:
                 raise ValueError(
                     f"particle positions are not pairwise distinct (min separation {gap:.3e})"
@@ -621,26 +621,6 @@ def _particle_field(config: GasConfig):
     return curve_field
 
 
-def _log_potentials(x: np.ndarray) -> np.ndarray:
-    """Every particle's ``L_j = sum_{m != j} log|x_m - x_j|``.
-
-    ``x`` is real (curve parameters) or complex (plane positions).  Row
-    blocks of at most ``_PAIR_BLOCK`` differences, with the diagonal masked
-    to 1, so the O(N^2) work holds no N x N matrix; coincident points give
-    ``-inf``.
-    """
-    n = len(x)
-    out = np.empty(n)
-    col = np.arange(n)
-    rows = max(1, _PAIR_BLOCK // max(n, 1))
-    for r0 in range(0, n, rows):
-        r1 = min(n, r0 + rows)
-        d = np.abs(x[r0:r1, None] - x)
-        d[col[:r1 - r0], col[r0:r1]] = 1.0
-        np.log(d, out=d).sum(axis=1, out=out[r0:r1])
-    return out
-
-
 def metropolis(config: GasConfig, sweeps: int) -> MetropolisRun:
     """Metropolis-Hastings sampling of the gas measure at finite hbar.
 
@@ -654,22 +634,22 @@ def metropolis(config: GasConfig, sweeps: int) -> MetropolisRun:
 
     The chain moves ``x`` alone, the curve parameters on a curve and the
     positions in the plane, and caches each particle's log potential
-    ``L_j = sum_{m != j} log|x_m - x_j|`` (``_log_potentials``, once per
-    chain, O(N^2)) and its field (``_particle_field``).  A proposal moving
-    particle j to ``x_new`` builds one distance row ``|x - x_new|``, entry j
-    masked to 1, and sums its logs to ``S``; its energy change is
-    ``-2 (S - L_j) + field(new) - field_j``.  An accepted move adds the new
-    row's logs minus the old row's to every ``L`` and sets ``L_j = S``; over
-    30 sweeps at N = 1024 the cache drifts from a fresh ``_log_potentials``
-    by about 2e-12, with ``|L|`` up to 507.  Only a move that would be
-    accepted is tested for a partner closer than ``MIN_SEPARATION``, and it
-    is then rejected; one at ``dE <= 0`` draws and discards the uniform that
-    a move at ``dE > 0`` draws, so each such move takes one uniform, as a
-    move of infinite energy change does.  An exact coincidence gives
-    ``S = -inf`` and ``dE = +inf``, and is rejected.  Each sweep past the
-    burn-in copies ``x`` into a row of ``samples``; its final value is
-    ``state``, whose energy is the chain's one full ``_energy_gradient``
-    call.
+    ``L_j = sum_{m != j} log|x_m - x_j|`` and its field
+    (``_particle_field``).  A proposal moving particle j to ``x_new`` builds
+    one distance row ``|x - x_new|``, entry j masked to 1, and sums its logs
+    to ``S``; its energy change is ``-2 (S - L_j) + field(new) - field_j``.
+    The chain fills its ``L`` cache once, O(N^2), with the same row at each
+    ``x_new = x_j``.  An accepted move adds the new row's logs minus the old
+    row's to every ``L`` and sets ``L_j = S``; over 30 sweeps at N = 1024
+    the cache drifts from a fresh fill by about 2e-12, with ``|L|`` up to
+    507.  Only a move that would be accepted is tested for a partner closer
+    than ``MIN_SEPARATION``, and it is then rejected; one at ``dE <= 0``
+    draws and discards the uniform that a move at ``dE > 0`` draws, so each
+    such move takes one uniform, as a move of infinite energy change does.
+    An exact coincidence gives ``S = -inf`` and ``dE = +inf``, and is
+    rejected.  Each sweep past the burn-in copies ``x`` into a row of
+    ``samples``; its final value is ``state``, whose energy is the chain's
+    one full ``_energy_gradient`` call.
     """
     if sweeps < 1:
         raise ValueError(f"metropolis needs sweeps >= 1, got sweeps = {sweeps}")
@@ -693,8 +673,12 @@ def metropolis(config: GasConfig, sweeps: int) -> MetropolisRun:
     accepted = proposed = tune_acc = tune_prop = 0
     # an unbounded end is +-inf, which no proposal crosses
     lo, hi = config.curve.bounds if on_curve else (None, None)
+    potential = np.empty(config.N)
     with np.errstate(divide="ignore"):
-        potential = _log_potentials(x)
+        for j in range(config.N):
+            np.abs(np.subtract(x, x[j], out=diff), out=d_row)
+            d_row[j] = 1.0
+            potential[j] = np.log(d_row, out=d_row).sum()
         for sweep in range(1, sweeps + 1):
             for j in range(config.N):
                 proposed += 1
@@ -751,45 +735,20 @@ class SupportEstimate:
 
     kind: str
     boundary: np.ndarray | None = None
-    fitted_map: LaurentMap | None = None
     s_min: float | None = None
     s_max: float | None = None
     histogram: tuple | None = None
-
-
-def _fit_boundary_map(points: np.ndarray) -> LaurentMap:
-    """Least-squares truncated map through boundary points at their angles."""
-    theta = np.angle(points)
-    rows = []
-    rhs = []
-    for th, b in zip(theta, points):
-        cos_r, sin_r = math.cos(th), math.sin(th)
-        row_re = [cos_r]
-        row_im = [sin_r]
-        for j in range(_BOUNDARY_MAP_ORDER + 1):
-            cj, sj = math.cos(j * th), math.sin(j * th)
-            row_re.extend([cj, sj])
-            row_im.extend([-sj, cj])
-        rows.extend([row_re, row_im])
-        rhs.extend([b.real, b.imag])
-    sol, *_ = np.linalg.lstsq(np.asarray(rows), np.asarray(rhs), rcond=None)
-    r = float(sol[0])
-    if r <= 0:
-        raise ValueError("boundary fit produced a non-positive conformal radius")
-    coeffs = sol[1::2] + 1j * sol[2::2]
-    return LaurentMap(r, coeffs)
 
 
 def support_boundary(state: GasState, config: GasConfig, bins: int = 32) -> SupportEstimate:
     """Support estimate from a converged or well-mixed configuration.
 
     Plane: outermost particle per angular bin, smoothed once with a circular
-    [1, 2, 1]/4 stencil, plus a least-squares truncated-map fit.  Particle
-    centers tile the droplet, so the polyline is then pushed out by the
-    half-cell width of the uniform density (mean radius over sqrt(N)).
-    Curve: occupied parameter range and a density histogram.  A plane
-    estimate needs ``bins >= 4`` and ``N >= 4``; a plane state that leaves
-    a bin empty at every count down to 4 raises
+    [1, 2, 1]/4 stencil.  Particle centers tile the droplet, so the polyline
+    is then pushed out by the half-cell width of the uniform density (mean
+    radius over sqrt(N)).  Curve: occupied parameter range and a density
+    histogram.  A plane estimate needs ``bins >= 4`` and ``N >= 4``; a plane
+    state that leaves a bin empty at every count down to 4 raises
     :class:`InsufficientSamplesError`.
     """
     if config.measure == "curve":
@@ -822,8 +781,7 @@ def support_boundary(state: GasState, config: GasConfig, bins: int = 32) -> Supp
     smoothed = 0.25 * (np.roll(boundary, 1) + 2.0 * boundary + np.roll(boundary, -1))
     half_cell = float(np.mean(np.abs(smoothed))) / math.sqrt(state.N)
     smoothed = smoothed * (1.0 + half_cell / np.abs(smoothed))
-    fitted = _fit_boundary_map(smoothed)
-    return SupportEstimate(kind="plane", boundary=smoothed, fitted_map=fitted)
+    return SupportEstimate(kind="plane", boundary=smoothed)
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,6 @@ _SERIES_EXACT = 1e-4  # |S| (1 + |kappa|) below which the normal-form series is 
 _TAU_TOL = 1e-14  # |Im (G(1) - G(u))| below which u reaches the driving point
 # default_family's ring: tracked points, first angle, radius over the initial one
 _RING_POINTS, _RING_ANGLE, _RING_RADIUS = 12, 0.37, 3.0
-_FAR_FIELD = (1e2, 1e3)  # the two w at which fitted_radius reads z(w, q)
 _TAYLOR_DEGREE = 16  # slit_modes' matrix exponential series, at 1-norm 1/2
 # boundary_bracket's steps in q and theta, nodes, slit mask distance, erosion
 _BRACKET_DT0, _BRACKET_DTHETA, _BRACKET_NODES = 1e-3, 1e-4, 128
@@ -468,13 +467,6 @@ def extract_eta(family: LoewnerFamily, q: float) -> EtaEstimate:
     eta_pts = -mid * (1.0 + dlogw) / (1.0 - dlogw)
     eta_hat = complex(np.mean(eta_pts))
     return EtaEstimate(eta=eta_hat, spread=float(np.max(np.abs(eta_pts - eta_hat))))
-
-
-def fitted_radius(family: LoewnerFamily, q: float) -> float:
-    """Leading coefficient of ``z(., q)`` from two far-field evaluations."""
-    v1, v2 = forward_map(np.array(_FAR_FIELD, dtype=complex), q, family)
-    r = (v2 - v1) / (_FAR_FIELD[1] - _FAR_FIELD[0])
-    return float(r.real)
 
 
 def boundary_bracket(family: LoewnerFamily, q: float):

@@ -150,12 +150,8 @@ def test_criterion_08_symmetry_and_capacity():
     tips = loewner.slit_trace(family, np.linspace(0.0, 0.5, 11))
     imag_worst = float(np.max(np.abs(tips.imag)))
     assert imag_worst < 1e-9
-    # the fit's (z(w2) - z(w1)) / (w2 - w1) is r - e^q a_1 / (w1 w2), and w1 w2 =
-    # 1e5: |log r - q| reads that bias, a_1 / 1e5 ~ 6e-6, not an error of the flow
-    cap_worst = max(abs(np.log(loewner.fitted_radius(family, q)) - q)
-                    for q in (0.1, 0.25, 0.4, 0.5))
-    assert cap_worst < 1e-5
-    # the flow itself: the forward map far out is the series of the slit's modes
+    # the capacity law r = e^q: the forward map far out is e^q (w + sum_n a_n w^-n),
+    # the series of the slit's modes
     modes = loewner.slit_modes(family, 14)
     w = 10.0 * np.exp(1j * np.linspace(0.3, 6.0, 7))
     series_worst = 0.0
@@ -165,8 +161,7 @@ def test_criterion_08_symmetry_and_capacity():
                            float(np.max(np.abs(loewner.forward_map(w, q, family) - series))))
     assert series_worst < 1e-12
     _report(8, "slit symmetry and capacity",
-            f"max |Im tip| = {imag_worst:.2e}, |log r - q| = {cap_worst:.2e}, "
-            f"|z - mode series| at |w| = 10: {series_worst:.2e}")
+            f"max |Im tip| = {imag_worst:.2e}, |z - mode series| at |w| = 10: {series_worst:.2e}")
 
 
 def test_criterion_09_degeneracy_classifier():
@@ -325,13 +320,7 @@ def test_criterion_15_reproducibility(tmp_path):
         names_a = sorted(p.name for p in a.iterdir())
         assert names_a == sorted(p.name for p in b.iterdir())
         for fname in names_a:
-            if fname == "manifest.json":
-                ma = json.loads((a / fname).read_text())
-                mb = json.loads((b / fname).read_text())
-                ma.pop("wall_time_s"), mb.pop("wall_time_s")
-                assert ma == mb
-            else:
-                assert (a / fname).read_bytes() == (b / fname).read_bytes(), fname
+            assert (a / fname).read_bytes() == (b / fname).read_bytes(), fname
     _report(15, "reproducibility", "grow/loewner/dyson artifacts byte-identical across reruns")
 
 

@@ -183,9 +183,6 @@ def test_loewner_run_matches_separate_trace_and_snapshot_calls(tmp_path, monkeyp
     for name in names:
         a = (tmp_path / "merged" / name).read_bytes()
         b = (tmp_path / "separate" / name).read_bytes()
-        if name == "manifest.json":
-            a, b = json.loads(a), json.loads(b)
-            a.pop("wall_time_s"), b.pop("wall_time_s")
         assert a == b, name
     assert merged.manifest["summary"]["tracked"]["absorbed"] == (3 if kind == "constant" else 1)
 
@@ -226,7 +223,12 @@ def test_dyson_scenario_small_circular_law(tmp_path):
     report = cli.run_scenario(cli.parse_config(json.dumps(raw)))
     assert report.exit_code == 0
     support = json.loads((tmp_path / "out" / "support.json").read_text())
-    assert abs(support["fitted_map"]["r"] - 1.0) < 0.05
+    assert sorted(support) == ["boundary", "kind"]
+    # the droplet is the disk of radius sqrt(t0) = 1: the polyline's mean radius
+    # within 0.05, and each vertex within half a particle cell, 1 / (2 sqrt(N))
+    radii = np.abs([complex(*point) for point in support["boundary"]])
+    assert abs(np.mean(radii) - 1.0) < 0.05
+    assert np.max(np.abs(radii - 1.0)) < 0.5 / math.sqrt(64)
     state_rows = (tmp_path / "out" / "state.csv").read_text().splitlines()
     assert len(state_rows) == 65  # header + N
 
@@ -375,18 +377,20 @@ def test_grow_leg_error_is_reported_at_its_leg(tmp_path, raw, pointer):
     assert [ptr for ptr, _ in err.value.problems] == [pointer]
 
 
-def test_reproducibility_byte_identical(tmp_path):
+def test_reproducibility_byte_identical(tmp_path, caplog):
     text = json.dumps(minimal_grow_config(tmp_path / "a", steps=30))
     cfg1 = cli.parse_config(text)
-    cli.run_scenario(cfg1, out_dir=tmp_path / "a")
+    with caplog.at_level("INFO", logger=cli.log.name):
+        cli.run_scenario(cfg1, out_dir=tmp_path / "a")
     cfg2 = cli.parse_config(text)
     cli.run_scenario(cfg2, out_dir=tmp_path / "b")
-    for name in ("trajectory.csv", "moments.csv", "contours.json", "contours.svg"):
+    for name in ("trajectory.csv", "moments.csv", "contours.json", "contours.svg",
+                 "manifest.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-    ma = json.loads((tmp_path / "a" / "manifest.json").read_text())
-    mb = json.loads((tmp_path / "b" / "manifest.json").read_text())
-    ma.pop("wall_time_s"), mb.pop("wall_time_s")
-    assert ma == mb
+    # the wall time is logged, not written
+    timing = [json.loads(r.getMessage().partition(" ")[2]) for r in caplog.records
+              if r.getMessage().startswith("run_scenario ")]
+    assert len(timing) == 1 and timing[0]["wall_time_s"] > 0
 
 
 def test_main_exit_codes(tmp_path):
@@ -781,8 +785,9 @@ def test_metropolis_summary_records_tuning_windows(tmp_path):
     assert again.manifest["summary"] == summary
 
 
-# The scipy parts that only the plane gas (optimize, spatial) and hydro
-# (interpolate) compute with; every other scenario must start without them.
+# The scipy parts that only a plane gas minimization (optimize, which itself
+# imports spatial) and hydro (interpolate) compute with; every other scenario,
+# a plane gas Metropolis run included, must start without them.
 _DEFERRED_SCIPY = ("scipy.optimize", "scipy.interpolate", "scipy.spatial")
 _COLD_START = """
 import json, sys
@@ -807,7 +812,9 @@ print(json.dumps(result))
     # a curve gas minimizes by Newton and checks its separations by sorting
     {"scenario": "dyson",
      "dyson": {"N": 16, "hbar": 0.0625, "measure": {"kind": "curve", "curve": {"kind": "real_line"}}}},
-], ids=["import", "moments", "grow", "loewner", "dyson"])
+    # a plane chain checks its separations by distance rows
+    {"scenario": "dyson", "dyson": {"N": 16, "hbar": 0.0625, "mode": "metropolis"}},
+], ids=["import", "moments", "grow", "loewner", "dyson", "plane-metropolis"])
 def test_cold_start_loads_no_deferred_scipy_part(tmp_path, raw):
     argv = []
     if raw is not None:

@@ -65,13 +65,6 @@ def test_forward_map_real_symmetry():
     assert z.imag == 0.0
 
 
-def test_capacity_law():
-    fam = loewner.default_family(0.0, 0.5, CONST)
-    for q in (0.1, 0.3, 0.5):
-        r = loewner.fitted_radius(fam, q)
-        assert abs(np.log(r) - q) < 1e-5
-
-
 def test_slit_trace_constant_driving():
     fam = loewner.default_family(0.0, 0.5, CONST)
     qs = np.linspace(0.0, 0.5, 9)
