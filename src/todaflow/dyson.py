@@ -5,25 +5,25 @@ The eigenvalue integrand is carried around as an energy
     E = - sum_{m != n} log|z_m - z_n|
         + (1/hbar) sum_j [ |z_j|^2 - 2 Re sum_k t_k z_j^k ]           (plane)
 
-    E = - sum_{m != n} log|z_m - z_n|
+    E = - sum_{m != n} log|s_m - s_n|
         + (1/hbar) sum_j [ c s_j^2 / 2 - 2 Re sum_k t_k z(s_j)^k ]    (curve)
 
 with ``t0 = hbar * N`` held finite and the coefficient ``c`` given as
-``GasConfig.confine``; both fields and their forces are closed forms.
-Curves are straight, so their pair terms are real.
+``GasConfig.confine``.  Curves are straight, so their pair terms are real
+and their field is one real polynomial in ``s``, ``GasConfig.potential``.
 
 Every kernel works on one coordinate vector ``x``: the curve parameters
 ``s`` on a curve and the positions ``z`` in the plane; a curve's
-``z = curve.point(s)`` is formed only for the drive terms and for the
-``GasState`` a run returns.  The equilibrium configuration is found
-deterministically: on a curve by damped projected Newton over ``s``, on a
-dense explicit Hessian (8 N^2 bytes, O(N^3) time per iteration), and in
-the plane by L-BFGS over the 2N coordinates, keeping the lowest of a few
-seeded starts.  A seeded Metropolis sampler provides the finite-hbar
-companion, at O(N) per proposal from cached per-particle log potentials
-(see ``metropolis``).  The support of the minimizer reproduces the growing
-domains of the contour-dynamics module; in the plane its boundary is
-extracted by angular binning, as a polyline.
+``z = curve.point(s)`` is formed only for the ``GasState`` a run returns.
+The equilibrium configuration is found deterministically: on a curve by
+damped projected Newton over ``s``, on a dense explicit Hessian (8 N^2
+bytes, O(N^3) time per iteration), and in the plane by L-BFGS over the 2N
+coordinates, keeping the lowest of a few seeded starts.  A seeded
+Metropolis sampler provides the finite-hbar companion, at O(N) per
+proposal from cached per-particle log potentials (see ``metropolis``).
+The support of the minimizer reproduces the growing domains of the
+contour-dynamics module; in the plane its boundary is extracted by angular
+binning, as a polyline.
 
 Both measures score their pairs by one pass, ``_pair_pass``, over ``x``:
 one call gives the pair energy and, when asked, every pair force.  It
@@ -146,6 +146,9 @@ class GasConfig:
     Without a ``curve`` the gas lives in the plane, in the field ``|z|^2``.
     On a straight ``curve`` the finite coefficient ``confine`` gives the
     confinement ``confine * s^2 / (2 hbar)``; the plane ignores ``confine``.
+    A curve's field is ``potential``, the read-only ascending coefficients of
+    ``c s^2 / 2 - 2 Re W(z0 + direction s)`` (None in the plane).  A field
+    that does not confine is refused.
     """
 
     N: int
@@ -155,6 +158,7 @@ class GasConfig:
     confine: float = 1.0
     seed: int = 0
     schedule: Schedule = field(default_factory=Schedule)
+    potential: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.N < 1:
@@ -164,10 +168,20 @@ class GasConfig:
         if not math.isfinite(self.t0):
             raise ValueError("t0 = hbar * N must be finite")
         times = np.asarray(self.times, dtype=complex).reshape(-1).copy()
+        if not np.all(np.isfinite(times)):
+            raise ValueError("times must be finite")
         times.setflags(write=False)
         object.__setattr__(self, "times", times)
         if not math.isfinite(self.confine):
             raise ValueError("confine must be a finite coefficient")
+        if self.curve is not None:
+            # imported here, as scipy is: a plane run never needs it
+            from numpy.polynomial import Polynomial
+
+            drive = _horner([0j, *times.tolist()], Polynomial([self.curve.z0, self.curve.direction]))
+            potential = (Polynomial([0.0, 0.0, self.confine / 2.0]) - 2.0 * drive).coef.real.copy()
+            potential.setflags(write=False)
+            object.__setattr__(self, "potential", potential)
         _check_confining(self)
 
     @property
@@ -180,31 +194,31 @@ class GasConfig:
 
 
 def _check_confining(config: GasConfig):
-    """Reject fields whose one-particle energy is not positive far away.
+    """Refuse a field that does not confine, naming the term that wins at infinity.
 
-    Far away is the ring ``|z| = R = 50 max(1, sqrt(t0))`` in the plane, and
-    ``s = -R`` or ``s = R`` at a curve's infinite ends.
+    In the plane ``|z|^2 - 2 Re W(z)`` confines iff every ``t_k`` with
+    ``k >= 3`` is 0 and ``|t_2| < 1/2``; a larger drive needs a cutoff.  On
+    a curve, at each infinite end ``s -> sign inf``, the top nonzero
+    coefficient ``p_k`` of ``potential`` with ``k >= 1`` needs ``sign^k p_k > 0``.
     """
-    radius = 50.0 * max(1.0, math.sqrt(max(config.t0, 1e-12)))
     if config.measure == "plane":
-        far = radius * np.exp(2j * np.pi * np.arange(64) / 64)
-        field_energy = np.abs(far) ** 2
-    else:
-        lo, hi = config.curve.bounds
-        s = np.array([end for end, bound in ((-radius, lo), (radius, hi)) if np.isinf(bound)])
-        far = config.curve.point(s)
-        field_energy = config.confine * s ** 2 / 2.0
-    if not np.all(field_energy - 2.0 * np.real(_times_polynomial(config.times, far)) > 0):
-        raise ValueError(f"{config.measure} field is not confining: "
-                         "the harmonic drive wins in the far field")
+        t, k = config.times, len(np.trim_zeros(config.times, "b"))
+        if k >= 3 or (k == 2 and not abs(t[1]) < 0.5):
+            raise ValueError(f"plane field is not confining: the drive's t{k} z^{k} term "
+                             f"(t{k} = {t[k - 1]}) is not beaten by |z|^2 at infinity")
+        return
+    p, k = config.potential, len(np.trim_zeros(config.potential[1:], "b"))
+    for sign, end, far in ((-1, config.curve.lo, "-inf"), (1, config.curve.hi, "+inf")):
+        if np.isinf(end) and not (k and sign ** k * p[k] > 0):
+            term = f"its term {p[k]} s^{k} wins" if k else "no term grows"
+            raise ValueError(f"curve field is not confining at s -> {far}: {term} "
+                             "in c s^2 / 2 - 2 Re W(z0 + direction s)")
 
 
-def _times_polynomial(times: np.ndarray, z, order: int = 0):
-    """The drive ``W(z) = sum_k t_k z^k`` with ``t = times[0..K-1]``, or with
-    ``order`` its ``order``-th derivative ``sum_k k (k-1) ... (k-order+1) t_k
-    z^(k-order)``, by Horner's rule; 0 where that sum is empty."""
-    coeffs = [math.perm(k, order) * t for k, t in enumerate([0j, *times.tolist()])]
-    return _horner(coeffs[order:], z)
+def _polynomial(coeffs, x, order: int = 0):
+    """``sum_k coeffs[k] x^k``, or its ``order``-th derivative, by Horner's rule;
+    0 where that sum is empty."""
+    return _horner([math.perm(k, order) * c for k, c in enumerate(coeffs)][order:], x)
 
 
 @dataclass(frozen=True)
@@ -294,32 +308,27 @@ def _energy_gradient(x: np.ndarray, config: GasConfig, gradient: bool = True):
     """Energy and, with ``gradient``, ``dE/ds`` on a curve or ``dE/dzbar`` in the plane.
 
     ``x`` is the curve parameters ``s`` on a curve and the positions ``z``
-    in the plane.  The pair terms come from one ``_pair_pass`` over ``x``
-    and the drive from ``z``, on a curve ``curve.point(s)``; the field's
-    part of ``dE/dzbar`` is ``z`` and of ``dE/ds`` is ``c s``, over
-    ``hbar``.  Coincident particles give the ``+inf`` sentinel; the
-    gradient is None where the energy is not finite.
+    in the plane.  The pair terms come from one ``_pair_pass`` over ``x``,
+    the field from ``potential`` and its derivative on a curve and from
+    ``|z|^2 - 2 Re W(z)`` in the plane.  Coincident particles give the
+    ``+inf`` sentinel; the gradient is None where the energy is not finite.
     """
     pair, repulsion = _pair_pass(x, forces=gradient)
     if pair == -np.inf:
         log.debug("coincident particles: energy sentinel +inf")
         return np.inf, None
     hbar = config.hbar
-    on_curve = config.measure == "curve"
-    z = config.curve.point(x) if on_curve else x
-    drive = 2.0 * np.real(np.sum(_times_polynomial(config.times, z)))
-    if on_curve:
-        c = config.confine
-        e = -pair + float(np.sum(c * x ** 2 / (2.0 * hbar))) - drive / hbar
-    else:
-        e = -pair + (float(np.sum(np.abs(z) ** 2)) - drive) / hbar
+    if config.measure == "curve":
+        e = -pair + float(np.sum(_polynomial(config.potential, x) / hbar))
+        if not (gradient and e < np.inf):
+            return e, None
+        return e, _polynomial(config.potential, x, 1) / hbar - 2.0 * repulsion
+    drive = [0j, *config.times.tolist()]
+    drive_energy = 2.0 * np.real(np.sum(_polynomial(drive, x)))
+    e = -pair + (float(np.sum(np.abs(x) ** 2)) - drive_energy) / hbar
     if not (gradient and e < np.inf):
         return e, None
-    drive_slope = _times_polynomial(config.times, z, order=1)
-    if on_curve:
-        drive_force = 2.0 * np.real(drive_slope * config.curve.direction)
-        return e, c * x / hbar - 2.0 * repulsion - drive_force / hbar
-    return e, (z - np.conj(drive_slope)) / hbar - repulsion
+    return e, (x - np.conj(_polynomial(drive, x, 1))) / hbar - repulsion
 
 
 def _wall_clamped(s: np.ndarray, f_s: np.ndarray, curve: CurveSpec) -> np.ndarray:
@@ -400,18 +409,15 @@ def _curve_hessian(s: np.ndarray, config: GasConfig, out: np.ndarray):
     """Write the curve energy's Hessian in ``s`` into the N x N buffer ``out``.
 
     Off the diagonal it is ``-2 / (s_m - s_n)^2``, the log-gas graph
-    Laplacian times 2; the diagonal is ``(c + W''(s_j)) / hbar`` minus the
-    rest of its row, with the drive's curvature
-    ``W'' = -2 Re sum_k k (k-1) t_k z^(k-2) direction^2`` at ``z = curve.point(s)``.
+    Laplacian times 2; the diagonal is the field's curvature
+    ``potential''(s_j) / hbar`` minus the rest of its row.
     """
     np.subtract(s[:, None], s, out=out)
     out *= out
     diagonal = out.reshape(-1)[::len(s) + 1]
     diagonal[:] = np.inf
     np.divide(-2.0, out, out=out)
-    z = config.curve.point(s)
-    drive = _times_polynomial(config.times, z, order=2) * config.curve.direction ** 2
-    diagonal[:] = (config.confine - 2.0 * np.real(drive)) / config.hbar - out.sum(axis=1)
+    diagonal[:] = _polynomial(config.potential, s, 2) / config.hbar - out.sum(axis=1)
 
 
 def _curve_newton(config: GasConfig, max_iterations: int):
@@ -595,30 +601,19 @@ def _particle_field(config: GasConfig):
     """``field(x)``: one particle's field energy as a Python float, at its ``s`` or ``z``.
 
     A configuration's energy is its pair term plus this summed over its
-    particles: ``(|z|^2 - 2 Re W(z)) / hbar`` in the plane and
-    ``c s^2 / (2 hbar) - 2 Re W(z) / hbar`` on a curve, with the drive
-    ``W(z) = z sum_k t_k z^(k-1)``.  All of it is Python float and complex
-    arithmetic: the drive's coefficients are built once as Python complex
-    numbers and evaluated by one ``_horner`` call per field, with no Horner
-    step for the zero free term; a zero drive (a gas without times) is left
-    out, which is exact.  ``s * s`` rounds as ``s ** 2`` does, and
-    ``z0 + direction * s`` as ``curve.point(s)``.
+    particles: ``potential(s) / hbar`` on a curve and
+    ``(|z|^2 - 2 Re W(z)) / hbar`` in the plane, with ``W(z) = z sum_k t_k
+    z^(k-1)``, in Python float and complex arithmetic by one ``_horner``
+    call; a zero plane drive is left out, which is exact.
     """
-    times, hbar, c = config.times.tolist(), config.hbar, config.confine
-    if config.measure == "plane":
-        if not any(times):
-            return lambda z: (z.real * z.real + z.imag * z.imag) / hbar
-        return lambda z: (z.real * z.real + z.imag * z.imag
-                          - 2.0 * (z * _horner(times, z)).real) / hbar
-    z0, direction = config.curve.z0, config.curve.direction
+    hbar, times = config.hbar, config.times.tolist()
+    if config.measure == "curve":
+        coeffs = config.potential.tolist()
+        return lambda s: _horner(coeffs, s) / hbar
     if not any(times):
-        return lambda s: c * (s * s) / (2.0 * hbar)
-
-    def curve_field(s):
-        z = z0 + direction * s
-        return c * (s * s) / (2.0 * hbar) - 2.0 * (z * _horner(times, z)).real / hbar
-
-    return curve_field
+        return lambda z: (z.real * z.real + z.imag * z.imag) / hbar
+    return lambda z: (z.real * z.real + z.imag * z.imag
+                      - 2.0 * (z * _horner(times, z)).real) / hbar
 
 
 def metropolis(config: GasConfig, sweeps: int) -> MetropolisRun:
@@ -673,12 +668,12 @@ def metropolis(config: GasConfig, sweeps: int) -> MetropolisRun:
     accepted = proposed = tune_acc = tune_prop = 0
     # an unbounded end is +-inf, which no proposal crosses
     lo, hi = config.curve.bounds if on_curve else (None, None)
-    potential = np.empty(config.N)
+    log_potential = np.empty(config.N)
     with np.errstate(divide="ignore"):
         for j in range(config.N):
             np.abs(np.subtract(x, x[j], out=diff), out=d_row)
             d_row[j] = 1.0
-            potential[j] = np.log(d_row, out=d_row).sum()
+            log_potential[j] = np.log(d_row, out=d_row).sum()
         for sweep in range(1, sweeps + 1):
             for j in range(config.N):
                 proposed += 1
@@ -693,7 +688,7 @@ def metropolis(config: GasConfig, sweeps: int) -> MetropolisRun:
                 d_row[j] = 1.0
                 pair = float(np.log(d_row, out=log_new).sum())
                 field_new = field(x_new)
-                dE = -2.0 * (pair - potential.item(j)) + field_new - fields[j]
+                dE = -2.0 * (pair - log_potential.item(j)) + field_new - fields[j]
                 if dE <= 0 or uniform() < math.exp(-min(dE, 700.0)):
                     if d_row.min() < MIN_SEPARATION:
                         # a too-close move takes one uniform whatever the sign of dE
@@ -703,8 +698,8 @@ def metropolis(config: GasConfig, sweeps: int) -> MetropolisRun:
                     np.abs(np.subtract(x, x[j], out=diff), out=d_row)
                     d_row[j] = 1.0
                     np.log(d_row, out=d_row)
-                    potential += np.subtract(log_new, d_row, out=d_row)
-                    potential[j] = pair
+                    log_potential += np.subtract(log_new, d_row, out=d_row)
+                    log_potential[j] = pair
                     fields[j] = field_new
                     x[j] = x_new
                     accepted += 1

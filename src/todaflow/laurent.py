@@ -104,12 +104,6 @@ class LaurentMap:
         padded[:keep] = self.coeffs[:keep]
         return LaurentMap(self.r, padded)
 
-    def to_json(self) -> dict:
-        return {
-            "r": self.r,
-            "coeffs": [[float(c.real), float(c.imag)] for c in self.coeffs],
-        }
-
 
 def _resolve_grid(m: LaurentMap, n: int | None) -> int:
     if n is None:

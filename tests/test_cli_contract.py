@@ -12,6 +12,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from todaflow import cli
@@ -119,15 +120,14 @@ def _finite_numbers(obj):
     return not isinstance(obj, float) or math.isfinite(obj)
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(mutated_configs())
-def test_every_config_keeps_the_cli_contract(raw):
+def _run_under_the_contract(raw):
+    """Run ``raw`` and check the contract; the exit code, 1 for a ``ConfigError``."""
     with tempfile.TemporaryDirectory() as tmp:
         try:
             report = cli.run_scenario(cli.parse_config(json.dumps(raw)), out_dir=tmp)
         except ConfigError as err:
             assert err.problems
-            return
+            return 1
         assert report.exit_code in (0, 2)
         assert report.exit_code == (0 if report.status == "ok" else 2)
         manifest = _strict_json((Path(tmp) / "manifest.json").read_text())
@@ -140,3 +140,23 @@ def test_every_config_keeps_the_cli_contract(raw):
             elif entry["name"].endswith(".csv"):
                 cells = [float(c) for row in text.splitlines()[1:] for c in row.split(",")]
                 assert all(map(math.isfinite, cells)), entry["name"]
+        return report.exit_code
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(mutated_configs())
+def test_every_config_keeps_the_cli_contract(raw):
+    _run_under_the_contract(raw)
+
+
+@pytest.mark.parametrize("mode", ["minimize", "metropolis"])
+@pytest.mark.parametrize("measure", [{"kind": "plane"},
+                                     {"kind": "curve", "curve": {"kind": "real_line"}}],
+                         ids=["plane", "real_line"])
+def test_a_droplet_far_from_the_start_keeps_the_cli_contract(measure, mode):
+    # t1 = 1e10 confines, since |z|^2 wins at infinity, but the droplet lies about
+    # 1e10 from the start: the run may end unconverged, but at exit 0 or 2
+    raw = {"scenario": "dyson", "seed": 3,
+           "dyson": {"N": 6, "hbar": 1.0 / 6.0, "times": [[1e10, 0.0]], "measure": measure,
+                     "mode": mode, "sweeps": 3, "bins": 4}}
+    assert _run_under_the_contract(raw) in (0, 2)

@@ -150,29 +150,37 @@ def driven_real_line_gas(n_particles, times):
                            curve=dyson.CurveSpec.real_line(), seed=7)
 
 
-# W'' = -2 Re sum_k k (k-1) t_k s^(k-2) changes sign on the line under both
-# drives.  The cubic's is -12 t3 s, but the confinement check keeps |t3| so
-# small that c + W'' < 0 only far outside the gas, so H stays positive
-# definite; the double well's -4 t2 + 24 |t4| s^2 makes H indefinite near 0,
-# where the Cholesky factorization needs its shift.
+# W'' = -2 Re sum_k k (k-1) t_k s^(k-2) changes sign under both drives.  A
+# cubic drive wins at one end of the line, so it runs on the segment
+# [-30, 30], where c + W'' = 1 - 12 t3 s < 0 only on (20.8, 30], far outside
+# the gas, and H stays positive definite; the double well's
+# -4 t2 + 24 |t4| s^2 makes H indefinite near 0, where the Cholesky
+# factorization needs its shift.
 CUBIC, DOUBLE_WELL = [0, 0, 0.004], [0, 1.0, 0, -0.01]
+
+
+def cubic_segment_gas(n_particles):
+    return dyson.GasConfig(N=n_particles, hbar=1.0 / n_particles, times=CUBIC,
+                           curve=dyson.CurveSpec.segment(-30.0, 30.0), seed=7)
 
 
 @pytest.mark.parametrize("cfg", [
     dyson.GasConfig(N=32, hbar=1 / 32, seed=7),
     real_line_gas(32, seed=7),
-    driven_real_line_gas(32, CUBIC),
+    cubic_segment_gas(32),
     driven_real_line_gas(8, DOUBLE_WELL),
-], ids=["plane", "real_line", "real_line_cubic", "real_line_double_well"])
+], ids=["plane", "real_line", "segment_cubic", "real_line_double_well"])
 def test_minimize_energy_monotone(cfg):
     state = dyson.minimize(cfg)
     energies = [e for _, e, _ in state.trace]
     assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
 
 
-@pytest.mark.parametrize("times, shifted", [(CUBIC, False), (DOUBLE_WELL, True)],
-                         ids=["cubic", "double_well"])
-def test_minimize_converges_under_a_drive_with_negative_curvature(monkeypatch, times, shifted):
+@pytest.mark.parametrize("cfg, shifted", [
+    (cubic_segment_gas(8), False),
+    (driven_real_line_gas(8, DOUBLE_WELL), True),
+], ids=["cubic", "double_well"])
+def test_minimize_converges_under_a_drive_with_negative_curvature(monkeypatch, cfg, shifted):
     factor, failures = scipy.linalg.cho_factor, []
 
     def counted(*args, **kwargs):
@@ -183,7 +191,6 @@ def test_minimize_converges_under_a_drive_with_negative_curvature(monkeypatch, t
             raise
 
     monkeypatch.setattr(scipy.linalg, "cho_factor", counted)
-    cfg = driven_real_line_gas(8, times)
     state = dyson.minimize(cfg)
     assert state.converged
     assert state.trace[-1][2] < 1e-6 * (1e-8 * cfg.N / cfg.hbar)
@@ -388,6 +395,29 @@ def test_support_boundary_curve_takes_one_bin():
     assert support.histogram[0].tolist() == [8]
 
 
+def ellipse_droplet(times, t0, points=8192):
+    """The exact droplet of a confining plane gas, c + r w + u / w on |w| = 1, with
+    r^2 = t0 / (1 - 4 |t2|^2), u = 2 conj(t2) r and the centre
+    c = (conj(t1) + 2 conj(t2) t1) / (1 - 4 |t2|^2)."""
+    t1, t2 = (complex(t) for t in [*times, 0, 0][:2])
+    stretch = 1.0 - 4.0 * abs(t2) ** 2
+    r, u = math.sqrt(t0 / stretch), 2.0 * t2.conjugate() * math.sqrt(t0 / stretch)
+    w = np.exp(2j * np.pi * np.arange(points) / points)
+    return (t1.conjugate() + 2.0 * t2.conjugate() * t1) / stretch + r * w + u / w
+
+
+def test_support_boundary_lies_near_the_exact_droplet():
+    # criterion 12's gas at N = 128: every vertex of the polyline within 0.02 of
+    # the ellipse r = 1.00504, u = 0.10050 (0.0176 measured; 0.0625 at N = 64)
+    cfg = dyson.GasConfig(N=128, hbar=1 / 128, times=[0.0, 0.05], seed=13)
+    state = dyson.minimize(cfg)
+    assert state.converged
+    boundary = dyson.support_boundary(state, cfg).boundary
+    droplet = ellipse_droplet(cfg.times, cfg.t0)
+    distance = np.abs(boundary[:, None] - droplet).min(axis=1)
+    assert distance.max() <= 0.02
+
+
 def test_gas_config_measure_follows_the_curve():
     assert dyson.GasConfig(N=4, hbar=0.25).measure == "plane"
     assert dyson.GasConfig(N=4, hbar=0.25, curve=dyson.CurveSpec.real_line()).measure == "curve"
@@ -437,6 +467,9 @@ def test_config_validation():
         dyson.GasConfig(N=4, hbar=1.0, times=[0, 0, 0.5])
     with pytest.raises(ValueError, match="t0"):
         dyson.GasConfig(N=20, hbar=1e307)  # t0 = hbar * N overflows
+    for times in ([np.nan], [0, 1j * np.inf]):
+        with pytest.raises(ValueError, match="times must be finite"):
+            dyson.GasConfig(N=4, hbar=1.0, times=times)
 
 
 def _curve_gas(curve, coefficient=1.0, times=()):
@@ -460,6 +493,43 @@ def test_curve_confinement_checks_only_infinite_ends():
     # where t3 pulls inward
     assert _curve_gas(dyson.CurveSpec.segment(-1.0, 1.0), coefficient=0.0).N == 8
     assert _curve_gas(dyson.CurveSpec.ray(0j, -1.0), times=(0, 0, 0.01)).N == 8
+
+
+LINE, EAST, WEST = (dyson.CurveSpec.real_line(), dyson.CurveSpec.ray(0j, 1.0),
+                    dyson.CurveSpec.ray(0j, -1.0))
+# The confinement rule, decided from coefficients: (curve, confine, times) and
+# the term that a refusal names, or None where the field confines.
+CONFINEMENT_RULE = {
+    # a drive of degree 3 wins far out: |z|^2 beats it up to |z| = 55.6, s^2 / 2 up to s = 62.5
+    "plane-t3": (None, 1.0, [0, 0, 0.009], "t3 z^3"),
+    "line-t3": (LINE, 1.0, [0, 0, 0.004], "s^3"),
+    # confining, though the drive wins out to |z| = 600 and s = 1e5
+    "plane-far-t1-t2": (None, 1.0, [30, 0.45], None),
+    "line-far-t1-t2": (LINE, 1.0, [10, 0.2499], None),
+    "plane-t2-below-half": (None, 1.0, [0, 0.5 - 1e-9], None),
+    "plane-t2-half": (None, 1.0, [0, 0.5], "t2 z^2"),
+    "plane-t2-past-half": (None, 1.0, [0, 0.5j + 1e-9], "t2 z^2"),
+    "ray-t3-along": (EAST, 1.0, [0, 0, 0.01], "s^3"),
+    "ray-t3-against": (WEST, 1.0, [0, 0, 0.01], None),
+    "line-t4": (LINE, 1.0, [0, 0, 0, -0.02], None),
+    "line-imaginary-t3": (LINE, 1.0, [0, 0, 0.01j], None),
+    "line-free": (LINE, 0.0, [], "no term grows"),
+    "segment-free-t3": (dyson.CurveSpec.segment(-1.0, 1.0), 0.0, [0, 0, 5], None),
+}
+
+
+@pytest.mark.parametrize("curve, confine, times, winner", CONFINEMENT_RULE.values(),
+                         ids=CONFINEMENT_RULE)
+def test_confinement_rule(curve, confine, times, winner):
+    def make():
+        return dyson.GasConfig(N=8, hbar=0.1, times=times, curve=curve, confine=confine)
+
+    if winner is None:
+        assert make().N == 8
+    else:
+        with pytest.raises(ValueError, match="not confining") as refusal:
+            make()
+        assert winner in str(refusal.value)
 
 
 @pytest.mark.parametrize("kwargs", [{"direction": 0j}, {"lo": 1.0, "hi": 1.0},
@@ -745,6 +815,31 @@ def test_curve_kernel_equals_the_complex_reference(make_config):
         assert e == e_ref
 
 
+def _quartic_line():
+    return driven_real_line_gas(8, [0, 0, 0, -0.02])
+
+
+def _line_t1_t2():
+    return driven_real_line_gas(8, [0.1j, 0.02])
+
+
+def _cubic_segment():
+    curve = dyson.CurveSpec.segment(-3.0, 3.0, z0=0.2 - 0.1j, direction=1.0 + 0.5j)
+    return dyson.GasConfig(N=8, hbar=0.1, times=[0.3, -0.1j, 0.05 + 0.02j], curve=curve)
+
+
+@pytest.mark.parametrize("make_config", [_quartic_line, _ray, _line_t1_t2, _cubic_segment],
+                         ids=["quartic_line", "ray", "line_t1_t2", "cubic_segment"])
+def test_potential_is_the_curve_field(make_config):
+    cfg = make_config()
+    s = np.random.default_rng(11).uniform(-3.0, 3.0, 50)
+    drive = drive_reference(cfg.times, cfg.curve.point(s))
+    exact = cfg.confine * s ** 2 / 2.0 - 2.0 * np.real(drive)
+    field = dyson._horner(cfg.potential, s)
+    assert np.all(np.abs(field - exact) <= 1e-13 * np.abs(exact))
+    assert not cfg.potential.flags.writeable
+
+
 def real_line_minimum_energy(n_particles, hbar, coefficient=1.0):
     """E_min of the real-line gas in c s^2 / (2 hbar): its ground state is the
     Hermite point set scaled by sqrt(2 hbar / c)."""
@@ -770,6 +865,57 @@ def test_minimize_real_line_energy_with_a_confinement_coefficient(coefficient):
     assert state.converged
     exact = real_line_minimum_energy(64, 1 / 64, coefficient)
     assert abs(state.energy - exact) <= 1e-12 * abs(exact)
+
+
+def lobatto_points(n_particles):
+    """The Fekete set of [-1, 1]: -1, 1 and the zeros of the Jacobi polynomial
+    P^(1,1)_{N-2}, the eigenvalues of its Jacobi matrix."""
+    k = np.arange(1.0, n_particles - 2)
+    off = np.sqrt(k * (k + 2.0) / ((2.0 * k + 1.0) * (2.0 * k + 3.0)))
+    return np.concatenate(([-1.0], eigvalsh_tridiagonal(np.zeros(n_particles - 2), off), [1.0]))
+
+
+def laguerre_points(m):
+    """The zeros of the Laguerre polynomial L^(1)_m, the eigenvalues of its Jacobi matrix."""
+    k = np.arange(1.0, m)
+    return eigvalsh_tridiagonal(2.0 * np.arange(m) + 2.0, np.sqrt(k * (k + 1.0)))
+
+
+def laguerre_ray_energy(m, lam):
+    """E of the ray gas in the field lam s at the point set {0} and y / lam, y the
+    zeros of L^(1)_m: the discriminant of the monic L^(1)_m is
+    (m!)^(2m-2) prod_j j^(j-2m+2) (j+1)^(j-1), prod y = (m+1)! and sum y = m (m+1)."""
+    log_discriminant = (2 * m - 2) * math.lgamma(m + 1) + math.fsum(
+        (j - 2 * m + 2) * math.log(j) + (j - 1) * math.log(j + 1) for j in range(1, m + 1))
+    pairs = log_discriminant + 2.0 * math.lgamma(m + 2) - m * (m + 1) * math.log(lam)
+    return -pairs + m * (m + 1)
+
+
+@pytest.mark.parametrize("n_particles", [8, 16, 64, 256])
+def test_minimize_free_segment_equals_the_lobatto_points(n_particles):
+    # with no field the walls hold the gas, and Stieltjes's minimum is the Fekete set
+    cfg = dyson.GasConfig(N=n_particles, hbar=1 / n_particles,
+                          curve=dyson.CurveSpec.segment(-1.0, 1.0), confine=0.0, seed=0)
+    state = dyson.minimize(cfg)
+    assert state.converged
+    assert np.max(np.abs(np.sort(state.params) - lobatto_points(n_particles))) <= 1e-14
+
+
+@pytest.mark.parametrize("n_particles", [8, 16, 64, 256])
+def test_minimize_ray_in_a_linear_field_equals_the_laguerre_points(n_particles):
+    # the field -2 t1 s / hbar = lam s: one particle sits on the wall, whose charge
+    # makes the others the zeros of L^(1)_{N-1} over lam
+    t1, hbar = -0.3, 1 / n_particles
+    lam = -2.0 * t1 / hbar
+    cfg = dyson.GasConfig(N=n_particles, hbar=hbar, times=[t1],
+                          curve=dyson.CurveSpec.ray(0j, 1.0), confine=0.0, seed=0)
+    state = dyson.minimize(cfg)
+    assert state.converged
+    exact = np.concatenate(([0.0], laguerre_points(n_particles - 1) / lam))
+    # the eigenvalues are accurate to roundoff of the largest, not of each small zero
+    assert np.max(np.abs(np.sort(state.params) - exact)) <= 1e-14 * exact[-1]
+    expected = laguerre_ray_energy(n_particles - 1, lam)
+    assert abs(state.energy - expected) <= 1e-14 * abs(expected)
 
 
 def metropolis_reference(config, sweeps):
