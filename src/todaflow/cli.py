@@ -502,8 +502,8 @@ def _build_driving(spec: dict, seed: int, q_range=(0.0, 1.0)) -> loewner.Driving
 def _run_grow(cfg: ScenarioConfig, emit):
     p = cfg.params
     m = laurent.LaurentMap(p["map"]["r"], np.array(p["map"]["coeffs"], dtype=complex))
-    if cfg.m_order is not None:
-        m = m.with_order(cfg.m_order)
+    # every record then holds order + 1 coefficients, a_0 included
+    m = m.with_order(m.order if cfg.m_order is None else cfg.m_order)
     schedule = []
     for f in p["flows"]:
         flow = growth.FlowSpec(f["kind"], k=f.get("k", 0), z0=f.get("z0", 0j), sign=f["sign"])
@@ -528,28 +528,12 @@ def _run_grow(cfg: ScenarioConfig, emit):
     header = ["step", "time", "t0", "r"]
     for j in range(m.order + 1):
         header += [f"re_a{j}", f"im_a{j}"]
-    rows = []
-    for rec in traj.records:
-        row = [rec.index, float(rec.time), float(rec.moments.t0), float(rec.map.r)]
-        for c in rec.map.coeffs:
-            row += [float(c.real), float(c.imag)]
-        rows.append(row)
-    emit("trajectory.csv", (header, rows))
-    rows = []
-    for rec in traj.records:
-        for k in range(1, order + 1):
-            rows.append([
-                rec.index, k,
-                float(rec.moments.t[k - 1].real), float(rec.moments.t[k - 1].imag),
-                float(rec.moments.v[k - 1].real), float(rec.moments.v[k - 1].imag),
-            ])
-    emit("moments.csv", (["step", "k", "re_tk", "im_tk", "re_vk", "im_vk"], rows))
+    emit("trajectory.csv", (header, _trajectory_rows(traj.records)))
+    emit("moments.csv", (["step", "k", "re_tk", "im_tk", "re_vk", "im_vk"],
+                         _moment_rows(traj.records)))
     picks = np.unique(np.linspace(0, len(traj.records) - 1, p["snapshots"]).astype(int))
-    snapshots = []
-    for i in picks:
-        rec = traj.records[i]
-        pts = laurent.evaluate(rec.map, laurent.circle_grid(n))
-        snapshots.append((rec.index, pts))
+    snapshots = [(traj.records[i].index, laurent._grid_values(traj.records[i].map, n)[0])
+                 for i in picks]
     emit("contours.json", [{"step": int(i), "points": _complex_list(pts)} for i, pts in snapshots])
     emit("contours.svg", [("polyline", pts, {"closed": True}) for _, pts in snapshots])
     if pending is not None:
@@ -560,8 +544,27 @@ def _run_grow(cfg: ScenarioConfig, emit):
             "steps": traj.records[-1].index,
             "rk4_steps": len(diags),
             "max_leakage": max(d.leakage for d in diags),
-            "min_abs_zprime": min(d.min_abs_zprime for d in diags),
-            "max_r_imag_residual": max(d.r_imag_residual for d in diags)}
+            "min_abs_zprime": min(d.min_abs_zprime for d in diags)}
+
+
+def _trajectory_rows(records) -> list:
+    """``trajectory.csv``'s rows (step, time, t0, r, re_a0, im_a0, ...), read off
+    one stacked array; every record's map has the same order."""
+    coeffs = np.stack([rec.map.coeffs for rec in records])
+    values = np.column_stack([[rec.time for rec in records],
+                              [rec.moments.t0 for rec in records],
+                              [rec.map.r for rec in records], coeffs.view(float)])
+    # a concatenated row is allocated at its length; [i, *row] would over-allocate
+    return [[rec.index] + row for rec, row in zip(records, values.tolist())]
+
+
+def _moment_rows(records) -> list:
+    """``moments.csv``'s rows (step, k, re_tk, im_tk, re_vk, im_vk), one per
+    record and ``k``, read off one stacked array of the ``(t_k, v_k)`` pairs."""
+    pairs = np.stack([np.stack([rec.moments.t for rec in records]),
+                      np.stack([rec.moments.v for rec in records])], axis=-1)
+    return [[rec.index, k] + row for rec, block in zip(records, pairs.view(float).tolist())
+            for k, row in enumerate(block, start=1)]
 
 
 def _run_loewner(cfg: ScenarioConfig, emit):

@@ -175,11 +175,16 @@ class GasConfig:
         if not math.isfinite(self.confine):
             raise ValueError("confine must be a finite coefficient")
         if self.curve is not None:
-            # imported here, as scipy is: a plane run never needs it
-            from numpy.polynomial import Polynomial
-
-            drive = _horner([0j, *times.tolist()], Polynomial([self.curve.z0, self.curve.direction]))
-            potential = (Polynomial([0.0, 0.0, self.confine / 2.0]) - 2.0 * drive).coef.real.copy()
+            z0, direction = self.curve.z0, self.curve.direction
+            potential = _curve_field(times.tolist(), z0, direction, self.confine).real.copy()
+            # the same composition on magnitudes bounds each coefficient; one
+            # within its rounding of 0 is exactly 0 (say Re t3 d^3 for real
+            # t3 and d = e^(i pi/6)), so that it cannot decide confinement
+            bound = _curve_field([-abs(t) for t in times.tolist()], abs(z0), abs(direction),
+                                 abs(self.confine)).real[:len(potential)]
+            tiny = (potential != 0.0) & (np.abs(potential) <= 8 * max(len(potential) - 1, 1)
+                                         * np.finfo(float).eps * bound)
+            potential[tiny] = 0.0
             potential.setflags(write=False)
             object.__setattr__(self, "potential", potential)
         _check_confining(self)
@@ -191,6 +196,16 @@ class GasConfig:
     @property
     def measure(self) -> str:
         return "plane" if self.curve is None else "curve"
+
+
+def _curve_field(times: list, z0: complex, direction: complex, confine: float) -> np.ndarray:
+    """Ascending coefficients of ``confine s^2 / 2 - 2 W(z0 + direction s)``, with
+    ``W(z) = sum_k times[k - 1] z^k``, composed in ``numpy.polynomial``."""
+    # imported here, as scipy is: a plane run never needs it
+    from numpy.polynomial import Polynomial
+
+    drive = _horner([0j, *times], Polynomial([z0, direction]))
+    return (Polynomial([0.0, 0.0, confine / 2.0]) - 2.0 * drive).coef
 
 
 def _check_confining(config: GasConfig):

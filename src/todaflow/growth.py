@@ -12,12 +12,20 @@ exterior point, and the higher harmonic-moment flows, all in the quadratic
 background ``U = z zbar`` (``U_zzbar = 1``) that the gas of
 :mod:`todaflow.dyson` shares.  The orientation is outward-positive: the area
 clock runs at ``d t0/dt = +1``.
+
+Each flow is an ODE on the map's ``M + 2`` modes ``v = (r, a_0 .. a_M)``,
+the polynomial reduction of Kostov, Krichever, Mineev-Weinstein, Wiegmann &
+Zabrodin.  An RK4 stage reads ``z`` and ``w z'`` from its modes by one
+product with the power table, takes ``Phi`` from one real FFT of ``h``,
+and ``dz/dt`` from one short convolution of ``p v`` with ``Phi``: its first
+``M + 2`` entries are the rates, and the rest is the leakage the truncated
+map drops.  ``r``'s rate ``r Phi_0`` is real, so ``r`` stays real.  No stage
+builds a map; a source stage inverts ``z0`` on its modes.
 """
 
 from __future__ import annotations
 
 import functools
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +33,6 @@ import numpy as np
 from . import laurent
 from .errors import CuspError, NonUnivalentError, SeriesBudgetError
 from .laurent import LaurentMap, circle_grid
-
-log = logging.getLogger(__name__)
 
 #: boundary |z'| below this is treated as a cusp for smooth flows
 CUSP_FLOOR = 1e-8
@@ -97,19 +103,22 @@ def _moments(m: LaurentMap, order: int, n: int | None, grid=None) -> MomentVecto
     """Both moment families over one boundary pass, without the univalence witness.
 
     With ``core = zbar z' w`` on the grid, ``t0 = mean(core)``,
-    ``t_k = mean(z^-k core) / k`` and ``v_k = mean(z^k core)``; the powers of
-    ``z`` for all k are built at once as running products.  Callers witness
-    the map first.  ``grid`` is the map's ``(z, w z')`` samples when the
-    caller already has them.
+    ``t_k = mean(z^-k core) / k`` and ``v_k = mean(z^k core)``; ``z^-k`` and
+    ``z^k`` are built together as running products, one multiply per k.
+    Callers witness the map first.  ``grid`` is the map's ``(z, w z')``
+    samples when the caller already has them.
     """
     n = laurent._resolve_grid(m, n)
     z, wzp = laurent._grid_values(m, n) if grid is None else grid
     core = np.conj(z) * wzp
-    inverse_powers = np.cumprod(np.broadcast_to(1.0 / z, (order, n)), axis=0)
-    powers = np.cumprod(np.broadcast_to(z, (order, n)), axis=0)
+    base = np.stack([1.0 / z, z])
+    powers = np.empty((order + 1, 2, n), dtype=complex)
+    powers[0] = 1.0
+    for k in range(order):
+        np.multiply(powers[k], base, out=powers[k + 1])
+    t, v = (powers[1:] @ core).T
     return MomentVector(order=order, t0=float(np.mean(core).real),
-                        t=inverse_powers @ core / (n * np.arange(1, order + 1)),
-                        v=powers @ core / n)
+                        t=t / (n * np.arange(1, order + 1)), v=v / n)
 
 
 def moment_vector(m: LaurentMap, order: int, n: int | None = None) -> MomentVector:
@@ -145,13 +154,16 @@ def _circle_nodes(n: int) -> np.ndarray:
     return w
 
 
-def _velocity_over_speed(m: LaurentMap, flow: FlowSpec, n: int, grid=None):
-    """Return (V_n samples, h = V_n/|z'| samples, w z' samples) on the grid.
+def _velocity_over_speed(v: np.ndarray, flow: FlowSpec, n: int, grid=None):
+    """Return (V_n samples, h = V_n/|z'| samples) on the grid.
 
-    ``grid`` is the map's ``(z, w z')`` samples when the caller already has them.
+    ``v`` holds the map's modes (:func:`laurent._modes`), and ``grid`` its
+    ``(z, w z')`` samples when the caller already has them.  A source flow
+    inverts ``z0`` by :func:`laurent._invert`, the Newton iteration of
+    :func:`laurent.inverse_evaluate`, on the modes.
     """
     w = _circle_nodes(n)
-    z, wzp = laurent._grid_values(m, n) if grid is None else grid
+    z, wzp = laurent._mode_values(v, n) if grid is None else grid
     azp = np.abs(wzp)
     if azp.min() < CUSP_FLOOR:
         j = int(np.argmin(azp))
@@ -163,7 +175,7 @@ def _velocity_over_speed(m: LaurentMap, flow: FlowSpec, n: int, grid=None):
     if flow.kind == "t0_infinity":
         vn = 1.0 / (2.0 * azp)
     elif flow.kind == "t0_source":
-        w0 = laurent.inverse_evaluate(m, flow.z0)
+        w0 = laurent._invert(float(v[0].real), v[1:].tolist(), flow.z0)
         wf = w / (w - w0) + w * np.conj(w0) / (1.0 - w * np.conj(w0))
         # outward-positive orientation: reduces to the source-at-infinity flow
         # as |z0| grows, and keeps d t0/dt = +1.
@@ -175,73 +187,63 @@ def _velocity_over_speed(m: LaurentMap, flow: FlowSpec, n: int, grid=None):
     else:  # pragma: no cover
         raise ValueError(flow.kind)
     vn = flow.sign * vn
-    return vn, vn / azp, wzp
+    return vn, vn / azp
 
 
-def _coefficient_rhs(m: LaurentMap, flow: FlowSpec, n: int, grid=None) -> np.ndarray:
-    """Grid spectrum of ``dz/dt``: ``r'`` at index 1 and ``a_j'`` at index ``-j``.
+def _coefficient_rhs(v: np.ndarray, flow: FlowSpec, n: int, grid=None) -> np.ndarray:
+    """The modes of ``dz/dt = w z' Phi`` for a map of modes ``v``.
 
-    ``Phi`` (the Schwarz extension of ``h``) keeps ``Re hhat_0`` at index 0
-    and ``2 hhat_-k`` at index ``-k`` for ``k = 1 .. n/2 - 1``, and
-    ``dz/dt = w z' Phi`` is read off by one FFT.  Every other index is
-    spectral leakage (:func:`_leakage`).
+    ``Phi`` (the Schwarz extension of ``h``) has ``Phi_0 = Re hhat_0`` and
+    ``Phi_-k = 2 conj(hhat_k)`` for ``k = 1 .. n/2 - 1``, from one real FFT of
+    ``h``.  ``w z'`` has the modes ``p v`` at the powers ``p = 1, 0, .., -M``,
+    so ``dz/dt`` is their convolution with ``Phi``: the first ``M + 2``
+    entries are the rates of ``r`` and the ``a_j``, and the rest is spectral
+    leakage (:func:`_leakage`).  As ``M + 1 <= n/2``, this is the grid's
+    circular product with no wrap.  ``r``'s rate, ``r Phi_0``, is real.
+    ``grid`` is as in :func:`_velocity_over_speed`.
     """
-    _, h, wzp = _velocity_over_speed(m, flow, n, grid)
-    h_modes = np.fft.fft(h)
-    phi_modes = np.zeros(n, dtype=complex)
-    phi_modes[0] = h_modes[0].real
-    phi_modes[n // 2 + 1:] = 2.0 * h_modes[n // 2 + 1:]
-    return np.fft.fft(wzp * np.fft.ifft(phi_modes)) / n
+    _, h = _velocity_over_speed(v, flow, n, grid)
+    h_modes = np.fft.rfft(h, norm="forward")
+    phi = 2.0 * h_modes[: n // 2].conj()
+    phi[0] = h_modes[0].real
+    return np.convolve(v * laurent._mode_powers(len(v)), phi)
 
 
-def _leakage(modes: np.ndarray, order: int) -> float:
-    """Energy of the ``dz/dt`` modes that a map of truncation ``order`` cannot hold."""
-    n = len(modes)
-    kept = np.zeros(n, dtype=bool)
-    kept[1] = True
-    kept[-np.arange(order + 1) % n] = True
-    return float(np.sum(np.abs(modes[~kept]) ** 2))
+def _leakage(rates: np.ndarray, count: int) -> float:
+    """Energy of the ``dz/dt`` modes past the map's ``count`` modes."""
+    tail = rates[count:]
+    return float(np.vdot(tail, tail).real)
 
 
 @dataclass(frozen=True)
 class StepDiagnostics:
     leakage: float
-    r_imag_residual: float
     min_abs_zprime: float
 
 
 def _rk4_step(m: LaurentMap, flow: FlowSpec, dt: float, n: int, grid=None):
-    """One RK4 step, its diagnostics and the new map's ``(z, w z')``; ``grid`` is
-    ``m``'s ``(z, w z')`` if known.
+    """One RK4 step on the map's modes ``v = (r, a_0 .. a_M)``: the new map, its
+    diagnostics and its ``(z, w z')``; ``grid`` is ``m``'s ``(z, w z')`` if known.
 
-    Each stage is the grid spectrum of ``dz/dt``; the leakage is read from the
-    first.  A later stage's modes are the map's plus ``h`` times the previous
-    stage's (``r``'s kept real), read on the grid by one inverse FFT; only a
-    finite source, whose velocity inverts the stage map, builds a map."""
-    kept = -np.arange(m.order + 1) % n  # the a_j's indices; r's is 1
+    A stage's grid values are one product of its modes with the power table,
+    and its rates one real FFT and one convolution (:func:`_coefficient_rhs`);
+    no stage builds a map.  The leakage is read from the first stage.
+    """
+    v = laurent._modes(m.r, m.coeffs if len(m.coeffs) else [0j])
+    count = len(v)
+    first = _coefficient_rhs(v, flow, n, grid)
+    k1 = first[:count]
 
-    def rhs(k, h):
-        r, a = m.r + h * k[1].real, a0 + h * k[kept]
-        laurent._check_modes(r, a)
-        stage = LaurentMap(r, a) if flow.kind == "t0_source" else None
-        grid = laurent._spectrum_values(laurent._spectrum(r, a, n))
-        return _coefficient_rhs(stage, flow, n, grid)
+    def stage(k, h):
+        u = v + h * k
+        laurent._check_modes(u[0].real, u[1:])
+        return _coefficient_rhs(u, flow, n)[:count]
 
-    a0 = np.asarray(m.coeffs, dtype=complex)
-    k1 = _coefficient_rhs(m, flow, n, grid)
-    k2 = rhs(k1, 0.5 * dt)
-    k3 = rhs(k2, 0.5 * dt)
-    k4 = rhs(k3, dt)
-    incr = dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-    r_incr, a_new = incr[1], a0 + incr[kept]
-    r_imag = abs(r_incr.imag)
-    if r_imag >= 1e-10:
-        raise CuspError(
-            f"leading coefficient acquired imaginary part {r_imag:.3e}; flow is inconsistent"
-        )
-    if r_imag > 0:
-        log.debug("zeroed imaginary residue %.3e on the leading coefficient", r_imag)
-    new_map = LaurentMap(m.r + r_incr.real, a_new)
+    k2 = stage(k1, 0.5 * dt)
+    k3 = stage(k2, 0.5 * dt)
+    k4 = stage(k3, dt)
+    v_new = v + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+    new_map = LaurentMap(v_new[0].real, v_new[1:])
     new_grid = laurent._grid_values(new_map, n)
     ok, _, min_zp, theta = laurent.univalence_witness(new_map, n, new_grid)
     if not ok:
@@ -249,16 +251,15 @@ def _rk4_step(m: LaurentMap, flow: FlowSpec, dt: float, n: int, grid=None):
             f"univalence lost after step dt={dt} (min |z'| {min_zp:.3e} near theta={theta:.4f})",
             theta=theta,
         )
-    return new_map, StepDiagnostics(leakage=_leakage(k1, m.order), r_imag_residual=r_imag,
-                                    min_abs_zprime=min_zp), new_grid
+    return new_map, StepDiagnostics(leakage=_leakage(first, count), min_abs_zprime=min_zp), new_grid
 
 
 def step(m: LaurentMap, flow: FlowSpec, dt: float, n: int | None = None) -> LaurentMap:
     """Advance the map by one fixed RK4 step of the chosen flow.
 
-    The updated leading coefficient is kept real (tiny imaginary residue is
-    zeroed); losing univalence raises :class:`CuspError` with the offending
-    angle.  A harmonic flow whose ``z**k`` the grid cannot resolve raises
+    The leading coefficient's rate is real, so it stays real; losing
+    univalence raises :class:`CuspError` with the offending angle.  A harmonic
+    flow whose ``z**k`` the grid cannot resolve raises
     :class:`SeriesBudgetError`, as :func:`run` does.  ``dt = 0`` returns the
     map unchanged.
     """
@@ -299,8 +300,8 @@ def run(m: LaurentMap, schedule, moment_order: int | None = None,
     the records skip the witness of :func:`moment_vector`.  Each map's grid
     samples are built once and serve its witness, its moments and the first
     stage of the next step; the later stages read their grids from their
-    modes, and the witness settles most maps' critical points by a bound
-    (:func:`laurent.univalence_witness`).  Step failures are re-raised with
+    modes, and the witness settles most maps' nearest pair and critical
+    points by bounds (:func:`laurent.univalence_witness`).  Step failures are re-raised with
     the failing step index in the message and the trajectory up to the
     failure attached as ``exc.partial``; a ``ValueError`` from a step (say a
     leading coefficient driven below zero) carries the failing leg's index as

@@ -2,30 +2,37 @@
 
 The central object is the map ``z(w) = r*w + a0 + a1/w + ... + aM/w**M``
 from the exterior of the unit disk onto the exterior of a compact planar
-domain.  Boundary functions have one representation: samples on a uniform
-power-of-two grid of the unit circle, read as Fourier modes through the FFT,
-so products never touch an explicit convolution.  Grid sizes must satisfy
-``n >= 4*(M+1)`` to keep quadratic nonlinearities alias-free.
+domain.  A map is its ``M + 2`` modes ``v = (r, a_0 .. a_M)`` at the powers
+``p = 1, 0, -1, .., -M`` (:func:`_modes`).  Boundary functions are samples on
+a uniform power-of-two grid of the unit circle, read as Fourier modes through
+the FFT.  Grid sizes must satisfy ``n >= 4*(M+1)`` to keep quadratic
+nonlinearities alias-free.
 
 Conventions
 -----------
-* grid nodes are ``theta_j = 2*pi*j/n``, ``w_j = exp(i*theta_j)``;
+* grid nodes are ``theta_j = 2*pi*j/n``, ``w_j = exp(i*theta_j)``, each
+  rounded from the first octant (:func:`circle_grid`);
 * the Fourier coefficient of ``w**m`` of a sampled function is
   ``fft(samples)[m % n] / n``;
 * the angular derivative ``d/d(log w) = w d/dw`` of a map multiplies each
-  of its modes by the mode's index, so ``w z'`` is exact on the grid.
+  of its modes by the mode's power, so ``w z'`` is exact on the grid.
 
-Grid values of a map (``z`` and ``w z'`` on the circle grid) come from two
-inverse FFTs of its coefficient vector; the growth step, the string
-residual, the univalence witness and the moment quadrature all read them
+A map's grid values (``z`` and ``w z'`` on the circle grid) have one route:
+one product of its modes with a cached, read-only table of ``w_j**p`` and
+``p w_j**p`` (:func:`_mode_values`).  The growth stages, the string residual,
+the univalence witness, the moment quadrature and ``phi_k`` all read them
 that way, and a caller that already has a map's grid hands it to the
-witness.  The witness compares each unordered pair of grid points once, and
-settles the critical points without a Schur-Cohn recursion whenever
-``r - rho^-(M+1) sum_j j |a_j|``, a lower bound of ``|z'|`` on ``|w| >= rho``,
-is positive.  Every truncated series evaluated at given points goes through
+witness.  The witness compares only the ``n`` neighbour pairs of grid images
+when ``2 cos(pi/n) (r - S) > r + S``, with ``S = sum_j j |a_j|``: on the
+circle every pair obeys ``(r - S) |dw| <= |dz| <= (r + S) |dw|``, so no
+farther pair can be nearer.  Otherwise it compares each unordered pair once.
+It settles the critical points without a Schur-Cohn recursion whenever
+``r - rho^-(M+1) S``, a lower bound of ``|z'|`` on ``|w| >= rho``, is
+positive.  Every truncated series evaluated at given points goes through
 one Horner evaluator, :func:`_horner`: the map and its derivative in ``1/w``
-(Newton inversion, plotting and user queries), ``phi_k`` in ``w``, the
-Orlov-Shulman function and the gas drive.
+(plotting and user queries), the Newton inversion :func:`_invert` (in Python
+complex arithmetic), ``phi_k`` in ``w``, the Orlov-Shulman function and the
+gas drive.
 """
 
 from __future__ import annotations
@@ -40,8 +47,7 @@ from .errors import RootFindError, SeriesBudgetError
 
 DEFAULT_GRID = 128
 
-#: Relative tolerance and iteration cap of the Newton inversion in
-#: :func:`inverse_evaluate`.
+#: Relative tolerance and iteration cap of the Newton inversion, :func:`_invert`.
 INVERSION_TOL = 1e-12
 INVERSION_MAX_ITER = 60
 
@@ -59,10 +65,21 @@ def default_grid_size(order: int) -> int:
 
 
 def circle_grid(n: int) -> np.ndarray:
-    """Unit-circle nodes ``exp(2*pi*i*j/n)``, ``j = 0..n-1``."""
+    """Unit-circle nodes ``exp(2*pi*i*j/n)``, ``j = 0..n-1``.
+
+    Each node is the exact rotation by a power of ``i`` of a node in the first
+    quadrant, whose cosine and sine are taken at an angle of at most ``pi/4``,
+    where they round best: the nodes keep the circle's symmetries exactly."""
     if not _is_power_of_two(n):
         raise ValueError(f"grid size must be a power of two, got {n}")
-    return np.exp(2j * np.pi * np.arange(n) / n)
+    if n < 4:
+        return np.array([1.0, -1.0][:n], dtype=complex)
+    quadrant, j = np.divmod(np.arange(n), n // 4)
+    theta = 2.0 * np.pi * np.minimum(j, n // 4 - j) / n
+    low = 2 * j <= n // 4
+    cos, sin = np.cos(theta), np.sin(theta)
+    first = np.where(low, cos, sin) + 1j * np.where(low, sin, cos)
+    return first * np.array([1, 1j, -1, -1j])[quadrant]
 
 
 def _check_modes(r, coeffs):
@@ -115,33 +132,49 @@ def _resolve_grid(m: LaurentMap, n: int | None) -> int:
     return n
 
 
-def _grid_values(m: LaurentMap, n: int):
-    """``z`` and ``w z'`` on the ``n``-point circle grid, from two inverse FFTs.
-
-    The map's coefficients are its Fourier modes: ``r`` at index 1 and
-    ``a_j`` at index ``-j``.  ``w d/dw`` multiplies each mode by its index.
-    Any grid that passes ``_resolve_grid`` (``n >= 4 (M + 1)``) holds every
-    mode at its own signed index.
-    """
-    return _spectrum_values(_spectrum(m.r, m.coeffs, n))
-
-
-def _spectrum_values(spectrum):
-    """``z`` and ``w z'`` on the grid from a map's modes (:func:`_spectrum`),
-    by one two-row inverse FFT."""
-    modes = np.empty((2, len(spectrum)), dtype=complex)
-    modes[0] = spectrum
-    modes[1] = spectrum * _mode_index(len(spectrum))
-    z, wzp = np.fft.ifft(modes, norm="forward")
-    return z, wzp
+def _modes(r, coeffs) -> np.ndarray:
+    """The modes ``v = (r, a_0 .. a_M)`` of maps ``r w + sum_j coeffs[..., j] w**-j``,
+    one per leading index of ``coeffs`` (and of ``r``), at the powers of
+    :func:`_mode_powers`."""
+    coeffs = np.asarray(coeffs)
+    v = np.empty(coeffs.shape[:-1] + (coeffs.shape[-1] + 1,), dtype=complex)
+    v[..., 0] = r
+    v[..., 1:] = coeffs
+    return v
 
 
 @functools.lru_cache(maxsize=None)
-def _mode_index(n: int) -> np.ndarray:
-    """The signed mode index of each FFT slot, ``fftfreq(n, 1/n)``, built once per ``n``."""
-    index = np.fft.fftfreq(n, 1.0 / n)
-    index.setflags(write=False)
-    return index
+def _mode_powers(count: int) -> np.ndarray:
+    """The powers ``1, 0, -1, .., 2 - count`` of the ``count`` modes of :func:`_modes`."""
+    powers = 1 - np.arange(count)
+    powers.setflags(write=False)
+    return powers
+
+
+@functools.lru_cache(maxsize=None)
+def _power_table(n: int, count: int) -> np.ndarray:
+    """``[w_j**p | p w_j**p]`` at row ``p``'s slot, for the ``count`` powers of
+    :func:`_mode_powers` and the ``n`` grid nodes ``w_j``: a read-only
+    ``count x 2n`` table, built once per ``(n, count)``.  Each ``w_j**p`` is a
+    grid node, ``w_((j p) % n)``."""
+    powers = _mode_powers(count)[:, None]
+    nodes = circle_grid(n)[(powers * np.arange(n)) % n]
+    table = np.concatenate([nodes, powers * nodes], axis=1)
+    table.setflags(write=False)
+    return table
+
+
+def _mode_values(v: np.ndarray, n: int):
+    """``z`` and ``w z'`` on the ``n``-point grid from the modes ``v`` of one map
+    (or of many, one per leading index), by one product with
+    :func:`_power_table`: ``w d/dw`` multiplies each mode by its power."""
+    values = v @ _power_table(n, v.shape[-1])
+    return values[..., :n], values[..., n:]
+
+
+def _grid_values(m: LaurentMap, n: int):
+    """``z`` and ``w z'`` on the ``n``-point circle grid (:func:`_mode_values`)."""
+    return _mode_values(_modes(m.r, m.coeffs), n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -151,16 +184,6 @@ def _pair_offsets(n: int) -> np.ndarray:
     offsets = (np.arange(n) + np.arange(1, n // 2 + 1)[:, None]) % n
     offsets.setflags(write=False)
     return offsets
-
-
-def _spectrum(r, coeffs, n):
-    """The ``n`` Fourier modes of maps ``r w + sum_j coeffs[..., j] w**-j``, one
-    per leading index of ``coeffs`` (and of ``r``)."""
-    coeffs = np.asarray(coeffs)
-    modes = np.zeros(coeffs.shape[:-1] + (n,), dtype=complex)
-    modes[..., 1] = r
-    modes[..., -np.arange(coeffs.shape[-1]) % n] = coeffs
-    return modes
 
 
 def _horner(coeffs, x):
@@ -231,13 +254,32 @@ def _zeros_inside(coeffs: np.ndarray, radius: float) -> bool:
     return True
 
 
-def _critical_bound(m: LaurentMap, radius: float) -> bool:
-    """Whether ``r - radius^-(M+1) sum_j j |a_j|``, a lower bound of ``|z'(w)|`` on
-    ``|w| >= radius`` for ``radius <= 1``, is positive, so that every critical
-    point lies in ``|w| < radius``.  The sum is held to a relative margin of
-    1e-12, far above its rounding."""
-    weight = float(np.arange(len(m.coeffs)) @ np.abs(m.coeffs))
+def _derivative_weight(m: LaurentMap) -> float:
+    """``S = sum_j j |a_j|``, the weight of the tail in every bound on ``z'``."""
+    return float(np.arange(len(m.coeffs)) @ np.abs(m.coeffs))
+
+
+def _critical_bound(m: LaurentMap, radius: float, weight: float) -> bool:
+    """Whether ``r - radius^-(M+1) S``, with ``S`` the :func:`_derivative_weight`,
+    a lower bound of ``|z'(w)|`` on ``|w| >= radius`` for ``radius <= 1``, is
+    positive, so that every critical point lies in ``|w| < radius``.  The sum
+    is held to a relative margin of 1e-12, far above its rounding."""
     return (1.0 + 1e-12) * weight < m.r * radius ** (m.order + 1)
+
+
+def _neighbours_nearest(m: LaurentMap, n: int, weight: float) -> bool:
+    """Whether the nearest pair of the ``n`` grid images is a pair of neighbours.
+
+    On ``|w| = 1``, ``|w1**-j - w2**-j| <= j |w1 - w2|``, so every pair obeys
+    ``(r - S) |dw| <= |dz| <= (r + S) |dw|`` with ``S`` the
+    :func:`_derivative_weight`.  Neighbours have ``|dw| = 2 sin(pi/n)`` and
+    every other pair at least ``2 sin(2 pi/n) = 2 cos(pi/n) 2 sin(pi/n)``, so
+    ``2 cos(pi/n) (r - S) > r + S`` puts every other pair farther than every
+    neighbour pair.  The inequality is held to a margin of
+    ``1e-9 (r + |a_0| + S)``, far above the rounding of the grid values."""
+    a0 = abs(m.coeffs[0]) if len(m.coeffs) else 0.0
+    gap = 2.0 * math.cos(math.pi / n) * (m.r - weight) - (m.r + weight)
+    return gap > 1e-9 * (m.r + a0 + weight)
 
 
 def univalence_witness(m: LaurentMap, n: int | None = None, grid=None):
@@ -247,32 +289,39 @@ def univalence_witness(m: LaurentMap, n: int | None = None, grid=None):
     positive (Gronwall's area theorem for univalent maps).  It costs no grid
     work, but it is necessary and not sufficient: a boundary that crosses
     itself can still enclose a positive area.  The sampled part requires
-    pairwise-distinct boundary images and ``|z'| > 0`` on the grid; the
-    separations are taken over each unordered pair once, as ``|z[i + k] -
-    z[i]|`` for ``k = 1 .. n/2``, whose minimum is the full matrix's to the
+    pairwise-distinct boundary images and ``|z'| > 0`` on the grid.  With
+    ``S = sum_j j |a_j|``, a map with ``2 cos(pi/n) (r - S) > (r + S)`` (to a
+    margin, :func:`_neighbours_nearest`) has its nearest pair of images among
+    the ``n`` neighbour pairs, and only those are compared.  Any other map
+    compares each unordered pair once, as ``|z[i + k] - z[i]|`` for
+    ``k = 1 .. n/2``.  Either way the minimum is the full matrix's to the
     bit.  Since the series is truncated, the critical points of the map are
     also checked exactly: all of them must lie in ``|w| < rho = 1 - 1e-9``.
-    On ``|w| >= rho``, ``|z'(w)| >= r - rho^-(M+1) sum_j j |a_j|``, so a map
-    whose bound is positive (:func:`_critical_bound`) passes at once.  Any
-    other map runs a Schur-Cohn recursion on the coefficients of
-    ``w^(M+1) z'(w)``, and only a map that fails it pays for
-    :func:`critical_points` (``np.roots``) to locate the escaped point.
-    ``grid`` is the map's ``(z, w z')`` samples when the caller already has
-    them.  Returns ``(ok, min_separation, min_derivative, theta_worst)`` with
-    ``theta_worst`` locating the worst derivative or the outermost critical
-    point.
+    On ``|w| >= rho``, ``|z'(w)| >= r - rho^-(M+1) S``, so a map whose bound
+    is positive (:func:`_critical_bound`) passes at once.  Any other map runs
+    a Schur-Cohn recursion on the coefficients of ``w^(M+1) z'(w)``, and only
+    a map that fails it pays for :func:`critical_points` (``np.roots``) to
+    locate the escaped point.  ``grid`` is the map's ``(z, w z')`` samples
+    when the caller already has them.  Returns ``(ok, min_separation,
+    min_derivative, theta_worst)`` with ``theta_worst`` locating the worst
+    derivative or the outermost critical point.
     """
     n = _resolve_grid(m, n)
     z, wzp = _grid_values(m, n) if grid is None else grid
     zp = np.abs(wzp)
     imin = int(np.argmin(zp))
     theta_worst = 2.0 * np.pi * imin / n
-    min_sep = float(np.abs(z[_pair_offsets(n)] - z).min())
+    weight = _derivative_weight(m)
+    if _neighbours_nearest(m, n, weight):
+        min_sep = float(np.abs(z[_pair_offsets(n)[0]] - z).min())
+    else:
+        min_sep = float(np.abs(z[_pair_offsets(n)] - z).min())
     sep_floor = 1e-9 * max(m.r, 1.0)
     area = m.r ** 2 - float(np.sum(np.arange(len(m.coeffs)) * np.abs(m.coeffs) ** 2))
     ok = (area > 0.0) and (min_sep > sep_floor) and (zp[imin] > 1e-8)
     rho = 1.0 - 1e-9
-    if ok and not _critical_bound(m, rho) and not _zeros_inside(_critical_polynomial(m), rho):
+    if ok and not _critical_bound(m, rho, weight) and not _zeros_inside(
+            _critical_polynomial(m), rho):
         ok = False
         crit = critical_points(m)
         theta_worst = float(np.angle(crit[np.argmax(np.abs(crit))]))
@@ -323,27 +372,38 @@ def _phi_k_many(r, coeffs, k: int, w):
     n = 4
     while n < 4 * (order + 1) or n // 2 - 1 < k * max(order, 1):
         n *= 2
-    z = np.fft.ifft(_spectrum(r, coeffs, n), norm="forward")
+    z, _ = _mode_values(_modes(r, coeffs), n)
     return _phi_values(z, k, np.asarray(w, dtype=complex))
 
 
 def inverse_evaluate(m: LaurentMap, z: complex) -> complex:
-    """Invert the map at an exterior point by damped Newton iteration.
+    """Invert the map at an exterior point (:func:`_invert`)."""
+    return _invert(m.r, m.coeffs.tolist(), complex(z))
+
+
+def _invert(r: float, coeffs: list, z: complex) -> complex:
+    """Solve ``r w + sum_j coeffs[j] w**-j = z`` by damped Newton iteration, in
+    Python complex arithmetic on the coefficient list (:func:`_horner`).
 
     Seeded at ``z / r``; the damping factor halves whenever a full step would
     increase the residual.  Raises :class:`RootFindError` on non-convergence
     or when the solution lands inside the unit disk (``z`` was not exterior).
     """
-    z = complex(z)
-    w = z / m.r
+    slopes = [j * c for j, c in enumerate(coeffs)]
+
+    def residual(w):
+        return r * w + _horner(coeffs, 1.0 / w) - z
+
+    w = z / r
     if w == 0:
         w = 1.5 + 0.0j
-    resid = evaluate(m, w) - z
+    resid = residual(w)
     scale = max(1.0, abs(z))
     for _ in range(INVERSION_MAX_ITER):
         if abs(resid) <= INVERSION_TOL * scale:
             break
-        dz = derivative(m, w)
+        iw = 1.0 / w
+        dz = r - iw * _horner(slopes, iw)
         if dz == 0:
             raise RootFindError(f"map derivative vanished at w={w}")
         full_step = resid / dz
@@ -351,7 +411,7 @@ def inverse_evaluate(m: LaurentMap, z: complex) -> complex:
         while True:
             w_try = w - lam * full_step
             if w_try != 0:
-                resid_try = evaluate(m, w_try) - z
+                resid_try = residual(w_try)
                 if abs(resid_try) < abs(resid):
                     break
             lam *= 0.5

@@ -532,6 +532,30 @@ def test_confinement_rule(curve, confine, times, winner):
         assert winner in str(refusal.value)
 
 
+@pytest.mark.parametrize("direction, winner", [
+    # Re t3 d^3 = 0 exactly for real t3 and d^3 = +-i, but a float d gives
+    # -3.5e-18 and 3.7e-18: rounding, which no longer decides the verdict
+    (np.exp(1j * np.pi / 6), None), (np.exp(1j * np.pi / 2), None),
+    (1j, None), (1.0, "-0.02 s^3"),
+], ids=["pi/6", "pi/2", "exactly-i", "along-t3"])
+def test_confinement_is_not_decided_by_rounding(direction, winner):
+    def make():
+        return dyson.GasConfig(N=8, hbar=0.1, times=[0, 0, 0.01],
+                               curve=dyson.CurveSpec(0j, direction))
+
+    if winner is None:
+        assert make().potential.tolist() == [0.0, 0.0, 0.5, 0.0]
+    else:
+        with pytest.raises(ValueError, match="not confining") as refusal:
+            make()
+        assert winner in str(refusal.value)
+
+
+def test_real_line_potential_is_exactly_the_quadratic():
+    potential = dyson.GasConfig(N=256, hbar=1 / 256, curve=LINE).potential
+    assert potential.tobytes() == np.array([0.0, 0.0, 0.5]).tobytes()
+
+
 @pytest.mark.parametrize("kwargs", [{"direction": 0j}, {"lo": 1.0, "hi": 1.0},
                                     {"lo": np.nan}])
 def test_curve_spec_rejects_invalid_curves(kwargs):

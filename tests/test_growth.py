@@ -140,15 +140,20 @@ def test_orlov_shulman_order_mismatch():
         growth.orlov_shulman(m, mv, 1.0)
 
 
+def normal_velocity(m, flow, n=128):
+    """V_n on the n-point grid, from the modes of the map m."""
+    return growth._velocity_over_speed(laurent._modes(m.r, m.coeffs), flow, n)[0]
+
+
 def test_normal_velocity_circle_darcy():
     m = laurent.LaurentMap(2.0, [])
-    v = growth._velocity_over_speed(m, growth.FlowSpec.t0_infinity(), 128)[0]
+    v = normal_velocity(m, growth.FlowSpec.t0_infinity())
     assert_allclose(v, 0.25, atol=1e-13)  # 1 / (2 r)
 
 
 def test_normal_velocity_tk_real_circle():
     m = laurent.LaurentMap(1.0, [])
-    v = growth._velocity_over_speed(m, growth.FlowSpec.tk_real(1), 128)[0]
+    v = normal_velocity(m, growth.FlowSpec.tk_real(1))
     theta = 2 * np.pi * np.arange(len(v)) / len(v)
     assert_allclose(v, np.cos(theta), atol=1e-13)
 
@@ -158,7 +163,7 @@ def test_normal_velocity_source_against_fd_oracle():
     # Green function, with the outward-positive orientation of this module
     m = laurent.LaurentMap(1.0, [])
     z0 = 2.0
-    v = growth._velocity_over_speed(m, growth.FlowSpec.t0_source(z0), 128)[0]
+    v = normal_velocity(m, growth.FlowSpec.t0_source(z0))
 
     def g(z):
         return np.log(np.abs((z - z0) / (1 - z * np.conj(z0))))
@@ -172,16 +177,15 @@ def test_normal_velocity_source_against_fd_oracle():
 
 def test_normal_velocity_source_far_limit():
     m = laurent.LaurentMap(1.2, [0.1, 0.2])
-    v_inf = growth._velocity_over_speed(m, growth.FlowSpec.t0_infinity(), 128)[0]
-    v_far = growth._velocity_over_speed(m, growth.FlowSpec.t0_source(1000 * 1.2), 128)[0]
+    v_inf = normal_velocity(m, growth.FlowSpec.t0_infinity())
+    v_far = normal_velocity(m, growth.FlowSpec.t0_source(1000 * 1.2))
     rel = np.max(np.abs(v_far - v_inf)) / np.max(np.abs(v_inf))
     assert rel < 0.01
 
 
 def test_normal_velocity_cusp_rejected():
     with pytest.raises(CuspError):
-        growth._velocity_over_speed(laurent.LaurentMap(1.0, [0.0, 0.0, 0.5]),
-                                    growth.FlowSpec.t0_infinity(), 128)
+        normal_velocity(laurent.LaurentMap(1.0, [0.0, 0.0, 0.5]), growth.FlowSpec.t0_infinity())
 
 
 class OuterSeries:
@@ -256,7 +260,7 @@ def reference_rhs(m, flow, n):
     """Coefficient RHS through the Horner derivative and the OuterSeries Phi."""
     w = laurent.circle_grid(n)
     zp = laurent.derivative(m, w)
-    h = growth._velocity_over_speed(m, flow, n)[0] / np.abs(zp)
+    h = normal_velocity(m, flow, n) / np.abs(zp)
     modes = np.fft.fft(w * zp * schwarz_extension(h)(w)) / n
     kept = np.zeros(n, dtype=bool)
     kept[[1, *(-np.arange(m.order + 1) % n)]] = True
@@ -268,13 +272,56 @@ def test_coefficient_rhs_matches_outer_series_reference(flow):
     # order 3 on a 128 grid: the source flow leaks past a3; the other flows keep
     # the polynomial form, so their leakage is roundoff
     m = laurent.LaurentMap(1.1, [0.05j, 0.1, -0.04 + 0.02j, 0.03])
-    modes = growth._coefficient_rhs(m, flow, 128)
-    r_dot, a_dot = modes[1], modes[-np.arange(m.order + 1) % 128]
-    leakage = growth._leakage(modes, m.order)
+    v = laurent._modes(m.r, m.coeffs)
+    rates = growth._coefficient_rhs(v, flow, 128)
+    r_dot, a_dot = rates[0], rates[1:len(v)]
+    leakage = growth._leakage(rates, len(v))
     ref_r, ref_a, ref_leakage = reference_rhs(m, flow, 128)
     assert_allclose(r_dot, ref_r, rtol=0, atol=1e-14)
     assert_allclose(a_dot, ref_a, rtol=0, atol=1e-14)
     assert_allclose(leakage, ref_leakage, rtol=1e-12, atol=1e-24)
+
+
+@pytest.mark.parametrize("flow", FLOWS, ids=lambda f: f.kind)
+def test_leading_rate_is_exactly_real(flow):
+    # r's rate is r Phi_0 with Phi_0 = Re hhat_0: no imaginary part to round
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        tail = rng.dirichlet(np.ones(5)) * 0.3 / np.arange(1, 6)
+        coeffs = np.concatenate([rng.normal(size=1) * 0.1, tail]) * np.exp(
+            2j * np.pi * rng.uniform(size=6))
+        m = laurent.LaurentMap(rng.uniform(0.8, 1.2), coeffs)
+        rates = growth._coefficient_rhs(laurent._modes(m.r, m.coeffs), flow, 128)
+        assert rates[0].imag == 0.0 and rates[0].real != 0.0
+
+
+@pytest.mark.parametrize("flow", FLOWS, ids=lambda f: f.kind)
+def test_order_zero_map_steps_with_its_a0(flow):
+    # an empty coefficient list is the order-0 map r w + 0: it steps as that map
+    empty = growth.step(laurent.LaurentMap(1.0, []), flow, 0.01)
+    padded = growth.step(laurent.LaurentMap(1.0, [0j]), flow, 0.01)
+    assert empty.r == padded.r and np.array_equal(empty.coeffs, padded.coeffs)
+    assert len(empty.coeffs) == 1
+
+
+def test_source_stages_invert_as_inverse_evaluate(monkeypatch):
+    # a source stage inverts z0 on its modes, with no map: the same Newton
+    # iteration as inverse_evaluate of the stage's map, to the bit
+    calls = []
+    invert = laurent._invert
+
+    def recorded(r, coeffs, z):
+        root = invert(r, coeffs, z)
+        calls.append((r, coeffs, z, root))
+        return root
+
+    monkeypatch.setattr(laurent, "_invert", recorded)
+    m = laurent.LaurentMap(1.0, [0.0, 0.1, 0.03j]).with_order(8)
+    growth.run(m, [(growth.FlowSpec.t0_source(2.5 - 0.5j), 0.2, 20)])
+    monkeypatch.undo()
+    assert len(calls) == 4 * 20
+    for r, coeffs, z, root in calls:
+        assert laurent.inverse_evaluate(laurent.LaurentMap(r, coeffs), z) == root
 
 
 def test_run_witnesses_each_map_once(monkeypatch):
@@ -391,8 +438,8 @@ def test_step_moment_response_tk():
 
 def test_flow_sign_reverses_velocity():
     m = laurent.LaurentMap(1.0, [0.05])
-    fwd = growth._velocity_over_speed(m, growth.FlowSpec.t0_infinity(), 128)[0]
-    bwd = growth._velocity_over_speed(m, growth.FlowSpec.t0_infinity(sign=-1), 128)[0]
+    fwd = normal_velocity(m, growth.FlowSpec.t0_infinity())
+    bwd = normal_velocity(m, growth.FlowSpec.t0_infinity(sign=-1))
     assert_allclose(bwd, -fwd)
 
 

@@ -66,7 +66,7 @@ def test_phi_k_resolves_every_power_of_z_k():
     # 128 grid; phi_k takes a grid that holds them, so a finer one agrees
     m = laurent.LaurentMap(1.0, np.full(17, 0.01))
     w = np.array([1.0, 0.7 + 0.2j, 1.5j])
-    z = np.fft.ifft(laurent._spectrum(m.r, m.coeffs, 2048), norm="forward")
+    z = laurent.evaluate(m, laurent.circle_grid(2048))
     assert_allclose(laurent.phi_k(m, 8, w), laurent._phi_values(z, 8, w), rtol=1e-13)
 
 
@@ -242,7 +242,7 @@ def test_critical_bound_implies_the_schur_cohn_decision(order):
     for share, tail, expected in cases:
         r = rng.uniform(0.5, 2.0)
         m = laurent.LaurentMap(r, np.concatenate([rng.normal(size=1), share * r * tail]))
-        bound = laurent._critical_bound(m, rho)
+        bound = laurent._critical_bound(m, rho, laurent._derivative_weight(m))
         assert expected is None or bound is expected
         if bound:
             held += 1
@@ -271,6 +271,37 @@ def test_witness_separation_is_the_all_pairs_minimum(n):
         dist = np.abs(z[:, None] - z[None, :])
         np.fill_diagonal(dist, np.inf)
         assert laurent.univalence_witness(m, n)[1] == dist.min()
+
+
+# ROADMAP item 7's map: its boundary loops, yet the witness passes it
+LOOPED = laurent.LaurentMap(1.0, [0, 0.7372 + 0.2204j, -0.2154 - 0.0896j,
+                                  -0.0367 + 0.0529j, 0.0668 + 0.0668j])
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_witness_neighbour_rule_keeps_the_all_pairs_minimum(n):
+    # maps with S = sum_j j |a_j| from 0 to 0.6 r straddle the rule's
+    # 2 cos(pi/n) (r - S) > r + S (S < 0.333 r at n = 128); a_0 up to 50 r
+    # moves the grid values' rounding but not the separations
+    rng = np.random.default_rng(n + 1)
+    maps = [LOOPED]
+    for _ in range(600):
+        order = int(rng.integers(0, 17))
+        r = rng.uniform(0.5, 2.0)
+        j = np.arange(1, order + 1)
+        tail = rng.dirichlet(np.ones(order)) * rng.uniform(0.0, 0.6) * r / j if order else []
+        a0 = rng.normal() * rng.choice([0.0, 1.0, 50.0]) * r
+        coeffs = np.concatenate([[a0], tail]) * np.exp(2j * np.pi * rng.uniform(size=order + 1))
+        maps.append(laurent.LaurentMap(r, coeffs))
+    nearest = []
+    for m in maps:
+        z, _ = laurent._grid_values(m, n)
+        dist = np.abs(z[:, None] - z[None, :])
+        np.fill_diagonal(dist, np.inf)
+        assert laurent.univalence_witness(m, n)[1] == dist.min(), m
+        nearest.append(laurent._neighbours_nearest(m, n, laurent._derivative_weight(m)))
+    assert not nearest[0]  # the looped map takes the pair table
+    assert 150 < sum(nearest) < 450  # both sides of the rule are well represented
 
 
 def test_witness_locates_the_escaped_critical_point_only_on_failure(monkeypatch):
