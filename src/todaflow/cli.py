@@ -457,16 +457,18 @@ def _encode(name: str, content) -> bytes:
     """The bytes of artifact ``name``, in the format its suffix names.
 
     CSV content is ``(header, rows)``, with cells (Python ints and floats)
-    written by ``repr``; JSON content is any JSON value, written strictly
-    with sorted keys; SVG content is a list of ``svgout`` layers.  A NaN or
-    an infinity raises NonFiniteResultError naming the first one.
+    written by ``repr`` column by column; JSON content is any JSON value,
+    written strictly with sorted keys; SVG content is a list of ``svgout``
+    layers.  A NaN or an infinity raises NonFiniteResultError naming the first.
     """
     kind = name.rpartition(".")[2]
     if kind == "csv":
         header, rows = content
-        _require_finite(rows, name)
+        columns = list(zip(*rows, strict=True))
+        if _first_non_finite(columns) is not None:
+            _require_finite(rows, name)  # names the first one in row order
         lines = [",".join(header)]
-        lines.extend(",".join(map(repr, row)) for row in rows)
+        lines.extend(map(",".join, zip(*(map(repr, column) for column in columns))))
         text = "\n".join(lines) + "\n"
     elif kind == "json":
         try:
@@ -525,9 +527,8 @@ def _run_grow(cfg: ScenarioConfig, emit):
         if not hasattr(exc, "leg"):
             raise
         raise ConfigError([(f"/grow/flows/{exc.leg}/duration", str(exc))]) from exc
-    header = ["step", "time", "t0", "r"]
-    for j in range(m.order + 1):
-        header += [f"re_a{j}", f"im_a{j}"]
+    header = ["step", "time", "t0", "r",
+              *(f"{part}_a{j}" for j in range(m.order + 1) for part in ("re", "im"))]
     emit("trajectory.csv", (header, _trajectory_rows(traj.records)))
     emit("moments.csv", (["step", "k", "re_tk", "im_tk", "re_vk", "im_vk"],
                          _moment_rows(traj.records)))
@@ -548,23 +549,23 @@ def _run_grow(cfg: ScenarioConfig, emit):
 
 
 def _trajectory_rows(records) -> list:
-    """``trajectory.csv``'s rows (step, time, t0, r, re_a0, im_a0, ...), read off
-    one stacked array; every record's map has the same order."""
-    coeffs = np.stack([rec.map.coeffs for rec in records])
-    values = np.column_stack([[rec.time for rec in records],
-                              [rec.moments.t0 for rec in records],
-                              [rec.map.r for rec in records], coeffs.view(float)])
-    # a concatenated row is allocated at its length; [i, *row] would over-allocate
-    return [[rec.index] + row for rec, row in zip(records, values.tolist())]
+    """``trajectory.csv``'s rows (step, time, t0, r, re_a0, im_a0, ...), filled
+    column by column; every record's map has the same order."""
+    rows = np.empty((len(records), 4 + 2 * len(records[0].map.coeffs)), dtype=object)
+    rows[:, :4] = [(rec.index, rec.time, rec.moments.t0, rec.map.r) for rec in records]
+    rows[:, 4:] = np.stack([rec.map.coeffs for rec in records]).view(float)
+    return rows.tolist()
 
 
 def _moment_rows(records) -> list:
     """``moments.csv``'s rows (step, k, re_tk, im_tk, re_vk, im_vk), one per
-    record and ``k``, read off one stacked array of the ``(t_k, v_k)`` pairs."""
-    pairs = np.stack([np.stack([rec.moments.t for rec in records]),
-                      np.stack([rec.moments.v for rec in records])], axis=-1)
-    return [[rec.index, k] + row for rec, block in zip(records, pairs.view(float).tolist())
-            for k, row in enumerate(block, start=1)]
+    record and ``k``, filled column by column."""
+    rows = np.empty((len(records), records[0].moments.order, 6), dtype=object)
+    rows[..., 0] = [[rec.index] for rec in records]
+    rows[..., 1] = range(1, rows.shape[1] + 1)
+    rows[..., 2:] = np.stack([np.stack([rec.moments.t, rec.moments.v], axis=-1)
+                              for rec in records]).view(float)
+    return rows.reshape(-1, 6).tolist()
 
 
 def _run_loewner(cfg: ScenarioConfig, emit):

@@ -15,27 +15,31 @@ clock runs at ``d t0/dt = +1``.
 
 Each flow is an ODE on the map's ``M + 2`` modes ``v = (r, a_0 .. a_M)``,
 the polynomial reduction of Kostov, Krichever, Mineev-Weinstein, Wiegmann &
-Zabrodin.  An RK4 stage reads ``z`` and ``w z'`` from its modes by one
-product with the power table, takes ``Phi`` from one real FFT of ``h``,
-and ``dz/dt`` from one short convolution of ``p v`` with ``Phi``: its first
-``M + 2`` entries are the rates, and the rest is the leakage the truncated
-map drops.  ``r``'s rate ``r Phi_0`` is real, so ``r`` stays real.  No stage
-builds a map; a source stage inverts ``z0`` on its modes.
+Zabrodin.  An RK4 stage calls no FFT: it reads ``z`` and ``w z'`` from its
+modes by one product with the power table, ``Phi`` from one product of
+``h`` with the Schwarz table, and ``dz/dt`` from one short convolution of
+``p v`` with ``Phi``: its first ``M + 2`` entries are the rates, and the
+rest, which only a step's first stage computes, is the leakage the
+truncated map drops.  ``r``'s rate ``r Phi_0`` is real, so ``r`` stays
+real.  No stage builds a map; a source stage inverts ``z0`` on its modes,
+and a harmonic stage reads ``phi_k`` off them.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import laurent
 from .errors import CuspError, NonUnivalentError, SeriesBudgetError
-from .laurent import LaurentMap, circle_grid
+from .laurent import LaurentMap
 
 #: boundary |z'| below this is treated as a cusp for smooth flows
 CUSP_FLOOR = 1e-8
+
+#: most records whose moments :func:`run` fills in one boundary pass
+MOMENT_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -92,33 +96,32 @@ class MomentVector:
 def _require_univalent(m: LaurentMap, n: int | None, context: str, grid=None):
     ok, min_sep, min_zp, theta = laurent.univalence_witness(m, n, grid)
     if not ok:
-        raise NonUnivalentError(
-            f"{context}: univalence witness failed (min separation {min_sep:.3e}, "
-            f"min |z'| {min_zp:.3e} near theta={theta:.4f})",
-            theta=theta,
-        )
+        raise NonUnivalentError(f"{context}: univalence witness failed (min separation "
+                                f"{min_sep:.3e}, min |z'| {min_zp:.3e} near theta={theta:.4f})",
+                                theta=theta)
 
 
-def _moments(m: LaurentMap, order: int, n: int | None, grid=None) -> MomentVector:
-    """Both moment families over one boundary pass, without the univalence witness.
+def _moments(grids, order: int) -> list:
+    """Both moment families of each map of a block from one boundary pass over
+    its ``(z, w z')`` samples, stacked along a leading axis, without the witness.
 
     With ``core = zbar z' w`` on the grid, ``t0 = mean(core)``,
     ``t_k = mean(z^-k core) / k`` and ``v_k = mean(z^k core)``; ``z^-k`` and
-    ``z^k`` are built together as running products, one multiply per k.
-    Callers witness the map first.  ``grid`` is the map's ``(z, w z')``
-    samples when the caller already has them.
+    ``z^k`` are one running product, so the block holds one power at a time.
+    A map's moments do not depend on its block, to the bit.
     """
-    n = laurent._resolve_grid(m, n)
-    z, wzp = laurent._grid_values(m, n) if grid is None else grid
-    core = np.conj(z) * wzp
-    base = np.stack([1.0 / z, z])
-    powers = np.empty((order + 1, 2, n), dtype=complex)
-    powers[0] = 1.0
+    z, wzp = grids
+    n = z.shape[-1]
+    core = (np.conj(z) * wzp)[..., None]
+    base = power = np.stack([1.0 / z, z], axis=1)
+    sums = np.empty((order, len(z), 2), dtype=complex)
     for k in range(order):
-        np.multiply(powers[k], base, out=powers[k + 1])
-    t, v = (powers[1:] @ core).T
-    return MomentVector(order=order, t0=float(np.mean(core).real),
-                        t=t / (n * np.arange(1, order + 1)), v=v / n)
+        sums[k] = (power @ core)[..., 0]
+        power = power * base
+    t, v = sums.T
+    t0 = np.mean(core[..., 0], axis=-1).real
+    return [MomentVector(order, float(a), b, c)
+            for a, b, c in zip(t0, t / (n * np.arange(1, order + 1)), v / n)]
 
 
 def moment_vector(m: LaurentMap, order: int, n: int | None = None) -> MomentVector:
@@ -127,7 +130,7 @@ def moment_vector(m: LaurentMap, order: int, n: int | None = None) -> MomentVect
     n = laurent._resolve_grid(m, n)
     grid = laurent._grid_values(m, n)
     _require_univalent(m, n, "moment_vector", grid)
-    return _moments(m, order, n, grid)
+    return _moments((grid[0][None], grid[1][None]), order)[0]
 
 
 def orlov_shulman(m: LaurentMap, moments: MomentVector, w):
@@ -146,67 +149,52 @@ def orlov_shulman(m: LaurentMap, moments: MomentVector, w):
     return out if out.ndim else complex(out)
 
 
-@functools.lru_cache(maxsize=None)
-def _circle_nodes(n: int) -> np.ndarray:
-    """The ``n``-point circle grid, built once per ``n`` and read-only."""
-    w = circle_grid(n)
-    w.setflags(write=False)
-    return w
-
-
-def _velocity_over_speed(v: np.ndarray, flow: FlowSpec, n: int, grid=None):
+def _velocity_over_speed(v: np.ndarray, flow: FlowSpec, n: int, grid=None, w0=None):
     """Return (V_n samples, h = V_n/|z'| samples) on the grid.
 
     ``v`` holds the map's modes (:func:`laurent._modes`), and ``grid`` its
     ``(z, w z')`` samples when the caller already has them.  A source flow
-    inverts ``z0`` by :func:`laurent._invert`, the Newton iteration of
-    :func:`laurent.inverse_evaluate`, on the modes.
+    takes ``w0``, the root of ``z(w0) = z0``, or inverts ``z0`` by
+    :func:`laurent._invert`; a harmonic flow reads ``phi_k`` off the modes.
     """
-    w = _circle_nodes(n)
-    z, wzp = laurent._mode_values(v, n) if grid is None else grid
+    w = laurent._power_table(n, len(v))[0, :n]  # row p = 1: the grid nodes
+    _, wzp = laurent._mode_values(v, n) if grid is None else grid
     azp = np.abs(wzp)
     if azp.min() < CUSP_FLOOR:
         j = int(np.argmin(azp))
-        raise CuspError(
-            f"|z'| = {azp[j]:.3e} at theta = {2 * np.pi * j / n:.4f}: cusp, smooth flow "
-            "undefined (slit-type evolution in todaflow.loewner may still apply)",
-            theta=2 * np.pi * j / n,
-        )
+        raise CuspError(f"|z'| = {azp[j]:.3e} at theta = {2 * np.pi * j / n:.4f}: cusp, smooth "
+                        "flow undefined (slit-type evolution in todaflow.loewner may still "
+                        "apply)", theta=2 * np.pi * j / n)
     if flow.kind == "t0_infinity":
         vn = 1.0 / (2.0 * azp)
     elif flow.kind == "t0_source":
-        w0 = laurent._invert(float(v[0].real), v[1:].tolist(), flow.z0)
+        w0 = laurent._invert(float(v[0].real), v[1:].tolist(), flow.z0) if w0 is None else w0
         wf = w / (w - w0) + w * np.conj(w0) / (1.0 - w * np.conj(w0))
         # outward-positive orientation: reduces to the source-at-infinity flow
         # as |z0| grows, and keeps d t0/dt = +1.
         vn = -wf.real / (2.0 * azp)
-    elif flow.kind == "tk_real":
-        vn = laurent._phi_values(z, flow.k, w).real / azp
-    elif flow.kind == "tk_imag":
-        vn = -laurent._phi_values(z, flow.k, w).imag / azp
-    else:  # pragma: no cover
-        raise ValueError(flow.kind)
+    else:
+        phi = laurent._phi_k_many(v[0], v[1:], flow.k, w)
+        vn = (phi.real if flow.kind == "tk_real" else -phi.imag) / azp
     vn = flow.sign * vn
     return vn, vn / azp
 
 
-def _coefficient_rhs(v: np.ndarray, flow: FlowSpec, n: int, grid=None) -> np.ndarray:
+def _coefficient_rhs(v: np.ndarray, flow: FlowSpec, n: int, grid=None, w0=None,
+                     count: int | None = None) -> np.ndarray:
     """The modes of ``dz/dt = w z' Phi`` for a map of modes ``v``.
 
-    ``Phi`` (the Schwarz extension of ``h``) has ``Phi_0 = Re hhat_0`` and
-    ``Phi_-k = 2 conj(hhat_k)`` for ``k = 1 .. n/2 - 1``, from one real FFT of
-    ``h``.  ``w z'`` has the modes ``p v`` at the powers ``p = 1, 0, .., -M``,
-    so ``dz/dt`` is their convolution with ``Phi``: the first ``M + 2``
-    entries are the rates of ``r`` and the ``a_j``, and the rest is spectral
-    leakage (:func:`_leakage`).  As ``M + 1 <= n/2``, this is the grid's
-    circular product with no wrap.  ``r``'s rate, ``r Phi_0``, is real.
-    ``grid`` is as in :func:`_velocity_over_speed`.
+    ``Phi``, the Schwarz extension of ``h``, is one product of ``h`` with
+    :func:`laurent._schwarz_table`: its ``n/2`` modes, or the first ``count``.
+    ``w z'`` has the modes ``p v`` at the powers ``p = 1, 0, .., -M``, so
+    ``dz/dt`` is their convolution with ``Phi``: the first ``M + 2`` entries
+    are the rates of ``r`` and the ``a_j``, which read ``Phi_0 .. Phi_-(M+1)``
+    only, and the rest is spectral leakage (:func:`_leakage`).  ``r``'s rate,
+    ``r Phi_0``, is real.  ``grid`` and ``w0`` are as in :func:`_velocity_over_speed`.
     """
-    _, h = _velocity_over_speed(v, flow, n, grid)
-    h_modes = np.fft.rfft(h, norm="forward")
-    phi = 2.0 * h_modes[: n // 2].conj()
-    phi[0] = h_modes[0].real
-    return np.convolve(v * laurent._mode_powers(len(v)), phi)
+    _, h = _velocity_over_speed(v, flow, n, grid, w0)
+    table = laurent._schwarz_table(n, n // 2 if count is None else count)
+    return np.convolve(v * laurent._mode_powers(len(v)), (h @ table).view(complex))
 
 
 def _leakage(rates: np.ndarray, count: int) -> float:
@@ -221,37 +209,39 @@ class StepDiagnostics:
     min_abs_zprime: float
 
 
-def _rk4_step(m: LaurentMap, flow: FlowSpec, dt: float, n: int, grid=None):
+def _rk4_step(m: LaurentMap, flow: FlowSpec, dt: float, n: int, grid=None, root=None):
     """One RK4 step on the map's modes ``v = (r, a_0 .. a_M)``: the new map, its
-    diagnostics and its ``(z, w z')``; ``grid`` is ``m``'s ``(z, w z')`` if known.
+    diagnostics, its ``(z, w z')`` and its last source root; ``grid`` is
+    ``m``'s ``(z, w z')`` if known.
 
-    A stage's grid values are one product of its modes with the power table,
-    and its rates one real FFT and one convolution (:func:`_coefficient_rhs`);
-    no stage builds a map.  The leakage is read from the first stage.
+    A stage's rates are one product with each table and one convolution
+    (:func:`_coefficient_rhs`); the first stage alone takes all of ``Phi``,
+    for the leakage.  A source stage seeds its inversion at the stage
+    before's root, the first at ``root`` (cold if None).
     """
     v = laurent._modes(m.r, m.coeffs if len(m.coeffs) else [0j])
     count = len(v)
-    first = _coefficient_rhs(v, flow, n, grid)
-    k1 = first[:count]
 
-    def stage(k, h):
-        u = v + h * k
+    def rates(u, grid=None, modes=None):
+        nonlocal root
         laurent._check_modes(u[0].real, u[1:])
-        return _coefficient_rhs(u, flow, n)[:count]
+        if flow.kind == "t0_source":
+            root = laurent._invert(float(u[0].real), u[1:].tolist(), flow.z0, root)
+        return _coefficient_rhs(u, flow, n, grid, root, modes)
 
-    k2 = stage(k1, 0.5 * dt)
-    k3 = stage(k2, 0.5 * dt)
-    k4 = stage(k3, dt)
+    first = rates(v, grid)
+    k1 = first[:count]
+    k2 = rates(v + 0.5 * dt * k1, modes=count)[:count]
+    k3 = rates(v + 0.5 * dt * k2, modes=count)[:count]
+    k4 = rates(v + dt * k3, modes=count)[:count]
     v_new = v + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
     new_map = LaurentMap(v_new[0].real, v_new[1:])
     new_grid = laurent._grid_values(new_map, n)
     ok, _, min_zp, theta = laurent.univalence_witness(new_map, n, new_grid)
     if not ok:
-        raise CuspError(
-            f"univalence lost after step dt={dt} (min |z'| {min_zp:.3e} near theta={theta:.4f})",
-            theta=theta,
-        )
-    return new_map, StepDiagnostics(leakage=_leakage(first, count), min_abs_zprime=min_zp), new_grid
+        raise CuspError(f"univalence lost after step dt={dt} (min |z'| {min_zp:.3e} near "
+                        f"theta={theta:.4f})", theta=theta)
+    return new_map, StepDiagnostics(_leakage(first, count), min_zp), new_grid, root
 
 
 def step(m: LaurentMap, flow: FlowSpec, dt: float, n: int | None = None) -> LaurentMap:
@@ -268,8 +258,7 @@ def step(m: LaurentMap, flow: FlowSpec, dt: float, n: int | None = None) -> Laur
     n = laurent._resolve_grid(m, n)
     if flow.kind in ("tk_real", "tk_imag"):
         laurent._projection_grid(m, flow.k, n)
-    new_map, _, _ = _rk4_step(m, flow, dt, n)
-    return new_map
+    return _rk4_step(m, flow, dt, n)[0]
 
 
 @dataclass(frozen=True)
@@ -290,6 +279,15 @@ class Trajectory:
         return self.records[-1].map
 
 
+def _fill(records: list, pending: list, order: int):
+    """Move the pending ``(index, time, map, diagnostics, grid)`` to ``records``, moments filled."""
+    if pending:
+        grids = [np.stack(samples) for samples in zip(*(p[4] for p in pending))]
+        records.extend(TrajectoryRecord(index, time, m, moments, diag) for
+                       (index, time, m, diag, _), moments in zip(pending, _moments(grids, order)))
+        pending.clear()
+
+
 def run(m: LaurentMap, schedule, moment_order: int | None = None,
         n: int | None = None) -> Trajectory:
     """Apply a schedule of ``(flow, duration, steps)`` legs.
@@ -299,13 +297,12 @@ def run(m: LaurentMap, schedule, moment_order: int | None = None,
     here, every later one by the RK4 step that made it, so the moments of
     the records skip the witness of :func:`moment_vector`.  Each map's grid
     samples are built once and serve its witness, its moments and the first
-    stage of the next step; the later stages read their grids from their
-    modes, and the witness settles most maps' nearest pair and critical
-    points by bounds (:func:`laurent.univalence_witness`).  Step failures are re-raised with
-    the failing step index in the message and the trajectory up to the
-    failure attached as ``exc.partial``; a ``ValueError`` from a step (say a
-    leading coefficient driven below zero) carries the failing leg's index as
-    ``exc.leg``.
+    stage of the next step.  The moments of each ``MOMENT_BLOCK`` records
+    take one pass, after which their grids go.  Step failures are re-raised
+    with the failing step index in the message and the trajectory up to the
+    failure, moments filled, attached as ``exc.partial``; a ``ValueError``
+    from a step (say a leading coefficient driven below zero) carries the
+    failing leg's index as ``exc.leg``.
     Every leg is checked before any step, and a bad one raises with ``exc.leg``
     set: ``ValueError`` for no steps, :class:`SeriesBudgetError` for a
     harmonic leg whose ``z**k`` the grid cannot resolve.
@@ -324,29 +321,29 @@ def run(m: LaurentMap, schedule, moment_order: int | None = None,
         moment_order = m.order
     grid = laurent._grid_values(m, n)
     _require_univalent(m, n, "run", grid)
-    records = [TrajectoryRecord(0, 0.0, m, _moments(m, moment_order, n, grid), None)]
-    current = m
-    time = 0.0
-    index = 0
+    records, pending = [], [(0, 0.0, m, None, grid)]
+    current, time, index = m, 0.0, 0
     for leg, (flow, duration, steps) in enumerate(schedule):
         dt = duration / steps
+        root = None
         for _ in range(steps):
             index += 1
             try:
-                current, diag, grid = _rk4_step(current, flow, dt, n, grid)
+                current, diag, grid, root = _rk4_step(current, flow, dt, n, grid, root)
             except (CuspError, NonUnivalentError) as exc:
                 wrapped = type(exc)(f"step {index} (leg {leg}): {exc}",
                                     getattr(exc, "theta", None))
+                _fill(records, pending, moment_order)
                 wrapped.partial = Trajectory(tuple(records))
                 raise wrapped from exc
             except ValueError as exc:  # the leg left the maps, e.g. r <= 0
                 exc.leg = leg
                 raise
             time += dt
-            records.append(
-                TrajectoryRecord(index, time, current, _moments(current, moment_order, n, grid),
-                                 diag)
-            )
+            pending.append((index, time, current, diag, grid))
+            if len(pending) == MOMENT_BLOCK:
+                _fill(records, pending, moment_order)
+    _fill(records, pending, moment_order)
     return Trajectory(tuple(records))
 
 

@@ -4,32 +4,29 @@ The central object is the map ``z(w) = r*w + a0 + a1/w + ... + aM/w**M``
 from the exterior of the unit disk onto the exterior of a compact planar
 domain.  A map is its ``M + 2`` modes ``v = (r, a_0 .. a_M)`` at the powers
 ``p = 1, 0, -1, .., -M`` (:func:`_modes`).  Boundary functions are samples on
-a uniform power-of-two grid of the unit circle, read as Fourier modes through
-the FFT.  Grid sizes must satisfy ``n >= 4*(M+1)`` to keep quadratic
-nonlinearities alias-free.
+a uniform power-of-two grid of the unit circle; no FFT is taken, as every
+transform is a product with a cached, read-only table of grid nodes.  Grid
+sizes must satisfy ``n >= 4*(M+1)`` to keep quadratic nonlinearities
+alias-free.
 
 Conventions
 -----------
 * grid nodes are ``theta_j = 2*pi*j/n``, ``w_j = exp(i*theta_j)``, each
-  rounded from the first octant (:func:`circle_grid`);
-* the Fourier coefficient of ``w**m`` of a sampled function is
-  ``fft(samples)[m % n] / n``;
+  rounded from the first octant (:func:`circle_grid`), and every power of a
+  node is a node, ``w_j**m = w_((j m) % n)``;
+* the Fourier coefficient of ``w**m`` of samples ``f`` is ``sum_j f_j w_j**-m / n``;
 * the angular derivative ``d/d(log w) = w d/dw`` of a map multiplies each
   of its modes by the mode's power, so ``w z'`` is exact on the grid.
 
 A map's grid values (``z`` and ``w z'`` on the circle grid) have one route:
-one product of its modes with a cached, read-only table of ``w_j**p`` and
-``p w_j**p`` (:func:`_mode_values`).  The growth stages, the string residual,
-the univalence witness, the moment quadrature and ``phi_k`` all read them
-that way, and a caller that already has a map's grid hands it to the
-witness.  The witness compares only the ``n`` neighbour pairs of grid images
-when ``2 cos(pi/n) (r - S) > r + S``, with ``S = sum_j j |a_j|``: on the
-circle every pair obeys ``(r - S) |dw| <= |dz| <= (r + S) |dw|``, so no
-farther pair can be nearer.  Otherwise it compares each unordered pair once.
-It settles the critical points without a Schur-Cohn recursion whenever
-``r - rho^-(M+1) S``, a lower bound of ``|z'|`` on ``|w| >= rho``, is
-positive.  Every truncated series evaluated at given points goes through
-one Horner evaluator, :func:`_horner`: the map and its derivative in ``1/w``
+one product of its modes with the table of ``w_j**p`` and ``p w_j**p``
+(:func:`_mode_values`).  The growth stages, the string residual, the
+univalence witness (:func:`univalence_witness`, which settles most maps by
+bounds) and the moment quadrature all read them that way, and a caller that
+already has a map's grid hands it to the witness.  ``phi_k`` reads no grid:
+it takes the top modes of ``z**k`` from the map's own (:func:`_phi_k_many`).
+Every truncated series evaluated at given points goes through one Horner
+evaluator, :func:`_horner`: the map and its derivative in ``1/w``
 (plotting and user queries), the Newton inversion :func:`_invert` (in Python
 complex arithmetic), ``phi_k`` in ``w``, the Orlov-Shulman function and the
 gas drive.
@@ -160,6 +157,18 @@ def _power_table(n: int, count: int) -> np.ndarray:
     powers = _mode_powers(count)[:, None]
     nodes = circle_grid(n)[(powers * np.arange(n)) % n]
     table = np.concatenate([nodes, powers * nodes], axis=1)
+    table.setflags(write=False)
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def _schwarz_table(n: int, count: int) -> np.ndarray:
+    """For real samples ``h`` on the ``n`` grid nodes, ``(h @ table).view(complex)``
+    is the first ``count`` modes of ``h``'s Schwarz extension (analytic outside
+    the disk, real part ``h``): ``Phi_0 = mean(h)``, exactly real, and
+    ``Phi_-m = 2 sum_j h_j w_j**m / n``.  Built once per ``(n, count)``."""
+    m = np.arange(count)
+    table = (circle_grid(n)[np.outer(np.arange(n), m) % n] * np.where(m, 2.0, 1.0) / n).view(float)
     table.setflags(write=False)
     return table
 
@@ -329,24 +338,11 @@ def univalence_witness(m: LaurentMap, n: int | None = None, grid=None):
 
 
 def _projection_grid(m: LaurentMap, k: int, n: int):
-    """Refuse ``k < 1`` and a ``z**k`` whose powers the ``n``-point grid cannot resolve."""
-    if k < 1:
-        raise ValueError("phi_k is defined for k >= 1")
+    """Refuse a ``z**k`` whose powers the ``n``-point grid cannot resolve (``k >= 1``)."""
     budget = n // 2 - 1
     if k > budget or k * m.order > budget:
-        raise SeriesBudgetError(
-            f"z**{k} spans powers [{-k * m.order}, {k}] but the grid of size {n} "
-            f"resolves only |m| <= {budget}"
-        )
-
-
-def _phi_values(z: np.ndarray, k: int, w) -> np.ndarray:
-    """``phi_k`` at ``w`` from the grid samples ``z`` (last axis): Horner on
-    ``w d/dw A_k = sum_j j c_j w**j``, with ``c_j`` the modes of ``z**k``.
-
-    ``z`` holds one map per leading index, and ``w`` broadcasts against them."""
-    modes = np.fft.fft(z ** k, axis=-1)[..., : k + 1] / z.shape[-1]
-    return _horner(np.moveaxis(modes * np.arange(k + 1), -1, 0), w)
+        raise SeriesBudgetError(f"z**{k} spans powers [{-k * m.order}, {k}] but the grid of "
+                                f"size {n} resolves only |m| <= {budget}")
 
 
 def phi_k(m: LaurentMap, k: int, w):
@@ -364,16 +360,22 @@ def _phi_k_many(r, coeffs, k: int, w):
     """:func:`phi_k` of many maps: the map ``r[i] w + sum_j coeffs[i, j] w**-j``
     at ``w[i]``, for every leading index ``i`` of ``r``, ``coeffs`` and ``w``.
 
-    All maps share the smallest grid that holds ``z**k`` without aliasing.
+    ``phi_k = sum_p p c_p w**p`` reads the modes ``c_p`` of ``z**k`` at the
+    powers ``p = k .. 1``: as no power feeds a higher one, those are exactly
+    ``k - 1`` products of the top ``k`` modes of ``z``, each truncated to them.
     """
     if k < 1:
         raise ValueError("phi_k is defined for k >= 1")
-    order = np.shape(coeffs)[-1] - 1
-    n = 4
-    while n < 4 * (order + 1) or n // 2 - 1 < k * max(order, 1):
-        n *= 2
-    z, _ = _mode_values(_modes(r, coeffs), n)
-    return _phi_values(z, k, np.asarray(w, dtype=complex))
+    v = _modes(r, coeffs)
+    top = np.zeros(v.shape[:-1] + (2 * k,), dtype=complex)
+    top[..., :min(k, v.shape[-1])] = v[..., :k]
+    # the truncated product's lower-triangular Toeplitz matrix: i - j < 0 reads a zero
+    product = top[..., np.subtract.outer(np.arange(k), np.arange(k))]
+    power = top[..., :k]
+    for _ in range(k - 1):
+        power = (product @ power[..., None])[..., 0]
+    w = np.asarray(w, dtype=complex)
+    return w * _horner([p * power[..., k - p] for p in range(1, k + 1)], w)
 
 
 def inverse_evaluate(m: LaurentMap, z: complex) -> complex:
@@ -381,32 +383,34 @@ def inverse_evaluate(m: LaurentMap, z: complex) -> complex:
     return _invert(m.r, m.coeffs.tolist(), complex(z))
 
 
-def _invert(r: float, coeffs: list, z: complex) -> complex:
+def _invert(r: float, coeffs: list, z: complex, seed: complex | None = None) -> complex:
     """Solve ``r w + sum_j coeffs[j] w**-j = z`` by damped Newton iteration, in
     Python complex arithmetic on the coefficient list (:func:`_horner`).
 
-    Seeded at ``z / r``; the damping factor halves whenever a full step would
-    increase the residual.  Raises :class:`RootFindError` on non-convergence
-    or when the solution lands inside the unit disk (``z`` was not exterior).
+    Seeded at ``seed`` or ``z / r``; the damping factor halves whenever a full
+    step would increase the residual, and one full step after convergence
+    makes the root independent of the seed.  Raises :class:`RootFindError` on
+    non-convergence or when the solution lands inside the unit disk.
     """
     slopes = [j * c for j, c in enumerate(coeffs)]
 
     def residual(w):
         return r * w + _horner(coeffs, 1.0 / w) - z
 
-    w = z / r
+    w = z / r if seed is None else seed
     if w == 0:
         w = 1.5 + 0.0j
     resid = residual(w)
     scale = max(1.0, abs(z))
     for _ in range(INVERSION_MAX_ITER):
-        if abs(resid) <= INVERSION_TOL * scale:
-            break
         iw = 1.0 / w
         dz = r - iw * _horner(slopes, iw)
         if dz == 0:
             raise RootFindError(f"map derivative vanished at w={w}")
         full_step = resid / dz
+        if abs(resid) <= INVERSION_TOL * scale:
+            w -= full_step
+            break
         lam = 1.0
         while True:
             w_try = w - lam * full_step
@@ -422,10 +426,8 @@ def _invert(r: float, coeffs: list, z: complex) -> complex:
                 )
         w, resid = w_try, resid_try
     else:
-        raise RootFindError(
-            f"Newton inversion did not converge in {INVERSION_MAX_ITER} iterations "
-            f"(residual {abs(resid):.3e})"
-        )
+        raise RootFindError(f"Newton inversion did not converge in {INVERSION_MAX_ITER} "
+                            f"iterations (residual {abs(resid):.3e})")
     if abs(w) < 1.0 - 1e-9:
         raise RootFindError(f"inverse landed at |w|={abs(w):.6f} < 1; z={z} is not exterior")
     return w

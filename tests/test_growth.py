@@ -280,6 +280,9 @@ def test_coefficient_rhs_matches_outer_series_reference(flow):
     assert_allclose(r_dot, ref_r, rtol=0, atol=1e-14)
     assert_allclose(a_dot, ref_a, rtol=0, atol=1e-14)
     assert_allclose(leakage, ref_leakage, rtol=1e-12, atol=1e-24)
+    # the later RK4 stages take only the M + 2 modes of Phi that reach the rates
+    cut = growth._coefficient_rhs(v, flow, 128, count=len(v))
+    assert_allclose(cut[:len(v)], rates[:len(v)], rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("flow", FLOWS, ids=lambda f: f.kind)
@@ -306,13 +309,15 @@ def test_order_zero_map_steps_with_its_a0(flow):
 
 def test_source_stages_invert_as_inverse_evaluate(monkeypatch):
     # a source stage inverts z0 on its modes, with no map: the same Newton
-    # iteration as inverse_evaluate of the stage's map, to the bit
+    # iteration as inverse_evaluate of the stage's map, seeded at the previous
+    # stage's root from a cold first stage, and polished, so it lands within
+    # a few ulps of the cold root
     calls = []
     invert = laurent._invert
 
-    def recorded(r, coeffs, z):
-        root = invert(r, coeffs, z)
-        calls.append((r, coeffs, z, root))
+    def recorded(r, coeffs, z, seed=None):
+        root = invert(r, coeffs, z, seed)
+        calls.append((r, coeffs, z, seed, root))
         return root
 
     monkeypatch.setattr(laurent, "_invert", recorded)
@@ -320,8 +325,53 @@ def test_source_stages_invert_as_inverse_evaluate(monkeypatch):
     growth.run(m, [(growth.FlowSpec.t0_source(2.5 - 0.5j), 0.2, 20)])
     monkeypatch.undo()
     assert len(calls) == 4 * 20
-    for r, coeffs, z, root in calls:
-        assert laurent.inverse_evaluate(laurent.LaurentMap(r, coeffs), z) == root
+    assert calls[0][3] is None
+    assert [call[3] for call in calls[1:]] == [call[4] for call in calls[:-1]]
+    for r, coeffs, z, _, root in calls:
+        cold = laurent.inverse_evaluate(laurent.LaurentMap(r, coeffs), z)
+        assert abs(root - cold) <= 4 * np.spacing(abs(cold))
+
+
+def assert_moments_equal(got, want):
+    assert got.order == want.order and got.t0 == want.t0
+    assert np.array_equal(got.t, want.t) and np.array_equal(got.v, want.v)
+
+
+def test_block_moments_equal_moment_vector_to_the_bit():
+    # run fills the moments of up to MOMENT_BLOCK records in one pass: the 3
+    # legs' 39 records make two full blocks and a part block
+    m = laurent.LaurentMap(1.0, [0.02j, 0.1, 0.0, -0.03]).with_order(6)
+    schedule = [(growth.FlowSpec.t0_infinity(), 0.05, 20), (growth.FlowSpec.tk_imag(2), 0.01, 7),
+                (growth.FlowSpec.t0_source(3.0 + 1.0j), 0.05, 11)]
+    records = growth.run(m, schedule, moment_order=6).records
+    assert [rec.index for rec in records] == list(range(39))
+    for rec in records:
+        assert_moments_equal(rec.moments, growth.moment_vector(rec.map, 6))
+
+
+def test_breakdown_fills_the_pending_block():
+    # the harmonic leg cusps at step 65: the partial trajectory's records all
+    # carry their moments, those of the block still pending included
+    m = laurent.LaurentMap(1.0, [0.0, 0.1, 0.05]).with_order(8)
+    schedule = [(growth.FlowSpec.t0_infinity(), 0.05, 5), (growth.FlowSpec.tk_real(2), 0.3, 60)]
+    with pytest.raises(CuspError, match="step 65") as err:
+        growth.run(m, schedule)
+    records = err.value.partial.records
+    assert [rec.index for rec in records] == list(range(65))
+    assert len(records) % growth.MOMENT_BLOCK != 0
+    for rec in records:
+        assert_moments_equal(rec.moments, growth.moment_vector(rec.map, 8))
+
+
+def test_run_calls_no_fft(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("the grow path called an FFT")
+
+    monkeypatch.setattr(np.fft, "rfft", refused)
+    monkeypatch.setattr(np.fft, "fft", refused)
+    m = laurent.LaurentMap(1.0, [0.0, 0.1, 0.03j]).with_order(8)
+    traj = growth.run(m, [(flow, 0.01, 3) for flow in FLOWS])
+    assert len(traj.records) == 1 + 3 * len(FLOWS)
 
 
 def test_run_witnesses_each_map_once(monkeypatch):

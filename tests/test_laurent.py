@@ -61,13 +61,37 @@ def test_phi_k_joukowski_square():
     assert_allclose(laurent.phi_k(m, 2, w), 2.0 * w ** 2, atol=1e-12)
 
 
+def fft_phi_k(r, coeffs, k, w, n=2048):
+    """phi_k at w from an FFT of z**k on an n grid that holds all its powers."""
+    z = laurent.evaluate(laurent.LaurentMap(r, coeffs), laurent.circle_grid(n))
+    modes = np.fft.fft(z ** k) / n
+    return sum(p * modes[p] * w ** p for p in range(1, k + 1))
+
+
 def test_phi_k_resolves_every_power_of_z_k():
     # z**8 of an order-16 map spans powers [-128, 8], beyond the map's default
-    # 128 grid; phi_k takes a grid that holds them, so a finer one agrees
-    m = laurent.LaurentMap(1.0, np.full(17, 0.01))
+    # 128 grid; phi_k reads its top modes off the map's modes, with no grid,
+    # so an FFT on a grid that holds every power agrees
+    rng = np.random.default_rng(3)
     w = np.array([1.0, 0.7 + 0.2j, 1.5j])
-    z = laurent.evaluate(m, laurent.circle_grid(2048))
-    assert_allclose(laurent.phi_k(m, 8, w), laurent._phi_values(z, 8, w), rtol=1e-13)
+    for coeffs in (np.full(17, 0.01), 0.05 * (rng.normal(size=17) + 1j * rng.normal(size=17))):
+        m = laurent.LaurentMap(1.0, coeffs)
+        for k in range(1, 9):
+            assert_allclose(laurent.phi_k(m, k, w), fft_phi_k(m.r, m.coeffs, k, w), rtol=1e-13)
+
+
+def test_batched_phi_k_matches_the_fft_oracle_on_hydro_shapes():
+    # hydro's speed passes one map per q: r (Q,), the first k - 1 modes
+    # (Q, k - 1) and eta (Q,); each map's phi_k is the oracle's
+    rng = np.random.default_rng(5)
+    for k in (1, 2, 3, 5):
+        r = rng.uniform(0.5, 2.0, size=7)
+        coeffs = r[:, None] * 0.2 * (rng.normal(size=(7, k - 1)) + 1j * rng.normal(size=(7, k - 1)))
+        eta = np.exp(1j * rng.uniform(-np.pi, np.pi, size=7))
+        batched = laurent._phi_k_many(r, coeffs, k, eta)
+        assert batched.shape == (7,)
+        oracle = [fft_phi_k(ri, ci, k, wi, n=64) for ri, ci, wi in zip(r, coeffs, eta)]
+        assert_allclose(batched, oracle, rtol=1e-13, atol=1e-14)
 
 
 def test_phi_k_is_the_batched_kernel_of_one_map():
@@ -135,6 +159,18 @@ def test_inverse_evaluate_interior_point_fails():
     m = laurent.LaurentMap(1.0, [])
     with pytest.raises(RootFindError):
         laurent.inverse_evaluate(m, 0.2 + 0.1j)
+
+
+def test_polished_inversion_forgets_its_seed():
+    # the last full Newton step after convergence leaves a root that a cold
+    # seed z / r and a warm seed near the root both reach to within 4 ulps
+    m = laurent.LaurentMap(1.1, [0.2, 0.15 - 0.1j, 0.05j, -0.02])
+    coeffs = m.coeffs.tolist()
+    for z in (4.0, 2.5 - 0.5j, -1.5 + 1.7j):
+        cold = laurent._invert(m.r, coeffs, z)
+        for seed in (cold * (1 + 1e-3), cold + 0.05j, 1.2 * z / m.r):
+            warm = laurent._invert(m.r, coeffs, z, seed)
+            assert abs(warm - cold) <= 4 * np.spacing(abs(cold))
 
 
 def test_inverse_roundtrip_sampled_annulus():
