@@ -369,7 +369,7 @@ def _phi_k_many(r, coeffs, k: int, w):
     v = _modes(r, coeffs)
     top = np.zeros(v.shape[:-1] + (2 * k,), dtype=complex)
     top[..., :min(k, v.shape[-1])] = v[..., :k]
-    # the truncated product's lower-triangular Toeplitz matrix: i - j < 0 reads a zero
+    # the truncated product's lower-triangular Toeplitz matrix: i - j < 0 reads the padding
     product = top[..., np.subtract.outer(np.arange(k), np.arange(k))]
     power = top[..., :k]
     for _ in range(k - 1):
