@@ -15,13 +15,13 @@ The package realizes three faces of one family of planar growth processes:
 __version__ = "0.1.0"
 
 from .errors import (
+    BreakdownError,
     ConfigError,
     CuspError,
     InsufficientSamplesError,
     IntegrationBreakdownError,
     NonUnivalentError,
     RootFindError,
-    SeriesBudgetError,
     ShockError,
     TodaflowError,
 )
@@ -30,13 +30,13 @@ from .laurent import LaurentMap
 __all__ = [
     "__version__",
     "LaurentMap",
+    "BreakdownError",
     "ConfigError",
     "CuspError",
     "InsufficientSamplesError",
     "IntegrationBreakdownError",
     "NonUnivalentError",
     "RootFindError",
-    "SeriesBudgetError",
     "ShockError",
     "TodaflowError",
 ]

@@ -4,10 +4,11 @@ Configs follow a strict schema, declared as one table of schema nodes and
 checked by walking it generically: unknown keys are errors, every number
 must be finite, every validation problem is reported with its JSON pointer,
 and numeric preconditions are checked before any computation starts.  Exit
-codes: 0 success, 1 config error, 2 numerical breakdown (cusp, shock,
-absorption, a non-finite result); partial outputs are kept, with the
-manifest marking the run incomplete.  No artifact, summary or manifest ever
-holds a NaN or an infinity: a run that computes one ends in a breakdown.
+codes: 0 success, 1 config error (a ``ConfigError``), 2 numerical breakdown
+(a ``BreakdownError``: cusp, shock, absorption, a non-finite result);
+partial outputs are kept, with the manifest marking the run incomplete.  No
+artifact, summary or manifest ever holds a NaN or an infinity: a run that
+computes one ends in a breakdown.
 
 Every file takes one path.  A scenario runner hands each artifact to
 ``emit(name, content)``, which skips it when the name's suffix is not among
@@ -34,32 +35,12 @@ import numpy as np
 import scipy
 
 from . import __version__, dyson, growth, hydro, laurent, loewner, svgout
-from .errors import (
-    ConfigError,
-    CuspError,
-    InsufficientSamplesError,
-    IntegrationBreakdownError,
-    NonFiniteResultError,
-    NonUnivalentError,
-    RootFindError,
-    SeriesBudgetError,
-    ShockError,
-)
+from .errors import BreakdownError, ConfigError, IntegrationBreakdownError, NonFiniteResultError
 
 log = logging.getLogger(__name__)
 
 SCENARIOS = ("grow", "loewner", "hydro", "dyson", "moments")
 FORMATS = ("csv", "json", "svg")
-
-_BREAKDOWN_ERRORS = (
-    CuspError,
-    NonUnivalentError,
-    ShockError,
-    IntegrationBreakdownError,
-    RootFindError,
-    NonFiniteResultError,
-    InsufficientSamplesError,
-)
 
 
 @dataclass
@@ -510,23 +491,21 @@ def _run_grow(cfg: ScenarioConfig, emit):
     for f in p["flows"]:
         flow = growth.FlowSpec(f["kind"], k=f.get("k", 0), z0=f.get("z0", 0j), sign=f["sign"])
         schedule.append((flow, f["duration"], f["steps"]))
+    problems = [(f"/grow/flows/{leg}/{key}", message)
+                for leg, key, message in growth._schedule_problems(m, schedule)]
+    if problems:
+        raise ConfigError(problems)
     order = p["moment_order"] if p["moment_order"] is not None else m.order
     n = laurent._resolve_grid(m, cfg.grid_n)
     pending = None
     try:
         traj = growth.run(m, schedule, moment_order=order, n=n)
-    except (CuspError, NonUnivalentError) as exc:
+    except BreakdownError as exc:
         # keep whatever the run produced before the breakdown
         traj = getattr(exc, "partial", None)
         if traj is None or not traj.records:
             raise
         pending = exc
-    except SeriesBudgetError as exc:
-        raise ConfigError([(f"/grow/flows/{exc.leg}/k", str(exc))]) from exc
-    except ValueError as exc:
-        if not hasattr(exc, "leg"):
-            raise
-        raise ConfigError([(f"/grow/flows/{exc.leg}/duration", str(exc))]) from exc
     header = ["step", "time", "t0", "r",
               *(f"{part}_a{j}" for j in range(m.order + 1) for part in ("re", "im"))]
     emit("trajectory.csv", (header, _trajectory_rows(traj.records)))
@@ -757,7 +736,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> ExitReport:
     except OverflowError as exc:
         # Python float arithmetic raises where numpy returns an infinity
         status, breakdown = "breakdown", _breakdown(NonFiniteResultError(f"overflow: {exc}"))
-    except _BREAKDOWN_ERRORS as exc:
+    except BreakdownError as exc:
         status, breakdown = "breakdown", _breakdown(exc)
     except (OSError, ValueError) as exc:
         # bad referenced files or precondition violations surfaced at build

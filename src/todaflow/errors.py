@@ -1,15 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Two families end a CLI run: a :class:`ConfigError` is a configuration the
+program refuses before it computes (exit 1), and a :class:`BreakdownError`
+is a numerical failure of a run that started (exit 2).
+"""
 
 
 class TodaflowError(Exception):
     """Base class for all package-specific failures."""
 
 
-class SeriesBudgetError(TodaflowError):
-    """A series operation would need more Fourier modes than the grid resolves."""
+class BreakdownError(TodaflowError):
+    """A run broke down numerically; every class below it is a breakdown."""
 
 
-class NonUnivalentError(TodaflowError):
+class NonUnivalentError(BreakdownError):
     """A map failed the boundary univalence witness."""
 
     def __init__(self, message, theta=None):
@@ -17,7 +22,7 @@ class NonUnivalentError(TodaflowError):
         self.theta = theta
 
 
-class CuspError(TodaflowError):
+class CuspError(BreakdownError):
     """|z'| vanished on the boundary grid; smooth growth has broken down."""
 
     def __init__(self, message, theta=None):
@@ -25,19 +30,20 @@ class CuspError(TodaflowError):
         self.theta = theta
 
 
-class RootFindError(TodaflowError):
+class RootFindError(BreakdownError):
     """Newton inversion of the map failed to converge."""
 
 
-class IntegrationBreakdownError(TodaflowError):
-    """A Loewner trajectory left the domain where the ODE is valid."""
+class IntegrationBreakdownError(BreakdownError):
+    """An integration left the range where it is valid: a Loewner trajectory hit
+    the driving point, or a hydro node solved outside its speed's range."""
 
 
-class InsufficientSamplesError(TodaflowError):
+class InsufficientSamplesError(BreakdownError):
     """Too few surviving tracked points for a statistical estimate."""
 
 
-class ShockError(TodaflowError):
+class ShockError(BreakdownError):
     """Characteristics crossed: the classical hydrodynamic solution ended."""
 
     def __init__(self, message, s_star=None):
@@ -45,7 +51,7 @@ class ShockError(TodaflowError):
         self.s_star = s_star
 
 
-class NonFiniteResultError(TodaflowError):
+class NonFiniteResultError(BreakdownError):
     """A run computed a NaN or an infinity, or overflowed the float range."""
 
 

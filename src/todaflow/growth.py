@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import laurent
-from .errors import CuspError, NonUnivalentError, SeriesBudgetError
+from .errors import CuspError, NonUnivalentError
 from .laurent import LaurentMap
 
 #: boundary |z'| below this is treated as a cusp for smooth flows
@@ -244,20 +244,50 @@ def _rk4_step(m: LaurentMap, flow: FlowSpec, dt: float, n: int, grid=None, root=
     return new_map, StepDiagnostics(_leakage(first, count), min_zp), new_grid, root
 
 
+def _schedule_problems(m: LaurentMap, schedule):
+    """Yield ``(leg, key, message)`` for every leg of ``schedule`` that ``m`` cannot run.
+
+    A leg needs ``steps >= 1``.  A harmonic leg needs ``k <= M + 1``: an
+    order-``M`` map keeps ``t_k = 0`` for every ``k > M + 1`` (the polynomial
+    reduction), whatever the grid.  An area leg moves ``t0``
+    (:func:`laurent._area`) by exactly ``sign * duration``, and may not take a
+    positive ``t0`` to zero or below; a start map with ``t0 <= 0`` is left to
+    the univalence witness.
+    """
+    t0 = laurent._area(m)
+    for leg, (flow, duration, steps) in enumerate(schedule):
+        if steps < 1:
+            yield leg, "steps", "steps must be >= 1"
+        harmonic = flow.kind in ("tk_real", "tk_imag")
+        if harmonic and flow.k > m.order + 1:
+            yield leg, "k", (f"needs k <= M + 1 = {m.order + 1}: an order-{m.order} map keeps "
+                             "t_k = 0 for every larger k")
+        after = t0 if harmonic else t0 + flow.sign * duration
+        if t0 > 0.0 >= after:
+            yield leg, "duration", f"takes t0 from {t0:g} to {after:g}: the area must stay positive"
+        t0 = after
+
+
+def _require_runnable(m: LaurentMap, schedule):
+    """Raise ``ValueError`` naming every problem of :func:`_schedule_problems`."""
+    problems = [f"leg {leg}: {message}" for leg, _, message in _schedule_problems(m, schedule)]
+    if problems:
+        raise ValueError("; ".join(problems))
+
+
 def step(m: LaurentMap, flow: FlowSpec, dt: float, n: int | None = None) -> LaurentMap:
     """Advance the map by one fixed RK4 step of the chosen flow.
 
     The leading coefficient's rate is real, so it stays real; losing
-    univalence raises :class:`CuspError` with the offending angle.  A harmonic
-    flow whose ``z**k`` the grid cannot resolve raises
-    :class:`SeriesBudgetError`, as :func:`run` does.  ``dt = 0`` returns the
-    map unchanged.
+    univalence raises :class:`CuspError` with the offending angle.  A step
+    that :func:`run` would refuse as a one-step leg of duration ``dt`` (a
+    harmonic flow past ``k = M + 1``, an area step that ends ``t0``) raises
+    ``ValueError`` before it is taken.  ``dt = 0`` returns the map unchanged.
     """
     if dt == 0:
         return m
     n = laurent._resolve_grid(m, n)
-    if flow.kind in ("tk_real", "tk_imag"):
-        laurent._projection_grid(m, flow.k, n)
+    _require_runnable(m, [(flow, dt, 1)])
     return _rk4_step(m, flow, dt, n)[0]
 
 
@@ -298,25 +328,16 @@ def run(m: LaurentMap, schedule, moment_order: int | None = None,
     the records skip the witness of :func:`moment_vector`.  Each map's grid
     samples are built once and serve its witness, its moments and the first
     stage of the next step.  The moments of each ``MOMENT_BLOCK`` records
-    take one pass, after which their grids go.  Step failures are re-raised
-    with the failing step index in the message and the trajectory up to the
-    failure, moments filled, attached as ``exc.partial``; a ``ValueError``
-    from a step (say a leading coefficient driven below zero) carries the
-    failing leg's index as ``exc.leg``.
-    Every leg is checked before any step, and a bad one raises with ``exc.leg``
-    set: ``ValueError`` for no steps, :class:`SeriesBudgetError` for a
-    harmonic leg whose ``z**k`` the grid cannot resolve.
+    take one pass, after which their grids go.  Every leg is checked before
+    any step (:func:`_schedule_problems`), and a schedule with a bad leg
+    raises one ``ValueError`` naming each.  Step failures are re-raised
+    with the failing step and leg in the message and the trajectory up to
+    the failure, moments filled, attached as ``exc.partial``; a
+    ``ValueError`` from a step (say an RK4 stage that overshoots ``r`` below
+    zero) carries the same prefix, with no trajectory.
     """
     n = laurent._resolve_grid(m, n)
-    for leg, (flow, _, steps) in enumerate(schedule):
-        try:
-            if steps < 1:
-                raise ValueError(f"leg {leg}: steps must be >= 1")
-            if flow.kind in ("tk_real", "tk_imag"):
-                laurent._projection_grid(m, flow.k, n)
-        except (ValueError, SeriesBudgetError) as exc:
-            exc.leg = leg
-            raise
+    _require_runnable(m, schedule)
     if moment_order is None:
         moment_order = m.order
     grid = laurent._grid_values(m, n)
@@ -336,9 +357,8 @@ def run(m: LaurentMap, schedule, moment_order: int | None = None,
                 _fill(records, pending, moment_order)
                 wrapped.partial = Trajectory(tuple(records))
                 raise wrapped from exc
-            except ValueError as exc:  # the leg left the maps, e.g. r <= 0
-                exc.leg = leg
-                raise
+            except ValueError as exc:  # a stage left the maps, e.g. r <= 0
+                raise ValueError(f"step {index} (leg {leg}): {exc}") from exc
             time += dt
             pending.append((index, time, current, diag, grid))
             if len(pending) == MOMENT_BLOCK:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RootFindError, SeriesBudgetError
+from .errors import RootFindError
 
 DEFAULT_GRID = 128
 
@@ -263,6 +263,11 @@ def _zeros_inside(coeffs: np.ndarray, radius: float) -> bool:
     return True
 
 
+def _area(m: LaurentMap) -> float:
+    """``t0 = r**2 - sum_j j |a_j|**2``, the area inside the map's boundary over pi."""
+    return m.r ** 2 - float(np.sum(np.arange(len(m.coeffs)) * np.abs(m.coeffs) ** 2))
+
+
 def _derivative_weight(m: LaurentMap) -> float:
     """``S = sum_j j |a_j|``, the weight of the tail in every bound on ``z'``."""
     return float(np.arange(len(m.coeffs)) @ np.abs(m.coeffs))
@@ -294,8 +299,8 @@ def _neighbours_nearest(m: LaurentMap, n: int, weight: float) -> bool:
 def univalence_witness(m: LaurentMap, n: int | None = None, grid=None):
     """Check the univalence invariant of the boundary map.
 
-    The exact enclosed area over pi, ``r**2 - sum_j j |a_j|**2``, must be
-    positive (Gronwall's area theorem for univalent maps).  It costs no grid
+    The exact enclosed area over pi, :func:`_area`, must be positive
+    (Gronwall's area theorem for univalent maps).  It costs no grid
     work, but it is necessary and not sufficient: a boundary that crosses
     itself can still enclose a positive area.  The sampled part requires
     pairwise-distinct boundary images and ``|z'| > 0`` on the grid.  With
@@ -326,8 +331,7 @@ def univalence_witness(m: LaurentMap, n: int | None = None, grid=None):
     else:
         min_sep = float(np.abs(z[_pair_offsets(n)] - z).min())
     sep_floor = 1e-9 * max(m.r, 1.0)
-    area = m.r ** 2 - float(np.sum(np.arange(len(m.coeffs)) * np.abs(m.coeffs) ** 2))
-    ok = (area > 0.0) and (min_sep > sep_floor) and (zp[imin] > 1e-8)
+    ok = (_area(m) > 0.0) and (min_sep > sep_floor) and (zp[imin] > 1e-8)
     rho = 1.0 - 1e-9
     if ok and not _critical_bound(m, rho, weight) and not _zeros_inside(
             _critical_polynomial(m), rho):
@@ -335,14 +339,6 @@ def univalence_witness(m: LaurentMap, n: int | None = None, grid=None):
         crit = critical_points(m)
         theta_worst = float(np.angle(crit[np.argmax(np.abs(crit))]))
     return ok, min_sep, float(zp[imin]), theta_worst
-
-
-def _projection_grid(m: LaurentMap, k: int, n: int):
-    """Refuse a ``z**k`` whose powers the ``n``-point grid cannot resolve (``k >= 1``)."""
-    budget = n // 2 - 1
-    if k > budget or k * m.order > budget:
-        raise SeriesBudgetError(f"z**{k} spans powers [{-k * m.order}, {k}] but the grid of "
-                                f"size {n} resolves only |m| <= {budget}")
 
 
 def phi_k(m: LaurentMap, k: int, w):

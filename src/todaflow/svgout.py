@@ -35,9 +35,9 @@ def render_svg(layers) -> str:
     """Render layered geometry to an SVG document string.
 
     ``layers`` is a sequence of ``(kind, points, style)`` with ``kind`` in
-    {"polyline", "points"}, ``points`` complex, and ``style`` a dict that may
-    carry ``stroke``/``fill``/``radius``.  Empty input produces a valid SVG
-    containing a warning comment.
+    {"polyline", "points"}, ``points`` complex, and ``style`` a dict whose
+    ``stroke`` and ``closed`` keys style a polyline (points take none).
+    Empty input produces a valid SVG containing a warning comment.
     """
     layers = [(k, np.asarray(p, dtype=complex).reshape(-1), dict(s or {})) for k, p, s in layers]
     box = _bounds(layers)
@@ -71,12 +71,10 @@ def render_svg(layers) -> str:
                 f'stroke-width="{_fmt(span / 300.0)}"/>'
             )
         elif kind == "points":
-            radius = style.get("radius", span / 200.0)
-            fill = style.get("fill", "#b3402a")
             for p in pts:
                 parts.append(
                     f'<circle cx="{_fmt(p.real)}" cy="{_fmt(-p.imag)}" '
-                    f'r="{_fmt(radius)}" fill="{fill}"/>'
+                    f'r="{_fmt(span / 200.0)}" fill="#b3402a"/>'
                 )
         else:
             raise ValueError(f"unknown layer kind {kind!r}")

@@ -213,6 +213,30 @@ def test_hydro_run_computes_the_shock_time_once(tmp_path, monkeypatch, s, status
     assert len(calls) == 1
 
 
+_LINE = [0, 0.25, 0.5, 0.75, 1]
+
+
+@pytest.mark.parametrize("speed, exact, tol, brackets", [
+    # c = -12 q up to q = 0.5: q = t0 - 2.4 q, and Newton overshoots from q = t0
+    ({"kind": "table", "q": [0, 0.5, 1], "c": [0, -6, -6]}, lambda t0: t0 / 3.4, 1e-13, True),
+    ({"kind": "constant", "value": 0.5}, lambda t0: t0 + 0.1, 0.0, False),
+], ids=["table", "constant"])
+def test_hydro_table_and_constant_speeds(tmp_path, monkeypatch, speed, exact, tol, brackets):
+    # q0 = t0, so q solves q = t0 + c(q) s at s = 0.2; neither speed has a shock
+    calls = []
+    bracket = hydro._bracket
+    monkeypatch.setattr(hydro, "_bracket", lambda *args: calls.append(args) or bracket(*args))
+    raw = {"scenario": "hydro",
+           "hydro": {"profile": {"grid": _LINE, "q_values": _LINE}, "speed": speed, "s": 0.2}}
+    report = cli.run_scenario(cli.parse_config(json.dumps(raw)), out_dir=str(tmp_path))
+    assert report.exit_code == 0 and report.manifest["summary"] == {"s": 0.2, "s_star": None}
+    lines = (tmp_path / "profile.csv").read_text().splitlines()[1:]
+    rows = [tuple(map(float, line.split(","))) for line in lines]
+    assert [t0 for t0, _ in rows] == _LINE
+    assert max(abs(q - exact(t0)) for t0, q in rows) <= tol
+    assert bool(calls) == brackets
+
+
 def test_dyson_scenario_small_circular_law(tmp_path):
     raw = {
         "scenario": "dyson",
@@ -385,20 +409,57 @@ _K70 = {"kind": "tk_real", "k": 70, "duration": 0.01, "steps": 1}
 
 
 @pytest.mark.parametrize("raw, pointer", [
-    # z**k spans powers [-k M, k]; a 128 grid resolves only |m| <= 63
-    (_grow_legs([{"kind": "tk_real", "k": 4, "duration": 0.01, "steps": 1}], [[0, 0], [0.1, 0]],
+    # an order-M map keeps t_k = 0 past k = M + 1, whatever the grid
+    (_grow_legs([{"kind": "tk_real", "k": 18, "duration": 0.01, "steps": 1}], [[0, 0], [0.1, 0]],
                 resolution={"M": 16, "n": 128}), "/grow/flows/0/k"),
     (_grow_legs([_T0, _K70]), "/grow/flows/1/k"),
-    # the leading coefficient driven below zero
+    # t0 = 1 taken to zero or below
     (_grow_legs([{**_T0, "duration": -2}]), "/grow/flows/0/duration"),
     (_grow_legs([_T0, {**_T0, "duration": -2}]), "/grow/flows/1/duration"),
-    # two legs alias: the first one is reported
-    (_grow_legs([_T0, _K70, {**_K70, "k": 80}]), "/grow/flows/1/k"),
+    # an order-1 map: k M is within the grid, yet t_3 cannot move
+    (_grow_legs([_T0, {"kind": "tk_imag", "k": 3, "duration": 0.01, "steps": 1}],
+                [[0, 0], [0.1, 0]]), "/grow/flows/1/k"),
 ])
 def test_grow_leg_error_is_reported_at_its_leg(tmp_path, raw, pointer):
     with pytest.raises(ConfigError) as err:
         cli.run_scenario(cli.parse_config(json.dumps(raw)), out_dir=str(tmp_path))
     assert [ptr for ptr, _ in err.value.problems] == [pointer]
+    assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("flows, pointers", [
+    ([_T0, _K70, {**_K70, "k": 80}], ["/grow/flows/1/k", "/grow/flows/2/k"]),
+    # t0 = 1 - 2 < 0 after leg 0: leg 2 starts from no area, so only leg 0 ends it
+    ([{**_T0, "duration": -2}, _K70, {**_T0, "sign": -1, "duration": 0.5}],
+     ["/grow/flows/0/duration", "/grow/flows/1/k"]),
+], ids=["two-k", "duration-and-k"])
+def test_every_bad_grow_leg_is_reported(tmp_path, flows, pointers):
+    with pytest.raises(ConfigError) as err:
+        cli.run_scenario(cli.parse_config(json.dumps(_grow_legs(flows))), out_dir=str(tmp_path))
+    assert [ptr for ptr, _ in err.value.problems] == pointers
+
+
+def test_grow_breakdown_keeps_the_partial_run(tmp_path):
+    # the harmonic leg cusps at step 65: exit 2, and the 65 records before it are written
+    raw = {"scenario": "grow", "resolution": {"M": 8},
+           "grow": {"map": {"r": 1, "coeffs": [[0, 0], [0.1, 0], [0.05, 0]]},
+                    "flows": [{"kind": "t0_infinity", "duration": 0.05, "steps": 5},
+                              {"kind": "tk_real", "k": 2, "duration": 0.3, "steps": 60}]}}
+    path = tmp_path / "grow.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main([str(path), "--out", str(tmp_path / "out")]) == 2
+    manifest = strict_json((tmp_path / "out" / "manifest.json").read_text())
+    breakdown = manifest["breakdown"]
+    assert manifest["status"] == "breakdown" and manifest["complete"] is False
+    assert breakdown["type"] == "CuspError" and breakdown["message"].startswith("step 65 (leg 1)")
+    assert math.isfinite(breakdown["theta"]) and manifest["summary"] == {}
+    tables = {}
+    for name in ("trajectory.csv", "moments.csv"):
+        lines = (tmp_path / "out" / name).read_text().splitlines()[1:]
+        tables[name] = [[float(cell) for cell in line.split(",")] for line in lines]
+        assert all(math.isfinite(cell) for row in tables[name] for cell in row), name
+    assert [row[0] for row in tables["trajectory.csv"]] == list(range(65))
+    assert len(tables["moments.csv"]) == 65 * 8
 
 
 def test_reproducibility_byte_identical(tmp_path, caplog):
@@ -552,6 +613,22 @@ def test_render_svg_points_and_empty():
                 "measure": {"kind": "curve", "curve": {"kind": "real_line"},
                             "confine": {"kind": "quadratic_hbar", "coefficient": 2.0}}}},
      "/dyson/measure/confine/kind"),
+    # the cross-field and shape rules of the schema
+    ({"scenario": "loewner",
+      "loewner": {"driving": {"kind": "constant"}, "q0": 0.1, "q_max": 0.1}}, "/loewner/q_max"),
+    ({"scenario": "loewner",
+      "loewner": {"driving": {"kind": "constant"}, "q_max": 0.2, "tracked": [[0.5, 0.5]]}},
+     "/loewner/tracked/0"),
+    ({"scenario": "hydro",
+      "hydro": {"profile": {"grid": [0, 1], "q_values": [0, 0.5, 1]},
+                "speed": {"kind": "identity"}, "s": 0.1}}, "/hydro/profile"),
+    ({"scenario": "moments", "resolution": {"M": 16, "n": 64}, "moments": {"map": {"r": 1.0}}},
+     "/resolution/n"),
+    ({"scenario": "grow", "grow": {"map": {"r": 1.0, "coeffs": [[1]]}, "flows": [_T0]}},
+     "/grow/map/coeffs/0"),
+    ({"scenario": "grow", "grow": {"map": {"r": 1.0}, "flows": 5}}, "/grow/flows"),
+    ({"scenario": "grow", "grow": {"map": 3, "flows": [_T0]}}, "/grow/map"),
+    ([{"scenario": "grow"}], ""),
 ])
 def test_parse_rejects_non_finite_or_mistyped_number(raw, pointer):
     with pytest.raises(ConfigError) as err:

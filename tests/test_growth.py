@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from todaflow import growth, laurent
-from todaflow.errors import CuspError, NonUnivalentError, SeriesBudgetError
+from todaflow.errors import CuspError, NonUnivalentError
 
 FLOWS = [growth.FlowSpec.t0_infinity(), growth.FlowSpec.t0_source(3.0 + 1.0j),
          growth.FlowSpec.tk_real(2), growth.FlowSpec.tk_imag(1, sign=-1)]
@@ -300,9 +300,18 @@ def test_leading_rate_is_exactly_real(flow):
 
 @pytest.mark.parametrize("flow", FLOWS, ids=lambda f: f.kind)
 def test_order_zero_map_steps_with_its_a0(flow):
-    # an empty coefficient list is the order-0 map r w + 0: it steps as that map
-    empty = growth.step(laurent.LaurentMap(1.0, []), flow, 0.01)
-    padded = growth.step(laurent.LaurentMap(1.0, [0j]), flow, 0.01)
+    # an empty coefficient list is the order-0 map r w + 0: it steps as that map,
+    # and a harmonic flow past k = M + 1 = 1 is refused for both alike
+    maps = laurent.LaurentMap(1.0, []), laurent.LaurentMap(1.0, [0j])
+    if flow.k > 1:
+        messages = []
+        for m in maps:
+            with pytest.raises(ValueError, match=r"leg 0: needs k <= M \+ 1 = 1") as err:
+                growth.step(m, flow, 0.01)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        return
+    empty, padded = (growth.step(m, flow, 0.01) for m in maps)
     assert empty.r == padded.r and np.array_equal(empty.coeffs, padded.coeffs)
     assert len(empty.coeffs) == 1
 
@@ -409,16 +418,28 @@ def test_run_rejects_non_univalent_start():
         growth.run(CROSSING, [(growth.FlowSpec.t0_infinity(), 0.01, 1)])
 
 
-def test_run_refuses_a_harmonic_leg_the_grid_cannot_resolve(monkeypatch):
-    # z**4 of an order-16 map spans powers [-64, 4]; a 128 grid resolves
-    # only |m| <= 63, so the leg would alias: refused before any step
-    m = laurent.LaurentMap(1.0, [0.0, 0.1]).with_order(16)
+def _refuse_steps(monkeypatch):
     steps = []
     monkeypatch.setattr(growth, "_rk4_step", lambda *args: steps.append(args))
-    schedule = [(growth.FlowSpec.t0_infinity(), 0.01, 1), (growth.FlowSpec.tk_real(4), 0.01, 1)]
-    with pytest.raises(SeriesBudgetError, match=r"z\*\*4 spans powers \[-64, 4\]") as err:
+    return steps
+
+
+@pytest.mark.parametrize("m, k", [
+    (laurent.LaurentMap(1.0, [0.0, 0.05, 0.02j, 0.01]).with_order(16), 18),
+    (laurent.LaurentMap(1.0, [0.0, 0.1]), 3),
+    (laurent.LaurentMap(1.0, []), 2),
+], ids=["M16-k18", "M1-k3", "M0-k2"])
+def test_run_refuses_a_harmonic_leg_past_k_M_plus_1(monkeypatch, m, k):
+    # an order-M map keeps t_k = 0 past k = M + 1, so no flow of the map moves
+    # it, even where the grid resolves z**k (k M <= n/2 - 1 for the last two):
+    # the leg is refused at its k before any step
+    steps = _refuse_steps(monkeypatch)
+    schedule = [(growth.FlowSpec.t0_infinity(), 0.01, 2), (growth.FlowSpec.tk_imag(k), 1e-4, 4)]
+    problems = list(growth._schedule_problems(m, schedule))
+    assert [(leg, key) for leg, key, _ in problems] == [(1, "k")]
+    with pytest.raises(ValueError, match=rf"^leg 1: needs k <= M \+ 1 = {m.order + 1}: an order-"):
         growth.run(m, schedule, n=128)
-    assert err.value.leg == 1 and steps == []
+    assert steps == []
 
 
 @pytest.mark.parametrize("bad_steps", [0, -2])
@@ -426,29 +447,80 @@ def test_run_refuses_a_leg_without_steps_before_any_step(monkeypatch, bad_steps)
     # a later leg with no steps was refused only after the earlier legs had
     # run, and without its leg index
     m = laurent.LaurentMap(1.0, [0.0, 0.1]).with_order(4)
-    steps = []
-    monkeypatch.setattr(growth, "_rk4_step", lambda *args: steps.append(args))
+    steps = _refuse_steps(monkeypatch)
     schedule = [(growth.FlowSpec.t0_infinity(), 0.01, 2), (growth.FlowSpec.tk_real(2), 0.01, 1),
                 (growth.FlowSpec.t0_infinity(), 0.01, bad_steps)]
-    with pytest.raises(ValueError, match="leg 2: steps must be >= 1") as err:
+    with pytest.raises(ValueError, match="^leg 2: steps must be >= 1$"):
         growth.run(m, schedule, n=128)
-    assert err.value.leg == 2 and steps == []
+    assert steps == []
 
 
-def test_step_refuses_a_harmonic_flow_the_grid_cannot_resolve(monkeypatch):
-    # the single step of run's refused leg: it used to return an aliased map
-    # with r = 1.00397 instead of raising
+def test_step_refuses_a_harmonic_flow_past_k_M_plus_1(monkeypatch):
+    # the single step of run's refused leg
     m = laurent.LaurentMap(1.0, [0.0, 0.1]).with_order(16)
-    steps = []
-    monkeypatch.setattr(growth, "_rk4_step", lambda *args: steps.append(args))
-    for flow in (growth.FlowSpec.tk_real(4), growth.FlowSpec.tk_imag(4)):
-        with pytest.raises(SeriesBudgetError, match=r"z\*\*4 spans powers \[-64, 4\]"):
+    steps = _refuse_steps(monkeypatch)
+    for flow in (growth.FlowSpec.tk_real(18), growth.FlowSpec.tk_imag(18)):
+        with pytest.raises(ValueError, match=r"needs k <= M \+ 1 = 17"):
             growth.step(m, flow, 0.01, n=128)
     assert steps == []
     monkeypatch.undo()
-    # a power the grid resolves still steps
-    stepped = growth.step(m, growth.FlowSpec.tk_real(1), 0.01, n=128)
+    # k = M + 1 still steps
+    stepped = growth.step(m, growth.FlowSpec.tk_real(17), 1e-4, n=128)
     assert not np.array_equal(stepped.coeffs, m.coeffs)
+
+
+def test_every_harmonic_leg_up_to_k_M_plus_1_moves_its_time_at_unit_rate():
+    # the polynomial reduction: an order-M map runs every t_k flow up to
+    # k = M + 1, whatever k M is against the grid, and each moves t_k alone
+    m = laurent.LaurentMap(1.0, [0.0, 0.05, 0.02j, 0.01]).with_order(16)
+    duration = 1e-4
+    for k in range(1, 18):
+        for flow, unit in ((growth.FlowSpec.tk_real(k), 1.0), (growth.FlowSpec.tk_imag(k), 1j)):
+            traj = growth.run(m, [(flow, duration, 4)], moment_order=18, n=128)
+            start, end = traj.records[0].moments, traj.records[-1].moments
+            rates = (end.t - start.t) / duration
+            rates[k - 1] -= unit
+            assert np.abs(rates).max() <= 1e-8, (flow, rates)
+            assert abs(end.t0 - start.t0) <= 1e-8 * duration
+
+
+@pytest.mark.parametrize("sign, durations, bad", [
+    (1, [-0.5, -0.6], [1]),  # 1 -> 0.5 -> -0.1
+    (-1, [1.0], [0]),  # 1 -> 0 exactly
+    (-1, [0.5, -2.0, 2.5], [2]),  # 1 -> 0.5 -> 2.5 -> 0, then the tk leg keeps it
+])
+def test_an_area_leg_that_ends_the_area_is_refused_at_duration(sign, durations, bad):
+    # t0 = r^2 - sum_j j |a_j|^2 moves by exactly sign * duration over an area
+    # leg, so a leg that takes it to zero or below is refused before any step
+    m = laurent.LaurentMap(1.0, [0.0])
+    flows = [growth.FlowSpec.t0_infinity(sign), growth.FlowSpec.t0_source(4.0, sign)]
+    schedule = [(flows[i % 2], d, 3) for i, d in enumerate(durations)]
+    schedule.append((growth.FlowSpec.tk_real(1), 5.0, 1))
+    problems = list(growth._schedule_problems(m, schedule))
+    assert [(leg, key) for leg, key, _ in problems] == [(leg, "duration") for leg in bad]
+    with pytest.raises(ValueError, match="the area must stay positive"):
+        growth.run(m, schedule)
+
+
+def test_a_start_without_area_is_left_to_the_witness():
+    # t0 = 1 - 2 * 0.75^2 < 0: no leg takes a positive t0 to zero, and the
+    # start map fails the witness, a breakdown rather than a schedule problem
+    m = laurent.LaurentMap(1.0, [0.0, 0.0, 0.75])
+    schedule = [(growth.FlowSpec.t0_infinity(-1), 0.1, 1)]
+    assert list(growth._schedule_problems(m, schedule)) == []
+    with pytest.raises(NonUnivalentError):
+        growth.run(m, schedule)
+
+
+def test_a_stage_that_leaves_the_maps_names_its_step_and_leg():
+    # the sink leg keeps t0 = 0.82 + 0.01 - 0.74 > 0, but its single step
+    # overshoots: an RK4 stage takes r below zero
+    m = laurent.LaurentMap(1.0, [0.0, 0.0, 0.3])
+    schedule = [(growth.FlowSpec.t0_infinity(), 0.01, 1),
+                (growth.FlowSpec.t0_infinity(-1), 0.74, 1)]
+    assert list(growth._schedule_problems(m, schedule)) == []
+    with pytest.raises(ValueError, match=r"^step 2 \(leg 1\): leading coefficient must be "):
+        growth.run(m, schedule)
 
 
 def test_step_circle_law_single_step():
